@@ -10,7 +10,8 @@ exact.  The module provides:
 * :func:`cone_membership` — a strictly positive representative of a class,
   or a certifying nonnegative cycle that pairs nonpositively with it;
 * :func:`integral_cocycle` — the lexicographically least integral
-  representative bounded below cellwise, found by exact coboundary search;
+  representative bounded below cellwise, found by shortest paths on the
+  1-skeleton;
 * :func:`fiber_cocycle` / :func:`line_family_cocycle` — crossing data of
   the level circle near height zero and of its spun relatives;
 * :func:`discreteness_cone` — an integer scale certifying a neighbourhood
@@ -23,9 +24,10 @@ exact.  The module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     ConeInfeasibleError,
@@ -38,11 +40,9 @@ from .graphs import Graph, GraphMap, spanning_tree
 from .linalg import (
     integer_nullspace,
     mat_mul,
-    minimum_of_coordinate,
     rational_solve,
     smith_normal_form,
     solve_integer,
-    solve_inequalities,
 )
 from .torus import TrapComplex, skew_loop
 
@@ -96,10 +96,6 @@ def boundary(complex_: TrapComplex, chain: Mapping) -> Chain:
         for v, inc in b1[cell].items():
             out[v] = out.get(v, 0) + coef * inc
     return {v: c for v, c in out.items() if c != 0}
-
-
-def is_cycle(complex_: TrapComplex, chain: Mapping) -> bool:
-    return not boundary(complex_, chain)
 
 
 def is_cocycle(complex_: TrapComplex, z: Mapping) -> bool:
@@ -287,6 +283,97 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
 
 
 # ---------------------------------------------------------------------------
+# difference constraints on the 1-skeleton
+#
+# The bound z(e) + φ(end) − φ(start) >= m on the value of a shifted cochain
+# on a 1-cell e is the difference constraint φ(start) − φ(end) <= z(e) − m:
+# an arc end -> start of weight z(e) − m.  The bounds on all 1-cells hold for
+# some potential φ exactly when the digraph has no negative cycle, and
+# shortest-path distances are then such a φ (CLRS §24.4).  A negative cycle,
+# read as the sum of its 1-cells, is a nonnegative 1-cycle certifying that
+# the bounds cannot all hold.
+
+Arc = tuple[int, int, Fraction]  # (tail, head, weight) on 0-cell indices
+
+
+def _constraint_digraph(complex_: TrapComplex, z: Mapping,
+                        bound: Fraction) -> list[Arc]:
+    """One arc per 1-cell, in ``one_cell_names`` order."""
+    index = {c.name: i for i, c in enumerate(complex_.zero_cells)}
+    ends = {v.name: (v.end, v.start) for v in complex_.verticals}
+    ends.update((s.name, (s.top, s.bottom)) for s in complex_.skews)
+    return [(index[ends[e][0]], index[ends[e][1]],
+             Fraction(z.get(e, 0)) - bound)
+            for e in complex_.one_cell_names]
+
+
+def _distances(n: int, arcs: Sequence[Arc], sources: Iterable[int]
+               ) -> Optional[list[Optional[Fraction]]]:
+    """Least weight of a walk from some source to each of the ``n`` 0-cells
+    (Bellman–Ford), None where unreachable; None in place of the list when
+    a negative cycle is reachable."""
+    dist: list[Optional[Fraction]] = [None] * n
+    for s in sources:
+        dist[s] = Fraction(0)
+    for _ in range(n):
+        changed = False
+        for tail, head, w in arcs:
+            if dist[tail] is not None and (dist[head] is None
+                                           or dist[tail] + w < dist[head]):
+                dist[head] = dist[tail] + w
+                changed = True
+        if not changed:
+            return dist
+    return None
+
+
+def _least_negative_cycle(n: int, arcs: Sequence[Arc]) -> tuple[int, ...]:
+    """Arc indices, ascending, of the negative cycle with the fewest arcs.
+
+    Ties go to the least ascending tuple of arc indices.  A shortest
+    negative closed walk is a simple cycle: at a repeated vertex it splits
+    into two shorter closed walks, one of them negative.  ``to[s][k][v]`` is
+    the least weight of a ``k``-arc walk from ``v`` to ``s``; the first
+    ``k`` with some ``to[s][k][s] < 0`` is the least cycle length, and a
+    depth-first search pruned by these layers lists the negative cycles of
+    that length through each such ``s``.
+    """
+    leaving: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
+    for j, (tail, head, w) in enumerate(arcs):
+        leaving[tail].append((j, head, w))
+    to = [[[Fraction(0) if v == s else None for v in range(n)]]
+          for s in range(n)]
+    for k in range(1, n + 1):
+        for layers in to:
+            prev, layer = layers[-1], [None] * n
+            for tail, head, w in arcs:
+                if prev[head] is not None and (layer[tail] is None
+                                               or w + prev[head] < layer[tail]):
+                    layer[tail] = w + prev[head]
+            layers.append(layer)
+        anchors = [s for s in range(n)
+                   if to[s][k][s] is not None and to[s][k][s] < 0]
+        if not anchors:
+            continue
+        found: list[tuple[int, ...]] = []
+
+        def extend(s: int, v: int, left: int, weight: Fraction,
+                   path: tuple[int, ...]) -> None:
+            if left == 0:  # the layers only lead back to s
+                found.append(tuple(sorted(path)))
+                return
+            for j, head, w in leaving[v]:
+                rest = to[s][left - 1][head]
+                if rest is not None and weight + w + rest < 0:
+                    extend(s, head, left - 1, weight + w, path + (j,))
+
+        for s in anchors:
+            extend(s, s, k, Fraction(0), ())
+        return min(found)
+    raise InvariantViolation("constraint digraph has no negative cycle")
+
+
+# ---------------------------------------------------------------------------
 # positive cone
 
 
@@ -305,32 +392,36 @@ class ConeWitness:
 def cone_membership(complex_: TrapComplex, z: Mapping) -> ConeWitness:
     """Strictly positive representative of the class of ``z``.
 
+    Strict bounds are the lexicographic arc weights ``(z(e), −1)``, realised
+    exactly as ``z(e) − δ`` with ``δ = 1/(L(n + 1))``: cycle pairings lie in
+    ``(1/L)Z`` for ``L`` the common denominator of ``z``, and a simple cycle
+    has at most ``n`` 1-cells for ``n`` 0-cells.
+
     Raises :class:`ConeInfeasibleError` carrying a certificate when no
-    representative is positive: a nonnegative cycle supported on the
-    1-cells whose pairing with the class is nonpositive.
+    representative is positive: the cycle of 1-cells, each with coefficient
+    1, whose pairing with the class is at most zero and which has the fewest
+    1-cells; ties go to the least ascending tuple of 1-cell indices in
+    ``one_cell_names`` order.
     """
     if not is_cocycle(complex_, z):
         raise InvariantViolation("cochain is not a cocycle")
-    data = chain_data(complex_)
-    n0 = len(data.zero_cells)
-    rows = []
-    for j, e in enumerate(data.one_cells):
-        coeffs = [data.d1[i][j] for i in range(n0)]
-        rows.append((coeffs, Fraction(z.get(e, 0)), True))
-    status, payload = solve_inequalities(rows)
-    if status == "feasible":
-        potential = {v: payload[i] for i, v in enumerate(data.zero_cells)}
+    n = len(complex_.zero_cells)
+    common = math.lcm(*(Fraction(v).denominator for v in z.values()))
+    arcs = _constraint_digraph(complex_, z, Fraction(1, common * (n + 1)))
+    dist = _distances(n, arcs, range(n))
+    if dist is not None:
+        potential = {c.name: d for c, d in zip(complex_.zero_cells, dist)}
         witness = dict_sum(z, coboundary(complex_, potential))
         if any(val <= 0 for val in witness.values()) \
-                or len(witness) != len(data.one_cells):
+                or len(witness) != len(arcs):
             raise InvariantViolation("positivity witness failed verification")
         return ConeWitness(witness, potential)
-    certificate: Chain = {data.one_cells[idx]: lam
-                          for idx, lam in payload.items() if lam != 0}
+    certificate: Chain = {complex_.one_cell_names[j]: 1
+                          for j in _least_negative_cycle(n, arcs)}
     bad = boundary(complex_, certificate)
     pairing = sum(Fraction(z.get(e, 0)) * lam
                   for e, lam in certificate.items())
-    if bad or pairing > 0 or any(lam < 0 for lam in certificate.values()):
+    if bad or pairing > 0:
         raise InvariantViolation("infeasibility certificate failed verification")
     raise ConeInfeasibleError(
         f"class has no positive representative; the nonnegative cycle "
@@ -354,58 +445,45 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
                      minimum: int = 0) -> Chain:
     """Least integral representative of the class of ``z``, cellwise.
 
-    Searches coboundary shifts exactly: cell values are minimized one at a
-    time in the 1-cell order subject to every value staying at least
-    ``minimum``, each minimum being fixed before the next cell is
-    considered.  Raises :class:`ConeInfeasibleError` when no representative
-    clears the bound and :class:`NonIntegralClassError` when a minimized
-    value is fractional — the result is never rounded.
+    Cell values are minimized one at a time in the 1-cell order subject to
+    every value staying at least ``minimum``, each minimum being fixed
+    before the next cell is considered.  In the constraint digraph the
+    least value on ``e`` is ``z(e) − dist(end → start)``, and fixing it adds
+    the arcs ``end → start`` of weight ``dist`` and ``start → end`` of
+    weight ``−dist``.
+
+    Raises :class:`ConeInfeasibleError` when no representative clears the
+    bound, carrying the cycle of 1-cells, each with coefficient 1, with
+    ``sum(z(e) − minimum) < 0`` that has the fewest 1-cells; ties go to
+    the least ascending tuple of 1-cell indices in ``one_cell_names``
+    order.  Raises :class:`NonIntegralClassError` when a minimized value is
+    fractional — the result is never rounded.
     """
     if not is_cocycle(complex_, z):
         raise InvariantViolation("cochain is not a cocycle")
-    data = chain_data(complex_)
-    n0 = len(data.zero_cells)
-
-    def cell_rows(fixed: dict) -> list:
-        rows = []
-        for j, e in enumerate(data.one_cells):
-            coeffs = [Fraction(data.d1[i][j]) for i in range(n0)] + [Fraction(0)]
-            base = Fraction(z.get(e, 0))
-            if e in fixed:
-                rows.append((coeffs, base - fixed[e], False))
-                rows.append(([-c for c in coeffs], fixed[e] - base, False))
-            else:
-                rows.append((coeffs, base - minimum, False))
-        return rows
-
-    status, payload = solve_inequalities(cell_rows({}))
-    if status != "feasible":
-        certificate: Chain = {}
-        for idx, lam in payload.items():
-            e = data.one_cells[idx]
-            certificate[e] = certificate.get(e, 0) + lam
-        certificate = {e: lam for e, lam in certificate.items() if lam != 0}
+    n = len(complex_.zero_cells)
+    arcs = _constraint_digraph(complex_, z, Fraction(minimum))
+    if _distances(n, arcs, range(n)) is None:
         raise ConeInfeasibleError(
             f"no representative is at least {minimum} on every 1-cell",
-            certificate=certificate)
+            certificate={complex_.one_cell_names[j]: 1
+                         for j in _least_negative_cycle(n, arcs)})
 
-    fixed: dict = {}
-    for j, e in enumerate(data.one_cells):
-        rows = cell_rows(fixed)
-        coeffs = [Fraction(data.d1[i][j]) for i in range(n0)] + [Fraction(-1)]
-        base = Fraction(z.get(e, 0))
-        rows.append((coeffs, base, False))
-        rows.append(([-c for c in coeffs], -base, False))
-        low = minimum_of_coordinate(rows, n0)
-        if low is None:
+    values: Chain = {}
+    for j, e in enumerate(complex_.one_cell_names):
+        end, start, _w = arcs[j]
+        dist = _distances(n, arcs, (end,))
+        if dist is None or dist[start] is None:
             raise InvariantViolation(
                 f"value on {e!r} is unbounded below despite the cellwise bound")
+        low = Fraction(z.get(e, 0)) - dist[start]
         if low.denominator != 1:
             raise NonIntegralClassError(
                 f"least value on {e!r} is the fraction {low}; "
                 f"the class has no integral representative of this shape")
-        fixed[e] = low
-    return {e: int(v) for e, v in fixed.items() if v != 0}
+        arcs += [(end, start, dist[start]), (start, end, -dist[start])]
+        values[e] = int(low)
+    return {e: v for e, v in values.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,6 @@ def conjugating_word(w1: Iterable[Letter], w2: Iterable[Letter]) -> Optional[Wor
     return None
 
 
-def is_conjugate(w1: Iterable[Letter], w2: Iterable[Letter]) -> bool:
-    return conjugating_word(w1, w2) is not None
-
-
 def primitive_root(word: Iterable[Letter]) -> tuple[Word, int]:
     """For nonempty ``word = u c u^-1``: smallest ``r`` with ``c = r^k``; returns
     (``u r u^-1`` reduced, k)."""

@@ -15,10 +15,12 @@ from freebycyclic.errors import (
     NotACycleError,
     TurnDataError,
 )
+from freebycyclic.corpus import corpus
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap, load_map_file
 from freebycyclic.torus import build_torus, skew_loop
 
+import fm_oracle
 from conftest import EXAMPLES
 
 CYCLE_B = {"up:black.0": 1, "up:c@1.1": -1, "up:a@2.3": 1,
@@ -209,11 +211,21 @@ def test_integral_cocycle_least_values(bundled):
     assert co.evaluate(torus, rep2, CYCLE_R) == 1
 
 
+def assert_bound_certificate(torus, z, certificate, minimum):
+    """A nonnegative cycle on which no cochain >= ``minimum`` is cohomologous
+    to ``z``: its pairing with ``z`` is below ``minimum`` times its mass."""
+    assert certificate
+    assert not co.boundary(torus, certificate)
+    assert all(lam > 0 for lam in certificate.values())
+    assert sum((Fraction(z.get(e, 0)) - minimum) * lam
+               for e, lam in certificate.items()) < 0
+
+
 def test_integral_cocycle_outside_cone_fails(bundled):
     _, torus, b_star, _ = bundled
     with pytest.raises(ConeInfeasibleError) as err:
         co.integral_cocycle(torus, b_star)
-    assert err.value.certificate
+    assert_bound_certificate(torus, b_star, err.value.certificate, 0)
 
 
 def test_no_strictly_positive_integral_representative(bundled):
@@ -221,14 +233,75 @@ def test_no_strictly_positive_integral_representative(bundled):
     # the skew loop; for the classes on the unit-pairing line that sum is
     # one, so no representative is at least one on every skew cell.
     _, torus, _, r_star = bundled
-    with pytest.raises(ConeInfeasibleError):
+    with pytest.raises(ConeInfeasibleError) as err:
         co.integral_cocycle(torus, r_star, minimum=1)
+    assert_bound_certificate(torus, r_star, err.value.certificate, 1)
 
 
 def test_fractional_class_fails_loudly(bundled):
     _, torus, _, r_star = bundled
     with pytest.raises(NonIntegralClassError):
         co.integral_cocycle(torus, co.dict_scale(Fraction(1, 2), r_star))
+
+
+# ---------------------------------------------------------------------------
+# shortest paths against the Fourier–Motzkin oracle
+
+
+def outcome(solve, *args):
+    """``(error type or None, result or certificate)`` of one solve."""
+    try:
+        return None, solve(*args)
+    except InvariantViolation as err:
+        return type(err), getattr(err, "certificate", None)
+
+
+def assert_agrees_with_oracle(torus, z, minimum=0):
+    kind, found = outcome(co.cone_membership, torus, z)
+    assert kind is outcome(fm_oracle.fm_cone_membership, torus, z)[0]
+    if kind is ConeInfeasibleError:
+        assert not co.boundary(torus, found)
+        assert all(lam > 0 for lam in found.values())
+        assert sum(Fraction(z.get(e, 0)) * lam
+                   for e, lam in found.items()) <= 0
+    kind, found = outcome(co.integral_cocycle, torus, z, minimum)
+    expected = outcome(fm_oracle.fm_integral_cocycle, torus, z, minimum)
+    assert kind is expected[0]
+    if kind is None:
+        assert found == expected[1]
+    if kind is ConeInfeasibleError:
+        assert_bound_certificate(torus, z, found, minimum)
+
+
+def test_bundled_grid_agrees_with_oracle(bundled):
+    _, torus, _, _ = bundled
+    first, second = co.h1(torus).duals
+    for cb in range(-4, 5):
+        for cr in range(-4, 5):
+            z = co.dict_sum(co.dict_scale(cb, first),
+                            co.dict_scale(cr, second))
+            for minimum in (0, 1):
+                assert_agrees_with_oracle(torus, z, minimum)
+
+
+def test_small_corpus_tori_agree_with_oracle():
+    # Elimination takes minutes on the larger tori, so only tori with at
+    # most eight 0-cells are compared.
+    small = 0
+    for gmap in corpus(200, seed=20260823):
+        try:
+            torus = build_torus(decompose(gmap))
+        except InvariantViolation:
+            continue
+        if len(torus.zero_cells) > 8:
+            continue
+        small += 1
+        duals = co.h1(torus).duals
+        total = co.dict_sum(*duals)
+        for z in (*duals, co.dict_scale(-1, total),
+                  co.dict_scale(Fraction(1, 2), total)):
+            assert_agrees_with_oracle(torus, z)
+    assert small == 18
 
 
 # ---------------------------------------------------------------------------

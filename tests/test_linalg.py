@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freebycyclic.linalg import (identity_matrix, integer_nullspace,
-                                 integer_rank, lexmin_nonnegative, mat_mul,
-                                 minimum_of_coordinate, rational_rank,
+                                 integer_rank, mat_mul, rational_rank,
                                  rational_solve, smith_normal_form,
-                                 solve_integer, solve_inequalities)
+                                 solve_integer)
+
+from fm_oracle import (lexmin_nonnegative, minimum_of_coordinate,
+                       solve_inequalities)
 
 
 def det(matrix):
