@@ -68,10 +68,6 @@ class ChainData:
     d1: list[list[int]]
     d2: list[list[int]]
 
-    def __post_init__(self):
-        self.zero_index = {c: i for i, c in enumerate(self.zero_cells)}
-        self.one_index = {c: i for i, c in enumerate(self.one_cells)}
-
 
 def chain_data(complex_: TrapComplex) -> ChainData:
     zero = tuple(c.name for c in complex_.zero_cells)

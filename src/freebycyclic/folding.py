@@ -269,12 +269,14 @@ class AuxGraph:
 def aux_graph(f: GraphMap) -> AuxGraph:
     matrix = transition_matrix(f)
     n = len(matrix.edges)
-    arcs = []
-    for j in range(n):
-        column = [matrix.rows[i][j] for i in range(n)]
-        if sum(column) == 1:
-            i = column.index(1)
-            arcs.append((matrix.edges[i], matrix.edges[j]))
+    column_sum = [0] * n
+    source = [0] * n  # a row with a nonzero entry in the column
+    for i, row in enumerate(matrix.entries):
+        for j, count in row:
+            column_sum[j] += count
+            source[j] = i
+    arcs = [(matrix.edges[source[j]], matrix.edges[j])
+            for j in range(n) if column_sum[j] == 1]
     return AuxGraph(matrix.edges, tuple(sorted(arcs)))
 
 

@@ -9,6 +9,7 @@ path property and its endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -57,15 +58,18 @@ class Graph:
         init, term = self._ends[lt[0]]
         return term if lt[1] > 0 else init
 
+    @cached_property
+    def _directions_at(self) -> dict[str, tuple[Letter, ...]]:
+        """Vertex -> its directions; built on first use, once per graph."""
+        out: dict[str, list[Letter]] = {v: [] for v in self.vertices}
+        for name, init, term in sorted(self.edges):  # names are distinct
+            out[init].append((name, 1))
+            out[term].append((name, -1))
+        return {v: tuple(dirs) for v, dirs in out.items()}
+
     def directions(self, vertex: str) -> tuple[Letter, ...]:
         """All directions based at ``vertex``, sorted by (edge name, forward first)."""
-        out = []
-        for name, init, term in self.edges:
-            if init == vertex:
-                out.append((name, 1))
-            if term == vertex:
-                out.append((name, -1))
-        return tuple(sorted(out, key=lambda lt: (lt[0], -lt[1])))
+        return self._directions_at.get(vertex, ())
 
     def all_directions(self) -> tuple[Letter, ...]:
         out = []
@@ -83,12 +87,11 @@ class Graph:
         seen = {self.vertices[0]}
         frontier = [self.vertices[0]]
         while frontier:
-            v = frontier.pop()
-            for name, init, term in self.edges:
-                for a, b in ((init, term), (term, init)):
-                    if a == v and b not in seen:
-                        seen.add(b)
-                        frontier.append(b)
+            for lt in self.directions(frontier.pop()):
+                w = self.term_of(lt)
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
         return len(seen) == len(self.vertices)
 
 

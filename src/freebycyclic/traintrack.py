@@ -9,6 +9,8 @@ axis verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -48,30 +50,29 @@ def _stable_images(f: GraphMap) -> dict[Letter, Letter]:
 
     Two directions merge under some iterate exactly when they merge within
     #directions steps, so equality of these stabilized images decides
-    illegality of a turn.
+    illegality of a turn.  The power is taken by repeated squaring.
     """
     dmap = direction_map(f)
-    n = len(dmap)
     stable = {d: d for d in dmap}
-    for _ in range(n):
-        stable = {d: dmap[s] for d, s in stable.items()}
+    power = dmap
+    n = len(dmap)
+    while n:
+        if n & 1:
+            stable = {d: power[s] for d, s in stable.items()}
+        n >>= 1
+        if n:
+            power = {d: power[s] for d, s in power.items()}
     return stable
 
 
 def periodic_directions(f: GraphMap) -> frozenset[Letter]:
-    """Directions lying on a cycle of the direction map."""
-    dmap = direction_map(f)
-    n = len(dmap)
-    # d is periodic iff Df^n! ... iff some iterate <= n returns to d.
-    out = set()
-    for d in dmap:
-        cur = d
-        for _ in range(n):
-            cur = dmap[cur]
-            if cur == d:
-                out.add(d)
-                break
-    return frozenset(out)
+    """Directions lying on a cycle of the direction map.
+
+    Every orbit of Df enters its cycle within #directions steps and every
+    cycle is mapped onto itself, so these are exactly the values of the
+    stabilized direction map.
+    """
+    return frozenset(_stable_images(f).values())
 
 
 def all_turns(graph: Graph) -> tuple[Turn, ...]:
@@ -124,58 +125,89 @@ def is_train_track(f: GraphMap) -> tuple[bool, Optional[tuple[str, int]]]:
 
 @dataclass
 class TransitionMatrix:
+    """Crossing counts over a sorted edge basis, stored by rows.
+
+    ``entries[i]`` lists the nonzero entries of row ``i`` as
+    ``(column, count)`` pairs in ascending column order; section return
+    maps cross few edges per image, so rows are short.
+    """
+
     edges: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix, row by row."""
+        n = len(self.edges)
+        dense = []
+        for row in self.entries:
+            full = [0] * n
+            for j, count in row:
+                full[j] = count
+            dense.append(tuple(full))
+        return tuple(dense)
 
     def row_sum(self, i: int) -> int:
-        return sum(self.rows[i])
+        return sum(count for _j, count in self.entries[i])
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.rows[ij[0]][ij[1]]
+        i, j = ij
+        row = self.entries[i]
+        k = bisect_left(row, (j,))
+        return row[k][1] if k < len(row) and row[k][0] == j else 0
 
     def matmul(self, other: "TransitionMatrix") -> "TransitionMatrix":
         if self.edges != other.edges:
             raise InvariantViolation("matrix edge bases differ")
-        n = len(self.edges)
-        rows = tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n))
-        return TransitionMatrix(self.edges, rows)
+        entries = []
+        for row in self.entries:
+            acc: dict[int, int] = {}
+            for k, a in row:
+                for j, b in other.entries[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            entries.append(tuple(sorted(acc.items())))
+        return TransitionMatrix(self.edges, tuple(entries))
 
 
 def transition_matrix(f: GraphMap) -> TransitionMatrix:
     """Entry (i, j): how often the image of edge i crosses edge j (either way)."""
     edges = tuple(sorted(f.domain.edge_names))
     index = {e: i for i, e in enumerate(edges)}
-    rows = []
-    for e in edges:
-        row = [0] * len(edges)
-        for name, _sign in f.edge_images[e]:
-            row[index[name]] += 1
-        rows.append(tuple(row))
-    return TransitionMatrix(edges, tuple(rows))
+    entries = tuple(
+        tuple(sorted(Counter(index[name] for name, _sign in f.edge_images[e])
+                     .items()))
+        for e in edges)
+    return TransitionMatrix(edges, entries)
+
+
+def _reaches_all(adjacency: Sequence[Sequence[int]]) -> bool:
+    seen = [False] * len(adjacency)
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        for j in adjacency[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                count += 1
+                stack.append(j)
+    return count == len(adjacency)
 
 
 def is_irreducible(matrix: TransitionMatrix) -> bool:
-    """The crossing digraph (arc i -> j iff entry > 0) is strongly connected."""
+    """The crossing digraph (arc i -> j iff entry > 0) is strongly connected.
+
+    Forward and reverse reachability from edge 0, in O(edges + nonzeros).
+    """
     n = len(matrix.edges)
     if n == 0:
         return False
-
-    def reach(start: int, transpose: bool) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                val = matrix.rows[j][i] if transpose else matrix.rows[i][j]
-                if val and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
-
-    return len(reach(0, False)) == n and len(reach(0, True)) == n
+    succ = [[j for j, _count in row] for row in matrix.entries]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
+    return _reaches_all(succ) and _reaches_all(pred)
 
 
 def is_expanding(matrix: TransitionMatrix) -> bool:
@@ -208,9 +240,12 @@ def eigen_metric(f: GraphMap, tol: float = 1e-12,
         raise NotExpandingError("crossing matrix is irreducible but not expanding")
     n = len(matrix.edges)
     x = [1.0 / n] * n
+    entries = matrix.entries
 
+    # dropping the zero entries drops exact zeros from sums of nonnegative
+    # terms, so the products equal the dense ones bit for bit
     def apply_a(vec: list[float]) -> list[float]:
-        return [sum(matrix.rows[i][j] * vec[j] for j in range(n)) for i in range(n)]
+        return [sum(count * vec[j] for j, count in row) for row in entries]
 
     stretch = 0.0
     residual = float("inf")
@@ -278,13 +313,14 @@ class WhiteheadData:
 def whitehead_data(f: GraphMap) -> WhiteheadData:
     graph = f.domain
     periodic = periodic_directions(f)
-    taken = set(taken_turns(f))
+    taken_at: dict[str, list[Turn]] = {}
+    for t in taken_turns(f):  # both directions of a turn share its vertex
+        taken_at.setdefault(graph.init_of(min(t)), []).append(t)
     local = {}
     stable = {}
     for v in graph.vertices:
         dirs = graph.directions(v)
-        turns_v = tuple(t for t in sorted(taken, key=turn_sort_key)
-                        if all(d in dirs for d in t))
+        turns_v = tuple(taken_at.get(v, ()))
         local[v] = (dirs, turns_v)
         pdirs = tuple(d for d in dirs if d in periodic)
         pturns = tuple(t for t in turns_v if all(d in periodic for d in t))

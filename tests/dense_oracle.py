@@ -1,0 +1,226 @@
+"""Dense train-track kernels: the reference oracle.
+
+The package stores crossing matrices by their nonzero entries, runs the
+strong-connectivity test and the power iteration over them, powers the
+direction map by repeated squaring and indexes directions by vertex.  This
+module keeps the dense, quadratic code those replaced, so the tests can
+check the new kernels bit for bit.  The dense power iteration is slow:
+about 3 s on a return map with 200 edges.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from freebycyclic.errors import (InvariantViolation, NotExpandingError,
+                                 NotIrreducibleError)
+from freebycyclic.graphs import Graph, GraphMap
+from freebycyclic.traintrack import (EigenMetric, Turn, WhiteheadData,
+                                     crossed_turns_of_path, direction_map,
+                                     make_turn, taken_turns, turn_sort_key)
+from freebycyclic.words import Letter
+
+
+def directions(graph: Graph, vertex: str) -> tuple[Letter, ...]:
+    """All directions based at ``vertex``, sorted by (edge name, forward first)."""
+    out = []
+    for name, init, term in graph.edges:
+        if init == vertex:
+            out.append((name, 1))
+        if term == vertex:
+            out.append((name, -1))
+    return tuple(sorted(out, key=lambda lt: (lt[0], -lt[1])))
+
+
+def is_connected(graph: Graph) -> bool:
+    if not graph.vertices:
+        return True
+    seen = {graph.vertices[0]}
+    frontier = [graph.vertices[0]]
+    while frontier:
+        v = frontier.pop()
+        for name, init, term in graph.edges:
+            for a, b in ((init, term), (term, init)):
+                if a == v and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+    return len(seen) == len(graph.vertices)
+
+
+def _stable_images(f: GraphMap) -> dict[Letter, Letter]:
+    """Image of each direction under Df iterated #directions times."""
+    dmap = direction_map(f)
+    n = len(dmap)
+    stable = {d: d for d in dmap}
+    for _ in range(n):
+        stable = {d: dmap[s] for d, s in stable.items()}
+    return stable
+
+
+def periodic_directions(f: GraphMap) -> frozenset[Letter]:
+    """Directions lying on a cycle of the direction map."""
+    dmap = direction_map(f)
+    n = len(dmap)
+    out = set()
+    for d in dmap:
+        cur = d
+        for _ in range(n):
+            cur = dmap[cur]
+            if cur == d:
+                out.add(d)
+                break
+    return frozenset(out)
+
+
+def all_turns(graph: Graph) -> tuple[Turn, ...]:
+    turns = []
+    for v in graph.vertices:
+        dirs = directions(graph, v)
+        for i in range(len(dirs)):
+            for j in range(i + 1, len(dirs)):
+                turns.append(make_turn(dirs[i], dirs[j]))
+    return tuple(sorted(set(turns), key=turn_sort_key))
+
+
+def illegal_turns(f: GraphMap) -> tuple[Turn, ...]:
+    stable = _stable_images(f)
+    out = [t for t in all_turns(f.domain)
+           if len({stable[d] for d in t}) == 1]
+    return tuple(sorted(out, key=turn_sort_key))
+
+
+def is_train_track(f: GraphMap) -> tuple[bool, Optional[tuple[str, int]]]:
+    bad = set(illegal_turns(f))
+    for name in f.domain.edge_names:
+        for pos, turn in crossed_turns_of_path(f.edge_images[name]):
+            if len(turn) == 1 or turn in bad:
+                return False, (name, pos)
+    return True, None
+
+
+@dataclass
+class TransitionMatrix:
+    edges: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def row_sum(self, i: int) -> int:
+        return sum(self.rows[i])
+
+
+def transition_matrix(f: GraphMap) -> TransitionMatrix:
+    edges = tuple(sorted(f.domain.edge_names))
+    index = {e: i for i, e in enumerate(edges)}
+    rows = []
+    for e in edges:
+        row = [0] * len(edges)
+        for name, _sign in f.edge_images[e]:
+            row[index[name]] += 1
+        rows.append(tuple(row))
+    return TransitionMatrix(edges, tuple(rows))
+
+
+def is_irreducible(matrix: TransitionMatrix) -> bool:
+    n = len(matrix.edges)
+    if n == 0:
+        return False
+
+    def reach(start: int, transpose: bool) -> set[int]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                val = matrix.rows[j][i] if transpose else matrix.rows[i][j]
+                if val and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    return len(reach(0, False)) == n and len(reach(0, True)) == n
+
+
+def is_expanding(matrix: TransitionMatrix) -> bool:
+    return is_irreducible(matrix) and any(
+        matrix.row_sum(i) >= 2 for i in range(len(matrix.edges)))
+
+
+def eigen_metric(f: GraphMap, tol: float = 1e-12,
+                 max_iterations: int = 200_000) -> EigenMetric:
+    matrix = transition_matrix(f)
+    if not is_irreducible(matrix):
+        raise NotIrreducibleError("crossing matrix is not irreducible")
+    if not is_expanding(matrix):
+        raise NotExpandingError("crossing matrix is irreducible but not expanding")
+    n = len(matrix.edges)
+    x = [1.0 / n] * n
+
+    def apply_a(vec: list[float]) -> list[float]:
+        return [sum(matrix.rows[i][j] * vec[j] for j in range(n)) for i in range(n)]
+
+    stretch = 0.0
+    residual = float("inf")
+    iterations = 0
+    while iterations < max_iterations:
+        iterations += 1
+        ax = apply_a(x)
+        y = [ax[i] + x[i] for i in range(n)]
+        total = sum(y)
+        x = [v / total for v in y]
+        ax = apply_a(x)
+        num = sum(ax[i] * x[i] for i in range(n))
+        den = sum(x[i] * x[i] for i in range(n))
+        stretch = num / den
+        residual = max(abs(ax[i] - stretch * x[i]) for i in range(n))
+        if residual <= tol:
+            break
+    if residual > 1e-10:
+        raise InvariantViolation(
+            f"eigenmetric did not certify: residual {residual:g} > 1e-10")
+    total = sum(x)
+    x = [v / total for v in x]
+    return EigenMetric(matrix.edges, dict(zip(matrix.edges, x)),
+                       stretch, residual, iterations)
+
+
+def whitehead_data(f: GraphMap) -> WhiteheadData:
+    graph = f.domain
+    periodic = periodic_directions(f)
+    taken = set(taken_turns(f))
+    local = {}
+    stable = {}
+    for v in graph.vertices:
+        dirs = directions(graph, v)
+        turns_v = tuple(t for t in sorted(taken, key=turn_sort_key)
+                        if all(d in dirs for d in t))
+        local[v] = (dirs, turns_v)
+        pdirs = tuple(d for d in dirs if d in periodic)
+        pturns = tuple(t for t in turns_v if all(d in periodic for d in t))
+        stable[v] = (pdirs, pturns)
+    principal = tuple(v for v in sorted(graph.vertices)
+                      if len(stable[v][0]) >= 3)
+    components = []
+    for v in principal:
+        pdirs, pturns = stable[v]
+        adj = {d: set() for d in pdirs}
+        for t in pturns:
+            d1, d2 = sorted(t)
+            adj[d1].add(d2)
+            adj[d2].add(d1)
+        seen: set[Letter] = set()
+        for d in pdirs:
+            if d in seen:
+                continue
+            comp = {d}
+            stack = [d]
+            while stack:
+                cur = stack.pop()
+                for nxt in adj[cur]:
+                    if nxt not in comp:
+                        comp.add(nxt)
+                        stack.append(nxt)
+            seen |= comp
+            nodes = tuple(sorted(comp))
+            edges = tuple(t for t in pturns if all(x in comp for x in t))
+            components.append((v, nodes, edges))
+    return WhiteheadData(local, stable, principal, tuple(components))

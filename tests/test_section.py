@@ -397,6 +397,13 @@ def test_deep_class_return_is_an_irreducible_train_track(deep_section):
     assert is_irreducible(transition_matrix(ret))
 
 
+def test_deep_class_stretch(deep_section):
+    _z, _sec, ret = deep_section
+    metric = eigen_metric(ret)
+    assert abs(metric.stretch - 1.0505183582) <= 1e-9
+    assert metric.residual <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # stretch factors and homology spectral radii
 

@@ -13,9 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freebycyclic.cohomology import dict_scale, dict_sum, integral_cocycle
+from freebycyclic.corpus import corpus
 from freebycyclic.errors import (MissingAssumptionError, NotExpandingError,
                                  NotIrreducibleError)
+from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap, compose, load_map_file
+from freebycyclic.section import build_section, first_return, line_section
+from freebycyclic.torus import build_torus
 from freebycyclic.traintrack import (EigenMetric, NielsenReport, TransitionMatrix,
                                      Verdict, all_turns, direction_map,
                                      eigen_metric, format_turn, ideal_whitehead,
@@ -26,6 +31,7 @@ from freebycyclic.traintrack import (EigenMetric, NielsenReport, TransitionMatri
                                      traintrack_report, transition_matrix,
                                      whitehead_data, whitehead_dot)
 
+import dense_oracle
 from conftest import EXAMPLES
 
 
@@ -452,3 +458,54 @@ def test_illegal_turn_partition(wa, wb):
                 merged = True
                 break
         assert (turn in bad) == merged
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels against the dense oracle
+
+
+def _metric_outcome(eigen, f):
+    try:
+        m = eigen(f)
+    except Exception as exc:  # the same refusal counts as agreement
+        return type(exc)
+    return (m.edges, float.hex(m.stretch), float.hex(m.residual),
+            [float.hex(m.lengths[e]) for e in m.edges], m.iterations)
+
+
+def test_sparse_kernels_agree_with_dense_oracle(fmap):
+    torus = build_torus(decompose(fmap))
+    # the class 1·b* + 6·r* of tests/test_section.py, through its cocycle
+    z = integral_cocycle(torus, dict_sum(
+        dict_scale(1, {"up:blue.0": -1, "skew1": -1}),
+        dict_scale(6, {"up:black.0": 1, "up:blue.0": 1, "up:red.0": 1,
+                       "skew1": 1})))
+    maps = [fmap]
+    maps += [line_section(torus, k).table for k in range(8)]
+    maps.append(first_return(build_section(torus, z)))
+    maps += corpus(200, seed=20260823)
+    assert len(maps) == 210
+    assert len(maps[9].domain.edges) == 203
+    for f in maps:
+        graph = f.domain
+        for v in graph.vertices:
+            assert graph.directions(v) == dense_oracle.directions(graph, v)
+        assert graph.is_connected() == dense_oracle.is_connected(graph)
+        matrix = transition_matrix(f)
+        dense = dense_oracle.transition_matrix(f)
+        assert matrix.rows == dense.rows
+        assert is_irreducible(matrix) == dense_oracle.is_irreducible(dense)
+        assert is_expanding(matrix) == dense_oracle.is_expanding(dense)
+        assert illegal_turns(f) == dense_oracle.illegal_turns(f)
+        assert periodic_directions(f) == dense_oracle.periodic_directions(f)
+        assert is_train_track(f) == dense_oracle.is_train_track(f)
+        assert whitehead_data(f) == dense_oracle.whitehead_data(f)
+        assert _metric_outcome(eigen_metric, f) == \
+            _metric_outcome(dense_oracle.eigen_metric, f)
+
+
+def test_sparse_matrix_access(fmap):
+    m = transition_matrix(fmap)
+    assert m.entries[0] == ((0, 1), (2, 1), (3, 1), (4, 1))
+    assert [m[0, j] for j in range(5)] == list(m.rows[0])
+    assert [m.row_sum(i) for i in range(5)] == [sum(r) for r in m.rows]
