@@ -66,16 +66,57 @@ class FoldSequence:
         return len(self.folds)
 
     def verify(self) -> None:
-        """Recompose the chain and insist it reproduces the original verbatim."""
+        """Chase the subdivided graph through the fold maps and insist the
+        chain reproduces the original map verbatim.
+
+        Every fold map and ``final_iso`` send each edge to a single letter,
+        so the codomain label of every edge and vertex is pulled back one
+        map at a time, from ``final_iso`` to the subdivided graph, as one
+        oriented letter or one name; no per-stage composite is built.
+        Three checks: the fold count matches the edge loss, the
+        chased labelling equals the subdivision's single-letter labelling,
+        and that labelling, built once as a validated ``GraphMap`` and
+        composed with the subdivision, gives back the original map.
+        """
         if self.fold_count != (len(self.stages[0].graph.edges)
                                - len(self.stages[-1].graph.edges)):
             raise InvariantViolation("fold count does not match edge loss")
-        composite = self.final_iso
-        for q in reversed(self.maps):
-            composite = compose(composite, q)
+        chain = (*self.maps, self.final_iso)
+        for step, (q, nxt) in enumerate(zip(chain, chain[1:]), start=1):
+            if q.codomain != nxt.domain:
+                raise InvariantViolation(
+                    f"fold map {step} does not end where the next map starts")
+        # pull the codomain labelling back one map at a time, last map first
+        labels: dict[str, Letter] = {
+            name: (name, 1) for name in self.final_iso.codomain.edge_names}
+        vertex_labels = {v: v for v in self.final_iso.codomain.vertices}
+        for step in range(len(chain), 0, -1):
+            q = chain[step - 1]
+            pulled: dict[str, Letter] = {}
+            for name, _init, _term in q.domain.edges:
+                img = q.edge_images.get(name, ())
+                if len(img) != 1 or img[0][0] not in labels:
+                    raise InvariantViolation(
+                        f"map {step} of the fold chain does not send edge "
+                        f"{name!r} to a single edge")
+                ((target, sign),) = img
+                label, label_sign = labels[target]
+                pulled[name] = (label, label_sign * sign)
+            pulled_vertices: dict[str, str] = {}
+            for v in q.domain.vertices:
+                image = q.vertex_map.get(v)
+                if image not in vertex_labels:
+                    raise InvariantViolation(
+                        f"map {step} of the fold chain sends vertex {v!r} "
+                        f"to no vertex of the next stage")
+                pulled_vertices[v] = vertex_labels[image]
+            labels, vertex_labels = pulled, pulled_vertices
+        composite = GraphMap(chain[0].domain, self.final_iso.codomain,
+                             vertex_labels,
+                             {name: (lt,) for name, lt in labels.items()})
         # the composite over the subdivided graph is the single-letter labelling
         for name in self.stages[0].graph.edge_names:
-            if composite.edge_images[name] != \
+            if composite.edge_images.get(name) != \
                     self.subdivision.relabeled.edge_images[name]:
                 raise InvariantViolation(
                     f"fold chain mislabels subdivided edge {name}")
@@ -118,39 +159,43 @@ class FoldSequence:
 Candidate = tuple[str, Letter, Letter, Letter, str]  # vertex, label, d1, d2, kind
 
 
-def _strict_candidates(stage: Stage) -> list[Candidate]:
-    out: list[Candidate] = []
-    for v in sorted(stage.graph.vertices):
-        dirs = stage.graph.directions(v)
-        by_label: dict[Letter, list[Letter]] = {}
-        for d in dirs:
-            by_label.setdefault(stage.direction_label(d), []).append(d)
-        for label in sorted(by_label, key=_letter_key):
-            group = by_label[label]
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    out.append((v, label, group[i], group[j], "strict"))
-    return out
+def _pick_fold(stage: Stage, policy: str) -> Candidate | None:
+    """The fold ``policy`` takes at this stage, or None when none applies.
 
-
-def _offset_candidates(stage: Stage) -> list[Candidate]:
-    """Label-equal directions lined up head to tail (d1 ends where d2 starts)."""
+    "lex" takes the least candidate by (vertex, label, directions) and
+    "reverse" the greatest, so only the first vertex in policy order that
+    has a fold is examined, and at it the least or greatest label.  A
+    strict fold is two directions at a vertex with one label.  When no
+    vertex has one, every label occurs at most once per vertex, and an
+    offset fold at v is the direction d2 labelled L at v with d1 the
+    reverse of the direction labelled L⁻¹ at v (so d1 ends where d2
+    starts), on two different edges.
+    """
     graph = stage.graph
-    out: list[Candidate] = []
-    dirs = sorted(graph.all_directions(), key=_letter_key)
-    for d1 in dirs:
-        for d2 in dirs:
-            if d1[0] == d2[0]:
-                continue  # never fold an edge onto itself
-            if stage.direction_label(d1) != stage.direction_label(d2):
-                continue
-            if graph.term_of(d1) != graph.init_of(d2):
-                continue
-            out.append((graph.term_of(d1), stage.direction_label(d1),
-                        d1, d2, "offset"))
-    out.sort(key=lambda c: (c[0], _letter_key(c[1]),
-                            _letter_key(c[2]), _letter_key(c[3])))
-    return out
+    last = policy == "reverse"
+    pick = max if last else min
+    by_vertex: list[tuple[str, dict[Letter, list[Letter]]]] = []
+    for v in sorted(graph.vertices, reverse=last):
+        by_label: dict[Letter, list[Letter]] = {}
+        for d in graph.directions(v):
+            by_label.setdefault(stage.direction_label(d), []).append(d)
+        by_vertex.append((v, by_label))
+        repeated = [label for label, group in by_label.items() if len(group) > 1]
+        if repeated:
+            label = pick(repeated, key=_letter_key)
+            group = by_label[label]
+            d1, d2 = group[-2:] if last else group[:2]
+            return (v, label, d1, d2, "strict")
+    for v, by_label in by_vertex:
+        offsets = []
+        for label, (d2,) in by_label.items():
+            back = by_label.get((label[0], -label[1]))
+            if back is not None and back[0][0] != d2[0]:
+                offsets.append((label, (back[0][0], -back[0][1]), d2))
+        if offsets:
+            label, d1, d2 = pick(offsets, key=lambda o: _letter_key(o[0]))
+            return (v, label, d1, d2, "offset")
+    return None
 
 
 def _apply_fold(stage: Stage, cand: Candidate, index: int
@@ -223,10 +268,9 @@ def decompose(f: GraphMap, policy: str = "lex") -> FoldSequence:
     maps: list[GraphMap] = []
     codomain = f.codomain
     for _safety in range(len(sub.graph.edges) + 1):
-        candidates = _strict_candidates(stage) or _offset_candidates(stage)
-        if not candidates:
+        cand = _pick_fold(stage, policy)
+        if cand is None:
             break
-        cand = candidates[0] if policy == "lex" else candidates[-1]
         stage, q, record = _apply_fold(stage, cand, len(folds) + 1)
         stages.append(stage)
         maps.append(q)

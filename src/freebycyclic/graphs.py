@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (DisconnectedGraphError, InputParseError,
                      InvariantViolation, MarkingError)
 from .words import (FreeGroupMap, Letter, Word, concat, format_word, inverse,
-                    greedy_nielsen_inverse, parse_word, reduce_word)
+                    greedy_nielsen_inverse, parse_word, reduce_word,
+                    substitute)
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,6 @@ class Graph:
     @property
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e[0] for e in self.edges)
-
-    def has_edge(self, name: str) -> bool:
-        return name in self._ends
 
     def init_of(self, lt: Letter) -> str:
         init, term = self._ends[lt[0]]
@@ -109,18 +107,28 @@ def rank(graph: Graph) -> int:
 
 def check_path(graph: Graph, word: Iterable[Letter]) -> tuple[str, str]:
     """Validate an edge path and return its (initial, terminal) vertices."""
-    word = tuple(word)
-    if not word:
-        raise InvariantViolation("an empty path has no endpoints")
+    ends = graph._ends
+    start = end = prev = None
+    first_break = None  # reported only once every letter is a known edge
     for lt in word:
-        if not graph.has_edge(lt[0]):
-            raise InvariantViolation(f"unknown edge {lt[0]!r} in path")
-    for cur, nxt in zip(word, word[1:]):
-        if graph.term_of(cur) != graph.init_of(nxt):
-            raise InvariantViolation(
-                f"path breaks between {cur!r} and {nxt!r}: "
-                f"{graph.term_of(cur)!r} != {graph.init_of(nxt)!r}")
-    return graph.init_of(word[0]), graph.term_of(word[-1])
+        try:
+            init, term = ends[lt[0]]
+        except KeyError:
+            raise InvariantViolation(f"unknown edge {lt[0]!r} in path") from None
+        if lt[1] <= 0:
+            init, term = term, init
+        if prev is None:
+            start = init
+        elif end != init and first_break is None:
+            first_break = (prev, lt, end, init)
+        prev, end = lt, term
+    if prev is None:
+        raise InvariantViolation("an empty path has no endpoints")
+    if first_break is not None:
+        cur, nxt, got, want = first_break
+        raise InvariantViolation(
+            f"path breaks between {cur!r} and {nxt!r}: {got!r} != {want!r}")
+    return start, end
 
 
 def is_path(graph: Graph, word: Iterable[Letter]) -> bool:
@@ -197,7 +205,18 @@ class GraphMap:
         return tuple(out)
 
     def apply_tight(self, word: Iterable[Letter]) -> Word:
-        return reduce_word(self.apply_path(word))
+        """Tightened image of an edge path; equals ``tighten(apply_path(word))``.
+
+        Edge images need not be tight, so each letter's image is reduced
+        once per call (``edge_images`` is mutable, so nothing is cached on
+        the map) before :func:`substitute` cancels at the junctions.
+        """
+        word = tuple(word)
+        reduced: dict[Letter, Word] = {}
+        for name, sign in set(word):
+            img = reduce_word(self.edge_images[name])
+            reduced[(name, sign)] = img if sign > 0 else inverse(img)
+        return substitute(word, reduced)
 
     def direction_image(self, lt: Letter) -> Letter:
         """First letter of the image of the direction ``lt`` (image must be nonempty)."""

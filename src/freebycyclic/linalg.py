@@ -25,10 +25,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
             for i in range(rows)]
 
 
-def transpose(a: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -137,12 +133,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm(u, a, v)
 
 
-def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return smith_normal_form(matrix).rank
-
-
 def solve_integer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]
                   ) -> Optional[tuple[int, ...]]:
     """Some integral x with A x = b, or None."""
@@ -212,23 +202,3 @@ def rational_solve(matrix: Sequence[Sequence], rhs: Sequence
     for r, col in enumerate(pivots):
         x[col] = aug[r][n]
     return tuple(x)
-
-
-def rational_rank(matrix: Sequence[Sequence]) -> int:
-    m = len(matrix)
-    n = len(matrix[0]) if matrix else 0
-    rows = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(m)]
-    rank = 0
-    for col in range(n):
-        sel = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank

@@ -54,6 +54,36 @@ def reduce_word(word: Iterable[Letter]) -> Word:
     return tuple(out)
 
 
+def substitute(word: Iterable[Letter], image_of: Mapping[Letter, Word]) -> Word:
+    """Freely reduced product of ``image_of[lt]`` over the letters of ``word``.
+
+    Every image must be freely reduced.  The output then stays reduced
+    inside each appended image, so the only cancellation is where a new
+    image meets the tail of the output: each image is appended after its
+    head has cancelled against that tail.  ``word`` itself may be
+    unreduced.
+    """
+    out: list[Letter] = []
+    pop, extend = out.pop, out.extend
+    for lt in word:
+        img = image_of[lt]
+        if out and img:
+            last, head = out[-1], img[0]
+            if last[0] == head[0] and last[1] == -head[1]:
+                pop()
+                k, n = 1, len(img)
+                while out and k < n:
+                    last, head = out[-1], img[k]
+                    if last[0] != head[0] or last[1] != -head[1]:
+                        break
+                    pop()
+                    k += 1
+                extend(img[k:])
+                continue
+        extend(img)
+    return tuple(out)
+
+
 def power(word: Iterable[Letter], n: int) -> Word:
     w = tuple(word)
     if n < 0:
@@ -128,11 +158,10 @@ def format_word(word: Iterable[Letter]) -> str:
 def cyclic_reduce(word: Iterable[Letter]) -> tuple[Word, Word]:
     """Return ``(core, u)`` with ``word = u core u^-1`` and core cyclically reduced."""
     w = reduce_word(word)
-    u: list[Letter] = []
-    while len(w) >= 2 and w[0] == inverse_letter(w[-1]):
-        u.append(w[0])
-        w = w[1:-1]
-    return tuple(w), tuple(u)
+    k = 0
+    while 2 * k + 2 <= len(w) and w[k] == inverse_letter(w[-1 - k]):
+        k += 1
+    return w[k:len(w) - k], w[:k]
 
 
 def cyclic_rotations(core: Word) -> Iterator[tuple[int, Word]]:
@@ -204,6 +233,11 @@ class FreeGroupMap:
                 if name not in cod:
                     raise InvariantViolation(f"image letter {name!r} not in codomain")
         self._index = {g: i for i, g in enumerate(self.domain)}
+        # each generator's image in both orientations, for substitute()
+        self._image_of: dict[Letter, Word] = {}
+        for g, img in zip(self.domain, self.images):
+            self._image_of[(g, 1)] = img
+            self._image_of[(g, -1)] = inverse(img)
 
     @classmethod
     def identity(cls, gens: Sequence[str]) -> "FreeGroupMap":
@@ -222,11 +256,7 @@ class FreeGroupMap:
         return self.images[self._index[name]]
 
     def apply(self, word: Iterable[Letter]) -> Word:
-        out: list[Letter] = []
-        for name, sign in word:
-            img = self.image(name)
-            out.extend(img if sign > 0 else inverse(img))
-        return reduce_word(out)
+        return substitute(word, self._image_of)
 
     def __call__(self, word: Iterable[Letter]) -> Word:
         return self.apply(word)

@@ -7,9 +7,11 @@ comments) and is frozen here; the other expectations are direct counts.
 
 import pytest
 
-from freebycyclic.errors import FoldStuckError
-from freebycyclic.folding import (AuxGraph, FoldSequence, aux_graph,
-                                  check_acyclic, decompose)
+import fold_oracle
+from freebycyclic.corpus import corpus
+from freebycyclic.errors import FoldStuckError, InvariantViolation
+from freebycyclic.folding import (AuxGraph, FoldSequence, _pick_fold,
+                                  aux_graph, check_acyclic, decompose)
 from freebycyclic.graphs import Graph, GraphMap, load_map_file
 
 from conftest import EXAMPLES
@@ -118,6 +120,69 @@ def test_fold_stuck_wrapped_circle():
     # not isomorphic to the rose: stuck
     with pytest.raises(FoldStuckError):
         decompose(rose_map({"a": "ab", "b": "ab"}))
+
+
+# ---------------------------------------------------------------------------
+# agreement with the all-pairs oracle, and tampered sequences
+
+ORACLE_ROSES = ({"a": "aa"}, {"a": "aaa"}, {"a": "ab", "b": "a"},
+                {"a": "aba", "b": "ab"}, {"a": "abA", "b": "bab"},
+                {"a": "a", "b": "a"}, {"a": "ab", "b": "ab"})
+
+
+def oracle_maps():
+    yield load_map_file(EXAMPLES / "phi_f3.map").gmap
+    yield from (rose_map(images) for images in ORACLE_ROSES)
+    yield from corpus(200, seed=20260823)
+
+
+@pytest.mark.parametrize("policy", ["lex", "reverse"])
+def test_fold_picks_agree_with_all_pairs_oracle(policy):
+    offsets = 0
+    for f in oracle_maps():
+        try:
+            expected = fold_oracle.decompose(f, policy)
+        except FoldStuckError:
+            with pytest.raises(FoldStuckError):
+                decompose(f, policy)
+            continue
+        seq = decompose(f, policy)
+        for stage in seq.stages:
+            assert _pick_fold(stage, policy) == \
+                fold_oracle.pick_fold(stage, policy)
+        assert seq.to_json() == expected.to_json()
+        fold_oracle.verify(seq)
+        offsets += sum(r.kind == "offset" for r in seq.folds)
+    assert offsets > 0  # the head-to-tail branch was exercised
+
+
+@pytest.mark.parametrize("tamper", ["two-letter image", "no vertex image"])
+def test_verify_rejects_a_tampered_fold_map(tamper):
+    seq = decompose(load_map_file(EXAMPLES / "phi_f3.map").gmap)
+    q = seq.maps[1]
+    if tamper == "two-letter image":
+        name = q.domain.edge_names[0]
+        q.edge_images[name] = q.edge_images[name] * 2
+    else:
+        del q.vertex_map[q.domain.vertices[0]]
+    with pytest.raises(InvariantViolation, match="fold chain"):
+        seq.verify()
+
+
+@pytest.mark.parametrize("tamper", ["swap labels", "rename edges"])
+def test_verify_rejects_a_relabelled_final_iso(tamper):
+    seq = decompose(load_map_file(EXAMPLES / "phi_f3.map").gmap)
+    iso = seq.final_iso
+    if tamper == "swap labels":
+        images = iso.edge_images
+        images["a_1"], images["a_3"] = images["a_3"], images["a_1"]
+    else:
+        renamed = Graph(iso.domain.vertices, tuple(
+            (name + "'", i, t) for name, i, t in iso.domain.edges))
+        seq.final_iso = GraphMap(renamed, iso.codomain, dict(iso.vertex_map), {
+            name + "'": img for name, img in iso.edge_images.items()})
+    with pytest.raises(InvariantViolation):
+        seq.verify()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freebycyclic import graphs as G
+from freebycyclic.corpus import random_path
 from freebycyclic import words as W
 from freebycyclic.errors import (DisconnectedGraphError, InputParseError,
                                  InvariantViolation, MarkingError)
@@ -189,6 +190,30 @@ def test_format_roundtrip(bundled):
     assert again.gmap.edge_images == bundled.gmap.edge_images
     assert again.marked.marking_words == bundled.marked.marking_words
     assert again.assumptions == bundled.assumptions
+
+
+# -- tight images of maps whose edge images are not tight ---------------------
+
+rose3_words = st.lists(st.tuples(st.sampled_from(("a", "b", "c")),
+                                 st.sampled_from((1, -1))), max_size=8).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(rose3_words, rose3_words, rose3_words), rose3_words)
+def test_apply_tight_on_untight_rose_maps(images, word):
+    f = G.GraphMap(ROSE3, ROSE3, {"v": "v"}, dict(zip("abc", images)))
+    assert f.apply_tight(word) == W.reduce_word(f.apply_path(word))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0))
+def test_apply_tight_on_the_square_of_a_map(length, seed):
+    f = G.GraphMap.from_strings(ROSE2, {"v": "v"}, {"a": "ab", "b": "Ba"})
+    square = G.compose(f, f)
+    assert square.edge_images["a"] == w("abBa")  # not tight
+    path = random_path(ROSE2, length, seed)
+    for g in (f, square, G.compose(square, f)):
+        assert g.apply_tight(path) == W.reduce_word(g.apply_path(path))
 
 
 # -- tighten laws on paths (acceptance criterion support) --------------------

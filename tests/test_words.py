@@ -213,3 +213,27 @@ def test_outer_equal_random_conjugator(ztext):
     conj = FreeGroupMap(ABC, ABC, tuple(
         W.reduce_word(W.concat(zw, PHI.image(g), W.inverse(zw))) for g in ABC))
     assert W.outer_equal(PHI, conj) is not None
+
+
+# -- the substitution kernel against concatenate-then-reduce -----------------
+
+images_abc = st.lists(letters_abc, max_size=6).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(images_abc, images_abc, images_abc), words_abc)
+def test_apply_equals_reduced_concatenation(images, word):
+    # images may be unreduced or empty, and the word unreduced
+    f = FreeGroupMap(ABC, ABC, images)
+    expected = W.reduce_word(W.concat(*(
+        f.image(name) if sign > 0 else W.inverse(f.image(name))
+        for name, sign in word)))
+    assert f.apply(word) == expected
+    assert f.apply(iter(word)) == expected
+
+
+def test_apply_cancels_through_whole_images():
+    # the image of c cancels the whole image of a, across the empty image of b
+    f = FreeGroupMap.from_strings(ABC, {"a": "ab", "b": "", "c": "BA"})
+    assert f.apply(w("aBc")) == ()
+    assert f.apply(w("cac")) == w("BA")
