@@ -46,7 +46,8 @@ from typing import Optional, Sequence
 from . import bns
 from . import cohomology as co
 from . import section as sect
-from .errors import FreeByCyclicError, InputParseError, InvariantViolation
+from .errors import (ConeInfeasibleError, FreeByCyclicError, InputParseError,
+                     InvariantViolation)
 from .folding import decompose
 from .graphs import MapFile, load_map_file, map_to_automorphism
 from .torus import TrapComplex, build_torus, skew_loop
@@ -287,7 +288,7 @@ def cmd_survey(cfg: RunConfig) -> int:
             try:
                 co.cone_membership(ws.complex_, cls)
                 in_cone = True
-            except InvariantViolation:
+            except ConeInfeasibleError:
                 in_cone = False
             bound = co.axis_dim_lower_bound(ws.complex_, z)
             on_line = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1)

@@ -288,29 +288,44 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
 # shortest-path distances are then such a φ (CLRS §24.4).  A negative cycle,
 # read as the sum of its 1-cells, is a nonnegative 1-cycle certifying that
 # the bounds cannot all hold.
+#
+# Every weight is multiplied by one positive integer ``scale`` clearing the
+# denominators of z and m, so the shortest-path code adds and compares only
+# ints.  Scaling by a positive constant keeps every comparison, so the
+# shortest distances are ``scale`` times the rational ones and the negative
+# cycles and their tie-break are unchanged; values go back to Fractions only
+# where they leave this section.
 
-Arc = tuple[int, int, Fraction]  # (tail, head, weight) on 0-cell indices
+Arc = tuple[int, int, int]  # (tail, head, scaled weight) on 0-cell indices
 
 
-def _constraint_digraph(complex_: TrapComplex, z: Mapping,
-                        bound: Fraction) -> list[Arc]:
-    """One arc per 1-cell, in ``one_cell_names`` order."""
+def _constraint_digraph(complex_: TrapComplex, z: Mapping, bound: Fraction,
+                        scale: int) -> list[Arc]:
+    """One arc per 1-cell, in ``one_cell_names`` order, of integer weight
+    ``scale·(z(e) − bound)``."""
     index = {c.name: i for i, c in enumerate(complex_.zero_cells)}
     ends = {v.name: (v.end, v.start) for v in complex_.verticals}
     ends.update((s.name, (s.top, s.bottom)) for s in complex_.skews)
-    return [(index[ends[e][0]], index[ends[e][1]],
-             Fraction(z.get(e, 0)) - bound)
-            for e in complex_.one_cell_names]
+    arcs = []
+    for e in complex_.one_cell_names:
+        weight = scale * (Fraction(z.get(e, 0)) - bound)
+        if weight.denominator != 1:
+            raise InvariantViolation(
+                f"scale {scale} leaves the constraint weight {weight} on "
+                f"{e!r} fractional")
+        end, start = ends[e]
+        arcs.append((index[end], index[start], weight.numerator))
+    return arcs
 
 
 def _distances(n: int, arcs: Sequence[Arc], sources: Iterable[int]
-               ) -> Optional[list[Optional[Fraction]]]:
+               ) -> Optional[list[Optional[int]]]:
     """Least weight of a walk from some source to each of the ``n`` 0-cells
     (Bellman–Ford), None where unreachable; None in place of the list when
     a negative cycle is reachable."""
-    dist: list[Optional[Fraction]] = [None] * n
+    dist: list[Optional[int]] = [None] * n
     for s in sources:
-        dist[s] = Fraction(0)
+        dist[s] = 0
     for _ in range(n):
         changed = False
         for tail, head, w in arcs:
@@ -334,10 +349,10 @@ def _least_negative_cycle(n: int, arcs: Sequence[Arc]) -> tuple[int, ...]:
     depth-first search pruned by these layers lists the negative cycles of
     that length through each such ``s``.
     """
-    leaving: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
+    leaving: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for j, (tail, head, w) in enumerate(arcs):
         leaving[tail].append((j, head, w))
-    to = [[[Fraction(0) if v == s else None for v in range(n)]]
+    to = [[[0 if v == s else None for v in range(n)]]
           for s in range(n)]
     for k in range(1, n + 1):
         for layers in to:
@@ -353,7 +368,7 @@ def _least_negative_cycle(n: int, arcs: Sequence[Arc]) -> tuple[int, ...]:
             continue
         found: list[tuple[int, ...]] = []
 
-        def extend(s: int, v: int, left: int, weight: Fraction,
+        def extend(s: int, v: int, left: int, weight: int,
                    path: tuple[int, ...]) -> None:
             if left == 0:  # the layers only lead back to s
                 found.append(tuple(sorted(path)))
@@ -364,7 +379,7 @@ def _least_negative_cycle(n: int, arcs: Sequence[Arc]) -> tuple[int, ...]:
                     extend(s, head, left - 1, weight + w, path + (j,))
 
         for s in anchors:
-            extend(s, s, k, Fraction(0), ())
+            extend(s, s, k, 0, ())
         return min(found)
     raise InvariantViolation("constraint digraph has no negative cycle")
 
@@ -391,7 +406,9 @@ def cone_membership(complex_: TrapComplex, z: Mapping) -> ConeWitness:
     Strict bounds are the lexicographic arc weights ``(z(e), −1)``, realised
     exactly as ``z(e) − δ`` with ``δ = 1/(L(n + 1))``: cycle pairings lie in
     ``(1/L)Z`` for ``L`` the common denominator of ``z``, and a simple cycle
-    has at most ``n`` 1-cells for ``n`` 0-cells.
+    has at most ``n`` 1-cells for ``n`` 0-cells.  The shortest paths run on
+    the integer weights ``L(n + 1)·z(e) − 1``; a distance ``d`` is the
+    potential ``d / (L(n + 1))``.
 
     Raises :class:`ConeInfeasibleError` carrying a certificate when no
     representative is positive: the cycle of 1-cells, each with coefficient
@@ -403,10 +420,12 @@ def cone_membership(complex_: TrapComplex, z: Mapping) -> ConeWitness:
         raise InvariantViolation("cochain is not a cocycle")
     n = len(complex_.zero_cells)
     common = math.lcm(*(Fraction(v).denominator for v in z.values()))
-    arcs = _constraint_digraph(complex_, z, Fraction(1, common * (n + 1)))
+    scale = common * (n + 1)
+    arcs = _constraint_digraph(complex_, z, Fraction(1, scale), scale)
     dist = _distances(n, arcs, range(n))
     if dist is not None:
-        potential = {c.name: d for c, d in zip(complex_.zero_cells, dist)}
+        potential = {c.name: Fraction(d, scale)
+                     for c, d in zip(complex_.zero_cells, dist)}
         witness = dict_sum(z, coboundary(complex_, potential))
         if any(val <= 0 for val in witness.values()) \
                 or len(witness) != len(arcs):
@@ -446,7 +465,9 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
     before the next cell is considered.  In the constraint digraph the
     least value on ``e`` is ``z(e) − dist(end → start)``, and fixing it adds
     the arcs ``end → start`` of weight ``dist`` and ``start → end`` of
-    weight ``−dist``.
+    weight ``−dist``.  The digraph carries the integer weights
+    ``L·(z(e) − minimum)`` for ``L`` the common denominator of ``z``, so
+    ``dist`` is read as ``d / L`` for an integer distance ``d``.
 
     Raises :class:`ConeInfeasibleError` when no representative clears the
     bound, carrying the cycle of 1-cells, each with coefficient 1, with
@@ -458,7 +479,8 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
     if not is_cocycle(complex_, z):
         raise InvariantViolation("cochain is not a cocycle")
     n = len(complex_.zero_cells)
-    arcs = _constraint_digraph(complex_, z, Fraction(minimum))
+    scale = math.lcm(*(Fraction(v).denominator for v in z.values()))
+    arcs = _constraint_digraph(complex_, z, Fraction(minimum), scale)
     if _distances(n, arcs, range(n)) is None:
         raise ConeInfeasibleError(
             f"no representative is at least {minimum} on every 1-cell",
@@ -472,7 +494,7 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
         if dist is None or dist[start] is None:
             raise InvariantViolation(
                 f"value on {e!r} is unbounded below despite the cellwise bound")
-        low = Fraction(z.get(e, 0)) - dist[start]
+        low = Fraction(z.get(e, 0)) - Fraction(dist[start], scale)
         if low.denominator != 1:
             raise NonIntegralClassError(
                 f"least value on {e!r} is the fraction {low}; "

@@ -504,18 +504,20 @@ def first_return(section: SectionGraph, budget: int = 100_000) -> GraphMap:
     z = section.cocycle
     phase = section.phase
 
-    catalog: dict[tuple, list[EdgeRecord]] = {}
-    for rec in section.edge_records.values():
-        catalog.setdefault((rec.trap, rec.level), []).append(rec)
-    for lst in catalog.values():
-        lst.sort(key=lambda rec: rec.x_lo)
+    starting_at = {(rec.trap, rec.level, rec.x_lo): rec
+                   for rec in section.edge_records.values()}
 
     def segment_to_letters(trap: str, level: int, x_lo: Fraction,
                            x_hi: Fraction, orient: int) -> Word:
-        found = [rec for rec in catalog.get((trap, level), [])
-                 if x_lo <= rec.x_lo and rec.x_hi <= x_hi]
-        if not found or found[0].x_lo != x_lo or found[-1].x_hi != x_hi \
-                or any(a.x_hi != b.x_lo for a, b in zip(found, found[1:])):
+        found = []
+        x = x_lo
+        while x < x_hi:
+            rec = starting_at.get((trap, level, x))
+            if rec is None:
+                break
+            found.append(rec)
+            x = rec.x_hi
+        if not found or x != x_hi:
             raise InvariantViolation(
                 f"flowed segment [{x_lo}, {x_hi}] at level {level} of "
                 f"{trap} is not a union of section edges")

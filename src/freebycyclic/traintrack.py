@@ -250,9 +250,9 @@ def eigen_metric(f: GraphMap, tol: float = 1e-12,
     stretch = 0.0
     residual = float("inf")
     iterations = 0
+    ax = apply_a(x)  # kept from one iteration to the next
     while iterations < max_iterations:
         iterations += 1
-        ax = apply_a(x)
         y = [ax[i] + x[i] for i in range(n)]
         total = sum(y)
         x = [v / total for v in y]

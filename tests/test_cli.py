@@ -6,6 +6,7 @@ import os
 import pytest
 
 from freebycyclic import cli
+from freebycyclic.errors import ConeInfeasibleError, InvariantViolation
 
 from conftest import EXAMPLES
 MAP = os.path.join(EXAMPLES, "phi_f3.map")
@@ -174,6 +175,31 @@ def test_survey_height_flag(capsys):
     classes = [tuple(row["class"]) for row in report["classes"]]
     assert classes == [(-2, 1), (-1, 1), (0, 1), (-2, 2), (-1, 2),
                        (0, 2), (1, 2)]
+
+
+def test_survey_reports_only_infeasibility_as_outside_the_cone(
+        capsys, monkeypatch):
+    def infeasible(complex_, z):
+        raise ConeInfeasibleError("no positive representative",
+                                  certificate={"skew1": 1})
+
+    monkeypatch.setattr(cli.co, "cone_membership", infeasible)
+    code, report = run_json(capsys, "survey", "--input", PRES,
+                            "--height-max", "1")
+    assert code == 0
+    assert [row["in_cone"] for row in report["classes"]] == [False, False]
+
+
+def test_survey_failed_verification_exits_65(capsys, monkeypatch):
+    def broken(complex_, z):
+        raise InvariantViolation("positivity witness failed verification")
+
+    monkeypatch.setattr(cli.co, "cone_membership", broken)
+    code, out, err = run(capsys, "survey", "--input", PRES,
+                         "--height-max", "1")
+    assert code == 65
+    assert out == ""
+    assert "positivity witness failed verification" in err
 
 
 # ---------------------------------------------------------------------------

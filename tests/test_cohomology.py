@@ -1,5 +1,6 @@
 """Homology, duality, cone, and perturbation tests on the bundled complexes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -257,9 +258,10 @@ def outcome(solve, *args):
 
 
 def assert_agrees_with_oracle(torus, z, minimum=0):
-    kind, found = outcome(co.cone_membership, torus, z)
-    assert kind is outcome(fm_oracle.fm_cone_membership, torus, z)[0]
-    if kind is ConeInfeasibleError:
+    """Compare both solves with the oracle; return their error types."""
+    cone_kind, found = outcome(co.cone_membership, torus, z)
+    assert cone_kind is outcome(fm_oracle.fm_cone_membership, torus, z)[0]
+    if cone_kind is ConeInfeasibleError:
         assert not co.boundary(torus, found)
         assert all(lam > 0 for lam in found.values())
         assert sum(Fraction(z.get(e, 0)) * lam
@@ -271,6 +273,7 @@ def assert_agrees_with_oracle(torus, z, minimum=0):
         assert found == expected[1]
     if kind is ConeInfeasibleError:
         assert_bound_certificate(torus, z, found, minimum)
+    return cone_kind, kind
 
 
 def test_bundled_grid_agrees_with_oracle(bundled):
@@ -284,24 +287,85 @@ def test_bundled_grid_agrees_with_oracle(bundled):
                 assert_agrees_with_oracle(torus, z, minimum)
 
 
-def test_small_corpus_tori_agree_with_oracle():
-    # Elimination takes minutes on the larger tori, so only tori with at
-    # most eight 0-cells are compared.
-    small = 0
-    for gmap in corpus(200, seed=20260823):
+@pytest.fixture(scope="module")
+def corpus_tori():
+    """The tori of ``corpus(200, seed=20260823)`` that build, by map index."""
+    tori = {}
+    for index, gmap in enumerate(corpus(200, seed=20260823)):
         try:
-            torus = build_torus(decompose(gmap))
+            tori[index] = build_torus(decompose(gmap))
         except InvariantViolation:
             continue
-        if len(torus.zero_cells) > 8:
-            continue
-        small += 1
+    return tori
+
+
+def small_tori(corpus_tori):
+    # Elimination takes minutes on the larger tori, so only tori with at
+    # most eight 0-cells are compared.
+    return [torus for torus in corpus_tori.values()
+            if len(torus.zero_cells) <= 8]
+
+
+def test_small_corpus_tori_agree_with_oracle(corpus_tori):
+    small = small_tori(corpus_tori)
+    for torus in small:
         duals = co.h1(torus).duals
         total = co.dict_sum(*duals)
         for z in (*duals, co.dict_scale(-1, total),
                   co.dict_scale(Fraction(1, 2), total)):
             assert_agrees_with_oracle(torus, z)
-    assert small == 18
+    assert len(small) == 18
+
+
+def test_fractional_bundled_classes_agree_with_oracle(bundled):
+    # The constraint weights of (p/q)·b* + (r/q)·r* in lowest terms are
+    # scaled by a multiple of q, on the cone path and on the path that
+    # finds a fractional least value.
+    _, torus, b_star, r_star = bundled
+    kinds = set()
+    for q in range(2, 6):
+        for p in range(-2, 3):
+            for r in range(-2, 3):
+                if math.gcd(p, r, q) == 1:
+                    z = co.dict_sum(co.dict_scale(Fraction(p, q), b_star),
+                                    co.dict_scale(Fraction(r, q), r_star))
+                    kinds.add(assert_agrees_with_oracle(torus, z))
+    assert (None, NonIntegralClassError) in kinds
+    assert (ConeInfeasibleError, ConeInfeasibleError) in kinds
+
+
+def test_fractional_small_corpus_classes_agree_with_oracle(corpus_tori):
+    # These tori have rank-one H¹, so the classes are (±1/q)·dual.
+    kinds = set()
+    for torus in small_tori(corpus_tori):
+        (dual,) = co.h1(torus).duals
+        for q in range(2, 6):
+            for p in (-1, 1):
+                z = co.dict_scale(Fraction(p, q), dual)
+                kinds.add(assert_agrees_with_oracle(torus, z))
+    assert kinds == {(None, NonIntegralClassError),
+                     (ConeInfeasibleError, ConeInfeasibleError)}
+
+
+def test_least_fiber_cocycle_of_the_largest_corpus_torus(corpus_tori):
+    torus = corpus_tori[74]
+    assert (len(torus.zero_cells), len(torus.one_cell_names)) == (73, 145)
+    z = co.fiber_cocycle(torus)
+    co.cone_membership(torus, z)
+    assert co.integral_cocycle(torus, z) == {
+        "skew72": 1, "up:a@1.70": 1, "up:a@10.71": 1}
+
+
+def test_constraint_digraph_has_integer_weights(bundled):
+    _, torus, b_star, r_star = bundled
+    z = co.dict_sum(co.dict_scale(Fraction(1, 3), b_star), r_star)
+    arcs = co._constraint_digraph(torus, z, Fraction(1, 6), 6)
+    assert len(arcs) == len(torus.one_cell_names)
+    assert all(type(w) is int for _tail, _head, w in arcs)
+    assert [w for _tail, _head, w in arcs] == [
+        6 * Fraction(z.get(e, 0)) - 1 for e in torus.one_cell_names]
+    with pytest.raises(InvariantViolation, match="fractional"):
+        co._constraint_digraph(torus, z, Fraction(0), 2)
 
 
 # ---------------------------------------------------------------------------
