@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .cohomology import dual_basis, evaluate
+from .cohomology import cycle_coordinates
 from .errors import (ExcludedDirectionError, InputParseError,
                      InvariantViolation, OpenTraceError)
 from .torus import TrapComplex
-from .words import Letter, Word, format_word, cyclic_reduce, parse_word, \
+from .words import Word, format_word, cyclic_reduce, parse_word, \
     reduce_word
 
 Vec = tuple[int, int]
@@ -346,17 +346,18 @@ def component_containing(slopes: SlopeSet, direction) -> ConeComponent:
 
 
 def pairing_coordinates(complex_: TrapComplex,
-                        dualcycles: Mapping[str, Mapping[str, int]],
-                        generators: Sequence[str],
+                        cycles: Sequence[Mapping[str, int]],
+                        duals: Sequence[Mapping[str, int]],
                         chain: Mapping[str, int]) -> Vec:
-    """Coordinates of a 1-chain's pairing against the generators' dual basis.
+    """Coordinates of a 1-cycle's pairing against the generators' dual basis.
 
-    A character written as ``c1·g1* + c2·g2*`` evaluates on ``chain`` to
-    ``c1·p1 + c2·p2`` where ``(p1, p2)`` is the returned pair.
+    ``cycles`` are the generators' dualcycles in generator order and
+    ``duals`` their dual cocycles (``dual_basis``).  A character written as
+    ``c1·g1* + c2·g2*`` evaluates on ``chain`` to ``c1·p1 + c2·p2`` where
+    ``(p1, p2)`` is the returned pair; ``chain`` is verified to be homologous
+    to ``p1·cycle1 + p2·cycle2``.
     """
-    cycles = [dict(dualcycles[g]) for g in generators]
-    duals = dual_basis(complex_, cycles)
-    coords = tuple(evaluate(complex_, dual, chain) for dual in duals)
+    coords = cycle_coordinates(complex_, chain, cycles, duals)
     for value in coords:
         if value != int(value):
             raise InvariantViolation(

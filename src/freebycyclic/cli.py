@@ -114,39 +114,41 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
                      description="train tracks, mapping tori, sections, "
                                  "and fibered-face surveys")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in [
-            ("traintrack", "certify a graph map and test the lone axis"),
-            ("survey", "tabulate integral classes of the fibered sector"),
-            ("section", "build one class's section and first return table"),
-            ("monodromy", "print the outer automorphism of one class")]:
+    # each command takes only the flags it reads; the rest are usage errors
+    for name, blurb, formats in [
+            ("traintrack", "certify a graph map and test the lone axis",
+             ("json",)),
+            ("survey", "tabulate integral classes of the fibered sector",
+             ("json", "tikz")),
+            ("section", "build one class's section and first return table",
+             ("json", "dot")),
+            ("monodromy", "print the outer automorphism of one class",
+             ("json",))]:
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--input", required=True,
                          help=".map graph map or .2gen presentation file")
-        cmd.add_argument("--class", dest="class_coords", type=_class_coords,
-                         default=None, metavar="CB,CR",
-                         help="class coordinates in the presentation's "
-                              "dual basis (use --class=-1,2 for negatives)")
-        cmd.add_argument("--k-max", type=int, default=5,
-                         help="axis-line enumeration bound (default 5)")
-        cmd.add_argument("--height-max", type=int, default=8,
-                         help="survey coordinate height (default 8)")
-        cmd.add_argument("--phase", type=_phase, default=None,
-                         help="section height phase, e.g. 1/2")
-        cmd.add_argument("--nielsen-len", type=int, default=10,
-                         help="Nielsen path length bound (default 10)")
-        cmd.add_argument("--nielsen-period", type=int, default=6,
-                         help="Nielsen path period bound (default 6)")
-        cmd.add_argument("--format", choices=("json", "dot", "tikz"),
-                         default="json")
+        cmd.add_argument("--format", choices=formats, default="json")
         cmd.add_argument("--out", default=None, metavar="DIR",
                          help="write the artifact into DIR instead of stdout")
-    ns = parser.parse_args(argv)
-    return RunConfig(command=ns.command, input=ns.input,
-                     class_coords=ns.class_coords, k_max=ns.k_max,
-                     height_max=ns.height_max, phase=ns.phase,
-                     nielsen_len=ns.nielsen_len,
-                     nielsen_period=ns.nielsen_period,
-                     format=ns.format, out=ns.out)
+        if name == "traintrack":
+            cmd.add_argument("--nielsen-len", type=int, default=10,
+                             help="Nielsen path length bound (default 10)")
+            cmd.add_argument("--nielsen-period", type=int, default=6,
+                             help="Nielsen path period bound (default 6)")
+        elif name == "survey":
+            cmd.add_argument("--height-max", type=int, default=8,
+                             help="survey coordinate height (default 8)")
+            cmd.add_argument("--k-max", type=int, default=5,
+                             help="axis-line enumeration bound (default 5)")
+        else:
+            cmd.add_argument("--class", dest="class_coords",
+                             type=_class_coords, default=None, metavar="CB,CR",
+                             help="class coordinates in the presentation's "
+                                  "dual basis (use --class=-1,2 for "
+                                  "negatives)")
+            cmd.add_argument("--phase", type=_phase, default=None,
+                             help="section height phase, e.g. 1/2")
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +196,8 @@ def load_workspace(path_text: str, *, need_presentation: bool = False,
             cycles = [presentation.dualcycles[g]
                       for g in presentation.generators]
             duals = tuple(co.dual_basis(complex_, cycles))
-            pairing = bns.pairing_coordinates(
-                complex_, presentation.dualcycles, presentation.generators,
-                skew_loop(complex_))
+            pairing = bns.pairing_coordinates(complex_, cycles, duals,
+                                              skew_loop(complex_))
     return Workspace(mapfile, presentation, complex_, duals, pairing)
 
 
@@ -211,13 +212,6 @@ def _emit(cfg: RunConfig, payload: str, filename: str) -> None:
 
 def _to_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _require_format(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
-    if cfg.format not in allowed:
-        raise InputParseError(
-            f"format {cfg.format!r} is not available for "
-            f"{cfg.command!r} (choose from {', '.join(allowed)})")
 
 
 def _class_of(ws: Workspace, coords: tuple[int, int]) -> dict:
@@ -239,7 +233,6 @@ def _require_class(cfg: RunConfig) -> tuple[int, int]:
 
 
 def cmd_traintrack(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json",))
     ws = load_workspace(cfg.input)
     assumptions = ws.mapfile.assumptions
     report = traintrack_report(
@@ -265,7 +258,6 @@ def cmd_traintrack(cfg: RunConfig) -> int:
 
 
 def cmd_survey(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json", "tikz"))
     ws = load_workspace(cfg.input, need_presentation=True, need_complex=True)
     pres = ws.presentation
     trace = bns.trace_polygon(pres)
@@ -365,7 +357,6 @@ def _build_for_class(cfg: RunConfig, ws: Workspace, coords: tuple[int, int]):
 
 
 def cmd_section(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json", "dot"))
     ws = load_workspace(cfg.input, need_presentation=True, need_complex=True)
     coords = _require_class(cfg)
     if math.gcd(abs(coords[0]), abs(coords[1])) != 1:
@@ -427,7 +418,6 @@ def _input_class_match(ws: Workspace, data: sect.MonodromyData
 
 
 def cmd_monodromy(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json",))
     ws = load_workspace(cfg.input, need_presentation=True, need_complex=True)
     coords = _require_class(cfg)
     if math.gcd(abs(coords[0]), abs(coords[1])) != 1:

@@ -48,10 +48,6 @@ class FoldStuckError(InvariantViolation):
     """No fold is available but the graph map is not yet a relabeling."""
 
 
-class AuxGraphCyclicError(InvariantViolation):
-    """The auxiliary single-crossing digraph has a directed cycle."""
-
-
 class NotACycleError(InvariantViolation):
     """A 1-chain expected to be a cycle has nonzero boundary."""
 

@@ -4,18 +4,15 @@ Subdivide a map at image preimages so every edge carries a single-edge label,
 then repeatedly identify label-equal direction pairs (folds) until the
 remaining labelling is a graph isomorphism.  The recorded sequence
 reassembles verbatim into the original map and drives the mapping torus
-construction.  Also provides the single-crossing auxiliary digraph with its
-acyclicity check.
+construction.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import FoldStuckError, InvariantViolation
 from .graphs import Graph, GraphMap, Subdivision, compose, subdivide_at_preimages
-from .traintrack import transition_matrix
 from .words import Letter, format_word
 
 
@@ -296,69 +293,3 @@ def decompose(f: GraphMap, policy: str = "lex") -> FoldSequence:
     seq.verify()
     return seq
 
-
-# ---------------------------------------------------------------------------
-# auxiliary single-crossing digraph
-
-
-@dataclass
-class AuxGraph:
-    """Arc e -> e' when the image of e crosses e' exactly once and no other
-    edge image crosses e' at all."""
-
-    nodes: tuple[str, ...]
-    arcs: tuple[tuple[str, str], ...]
-
-
-def aux_graph(f: GraphMap) -> AuxGraph:
-    matrix = transition_matrix(f)
-    n = len(matrix.edges)
-    column_sum = [0] * n
-    source = [0] * n  # a row with a nonzero entry in the column
-    for i, row in enumerate(matrix.entries):
-        for j, count in row:
-            column_sum[j] += count
-            source[j] = i
-    arcs = [(matrix.edges[source[j]], matrix.edges[j])
-            for j in range(n) if column_sum[j] == 1]
-    return AuxGraph(matrix.edges, tuple(sorted(arcs)))
-
-
-def check_acyclic(aux: AuxGraph
-                  ) -> tuple[bool, tuple[str, ...]]:
-    """(True, topological order) or (False, nodes along a cycle)."""
-    succ: dict[str, list[str]] = {v: [] for v in aux.nodes}
-    indeg = {v: 0 for v in aux.nodes}
-    for a, b in aux.arcs:
-        succ[a].append(b)
-        indeg[b] += 1
-    heap = [v for v in aux.nodes if indeg[v] == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in sorted(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) == len(aux.nodes):
-        return True, tuple(order)
-    remaining = {v for v in aux.nodes if v not in set(order)}
-    # every remaining node has positive in-degree within `remaining`;
-    # walking predecessors must revisit a node, closing a cycle
-    pred: dict[str, list[str]] = {v: [] for v in remaining}
-    for a, b in aux.arcs:
-        if a in remaining and b in remaining:
-            pred[b].append(a)
-    start = sorted(remaining)[0]
-    trail = [start]
-    seen_at = {start: 0}
-    while True:
-        nxt = sorted(pred[trail[-1]])[0]
-        if nxt in seen_at:
-            cycle = trail[seen_at[nxt]:]
-            cycle.reverse()
-            return False, tuple(cycle)
-        seen_at[nxt] = len(trail)
-        trail.append(nxt)

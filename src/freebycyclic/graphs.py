@@ -8,7 +8,7 @@ path property and its endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -192,9 +192,6 @@ class GraphMap:
     @property
     def is_self_map(self) -> bool:
         return self.domain == self.codomain
-
-    def vertex_image(self, v: str) -> str:
-        return self.vertex_map[v]
 
     def apply_path(self, word: Iterable[Letter]) -> Word:
         """Image of an edge path, concatenated without tightening."""

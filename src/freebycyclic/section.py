@@ -497,7 +497,7 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
 # the first return map
 
 
-def first_return(section: SectionGraph, budget: int = 100_000) -> GraphMap:
+def first_return(section: SectionGraph) -> GraphMap:
     """Graph self-map induced by flowing the section up one height unit."""
     complex_ = section.complex
     charts = section.charts
@@ -788,17 +788,17 @@ class LineSection:
     monodromy: MonodromyData
 
 
-def line_section(complex_: TrapComplex, k: int, phase=Fraction(1, 2),
-                 budget: int = 100_000) -> LineSection:
+def line_section(complex_: TrapComplex, k: int, phase=Fraction(1, 2)
+                 ) -> LineSection:
     """Section, canonical first return table, and monodromy for the k-th
     member of the cocycle line family of the complex."""
     from .cohomology import line_family_cocycle
     z = line_family_cocycle(complex_, k)
-    section = build_section(complex_, z, phase, budget)
+    section = build_section(complex_, z, phase)
     if len(section.components) != 1:
         raise DisconnectedGraphError(
             f"line-family section has {len(section.components)} components")
-    return_map = first_return(section, budget)
+    return_map = first_return(section)
     names, k_found = _line_names(return_map)
     if k_found != k:
         raise InvariantViolation(

@@ -392,98 +392,3 @@ def skew_loop(complex_: TrapComplex) -> dict[str, int]:
         raise NotACycleError(
             f"the skew chain has boundary {sorted(boundary.items())}")
     return chain
-
-
-def skew_passage(complex_: TrapComplex, skew_name: str, x: Fraction
-                 ) -> tuple[str, object, Optional[Fraction]]:
-    """Flow a skew interior point up through the trapezoid above it.
-
-    Returns ("skew", name, position) when the flow lands on the interior of
-    another skew, or ("cell", name, None) when it exits exactly at a top
-    corner 0-cell.  Requires 0 < x < 1.
-    """
-    if not 0 < x < 1:
-        raise InvariantViolation("skew passage requires an interior point")
-    trap = complex_.trap_above[skew_name]
-    for x_break, cell in trap.corners:
-        if x == x_break:
-            return "cell", cell, None
-    for piece in trap.top:
-        if piece.x_lo < x < piece.x_hi:
-            y = (x - piece.x_lo) / (piece.x_hi - piece.x_lo)
-            if piece.sign < 0:
-                y = 1 - y
-            return "skew", piece.skew, y
-    raise InvariantViolation(f"no top piece of {trap.name} contains x={x}")
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def torus_json(complex_: TrapComplex) -> dict:
-    return {
-        "zero_cells": [{"name": c.name, "vertex": c.vertex, "stage": c.stage}
-                       for c in complex_.zero_cells],
-        "verticals": [{"name": v.name, "start": v.start, "end": v.end,
-                       "span": v.span} for v in complex_.verticals],
-        "skews": [{"name": s.name, "kind": s.kind, "bottom": s.bottom,
-                   "top": s.top, "rise": s.rise, "edge": s.edge}
-                  for s in complex_.skews],
-        "trapezoids": [{
-            "name": t.name,
-            "bottom": t.bottom,
-            "left": list(t.left),
-            "right": list(t.right),
-            "top": [{"skew": p.skew, "sign": p.sign,
-                     "x_lo": str(p.x_lo), "x_hi": str(p.x_hi)}
-                    for p in t.top],
-            "corners": [{"x": str(x), "cell": cell} for x, cell in t.corners],
-        } for t in complex_.trapezoids],
-        "base_cover": {edge: {"trapezoid": trap, "x_lo": str(lo),
-                              "x_hi": str(hi), "sign": sign}
-                       for edge, (trap, lo, hi, sign)
-                       in sorted(complex_.base_cover.items())},
-        "euler_characteristic": complex_.euler_characteristic(),
-    }
-
-
-def torus_dot(complex_: TrapComplex) -> str:
-    lines = ["digraph mapping_torus {"]
-    for c in complex_.zero_cells:
-        lines.append(f'  "{c.name}";')
-    for v in complex_.verticals:
-        lines.append(f'  "{v.start}" -> "{v.end}" [label="{v.name}"];')
-    for s in complex_.skews:
-        lines.append(f'  "{s.bottom}" -> "{s.top}" '
-                     f'[label="{s.name}", style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def torus_tikz(complex_: TrapComplex) -> str:
-    """A schematic picture: 0-cells on a stage grid, verticals and skews."""
-    coords: dict[str, tuple[int, int]] = {}
-    by_stage: dict[int, list[str]] = {}
-    for c in complex_.zero_cells:
-        by_stage.setdefault(c.stage, []).append(c.name)
-    for stage in sorted(by_stage):
-        for slot, name in enumerate(sorted(by_stage[stage])):
-            coords[name] = (2 * slot, 2 * stage)
-    lines = ["\\begin{tikzpicture}[every node/.style={font=\\small}]"]
-    for name, (x, y) in sorted(coords.items()):
-        safe = name.replace("@", "&")
-        lines.append(f"  \\node[draw, circle, inner sep=1pt] "
-                     f"({_tikz_id(name)}) at ({x},{y}) {{{safe}}};")
-    for v in complex_.verticals:
-        lines.append(f"  \\draw[->] ({_tikz_id(v.start)}) -- "
-                     f"({_tikz_id(v.end)});")
-    for s in complex_.skews:
-        lines.append(f"  \\draw[->, dashed] ({_tikz_id(s.bottom)}) -- "
-                     f"({_tikz_id(s.top)});")
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
-
-
-def _tikz_id(name: str) -> str:
-    return name.replace("@", "-at-").replace(".", "-").replace(":", "-")

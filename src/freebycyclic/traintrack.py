@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .errors import (InvariantViolation, MissingAssumptionError,
                      NotExpandingError, NotIrreducibleError)
@@ -155,18 +156,6 @@ class TransitionMatrix:
         row = self.entries[i]
         k = bisect_left(row, (j,))
         return row[k][1] if k < len(row) and row[k][0] == j else 0
-
-    def matmul(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        if self.edges != other.edges:
-            raise InvariantViolation("matrix edge bases differ")
-        entries = []
-        for row in self.entries:
-            acc: dict[int, int] = {}
-            for k, a in row:
-                for j, b in other.entries[k]:
-                    acc[j] = acc.get(j, 0) + a * b
-            entries.append(tuple(sorted(acc.items())))
-        return TransitionMatrix(self.edges, tuple(entries))
 
 
 def transition_matrix(f: GraphMap) -> TransitionMatrix:
@@ -609,6 +598,33 @@ class Verdict:
     data: dict
 
 
+class _Invariants:
+    """The train track invariants of one map, shared by a report and its
+    verdict; the Nielsen search and Whitehead data run on first use."""
+
+    def __init__(self, f: GraphMap, nielsen_len: int, nielsen_period: int):
+        self.f = f
+        self.nielsen_bounds = (nielsen_len, nielsen_period)
+        self.matrix = transition_matrix(f)
+        self.train_track = is_train_track(f)
+        self.expanding = is_expanding(self.matrix)
+        self.illegal = illegal_turns(f)
+
+    @cached_property
+    def nielsen(self) -> NielsenReport:
+        return nielsen_search(self.f, *self.nielsen_bounds)
+
+    @cached_property
+    def whitehead(self) -> WhiteheadData:
+        return whitehead_data(self.f)
+
+
+def _ideal_components(wd: WhiteheadData) -> list[dict]:
+    return [{"vertex": v, "nodes": [format_direction(d) for d in nodes],
+             "edges": [format_turn(t) for t in edges]}
+            for v, nodes, edges in wd.components]
+
+
 def lone_axis_check(f: GraphMap, *, assume_ageometric: bool = False,
                     assume_fully_irreducible: bool = False,
                     nielsen_len: int = 10, nielsen_period: int = 6) -> Verdict:
@@ -618,17 +634,22 @@ def lone_axis_check(f: GraphMap, *, assume_ageometric: bool = False,
     (under the recorded assumptions); no: at least two illegal turns, or the
     index/cut-vertex test fails; inconclusive: hypotheses unavailable.
     """
-    matrix = transition_matrix(f)
-    tt, witness = is_train_track(f)
+    return _lone_axis(_Invariants(f, nielsen_len, nielsen_period),
+                      assume_ageometric, assume_fully_irreducible)
+
+
+def _lone_axis(inv: _Invariants, assume_ageometric: bool,
+               assume_fully_irreducible: bool) -> Verdict:
+    tt, witness = inv.train_track
     data: dict = {}
     if not tt:
         return Verdict("inconclusive",
                        f"not a train track map (witness {witness})", (), data)
-    if not is_expanding(matrix):
+    if not inv.expanding:
         return Verdict("inconclusive",
                        "crossing matrix is not expanding irreducible", (), data)
 
-    bad = illegal_turns(f)
+    bad = inv.illegal
     data["illegal_turns"] = [format_turn(t) for t in bad]
     if len(bad) >= 2:
         return Verdict("no", "at least 2 illegal turns", (), data)
@@ -648,25 +669,22 @@ def lone_axis_check(f: GraphMap, *, assume_ageometric: bool = False,
                        "unverifiable hypotheses not asserted: " + ", ".join(missing),
                        tuple(assumptions), data)
 
-    report = nielsen_search(f, nielsen_len, nielsen_period)
+    report = inv.nielsen
     if report.found or not report.exhaustive:
         return Verdict("inconclusive",
                        "periodic Nielsen paths not excluded within bounds "
-                       f"(len {nielsen_len}, period {nielsen_period})",
+                       f"(len {report.max_len}, period {report.max_period})",
                        tuple(assumptions), data)
     assumptions.append(
-        f"no periodic Nielsen paths up to length {nielsen_len}, "
-        f"period {nielsen_period} (searched)")
+        f"no periodic Nielsen paths up to length {report.max_len}, "
+        f"period {report.max_period} (searched)")
 
-    wd = whitehead_data(f)
+    wd = inv.whitehead
     index = rotationless_index(wd)
-    n = graph_rank(f.domain)
+    n = graph_rank(inv.f.domain)
     data["index"] = str(index)
     data["rank"] = n
-    data["ideal_components"] = [
-        {"vertex": v, "nodes": [format_direction(d) for d in nodes],
-         "edges": [format_turn(t) for t in edges]}
-        for v, nodes, edges in wd.components]
+    data["ideal_components"] = _ideal_components(wd)
     if index != Fraction(3, 2) - n:
         return Verdict("no",
                        f"index {index} differs from 3/2 - rank = {Fraction(3, 2) - n}",
@@ -680,60 +698,28 @@ def lone_axis_check(f: GraphMap, *, assume_ageometric: bool = False,
                    tuple(assumptions), data)
 
 
-# ---------------------------------------------------------------------------
-# exports
-
-
-def whitehead_dot(wd: WhiteheadData, which: str = "ideal") -> str:
-    """DOT rendering of the local, stable, or ideal Whitehead graphs."""
-    lines = [f"graph whitehead_{which} {{"]
-    if which == "ideal":
-        for i, (v, nodes, edges) in enumerate(wd.components):
-            lines.append(f'  subgraph cluster_{i} {{ label="{v}#{i}";')
-            for d in nodes:
-                lines.append(f'    "{v}#{i}:{format_direction(d)}";')
-            for t in edges:
-                d1, d2 = sorted(t)
-                lines.append(f'    "{v}#{i}:{format_direction(d1)}" -- '
-                             f'"{v}#{i}:{format_direction(d2)}";')
-            lines.append("  }")
-    else:
-        source = wd.local if which == "local" else wd.stable
-        for j, v in enumerate(sorted(source)):
-            dirs, turns = source[v]
-            lines.append(f'  subgraph cluster_{j} {{ label="{v}";')
-            for d in dirs:
-                lines.append(f'    "{v}:{format_direction(d)}";')
-            for t in turns:
-                d1, d2 = sorted(t)
-                lines.append(f'    "{v}:{format_direction(d1)}" -- '
-                             f'"{v}:{format_direction(d2)}";')
-            lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def traintrack_report(f: GraphMap, *, assume_ageometric: bool = False,
                       assume_fully_irreducible: bool = False,
                       nielsen_len: int = 10, nielsen_period: int = 6) -> dict:
     """JSON-ready summary used by the command line interface."""
-    matrix = transition_matrix(f)
-    tt, witness = is_train_track(f)
+    inv = _Invariants(f, nielsen_len, nielsen_period)
+    matrix = inv.matrix
+    tt, witness = inv.train_track
     report: dict = {
         "edges": list(matrix.edges),
         "transition_matrix": [list(r) for r in matrix.rows],
         "train_track": tt,
         "train_track_witness": list(witness) if witness else None,
         "irreducible": is_irreducible(matrix),
-        "expanding": is_expanding(matrix),
-        "illegal_turns": [format_turn(t) for t in illegal_turns(f)],
+        "expanding": inv.expanding,
+        "illegal_turns": [format_turn(t) for t in inv.illegal],
     }
     if report["expanding"] and tt:
         metric = eigen_metric(f)
         report["stretch"] = metric.stretch
         report["eigen_residual"] = metric.residual
         report["lengths"] = {e: metric.lengths[e] for e in metric.edges}
-        ns = nielsen_search(f, nielsen_len, nielsen_period)
+        ns = inv.nielsen
         report["nielsen_paths"] = {
             "found": [[format_word(p), per] for p, per in ns.found],
             "exhaustive": ns.exhaustive,
@@ -742,16 +728,10 @@ def traintrack_report(f: GraphMap, *, assume_ageometric: bool = False,
             "max_period": ns.max_period,
         }
         if ns.none_up_to_bounds:
-            wd = whitehead_data(f)
-            report["ideal_components"] = [
-                {"vertex": v, "nodes": [format_direction(d) for d in nodes],
-                 "edges": [format_turn(t) for t in edges]}
-                for v, nodes, edges in wd.components]
+            wd = inv.whitehead
+            report["ideal_components"] = _ideal_components(wd)
             report["rotationless_index"] = str(rotationless_index(wd))
-    verdict = lone_axis_check(f, assume_ageometric=assume_ageometric,
-                              assume_fully_irreducible=assume_fully_irreducible,
-                              nielsen_len=nielsen_len,
-                              nielsen_period=nielsen_period)
+    verdict = _lone_axis(inv, assume_ageometric, assume_fully_irreducible)
     report["lone_axis"] = {
         "verdict": verdict.verdict,
         "reason": verdict.reason,

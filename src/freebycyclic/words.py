@@ -11,7 +11,7 @@ Text conventions used everywhere in the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InputParseError, InvariantViolation

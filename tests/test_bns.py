@@ -13,7 +13,7 @@ from freebycyclic.bns import (AxisLine, ConeComponent, SlopeSet,
                               pairing_coordinates, parse_presentation_text,
                               polygon_tikz, sigma_report, trace_polygon)
 from freebycyclic.cohomology import boundary, cone_membership, dict_scale, \
-    dict_sum
+    dict_sum, dual_basis
 from freebycyclic.errors import (ConeInfeasibleError, ExcludedDirectionError,
                                  InputParseError, InvariantViolation,
                                  OpenTraceError)
@@ -73,12 +73,21 @@ def test_bundled_dualcycles_are_cycles(bundled, torus):
 
 
 def test_bundled_dualcycles_pair_as_identity(bundled, torus):
-    gens = bundled.generators
-    c1 = pairing_coordinates(torus, bundled.dualcycles, gens,
-                             bundled.dualcycles["b"])
-    c2 = pairing_coordinates(torus, bundled.dualcycles, gens,
-                             bundled.dualcycles["r"])
+    cycles = [bundled.dualcycles[g] for g in bundled.generators]
+    duals = dual_basis(torus, cycles)
+    c1 = pairing_coordinates(torus, cycles, duals, bundled.dualcycles["b"])
+    c2 = pairing_coordinates(torus, cycles, duals, bundled.dualcycles["r"])
     assert (c1, c2) == ((1, 0), (0, 1))
+
+
+def test_fractional_pairing_is_refused(bundled, torus):
+    b, r = (bundled.dualcycles[g] for g in bundled.generators)
+    cycles = [{e: 2 * c for e, c in b.items()}, r]
+    duals = dual_basis(torus, cycles)
+    with pytest.raises(InvariantViolation, match="pairs fractionally"):
+        pairing_coordinates(torus, cycles, duals, b)
+    with pytest.raises(InvariantViolation, match="not the coordinate"):
+        pairing_coordinates(torus, [b, r], duals, b)
 
 
 def test_format_roundtrip(bundled):
@@ -339,8 +348,9 @@ def test_sector_matches_positive_cone_on_33_slopes(torus, bundled_slopes):
 def test_skew_loop_pairing(torus, bundled):
     loop = skew_loop(torus)
     assert loop == {"skew1": 1, "skew2": 1, "skew3": 1, "skew4": 1}
-    coords = pairing_coordinates(torus, bundled.dualcycles,
-                                 bundled.generators, loop)
+    cycles = [bundled.dualcycles[g] for g in bundled.generators]
+    coords = pairing_coordinates(torus, cycles, dual_basis(torus, cycles),
+                                 loop)
     assert coords == (-1, 1)
 
 

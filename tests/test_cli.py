@@ -345,6 +345,10 @@ def test_monodromy_imprimitive_class_fails(capsys):
     ["survey", "--input", PRES, "--format", "dot"],
     ["traintrack", "--input", MAP, "--format", "dot"],
     ["monodromy", "--input", PRES, "--class=0,1", "--format", "dot"],
+    ["traintrack", "--input", MAP, "--class=1,2"],
+    ["survey", "--input", PRES, "--phase", "1/2"],
+    ["section", "--input", PRES, "--class=1,2", "--height-max", "2"],
+    ["monodromy", "--input", PRES, "--class=1,2", "--nielsen-len", "3"],
 ])
 def test_usage_errors_exit_64(capsys, argv):
     code, out, err = run(capsys, *argv)

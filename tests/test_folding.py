@@ -10,8 +10,7 @@ import pytest
 import fold_oracle
 from freebycyclic.corpus import corpus
 from freebycyclic.errors import FoldStuckError, InvariantViolation
-from freebycyclic.folding import (AuxGraph, FoldSequence, _pick_fold,
-                                  aux_graph, check_acyclic, decompose)
+from freebycyclic.folding import _pick_fold, decompose
 from freebycyclic.graphs import Graph, GraphMap, load_map_file
 
 from conftest import EXAMPLES
@@ -184,47 +183,3 @@ def test_verify_rejects_a_relabelled_final_iso(tamper):
     with pytest.raises(InvariantViolation):
         seq.verify()
 
-
-# ---------------------------------------------------------------------------
-# auxiliary digraph
-
-
-def test_aux_bundled():
-    f = load_map_file(EXAMPLES / "phi_f3.map").gmap
-    aux = aux_graph(f)
-    assert aux.nodes == ("a", "b", "c", "d", "e")
-    assert aux.arcs == (("a", "c"), ("d", "b"))
-    ok, order = check_acyclic(aux)
-    assert ok
-    assert order == ("a", "c", "d", "b", "e")
-
-
-def test_aux_cycle():
-    aux = aux_graph(rose_map({"a": "b", "b": "a"}))
-    assert set(aux.arcs) == {("a", "b"), ("b", "a")}
-    ok, cycle = check_acyclic(aux)
-    assert not ok
-    assert set(cycle) == {"a", "b"}
-
-
-def test_aux_empty():
-    aux = aux_graph(rose_map({"a": "abb", "b": "aab"}))
-    assert aux.arcs == ()
-    ok, order = check_acyclic(aux)
-    assert ok and order == ("a", "b")
-
-
-def test_aux_golden():
-    aux = aux_graph(rose_map({"a": "ab", "b": "a"}))
-    assert aux.arcs == (("a", "b"),)
-    ok, order = check_acyclic(aux)
-    assert ok and order == ("a", "b")
-
-
-def test_aux_self_loop_cycle():
-    aux = aux_graph(rose_map({"a": "a", "b": "bb"}))
-    # b is crossed twice by itself; a crosses a exactly once and nothing else
-    assert aux.arcs == (("a", "a"),)
-    ok, cycle = check_acyclic(aux)
-    assert not ok
-    assert cycle == ("a",)

@@ -7,8 +7,7 @@ import pytest
 from freebycyclic.errors import (InvariantViolation, NotACycleError)
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap
-from freebycyclic.torus import (build_torus, skew_loop, skew_passage,
-                                torus_dot, torus_json, torus_tikz, validate)
+from freebycyclic.torus import build_torus, skew_loop, validate
 from freebycyclic.graphs import load_map_file
 
 import os
@@ -151,26 +150,6 @@ def test_skew_loop(bundled_torus):
         "skew1": 1, "skew2": 1, "skew3": 1, "skew4": 1}
 
 
-def test_skew_passage(bundled_torus):
-    half = F(1, 2)
-    assert skew_passage(bundled_torus, "skew1", half) == ("skew", "skew3", half)
-    assert skew_passage(bundled_torus, "skew4", half) == ("skew", "skew1", half)
-    assert skew_passage(bundled_torus, "skew2", F(1, 3)) == \
-        ("skew", "skew4", F(2, 3))
-    assert skew_passage(bundled_torus, "skew3", F(1, 8)) == \
-        ("skew", "skew2", half)
-    assert skew_passage(bundled_torus, "skew3", F(13, 16)) == \
-        ("skew", "skew1", half)
-    assert skew_passage(bundled_torus, "skew3", F(15, 16)) == \
-        ("skew", "skew2", half)
-    assert skew_passage(bundled_torus, "skew3", half) == \
-        ("cell", "a@2.3", None)
-    assert skew_passage(bundled_torus, "skew3", F(7, 8)) == \
-        ("cell", "c@1.1", None)
-    with pytest.raises(InvariantViolation):
-        skew_passage(bundled_torus, "skew1", F(0))
-
-
 def test_doubling_torus():
     torus = build_torus(decompose(rose_map({"a": "aa"})))
     assert [c.name for c in torus.zero_cells] == ["v.0"]
@@ -186,8 +165,6 @@ def test_doubling_torus():
     assert trap.corners == ((F(1, 2), "v.0"),)
     assert torus.euler_characteristic() == 0
     assert skew_loop(torus) == {"skew1": 1}
-    assert skew_passage(torus, "skew1", F(1, 4)) == ("skew", "skew1", F(1, 2))
-    assert skew_passage(torus, "skew1", F(1, 2)) == ("cell", "v.0", None)
 
 
 def test_golden_torus_smoke():
@@ -235,27 +212,3 @@ def test_skew_chain_failure_detected():
     with pytest.raises(NotACycleError):
         skew_loop(torus)
 
-
-def test_json_export(bundled_torus):
-    blob = torus_json(bundled_torus)
-    assert blob["euler_characteristic"] == 0
-    assert len(blob["zero_cells"]) == 6
-    trap3 = next(t for t in blob["trapezoids"] if t["name"] == "trap3")
-    assert trap3["corners"][1] == {"x": "1/2", "cell": "a@2.3"}
-    import json
-    json.dumps(blob)
-
-
-def test_dot_export(bundled_torus):
-    dot = torus_dot(bundled_torus)
-    assert dot.startswith("digraph")
-    assert dot.count("->") == 10
-    assert '"blue.0" -> "c@1.1" [label="skew1", style=dashed];' in dot
-
-
-def test_tikz_export(bundled_torus):
-    tikz = torus_tikz(bundled_torus)
-    assert tikz.startswith("\\begin{tikzpicture}")
-    assert tikz.rstrip().endswith("\\end{tikzpicture}")
-    assert tikz.count("\\node") == 6
-    assert tikz.count("\\draw") == 10

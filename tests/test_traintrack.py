@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freebycyclic import traintrack
 from freebycyclic.cohomology import dict_scale, dict_sum, integral_cocycle
 from freebycyclic.corpus import corpus
 from freebycyclic.errors import (MissingAssumptionError, NotExpandingError,
@@ -29,7 +30,7 @@ from freebycyclic.traintrack import (EigenMetric, NielsenReport, TransitionMatri
                                      nielsen_search, periodic_directions,
                                      rotationless_index, taken_turns,
                                      traintrack_report, transition_matrix,
-                                     whitehead_data, whitehead_dot)
+                                     whitehead_data)
 
 import dense_oracle
 from conftest import EXAMPLES
@@ -170,9 +171,10 @@ def test_transition_matrix_bundled(fmap):
 def test_matrix_power_law(fmap):
     m = transition_matrix(fmap)
     f2 = compose(fmap, fmap)
-    assert transition_matrix(f2).rows == m.matmul(m).rows
+    assert transition_matrix(f2).rows == dense_oracle.matmul(m, m).rows
     f3 = compose(fmap, f2)
-    assert transition_matrix(f3).rows == m.matmul(m).matmul(m).rows
+    assert transition_matrix(f3).rows == \
+        dense_oracle.matmul(dense_oracle.matmul(m, m), m).rows
 
 
 def test_compose_matrix_law_mixed():
@@ -180,7 +182,7 @@ def test_compose_matrix_law_mixed():
     g = rose_map(TWO_ILLEGAL)
     fg = compose(f, g)  # g then f
     assert transition_matrix(fg).rows == \
-        transition_matrix(g).matmul(transition_matrix(f)).rows
+        dense_oracle.matmul(transition_matrix(g), transition_matrix(f)).rows
 
 
 def test_irreducible_not_expanding():
@@ -273,15 +275,6 @@ def test_golden_stable_graph_is_a_path():
     assert set(nodes) == set(W("aAB"))
     assert set(edges) == {make_turn(*W("Aa")), make_turn(*W("Ba"))}
     assert rotationless_index(wd) == Fraction(-1, 2)
-
-
-def test_whitehead_dot_export(fmap):
-    wd = whitehead_data(fmap)
-    out = whitehead_dot(wd, "ideal")
-    assert out.startswith("graph whitehead_ideal {")
-    assert out.count("--") == 9
-    local = whitehead_dot(wd, "local")
-    assert "blue" in local and "--" in local
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +417,20 @@ def test_traintrack_report(bundled):
     assert report["eigen_residual"] <= 1e-10
 
 
+def test_traintrack_report_searches_for_nielsen_paths_once(fmap, monkeypatch):
+    calls = []
+
+    def counting_search(*args, **kwargs):
+        calls.append(args)
+        return nielsen_search(*args, **kwargs)
+
+    monkeypatch.setattr(traintrack, "nielsen_search", counting_search)
+    report = traintrack_report(fmap, assume_ageometric=True,
+                               assume_fully_irreducible=True)
+    assert report["lone_axis"]["verdict"] == "yes"
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -439,7 +446,8 @@ def test_positive_rose_maps_are_train_tracks(wa, wb):
     assert ok and witness is None
     # crossing counts multiply under composition
     m = transition_matrix(f)
-    assert transition_matrix(compose(f, f)).rows == m.matmul(m).rows
+    assert transition_matrix(compose(f, f)).rows == \
+        dense_oracle.matmul(m, m).rows
 
 
 @settings(max_examples=30, deadline=None)
