@@ -466,17 +466,18 @@ def polygon_tikz(trace: PolygonTrace, slopes: Optional[SlopeSet] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sigma_report(pres: TwoGenPresentation, *, direction: Vec = (0, 1),
+def sigma_report(pres: TwoGenPresentation, *,
                  pairing: Optional[Vec] = None, line_bound: int = 5) -> dict:
     """JSON-ready summary of the sector analysis of a presentation.
 
     Traces the relator polygon, lists the excluded rays, and describes the
-    sector component containing ``direction``.  When the pairing vector of a
-    distinguished chain is supplied, the classes on its pairing-one line
-    inside that component are enumerated as well.
+    sector component containing the direction (0, 1).  When the pairing
+    vector of a distinguished chain is supplied, the classes on its
+    pairing-one line inside that component are enumerated as well.
     """
     trace = trace_polygon(pres)
     slopes = excluded_directions(trace)
+    direction = (0, 1)
     comp = component_containing(slopes, direction)
     report: dict = {
         "generators": list(pres.generators),

@@ -73,7 +73,7 @@ class RunConfig:
     class_coords: Optional[tuple[int, int]] = None
     k_max: int = 5
     height_max: int = 8
-    phase: Optional[Fraction] = None
+    phase: Fraction = Fraction(1, 2)
     nielsen_len: int = 10
     nielsen_period: int = 6
     format: str = "json"
@@ -146,7 +146,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
                              help="class coordinates in the presentation's "
                                   "dual basis (use --class=-1,2 for "
                                   "negatives)")
-            cmd.add_argument("--phase", type=_phase, default=None,
+            cmd.add_argument("--phase", type=_phase, default=Fraction(1, 2),
                              help="section height phase, e.g. 1/2")
     return RunConfig(**vars(parser.parse_args(argv)))
 
@@ -265,8 +265,7 @@ def cmd_survey(cfg: RunConfig) -> int:
     if cfg.format == "tikz":
         _emit(cfg, bns.polygon_tikz(trace, slopes), "survey.tikz")
         return EXIT_YES
-    sigma = bns.sigma_report(pres, direction=(0, 1), pairing=ws.pairing,
-                             line_bound=cfg.k_max)
+    sigma = bns.sigma_report(pres, pairing=ws.pairing, line_bound=cfg.k_max)
     comp = bns.component_containing(slopes, (0, 1))
     rows = []
     height = cfg.height_max
@@ -319,9 +318,7 @@ def _disconnection_report(cfg: RunConfig, ws: Workspace,
                           coords: tuple[int, int]) -> int:
     """A non-primitive class disconnects; report the pieces and fail."""
     z = co.integral_cocycle(ws.complex_, _class_of(ws, coords))
-    section = sect.build_section(ws.complex_, z,
-                                 cfg.phase if cfg.phase is not None
-                                 else Fraction(1, 2))
+    section = sect.build_section(ws.complex_, z, cfg.phase)
     payload = {
         "class": list(coords),
         "primitive": False,
@@ -345,14 +342,12 @@ def _build_for_class(cfg: RunConfig, ws: Workspace, coords: tuple[int, int]):
     canonical = (ws.pairing is not None
                  and cb * ws.pairing[0] + cr * ws.pairing[1] == 1
                  and cr == cb + 1 and cb >= 0
-                 and cfg.phase in (None, Fraction(1, 2)))
+                 and cfg.phase == Fraction(1, 2))
     if canonical:
         ls = sect.line_section(ws.complex_, cb)
         return ls, ls.section, ls.return_map
     z = co.integral_cocycle(ws.complex_, _class_of(ws, coords))
-    section = sect.build_section(ws.complex_, z,
-                                 cfg.phase if cfg.phase is not None
-                                 else Fraction(1, 2))
+    section = sect.build_section(ws.complex_, z, cfg.phase)
     return None, section, sect.first_return(section)
 
 

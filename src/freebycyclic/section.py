@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import is_cocycle
+from .cohomology import is_cocycle, line_family_cocycle
 from .errors import (
     DegeneratePhaseError,
     DisconnectedGraphError,
@@ -28,6 +28,7 @@ from .errors import (
 from .graphs import Graph, GraphMap, SpanningTree, collapse_word, \
     spanning_tree
 from .torus import TrapComplex
+from .traintrack import illegal_turns
 from .words import FreeGroupMap, Word, inverse
 
 
@@ -88,6 +89,44 @@ class HeightChart:
                 return piece.height_at(x)
         raise InvariantViolation(
             f"x = {x} outside the top of {self.trap}")  # pragma: no cover
+
+    def piece_at(self, x: Fraction) -> Optional[TopGeom]:
+        """The top piece with ``x`` strictly inside it, or None at a corner."""
+        for piece in self.top:
+            if piece.x_lo < x < piece.x_hi:
+                return piece
+        return None
+
+    def runs(self, y: Fraction, lo: Fraction, hi: Fraction
+             ) -> list[tuple[Fraction, Fraction, Optional[TopGeom]]]:
+        """Cut ``[lo, hi]`` where the level ``y`` meets the top.
+
+        Maximal runs below the top are tagged None; a run at or above it is
+        tagged with the top piece it leaves through, one run per piece.
+        """
+        cuts = {lo, hi}
+        for piece in self.top:
+            for x in (piece.x_lo, piece.x_hi):
+                if lo < x < hi:
+                    cuts.add(x)
+            h_min, h_max = sorted((piece.h_lo, piece.h_hi))
+            if h_min < h_max and h_min < y < h_max:
+                u = (y - piece.h_lo) / (piece.h_hi - piece.h_lo)
+                x = piece.x_lo + u * (piece.x_hi - piece.x_lo)
+                if lo < x < hi:
+                    cuts.add(x)
+        xs = sorted(cuts)
+        out: list[tuple[Fraction, Fraction, Optional[TopGeom]]] = []
+        for a, b in zip(xs, xs[1:]):
+            mid = (a + b) / 2
+            piece = self.piece_at(mid)
+            if piece.height_at(mid) <= y:
+                out.append((a, b, piece))
+            elif out and out[-1][2] is None:
+                out[-1] = (out[-1][0], b, None)
+            else:
+                out.append((a, b, None))
+        return out
 
     @property
     def max_height(self) -> int:
@@ -164,98 +203,55 @@ def _crossing_name(cell: str, index: int) -> str:
     return f"{cell}#{index}"
 
 
-def _split_crossing(name: str) -> tuple[str, int]:
-    cell, _, index = name.rpartition("#")
-    return cell, int(index)
+@dataclass
+class _Level:
+    """The crossing grid and the exact forward semiflow of the level sets
+    of one cocycle at one phase.
 
+    ``budget`` caps the steps of one point flow (``vertex_step``); the
+    segment flow of ``first_return`` makes none.
+    """
 
-class _Resolver:
-    """Maps exact boundary positions of level arcs to crossing names."""
+    complex: TrapComplex
+    charts: dict[str, HeightChart]
+    z: Mapping
+    phase: Fraction
+    budget: int = 0
 
-    def __init__(self, charts: dict, z: Mapping, phase: Fraction):
-        self.charts = charts
-        self.z = z
-        self.phase = phase
-
-    def _index(self, local_height: Fraction) -> int:
-        index = local_height - self.phase + 1
+    def crossing(self, cell: str, local: Fraction) -> str:
+        """The crossing of ``cell`` at height ``local`` above its start."""
+        index = local - self.phase + 1
         if index.denominator != 1:
             raise DegeneratePhaseError(
-                f"local height {local_height} is off the crossing grid at "
+                f"local height {local} is off the crossing grid at "
                 f"phase {self.phase}")
-        return int(index)
+        return _crossing_name(cell, int(index))
 
-    def on_stack(self, spans, height: Fraction) -> str:
-        for cell, lo, hi in spans:
-            if lo < height < hi:
-                return _crossing_name(cell, self._index(height - lo))
-        raise InvariantViolation(
-            f"height {height} misses the side stack {spans!r}")
-
-    def on_top(self, chart: HeightChart, x: Fraction) -> str:
-        for piece in chart.top:
-            if piece.x_lo < x < piece.x_hi:
-                local = piece.skew_position(x) * int(self.z.get(piece.skew, 0))
-                return _crossing_name(piece.skew, self._index(local))
-        raise InvariantViolation(
-            f"x = {x} is not interior to a top piece of {chart.trap}")
+    def cross_top(self, piece: TopGeom, x: Fraction, rise: Fraction
+                  ) -> tuple[str, Fraction, Fraction]:
+        """Carry the point ``rise`` above the top at ``x`` through ``piece``:
+        (trapezoid above, its x, the point's height there)."""
+        pos = piece.skew_position(x)
+        return (self.complex.trap_above[piece.skew].name, pos,
+                pos * self.z.get(piece.skew, 0) + rise)
 
     def arc_endpoint(self, chart: HeightChart, x: Fraction, y: Fraction
                      ) -> str:
+        """The crossing where a level arc at height ``y`` ends at ``x``."""
         if chart.bottom_height(x) == y:
-            return _crossing_name(chart.bottom, self._index(y))
-        if x == 0:
-            return self.on_stack(chart.left, y)
-        if x == 1:
-            return self.on_stack(chart.right, y)
-        if chart.top_height(x) == y:
-            return self.on_top(chart, x)
-        raise InvariantViolation(
-            f"({x}, {y}) is not on the boundary of {chart.trap}")
-
-
-def _arc_components(chart: HeightChart, y: Fraction
-                    ) -> list[tuple[Fraction, Fraction]]:
-    """Maximal x-intervals of the level set of ``chart`` at height ``y``."""
-    cuts = {Fraction(0), Fraction(1)}
-    if chart.bottom_rise and 0 < y / chart.bottom_rise < 1:
-        cuts.add(y / chart.bottom_rise)
-    for piece in chart.top:
-        cuts.add(piece.x_lo)
-        cuts.add(piece.x_hi)
-        if piece.h_lo != piece.h_hi:
-            lo, hi = sorted((piece.h_lo, piece.h_hi))
-            if lo < y < hi:
-                u = (y - piece.h_lo) / (piece.h_hi - piece.h_lo)
-                cuts.add(piece.x_lo + u * (piece.x_hi - piece.x_lo))
-    xs = sorted(cuts)
-    spans: list[tuple[Fraction, Fraction]] = []
-    for a, b in zip(xs, xs[1:]):
-        mid = (a + b) / 2
-        if not chart.bottom_height(mid) < y < chart.top_height(mid):
-            continue
-        if spans and spans[-1][1] == a and \
-                chart.bottom_height(a) < y < chart.top_height(a):
-            spans[-1] = (spans[-1][0], b)
-        else:
-            spans.append((a, b))
-    return spans
-
-
-# ---------------------------------------------------------------------------
-# the vertical semiflow
-
-
-class _Flow:
-    """Exact forward semiflow of section points by one height unit."""
-
-    def __init__(self, complex_: TrapComplex, charts: dict, z: Mapping,
-                 phase: Fraction, budget: int):
-        self.complex = complex_
-        self.charts = charts
-        self.z = z
-        self.phase = phase
-        self.budget = budget
+            return self.crossing(chart.bottom, y)
+        if x in (0, 1):
+            spans = chart.left if x == 0 else chart.right
+            for cell, lo, hi in spans:
+                if lo < y < hi:
+                    return self.crossing(cell, y - lo)
+            raise InvariantViolation(
+                f"height {y} misses the side stack {spans!r}")
+        piece = chart.piece_at(x)
+        if piece is None or piece.height_at(x) != y:
+            raise InvariantViolation(
+                f"({x}, {y}) is not on the boundary of {chart.trap}")
+        return self.crossing(piece.skew, self.cross_top(piece, x, 0)[2])
 
     def _spend(self, steps: int) -> int:
         steps += 1
@@ -264,28 +260,21 @@ class _Flow:
                 f"flow trace exceeded {self.budget} steps")
         return steps
 
-    def _crossing_at(self, cell: str, local: Fraction) -> str:
-        index = local - self.phase + 1
-        if index.denominator != 1:
-            raise InvariantViolation(
-                f"flow lands on {cell} at non-crossing height {local}")
-        return _crossing_name(cell, int(index))
-
-    def climb(self, zero_cell: str, remaining: Fraction, steps: int = 0
+    def climb(self, zero_cell: str, remaining: Fraction, steps: int
               ) -> tuple[str, int]:
         """Flow up the vertical 1-cells from a 0-cell onto a crossing."""
         cell = zero_cell
         while True:
             steps = self._spend(steps)
             vert = self.complex.vertical_from[cell]
-            rise = Fraction(self.z.get(vert.name, 0))
+            rise = self.z.get(vert.name, 0)
             if remaining < rise:
-                return self._crossing_at(vert.name, remaining), steps
+                return self.crossing(vert.name, remaining), steps
             remaining -= rise
             cell = vert.end
 
     def point_step(self, trap: str, x: Fraction, target: Fraction,
-                   steps: int = 0):
+                   steps: int):
         """Flow the point of ``trap`` at horizontal position ``x`` upward
         until its height reaches ``target``, re-based into each next chart
         as the point crosses skew cells.
@@ -303,50 +292,34 @@ class _Flow:
                     raise InvariantViolation(
                         "interior landing is off the phase grid")
                 return ("interior", trap, int(level), x)
-            piece = None
-            for p in chart.top:
-                if p.x_lo < x < p.x_hi:
-                    piece = p
-                    break
+            piece = chart.piece_at(x)
             if piece is None:
-                corner_cell = self._corner_cell(chart, x)
-                name, steps = self.climb(corner_cell, target - top, steps)
+                corners = dict(self.complex.trap_by_name[trap].corners)
+                if x not in corners:
+                    raise InvariantViolation(
+                        f"no corner 0-cell at x = {x} on top of {trap}")
+                name, steps = self.climb(corners[x], target - top, steps)
                 return ("vertex", name)
-            pos = piece.skew_position(x)
-            local = pos * Fraction(self.z.get(piece.skew, 0))
-            if top == target:
-                return ("vertex", self._crossing_at(piece.skew, local))
-            trap = self.complex.trap_above[piece.skew].name
-            x = pos
-            target = local + (target - top)
+            rise = target - top
+            trap, x, target = self.cross_top(piece, x, rise)
+            if not rise:
+                return ("vertex", self.crossing(piece.skew, target))
 
-    def _corner_cell(self, chart: HeightChart, x: Fraction) -> str:
-        trap = self.complex.trap_by_name[chart.trap]
-        for x_break, cell in trap.corners:
-            if x_break == x:
-                return cell
-        raise InvariantViolation(
-            f"no corner 0-cell at x = {x} on top of {chart.trap}")
-
-    def vertex_step(self, host, steps: int = 0):
+    def vertex_step(self, host):
         """Flow a section vertex forward by one height unit."""
-        kind = host[0]
-        if kind == "cell":
-            _, cell, index = host
-            local = self.phase + (index - 1)
-            if cell in self.complex.vertical_by_name:
-                vert = self.complex.vertical_by_name[cell]
-                room = Fraction(self.z.get(cell, 0)) - local
-                if room > 1:
-                    return ("vertex", _crossing_name(cell, index + 1))
-                name, _ = self.climb(vert.end, 1 - room, steps)
-                return ("vertex", name)
-            pos = local / Fraction(self.z.get(cell, 0))
-            above = self.complex.trap_above[cell].name
-            return self.point_step(above, pos, local + 1, steps)
-        _, trap, level, x = host
-        y = self.phase + level
-        return self.point_step(trap, x, y + 1, steps)
+        if host[0] == "interior":
+            _, trap, level, x = host
+            return self.point_step(trap, x, self.phase + level + 1, 0)
+        _, cell, index = host
+        local = self.phase + (index - 1)
+        vert = self.complex.vertical_by_name.get(cell)
+        if vert is None:
+            return self.point_step(self.complex.trap_above[cell].name,
+                                   local / self.z[cell], local + 1, 0)
+        room = self.z[cell] - local
+        if room > 1:
+            return ("vertex", _crossing_name(cell, index + 1))
+        return ("vertex", self.climb(vert.end, 1 - room, 0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +342,6 @@ def _frac_token(x: Fraction) -> str:
 
 
 def _components(graph: Graph) -> tuple[tuple[str, ...], ...]:
-    neighbours: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    for _, init, term in graph.edges:
-        neighbours[init].add(term)
-        neighbours[term].add(init)
     seen: set[str] = set()
     out = []
     for start in graph.vertices:
@@ -381,8 +350,7 @@ def _components(graph: Graph) -> tuple[tuple[str, ...], ...]:
         comp = {start}
         frontier = [start]
         while frontier:
-            v = frontier.pop()
-            for w in neighbours[v]:
+            for w in map(graph.term_of, graph.directions(frontier.pop())):
                 if w not in comp:
                     comp.add(w)
                     frontier.append(w)
@@ -419,28 +387,30 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
         raise InvariantViolation("the zero cocycle has an empty level set")
     phase = _generic_phase(phase)
     charts = build_charts(complex_, z)
-    resolver = _Resolver(charts, z, phase)
-    flow = _Flow(complex_, charts, z, phase, budget)
+    grid = _Level(complex_, charts, z, phase, budget)
 
     arcs = []  # (trap, level, x_lo, x_hi, init vertex, term vertex)
     for trap in sorted(charts):
         chart = charts[trap]
         for level in range(chart.max_height):
             y = phase + level
-            for x_lo, x_hi in _arc_components(chart, y):
-                init = resolver.arc_endpoint(chart, x_lo, y)
-                term = resolver.arc_endpoint(chart, x_hi, y)
-                arcs.append((trap, level, x_lo, x_hi, init, term))
+            # the bottom edge stays below the level left of y / bottom_rise
+            hi = min(Fraction(1), y / chart.bottom_rise) \
+                if chart.bottom_rise else Fraction(1)
+            for x_lo, x_hi, piece in chart.runs(y, Fraction(0), hi):
+                if piece is None:
+                    arcs.append((trap, level, x_lo, x_hi,
+                                 grid.arc_endpoint(chart, x_lo, y),
+                                 grid.arc_endpoint(chart, x_hi, y)))
 
-    crossings = [_crossing_name(cell, m)
-                 for cell in complex_.one_cell_names
-                 for m in range(1, z.get(cell, 0) + 1)]
     host: dict[str, tuple] = {
-        name: ("cell",) + _split_crossing(name) for name in crossings}
+        _crossing_name(cell, m): ("cell", cell, m)
+        for cell in complex_.one_cell_names
+        for m in range(1, z.get(cell, 0) + 1)}
 
     vertex_return: dict[str, str] = {}
     interior_points: dict[tuple, str] = {}
-    queue = deque(sorted(crossings))
+    queue = deque(sorted(host))
     flow_count = 0
     spent = 0
     while queue:
@@ -449,7 +419,7 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
             raise IterationBudgetError(
                 f"vertex flow closure exceeded {budget} iterations")
         vertex = queue.popleft()
-        landing = flow.vertex_step(host[vertex])
+        landing = grid.vertex_step(host[vertex])
         if landing[0] == "vertex":
             vertex_return[vertex] = landing[1]
             continue
@@ -485,10 +455,9 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
 
     graph = Graph(tuple(sorted(host)), tuple(sorted(edges)))
     components = _components(graph)
-    basepoint = None
     crossed_skews = [s.name for s in complex_.skews if z.get(s.name, 0)]
-    if crossed_skews:
-        basepoint = _crossing_name(min(crossed_skews), 1)
+    basepoint = _crossing_name(min(crossed_skews), 1) if crossed_skews \
+        else None
     return SectionGraph(complex_, z, phase, graph, charts, host,
                         vertex_return, records, components, basepoint)
 
@@ -499,10 +468,8 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
 
 def first_return(section: SectionGraph) -> GraphMap:
     """Graph self-map induced by flowing the section up one height unit."""
-    complex_ = section.complex
-    charts = section.charts
-    z = section.cocycle
-    phase = section.phase
+    grid = _Level(section.complex, section.charts, section.cocycle,
+                  section.phase)
 
     starting_at = {(rec.trap, rec.level, rec.x_lo): rec
                    for rec in section.edge_records.values()}
@@ -529,60 +496,29 @@ def first_return(section: SectionGraph) -> GraphMap:
         if depth > 64:
             raise IterationBudgetError(
                 "segment flow recursion exceeded depth 64")
-        chart = charts[trap]
-        cuts = {x_lo, x_hi}
-        for piece in chart.top:
-            for x in (piece.x_lo, piece.x_hi):
-                if x_lo < x < x_hi:
-                    cuts.add(x)
-            if piece.h_lo != piece.h_hi:
-                lo, hi = sorted((piece.h_lo, piece.h_hi))
-                if lo < target < hi:
-                    u = (target - piece.h_lo) / (piece.h_hi - piece.h_lo)
-                    x = piece.x_lo + u * (piece.x_hi - piece.x_lo)
-                    if x_lo < x < x_hi:
-                        cuts.add(x)
-        xs = sorted(cuts)
-        pairs = list(zip(xs, xs[1:]))
-        if orient < 0:
-            pairs.reverse()
-        level = target - phase
+        level = target - grid.phase
         if level.denominator != 1:
             raise InvariantViolation("segment landing is off the phase grid")
+        runs = grid.charts[trap].runs(target, x_lo, x_hi)
+        if orient < 0:
+            runs.reverse()
         word: list = []
-        run: Optional[tuple[Fraction, Fraction]] = None
-
-        def flush():
-            nonlocal run
-            if run is not None:
-                word.extend(segment_to_letters(trap, int(level), run[0],
-                                               run[1], orient))
-                run = None
-
-        for a, b in pairs:
-            mid = (a + b) / 2
-            if chart.top_height(mid) > target:
-                if run is None:
-                    run = (a, b)
-                else:
-                    run = (min(run[0], a), max(run[1], b))
+        for a, b, piece in runs:
+            if piece is None:
+                word.extend(segment_to_letters(trap, int(level), a, b,
+                                               orient))
                 continue
-            flush()
-            piece = next(p for p in chart.top
-                         if p.x_lo <= a and b <= p.x_hi)
-            pos_a, pos_b = sorted((piece.skew_position(a),
-                                   piece.skew_position(b)))
-            shift = piece.skew_position(a) * Fraction(z.get(piece.skew, 0)) \
-                - piece.height_at(a)
-            above = complex_.trap_above[piece.skew].name
-            word.extend(flow_segment(above, pos_a, pos_b, target + shift,
+            above, pos_a, lifted = grid.cross_top(
+                piece, a, target - piece.height_at(a))
+            pos_b = piece.skew_position(b)
+            word.extend(flow_segment(above, min(pos_a, pos_b),
+                                     max(pos_a, pos_b), lifted,
                                      orient * piece.sign, depth + 1))
-        flush()
         return tuple(word)
 
     edge_images = {}
     for name, rec in section.edge_records.items():
-        target = phase + rec.level + 1
+        target = grid.phase + rec.level + 1
         edge_images[name] = flow_segment(rec.trap, rec.x_lo, rec.x_hi,
                                          target, 1)
     return GraphMap(section.graph, section.graph,
@@ -603,33 +539,6 @@ class MonodromyData:
     basepoint: str
 
 
-def _tree_from_edges(graph: Graph, edge_names: Sequence[str], root: str
-                     ) -> SpanningTree:
-    chosen = set(edge_names)
-    unknown = chosen - set(graph.edge_names)
-    if unknown:
-        raise InvariantViolation(f"unknown tree edges {sorted(unknown)!r}")
-    if len(chosen) != len(graph.vertices) - 1:
-        raise InvariantViolation(
-            "a spanning tree needs one edge less than the vertex count")
-    paths: dict[str, Word] = {root: ()}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for lt in graph.directions(v):
-                if lt[0] not in chosen:
-                    continue
-                w = graph.term_of(lt)
-                if w not in paths:
-                    paths[w] = paths[v] + (lt,)
-                    nxt.append(w)
-        frontier = nxt
-    if len(paths) != len(graph.vertices):
-        raise InvariantViolation("the chosen edges do not span the graph")
-    return SpanningTree(root, frozenset(chosen), paths)
-
-
 def _graph_monodromy(graph: Graph, return_map: GraphMap, root: str,
                      tree: SpanningTree) -> MonodromyData:
     gens = tuple(sorted(name for name in graph.edge_names
@@ -644,14 +553,11 @@ def _graph_monodromy(graph: Graph, return_map: GraphMap, root: str,
     return MonodromyData(gens, fmap, tree, root)
 
 
-def monodromy(section: SectionGraph, return_map: GraphMap,
-              tree_edges: Optional[Sequence[str]] = None,
-              basepoint: Optional[str] = None) -> MonodromyData:
+def monodromy(section: SectionGraph, return_map: GraphMap) -> MonodromyData:
     """Outer automorphism induced by the first return map.
 
-    Collapses a spanning tree — the supplied one, else breadth-first from
-    the basepoint — and reads each non-tree edge's image as a word in the
-    non-tree edges.
+    Collapses the breadth-first spanning tree from the basepoint and reads
+    each non-tree edge's image as a word in the non-tree edges.
     """
     graph = section.graph
     if len(section.components) != 1:
@@ -659,14 +565,11 @@ def monodromy(section: SectionGraph, return_map: GraphMap,
             f"section has {len(section.components)} components: "
             + "; ".join(",".join(c[:3]) + ("..." if len(c) > 3 else "")
                         for c in section.components))
-    root = basepoint if basepoint is not None else section.basepoint
+    root = section.basepoint
     if root is None or root not in graph.vertices:
         raise InvariantViolation("section has no usable basepoint")
-    if tree_edges is None:
-        tree = spanning_tree(graph, root)
-    else:
-        tree = _tree_from_edges(graph, tree_edges, root)
-    return _graph_monodromy(graph, return_map, root, tree)
+    return _graph_monodromy(graph, return_map, root,
+                            spanning_tree(graph, root))
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +695,6 @@ def line_section(complex_: TrapComplex, k: int, phase=Fraction(1, 2)
                  ) -> LineSection:
     """Section, canonical first return table, and monodromy for the k-th
     member of the cocycle line family of the complex."""
-    from .cohomology import line_family_cocycle
     z = line_family_cocycle(complex_, k)
     section = build_section(complex_, z, phase)
     if len(section.components) != 1:
@@ -805,9 +707,12 @@ def line_section(complex_: TrapComplex, k: int, phase=Fraction(1, 2)
             f"section dynamics give chain length {k_found + 1}, "
             f"expected {k + 1}")
     graph, table = flip_rename(section.graph, return_map, names)
-    tree_edges = tuple(sorted(n for n in graph.edge_names
-                              if n.startswith("e")))
-    tree = _tree_from_edges(graph, tree_edges, section.basepoint)
+    chain = Graph(graph.vertices,
+                  tuple(e for e in graph.edges if e[0].startswith("e")))
+    tree_edges = tuple(sorted(chain.edge_names))
+    tree = spanning_tree(chain, section.basepoint)
+    if tree.tree_edges != set(tree_edges):
+        raise InvariantViolation("the chain edges are not a spanning tree")
     data = _graph_monodromy(graph, table, section.basepoint, tree)
     return LineSection(k, section, return_map, names, graph, table,
                        tree_edges, data)
@@ -841,7 +746,6 @@ def section_audit(section: SectionGraph,
         valences[val] = valences.get(val, 0) + 1
     illegal: Optional[int] = None
     if return_map is not None:
-        from .traintrack import illegal_turns
         illegal = 0
         for turn in illegal_turns(return_map):
             base = graph.init_of(sorted(turn)[0])
@@ -891,8 +795,7 @@ def host_kind(section: SectionGraph, vertex: str) -> str:
     if host[0] == "interior":
         return "flow"
     cell = host[1]
-    return "vertical" if cell in {v.name for v in section.complex.verticals} \
-        else "skew"
+    return "vertical" if cell in section.complex.vertical_by_name else "skew"
 
 
 def section_dot(section: SectionGraph) -> str:

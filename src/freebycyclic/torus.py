@@ -132,7 +132,10 @@ def _fold_window(seq: FoldSequence, j: int):
     return record.kept, record.dropped
 
 
-def build_torus(seq: FoldSequence, max_steps: int = 200_000) -> TrapComplex:
+_MAX_SWEEP_STEPS = 200_000  # over all trapezoids, before build_torus gives up
+
+
+def build_torus(seq: FoldSequence) -> TrapComplex:
     k = seq.fold_count
     if k == 0:
         raise InvariantViolation(
@@ -232,9 +235,10 @@ def build_torus(seq: FoldSequence, max_steps: int = 200_000) -> TrapComplex:
         while entries:
             edge, sign, x_lo, x_hi, stage, height = entries.pop()
             steps += 1
-            if steps > max_steps:
+            if steps > _MAX_SWEEP_STEPS:
                 raise IterationBudgetError(
-                    f"trapezoid sweep for {skew.name} exceeded {max_steps} steps "
+                    f"trapezoid sweep for {skew.name} exceeded "
+                    f"{_MAX_SWEEP_STEPS} steps "
                     "(the flow has an invariant circle missing every skew?)")
             if stage == k:
                 base_letter = seq.final_iso.edge_images[edge][0]

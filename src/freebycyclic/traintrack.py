@@ -24,6 +24,12 @@ from .words import Letter, Word, format_word, inverse, inverse_letter
 #: A turn is an unordered pair of distinct directions at a common vertex.
 Turn = frozenset  # frozenset[Letter] of size 2
 
+# eigen_metric stops at this residual or after this many iterations; the
+# eigenray Nielsen search skips a half whose tight image passes the cap
+_EIGEN_TOL = 1e-12
+_EIGEN_MAX_ITERATIONS = 200_000
+_POWER_IMAGE_CAP = 1_000_000
+
 
 def make_turn(d1: Letter, d2: Letter) -> Turn:
     return frozenset((d1, d2))
@@ -214,8 +220,7 @@ class EigenMetric:
     iterations: int
 
 
-def eigen_metric(f: GraphMap, tol: float = 1e-12,
-                 max_iterations: int = 200_000) -> EigenMetric:
+def eigen_metric(f: GraphMap) -> EigenMetric:
     """Edge lengths scaled by the expansion factor under the map.
 
     Power iteration on (A + I) applied to the crossing matrix A; the lengths
@@ -240,7 +245,7 @@ def eigen_metric(f: GraphMap, tol: float = 1e-12,
     residual = float("inf")
     iterations = 0
     ax = apply_a(x)  # kept from one iteration to the next
-    while iterations < max_iterations:
+    while iterations < _EIGEN_MAX_ITERATIONS:
         iterations += 1
         y = [ax[i] + x[i] for i in range(n)]
         total = sum(y)
@@ -250,7 +255,7 @@ def eigen_metric(f: GraphMap, tol: float = 1e-12,
         den = sum(x[i] * x[i] for i in range(n))
         stretch = num / den
         residual = max(abs(ax[i] - stretch * x[i]) for i in range(n))
-        if residual <= tol:
+        if residual <= _EIGEN_TOL:
             break
     if residual > 1e-10:
         raise InvariantViolation(
@@ -404,7 +409,7 @@ class NielsenReport:
     ``found`` lists tight vertex-to-vertex paths p (as words) with
     tighten(f^p(path)) == path for some period <= max_period and length
     <= max_len, each tagged with its minimal period.  ``exhaustive`` is False
-    only if an enumeration cap was hit.
+    only if an enumeration cap or the image-length cap was hit.
     """
 
     found: tuple[tuple[Word, int], ...]
@@ -457,17 +462,23 @@ def _ray_prefix(f: GraphMap, period: int, d: Letter, length: int) -> Word:
     return word[:length]
 
 
-def _power_image(f: GraphMap, word: Word, period: int) -> Word:
+def _power_image(f: GraphMap, word: Word, period: int) -> Optional[Word]:
+    """Tight f^period-image of ``word``, or None once a step passes the cap."""
     out = word
     for _ in range(period):
-        out = f.apply_path(out)
+        out = f.apply_tight(out)
+        if len(out) > _POWER_IMAGE_CAP:
+            return None
     return out
 
 
 def _eigenray_search(f: GraphMap, max_len: int, max_period: int
-                     ) -> list[tuple[Word, int]]:
+                     ) -> tuple[list[tuple[Word, int]], bool]:
+    """Periodic Nielsen paths from eigenray halves, and whether every
+    half's image stayed under ``_POWER_IMAGE_CAP``."""
     dmap = direction_map(f)
     found: dict[Word, int] = {}
+    capped = False
     for period in range(1, max_period + 1):
         fixed = []
         for d in dmap:
@@ -484,7 +495,10 @@ def _eigenray_search(f: GraphMap, max_len: int, max_period: int
             ray = rays[d]
             for a in range(1, min(len(ray), max_len - 1) + 1):
                 sigma = ray[:a]
-                image = tighten(_power_image(f, sigma, period))
+                image = _power_image(f, sigma, period)
+                if image is None:
+                    capped = True
+                    continue
                 if image[:a] != sigma:
                     continue
                 halves.append((d, sigma, image[a:]))
@@ -526,7 +540,7 @@ def _eigenray_search(f: GraphMap, max_len: int, max_period: int
                 if p is not None:
                     found.setdefault(combo, p)
                     frontier.append(combo)
-    return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])), capped
 
 
 def _enumeration_search(f: GraphMap, max_len: int, max_period: int,
@@ -573,11 +587,13 @@ def nielsen_search(f: GraphMap, max_len: int = 10, max_period: int = 6
     matrix = transition_matrix(f)
     tt, _ = is_train_track(f)
     if tt and is_expanding(matrix):
-        found = _eigenray_search(f, max_len, max_period)
-        return NielsenReport(tuple(found), max_len, max_period, True,
-                             "eigenray",
-                             "complete within bounds for expanding irreducible "
-                             "train track maps")
+        found, capped = _eigenray_search(f, max_len, max_period)
+        note = (f"incomplete: a half whose image passed "
+                f"{_POWER_IMAGE_CAP:,} letters was skipped" if capped else
+                "complete within bounds for expanding irreducible train "
+                "track maps")
+        return NielsenReport(tuple(found), max_len, max_period, not capped,
+                             "eigenray", note)
     found, truncated = _enumeration_search(f, max_len, max_period)
     note = "direct enumeration"
     if truncated:

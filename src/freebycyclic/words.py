@@ -336,12 +336,14 @@ def greedy_nielsen_inverse(fmap: FreeGroupMap) -> Optional[FreeGroupMap]:
                         invertibility="automorphism (inverse computed)")
 
 
-def outer_equal(f: FreeGroupMap, g: FreeGroupMap,
-                root_power_bound: int = 40) -> Optional[Word]:
+_ROOT_POWER_BOUND = 40  # outer_equal tries root powers m with |m| up to this
+
+
+def outer_equal(f: FreeGroupMap, g: FreeGroupMap) -> Optional[Word]:
     """A conjugator ``z`` with ``z f(x) z^-1 = g(x)`` for every generator, or None.
 
     Exact for conjugators of the form (particular solution) · root^m with
-    |m| ≤ ``root_power_bound``; the anchor is the generator with the longest
+    |m| ≤ ``_ROOT_POWER_BOUND``; the anchor is the generator with the longest
     ``f``-image, whose conjugator coset is searched completely.
     """
     if f.domain != g.domain or f.codomain != g.codomain:
@@ -363,7 +365,7 @@ def outer_equal(f: FreeGroupMap, g: FreeGroupMap,
         zi = inverse(z)
         return all(reduce_word(concat(z, a, zi)) == b for (a, b) in pairs)
 
-    for m in range(root_power_bound + 1):
+    for m in range(_ROOT_POWER_BOUND + 1):
         for mm in ({m, -m} if m else {0}):
             z = reduce_word(concat(z0, power(root, mm)))
             if check(z):

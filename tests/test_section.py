@@ -1,5 +1,6 @@
 """Semiflow sections, first-return maps, and monodromy, frozen by hand."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from freebycyclic.cohomology import (axis_dim_lower_bound, dict_scale,
                                      dict_sum, integral_cocycle,
                                      line_family_cocycle)
-from freebycyclic.errors import (DisconnectedGraphError, InvariantViolation,
-                                 IterationBudgetError, NonIntegralClassError)
+from freebycyclic.errors import (DisconnectedGraphError, FreeByCyclicError,
+                                 InvariantViolation, IterationBudgetError,
+                                 NonIntegralClassError)
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import load_map_file, map_to_automorphism
 from freebycyclic.section import (_generic_phase, build_charts, build_section,
@@ -34,6 +36,11 @@ F = Fraction
 # descends the blue vertical against skew1, R pairs +1 with every fiber loop
 B_CLASS = {"up:blue.0": -1, "skew1": -1}
 R_CLASS = {"up:black.0": 1, "up:blue.0": 1, "up:red.0": 1, "skew1": 1}
+
+# sha256 of the generic-route records, pinned before the section geometry
+# was consolidated; any change to a section or return map moves it
+GOLDEN_ROUTE_DIGEST = \
+    "5f08b984bc609e68b1fba29a1cfa6f3270854402c39a81f14a54b24554fca8b1"
 
 
 @pytest.fixture(scope="module")
@@ -585,3 +592,39 @@ def test_host_kinds_and_dot_export(torus):
     assert '"skew1#1" [color=red];' in dot
     assert '"flow1" [color=gray];' in dot
     assert dot.count("->") == 7
+
+
+# ---------------------------------------------------------------------------
+# golden digest of the generic route
+
+
+def _route_record(torus, coords, phase) -> str:
+    try:
+        z = integral_cocycle(torus, family_like(coords))
+        sec = build_section(torus, z, phase)
+        ret = first_return(sec)
+    except FreeByCyclicError as exc:
+        return f"{coords} {phase}: {type(exc).__name__}\n"
+    records = sorted((n, r.trap, r.level, r.x_lo, r.x_hi, r.init, r.term)
+                     for n, r in sec.edge_records.items())
+    return repr((coords, phase, sec.phase, sec.graph.vertices,
+                 sec.graph.edges, sorted(sec.vertex_host.items()),
+                 sorted(sec.vertex_return.items()), records,
+                 sec.components, sec.basepoint,
+                 sorted(ret.vertex_map.items()),
+                 sorted(ret.edge_images.items()))) + "\n"
+
+
+def test_generic_route_golden_digest(torus):
+    """integral_cocycle → build_section → first_return over 105 classes
+    and phases, out-of-cone errors included, hashed as a whole."""
+    digest = hashlib.sha256()
+    errors = 0
+    for phase in (F(1, 2), F(1, 3), F(9, 16)):
+        for cb in range(-3, 4):
+            for cr in range(1, 6):
+                record = _route_record(torus, (cb, cr), phase)
+                errors += record.endswith("Error\n")
+                digest.update(record.encode())
+    assert errors == 9
+    assert digest.hexdigest() == GOLDEN_ROUTE_DIGEST

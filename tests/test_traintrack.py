@@ -328,6 +328,20 @@ def test_nielsen_doubling_none():
     assert report.none_up_to_bounds
 
 
+def test_nielsen_image_cap_marks_the_search_incomplete():
+    maps = corpus(4, seed=20260823)
+    # map 0 stays under the cap and keeps its complete report
+    assert nielsen_search(maps[0]) == NielsenReport(
+        (), 10, 6, True, "eigenray",
+        "complete within bounds for expanding irreducible train track maps")
+    # a half of map 2 grows past the cap within the default period bound
+    report = nielsen_search(maps[2])
+    assert report.method == "eigenray"
+    assert report.exhaustive is False
+    assert not report.none_up_to_bounds
+    assert "1,000,000 letters" in report.note
+
+
 # ---------------------------------------------------------------------------
 # lone axis verdicts
 
