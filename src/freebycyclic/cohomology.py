@@ -37,13 +37,7 @@ from .errors import (
     TurnDataError,
 )
 from .graphs import Graph, GraphMap, spanning_tree
-from .linalg import (
-    integer_nullspace,
-    mat_mul,
-    rational_solve,
-    smith_normal_form,
-    solve_integer,
-)
+from .linalg import mat_mul, smith_normal_form
 from .torus import TrapComplex, skew_loop
 
 #: Sparse (co)chain: cell name to coefficient; absent cells carry zero.
@@ -148,77 +142,58 @@ class H1Data:
     duals: tuple[Chain, ...]
 
 
-def _unimodular_inverse(u: list[list[int]]) -> list[list[int]]:
-    n = len(u)
-    cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        sol = solve_integer(u, rhs)
+def _dual_cocycles(data: ChainData, cycles: Sequence[Chain]
+                   ) -> tuple[Chain, ...]:
+    """Cocycles pairing as the identity matrix with ``cycles``.
+
+    One factorisation of the system "is a cocycle" (one row per 2-cell)
+    plus one pairing row per cycle answers every right-hand side; the
+    solution is integral whenever an integral one exists.
+    """
+    rows = [list(col) for col in zip(*data.d2)]
+    rows += [[cyc.get(e, 0) for e in data.one_cells] for cyc in cycles]
+    snf = smith_normal_form(rows)
+    duals = []
+    for which in range(len(cycles)):
+        rhs = [0] * len(data.two_cells) + [int(i == which)
+                                           for i in range(len(cycles))]
+        sol = snf.solve(rhs)
         if sol is None:
-            raise InvariantViolation("matrix is not unimodular")
-        cols.append(sol)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _dual_system(data: ChainData, cycles: Sequence[Chain]
-                 ) -> tuple[list[list[int]], int]:
-    """Rows expressing 'is a cocycle' plus one pairing row per cycle."""
-    n1 = len(data.one_cells)
-    rows = [[data.d2[e][t] for e in range(n1)] for t in range(len(data.two_cells))]
-    for cyc in cycles:
-        rows.append([cyc.get(e, 0) for e in data.one_cells])
-    return rows, len(data.two_cells)
-
-
-def _solve_dual(data: ChainData, cycles: Sequence[Chain], which: int) -> Chain:
-    rows, n_cocycle = _dual_system(data, cycles)
-    rhs = [0] * n_cocycle + [1 if i == which else 0 for i in range(len(cycles))]
-    sol = solve_integer(rows, rhs)
-    if sol is None:
-        frac = rational_solve(rows, rhs)
-        if frac is None:
-            raise InvariantViolation(
-                "cycles do not admit a dual cocycle basis")
-        sol = frac
-    return {e: sol[i] for i, e in enumerate(data.one_cells) if sol[i] != 0}
+            raise InvariantViolation("cycles do not admit a dual cocycle basis")
+        duals.append({e: x for e, x in zip(data.one_cells, sol) if x != 0})
+    return tuple(duals)
 
 
 def h1(complex_: TrapComplex) -> H1Data:
-    """First homology from the Smith normal form of the boundary pair."""
+    """First homology from the Smith normal form of the boundary pair.
+
+    With U·d1·V = D of rank r, the columns r… of V are a basis of the
+    1-cycles and the rows r… of V⁻¹ give coordinates in it.  The relation
+    matrix holds those coordinates of the 2-cell boundaries; with
+    U'·Y·V' = D' of rank r', the columns r'… of U'⁻¹ are the kernel
+    coordinates of free generators of H1.
+    """
     data = chain_data(complex_)
     n1 = len(data.one_cells)
-    kernel = integer_nullspace(data.d1)
-    dim_ker = len(kernel)
-    kmat = [[kernel[j][i] for j in range(dim_ker)] for i in range(n1)]
-
-    if data.two_cells:
-        ycols = []
-        for t in range(len(data.two_cells)):
-            col = [data.d2[e][t] for e in range(n1)]
-            y = solve_integer(kmat, col)
-            if y is None:
-                raise InvariantViolation(
-                    "2-cell boundary is not a cycle")
-            ycols.append(y)
-        ymat = [[ycols[t][j] for t in range(len(ycols))] for j in range(dim_ker)]
-        snf = smith_normal_form(ymat)
-        r = snf.rank
-        torsion = tuple(abs(d) for d in snf.diagonal[:r] if abs(d) > 1)
-        winv = _unimodular_inverse(snf.u)
-        free_coords = [[winv[i][j] for i in range(dim_ker)]
-                       for j in range(r, dim_ker)]
-    else:
-        torsion = ()
-        free_coords = [[1 if i == j else 0 for i in range(dim_ker)]
-                       for j in range(dim_ker)]
+    cycle_snf = smith_normal_form(data.d1)
+    r = cycle_snf.rank
+    boundaries = [[(e, c) for e, c in enumerate(col) if c]
+                  for col in zip(*data.d2)]
+    relations = [[sum(row[e] * c for e, c in col) for col in boundaries]
+                 for row in cycle_snf.v_inv]
+    if any(x for row in relations[:r] for x in row):
+        raise InvariantViolation("2-cell boundary is not a cycle")
+    relation_snf = smith_normal_form(relations[r:])
+    rel_rank = relation_snf.rank
+    torsion = tuple(d for d in relation_snf.diagonal[:rel_rank] if d > 1)
 
     cycles: list[Chain] = []
-    for coords in free_coords:
-        vec = [sum(kmat[i][j] * coords[j] for j in range(dim_ker))
-               for i in range(n1)]
-        cycles.append({e: vec[i] for i, e in enumerate(data.one_cells)
-                       if vec[i] != 0})
-    duals = [_solve_dual(data, cycles, i) for i in range(len(cycles))]
+    for j in range(rel_rank, n1 - r):
+        coords = [row[j] for row in relation_snf.u_inv]
+        vec = [sum(x * c for x, c in zip(row[r:], coords))
+               for row in cycle_snf.v]
+        cycles.append({e: x for e, x in zip(data.one_cells, vec) if x != 0})
+    duals = list(_dual_cocycles(data, cycles))
 
     try:
         loop = skew_loop(complex_)
@@ -250,8 +225,7 @@ def dual_basis(complex_: TrapComplex, cycles: Sequence[Mapping]
         if bad:
             raise NotACycleError(f"chain has nonzero boundary {bad!r}")
         normalized.append(dict(cyc))
-    return tuple(_solve_dual(data, normalized, i)
-                 for i in range(len(normalized)))
+    return _dual_cocycles(data, normalized)
 
 
 def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
@@ -270,11 +244,10 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
         for e, c in cyc.items():
             diff[e] = diff.get(e, 0) - coef * c
     rhs = [Fraction(diff.get(e, 0)) for e in data.one_cells]
-    if any(rhs):
-        if not data.two_cells or rational_solve(data.d2, rhs) is None:
-            raise InvariantViolation(
-                "cycle is not the coordinate combination of the basis "
-                "modulo boundaries")
+    if any(rhs) and smith_normal_form(data.d2).solve(rhs) is None:
+        raise InvariantViolation(
+            "cycle is not the coordinate combination of the basis "
+            "modulo boundaries")
     return coords
 
 
@@ -596,9 +569,7 @@ def discreteness_cone(complex_: TrapComplex, z_base: Mapping,
               for e in one_cells}
 
     def least_above(bound: Fraction, unit: Fraction) -> int:
-        ratio = bound / unit
-        return int(ratio) + 1 if ratio.denominator == 1 else \
-            int(ratio // 1) + 1
+        return math.floor(bound / unit) + 1
 
     cellwise = max(least_above(spread[e], base[e]) for e in one_cells)
     margin = k + 2

@@ -19,6 +19,10 @@ from .traintrack import is_expanding, is_irreducible, transition_matrix
 from .words import Letter, Word
 
 ALPHABET = "abcdefgh"
+# random_expanding_map draws at most this many Nielsen moves per candidate
+# and gives up after this many rejected candidates
+_MAX_MOVES = 8
+_ATTEMPTS = 200
 
 
 def _substitute(images: dict[str, str], target: str, replacement: str
@@ -46,9 +50,7 @@ def rose_map(images: dict[str, str]) -> GraphMap:
 
 def random_expanding_map(seed: Optional[int] = None, *,
                          rng: Optional[random.Random] = None,
-                         rank: Optional[int] = None,
-                         max_moves: int = 8,
-                         attempts: int = 200) -> GraphMap:
+                         rank: Optional[int] = None) -> GraphMap:
     """A positive expanding irreducible self-map of a rose.
 
     Deterministic in ``seed`` (or draws from a caller-supplied ``rng``).
@@ -56,19 +58,19 @@ def random_expanding_map(seed: Optional[int] = None, *,
     """
     if rng is None:
         rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         n = rank if rank is not None else rng.choice((2, 3))
         if not 2 <= n <= len(ALPHABET):
             raise InvariantViolation(f"rank {n} out of range")
         names = list(ALPHABET[:n])
-        moves = rng.randrange(3, max_moves + 1)
+        moves = rng.randrange(3, _MAX_MOVES + 1)
         images = _random_positive_images(rng, names, moves)
         candidate = rose_map(images)
         matrix = transition_matrix(candidate)
         if is_irreducible(matrix) and is_expanding(matrix):
             return candidate
     raise InvariantViolation(
-        f"no expanding irreducible map found in {attempts} attempts")
+        f"no expanding irreducible map found in {_ATTEMPTS} attempts")
 
 
 def corpus(count: int, seed: int) -> tuple[GraphMap, ...]:

@@ -374,14 +374,12 @@ class MarkedGraph:
         return self.marking_words[gname]
 
 
-def marking_change_of_basis(marked: MarkedGraph,
-                            tree: Optional[SpanningTree] = None
+def marking_change_of_basis(marked: MarkedGraph
                             ) -> tuple[SpanningTree, tuple[str, ...], FreeGroupMap]:
     """The word-level map μ = (collapse tree) ∘ (marking) from the marking
     generators to the non-tree edges.  A marking is a homotopy equivalence
     exactly when μ is an automorphism-like change of basis."""
-    if tree is None:
-        tree = spanning_tree(marked.graph)
+    tree = spanning_tree(marked.graph)
     nontree = tuple(sorted(n for n in marked.graph.edge_names
                            if n not in tree.tree_edges))
     mu = FreeGroupMap(marked.generators, nontree,

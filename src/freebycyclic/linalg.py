@@ -3,6 +3,13 @@
 Hand-rolled on purpose: every consumer in this package needs exact answers
 (integral cohomology, dual cocycle bases, integral and rational solutions of
 linear systems), so everything here works with Python ints and Fractions.
+
+One Smith factorisation U·A·V = D answers every question asked of an exact
+linear system A: it carries U⁻¹ and V⁻¹ alongside U and V, so the integer
+kernel (columns of V beyond the rank), coordinates in that kernel (rows of
+V⁻¹ beyond the rank), free generators of a cokernel (columns of U⁻¹ beyond
+the rank) and a solution of A·x = b for any right-hand side
+(:meth:`SmithForm.solve`) all come from one elimination.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 IntMatrix = list[list[int]]
-FracVector = tuple[Fraction, ...]
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -31,11 +37,14 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
 
 @dataclass
 class SmithForm:
-    """U @ A @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+    """U @ A @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1};
+    ``u_inv`` and ``v_inv`` are the inverses of U and V."""
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -46,39 +55,68 @@ class SmithForm:
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
 
+    def solve(self, rhs: Sequence) -> Optional[tuple]:
+        """Some x with A x = b, or None when there is none.
+
+        With y = D⁺·U·b the solution is x = V·y.  V is unimodular, so an
+        integral solution exists exactly when this one is integral; entries
+        are ints then and Fractions otherwise.  Every d_i divides the last
+        nonzero d, so V·(d·y) has integer entries for an integer b and is
+        divided by d only at the end.
+        """
+        ub = [sum(c * b for c, b in zip(row, rhs)) for row in self.u]
+        r = self.rank
+        if any(ub[r:]):
+            return None
+        last = self.d[r - 1][r - 1] if r else 1
+        y = [ub[i] * (last // self.d[i][i]) for i in range(r)]
+        x = (Fraction(sum(row[i] * y[i] for i in range(r))) / last
+             for row in self.v)
+        return tuple(int(c) if c.denominator == 1 else c for c in x)
+
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     a = [list(map(int, row)) for row in matrix]
     m = len(a)
     n = len(a[0]) if a else 0
-    u = identity_matrix(m)
-    v = identity_matrix(n)
+    u, u_inv = identity_matrix(m), identity_matrix(m)
+    v, v_inv = identity_matrix(n), identity_matrix(n)
 
+    # A row operation on U is the inverse column operation on U⁻¹, and a
+    # column operation on V the inverse row operation on V⁻¹.
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, factor):
         for k in range(n):
             a[dst][k] += factor * a[src][k]
         for k in range(m):
             u[dst][k] += factor * u[src][k]
+        for row in u_inv:
+            row[src] -= factor * row[dst]
 
     def add_col(src, dst, factor):
         for row in a:
             row[dst] += factor * row[src]
         for row in v:
             row[dst] += factor * row[src]
+        v_inv[src] = [x - factor * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for row in u_inv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(m, n):
@@ -130,75 +168,4 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
             continue  # redo the clearing at the same t
         t += 1
 
-    return SmithForm(u, a, v)
-
-
-def solve_integer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]
-                  ) -> Optional[tuple[int, ...]]:
-    """Some integral x with A x = b, or None."""
-    if not matrix:
-        return ()
-    m, n = len(matrix), len(matrix[0])
-    snf = smith_normal_form(matrix)
-    ub = [sum(snf.u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(m):
-        d = snf.d[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            if i < n:
-                y[i] = ub[i] // d
-    x = [sum(snf.v[i][k] * y[k] for k in range(n)) for i in range(n)]
-    return tuple(x)
-
-
-def integer_nullspace(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel (columns of V beyond the rank)."""
-    if not matrix or not matrix[0]:
-        n = len(matrix[0]) if matrix else 0
-        return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    snf = smith_normal_form(matrix)
-    n = len(matrix[0])
-    r = snf.rank
-    return [tuple(snf.v[i][j] for i in range(n)) for j in range(r, n)]
-
-
-# ---------------------------------------------------------------------------
-# rational elimination
-
-
-def rational_solve(matrix: Sequence[Sequence], rhs: Sequence
-                   ) -> Optional[FracVector]:
-    """Some rational x with A x = b, or None."""
-    m = len(matrix)
-    n = len(matrix[0]) if matrix else 0
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
-    return tuple(x)
+    return SmithForm(u, a, v, u_inv, v_inv)

@@ -32,8 +32,7 @@ class Vertical:
     name: str
     start: str
     end: str
-    span: int                              # fold windows crossed
-    trace: tuple[tuple[str, int], ...]     # (vertex, stage) entering each window
+    span: int            # fold windows crossed
 
 
 @dataclass
@@ -126,12 +125,6 @@ class TrapComplex:
         return out
 
 
-def _fold_window(seq: FoldSequence, j: int):
-    """(kept direction, dropped direction) of fold j (1-based)."""
-    record = seq.folds[j - 1]
-    return record.kept, record.dropped
-
-
 _MAX_SWEEP_STEPS = 200_000  # over all trapezoids, before build_torus gives up
 
 
@@ -152,7 +145,9 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
     def cell_name(vs: tuple[str, int]) -> str:
         return f"{vs[0]}.{vs[1]}"
 
-    # ---- skew cells
+    # ---- skew cells; zero cells: base vertices plus skew endpoints
+    cell_set: dict[tuple[str, int], str] = {
+        (v, 0): cell_name((v, 0)) for v in codomain.vertices}
     skews: list[SkewCell] = []
     for record in seq.folds:
         i = record.index
@@ -167,42 +162,33 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
             bottom = norm(q.vertex_map[prev.init_of(keep)], i)
             top = norm(q.vertex_map[prev.term_of(keep)], i)
             rise = 0
+        for endpoint in (bottom, top):
+            cell_set[endpoint] = cell_name(endpoint)
         skews.append(SkewCell(f"skew{i}", i, record.kind, cell_name(bottom),
                               cell_name(top), rise, keep[0], keep))
-
-    # ---- zero cells: base vertices plus skew endpoints
-    cell_set: dict[tuple[str, int], str] = {}
-    for v in codomain.vertices:
-        cell_set[(v, 0)] = cell_name((v, 0))
-    for s in skews:
-        for endpoint in (s.bottom, s.top):
-            vertex, stage = endpoint.rsplit(".", 1)
-            cell_set[(vertex, int(stage))] = endpoint
     zero_cells = tuple(ZeroCell(name, vs[0], vs[1])
                        for vs, name in sorted(cell_set.items(),
                                               key=lambda kv: (kv[0][1], kv[0][0])))
 
     # ---- verticals: walk each 0-cell upward to the next 0-cell
     def walk_vertex(vertex: str, stage: int):
-        """((vertex, stage) entering each crossed window, then the end cell)."""
+        """(number of fold windows crossed, end cell)."""
         cur, st = vertex, stage
-        trace = []
-        for _ in range(k + 1):
-            trace.append((cur, st))
+        for span in range(1, k + 2):
             cur = seq.maps[st].vertex_map[cur]
             st += 1
             if st == k:
                 cur, st = h_vmap[cur], 0
             if (cur, st) in cell_set:
-                return trace, (cur, st)
+                return span, (cur, st)
         raise InvariantViolation(
             f"vertical walk from {vertex}.{stage} did not close")
 
     verticals = []
     for cell in zero_cells:
-        trace, end = walk_vertex(cell.vertex, cell.stage)
+        span, end = walk_vertex(cell.vertex, cell.stage)
         verticals.append(Vertical(f"up:{cell.name}", cell.name,
-                                  cell_set[end], len(trace), tuple(trace)))
+                                  cell_set[end], span))
     vertical_from = {v.start: v for v in verticals}
 
     # endpoint of skew cells with their window heights, for corner matching
@@ -260,7 +246,8 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
                                     x_lo + (slot + 1) * width, 0, height))
                 continue
             j = stage + 1
-            keep, drop = _fold_window(seq, j)
+            record = seq.folds[j - 1]
+            keep, drop = record.kept, record.dropped
             if edge == keep[0]:
                 hits.append((x_lo, x_hi, skew_by_index[j], sign * keep[1], height))
             elif edge == drop[0]:
@@ -302,10 +289,8 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
                 cur, cur_h = vert.end, cur_h + vert.span
             return tuple(chain)
 
-        first_start, _ = piece_endpoints(skew_by_index[hits[0][2].index],
-                                         hits[0][3], hits[0][4])
-        _, last_end = piece_endpoints(skew_by_index[hits[-1][2].index],
-                                      hits[-1][3], hits[-1][4])
+        first_start, _ = piece_endpoints(*hits[0][2:])
+        _, last_end = piece_endpoints(*hits[-1][2:])
         bottom_h = -1 if skew.rise == 1 else 0
         left = walk_chain(skew.bottom, bottom_h, first_start, "left")
         right = walk_chain(skew.top, 0, last_end, "right")

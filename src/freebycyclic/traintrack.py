@@ -25,10 +25,15 @@ from .words import Letter, Word, format_word, inverse, inverse_letter
 Turn = frozenset  # frozenset[Letter] of size 2
 
 # eigen_metric stops at this residual or after this many iterations; the
-# eigenray Nielsen search skips a half whose tight image passes the cap
+# eigenray Nielsen search skips a half whose tight image passes the cap; a
+# periodic orbit is abandoned once an iterate passes the growth cap; direct
+# enumeration stops after the candidate cap or at the found cap
 _EIGEN_TOL = 1e-12
 _EIGEN_MAX_ITERATIONS = 200_000
 _POWER_IMAGE_CAP = 1_000_000
+_ORBIT_GROWTH_CAP = 100_000
+_CANDIDATE_CAP = 200_000
+_FOUND_CAP = 500
 
 
 def make_turn(d1: Letter, d2: Letter) -> Turn:
@@ -424,12 +429,11 @@ class NielsenReport:
         return not self.found and self.exhaustive
 
 
-def _orbit_period(f: GraphMap, path: Word, max_period: int,
-                  growth_cap: int = 100_000) -> Optional[int]:
+def _orbit_period(f: GraphMap, path: Word, max_period: int) -> Optional[int]:
     cur = path
     for p in range(1, max_period + 1):
         cur = f.apply_tight(cur)
-        if len(cur) > growth_cap:
+        if len(cur) > _ORBIT_GROWTH_CAP:
             return None
         if cur == path:
             return p
@@ -462,24 +466,25 @@ def _ray_prefix(f: GraphMap, period: int, d: Letter, length: int) -> Word:
     return word[:length]
 
 
-def _power_image(f: GraphMap, word: Word, period: int) -> Optional[Word]:
-    """Tight f^period-image of ``word``, or None once a step passes the cap."""
-    out = word
-    for _ in range(period):
-        out = f.apply_tight(out)
-        if len(out) > _POWER_IMAGE_CAP:
-            return None
-    return out
-
-
-def _eigenray_search(f: GraphMap, max_len: int, max_period: int
-                     ) -> tuple[list[tuple[Word, int]], bool]:
+def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
+                     max_period: int) -> tuple[list[tuple[Word, int]], bool]:
     """Periodic Nielsen paths from eigenray halves, and whether every
-    half's image stayed under ``_POWER_IMAGE_CAP``."""
+    half's image stayed under ``_POWER_IMAGE_CAP``.
+
+    The map is an expanding irreducible train track map, so eigenray
+    prefixes are legal and f^k never cancels inside them: the tight
+    f^period-image of a prefix has the length predicted from the crossing
+    matrix, and lengths never shrink, so a half whose predicted length
+    passes the cap is skipped without being built.
+    """
     dmap = direction_map(f)
+    index = {e: i for i, e in enumerate(matrix.edges)}
+    image_lengths = [1] * len(matrix.edges)  # of f^period-images of edges
     found: dict[Word, int] = {}
     capped = False
     for period in range(1, max_period + 1):
+        image_lengths = [sum(count * image_lengths[j] for j, count in row)
+                         for row in matrix.entries]
         fixed = []
         for d in dmap:
             cur = d
@@ -495,10 +500,16 @@ def _eigenray_search(f: GraphMap, max_len: int, max_period: int
             ray = rays[d]
             for a in range(1, min(len(ray), max_len - 1) + 1):
                 sigma = ray[:a]
-                image = _power_image(f, sigma, period)
-                if image is None:
+                predicted = sum(image_lengths[index[name]] for name, _ in sigma)
+                if predicted > _POWER_IMAGE_CAP:
                     capped = True
                     continue
+                image = f.iterate_tight(sigma, period)
+                if len(image) != predicted:
+                    raise InvariantViolation(
+                        f"f^{period}-image of the eigenray prefix "
+                        f"{format_word(sigma)} has {len(image)} letters, "
+                        f"not the {predicted} its crossing counts predict")
                 if image[:a] != sigma:
                     continue
                 halves.append((d, sigma, image[a:]))
@@ -543,8 +554,7 @@ def _eigenray_search(f: GraphMap, max_len: int, max_period: int
     return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])), capped
 
 
-def _enumeration_search(f: GraphMap, max_len: int, max_period: int,
-                        candidate_cap: int = 200_000, found_cap: int = 500
+def _enumeration_search(f: GraphMap, max_len: int, max_period: int
                         ) -> tuple[list[tuple[Word, int]], bool]:
     graph = f.domain
     found: list[tuple[Word, int]] = []
@@ -556,7 +566,7 @@ def _enumeration_search(f: GraphMap, max_len: int, max_period: int,
     while stack:
         path = stack.pop()
         examined += 1
-        if examined > candidate_cap or len(found) >= found_cap:
+        if examined > _CANDIDATE_CAP or len(found) >= _FOUND_CAP:
             truncated = True
             break
         p = _orbit_period(f, path, max_period)
@@ -587,7 +597,7 @@ def nielsen_search(f: GraphMap, max_len: int = 10, max_period: int = 6
     matrix = transition_matrix(f)
     tt, _ = is_train_track(f)
     if tt and is_expanding(matrix):
-        found, capped = _eigenray_search(f, max_len, max_period)
+        found, capped = _eigenray_search(f, matrix, max_len, max_period)
         note = (f"incomplete: a half whose image passed "
                 f"{_POWER_IMAGE_CAP:,} letters was skipped" if capped else
                 "complete within bounds for expanding irreducible train "

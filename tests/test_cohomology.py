@@ -1,5 +1,7 @@
 """Homology, duality, cone, and perturbation tests on the bundled complexes."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -345,6 +347,40 @@ def test_fractional_small_corpus_classes_agree_with_oracle(corpus_tori):
                 kinds.add(assert_agrees_with_oracle(torus, z))
     assert kinds == {(None, NonIntegralClassError),
                      (ConeInfeasibleError, ConeInfeasibleError)}
+
+
+def test_h1_and_dual_bases_match_their_golden_digest(bundled, doubling_torus,
+                                                    corpus_tori):
+    # One sha256 over h1 and the dual basis of its cycles on the bundled
+    # torus, the doubling torus and the corpus tori by index; values are
+    # written with str, so an int and an equal Fraction read the same.
+    def chains(zs):
+        return [sorted((c, str(v)) for c, v in z.items()) for z in zs]
+
+    digest = hashlib.sha256()
+    for torus in (bundled[1], doubling_torus[1], *corpus_tori.values()):
+        h = co.h1(torus)
+        digest.update(json.dumps([h.rank, list(h.torsion), chains(h.cycles),
+                                  chains(h.duals)]).encode())
+        digest.update(json.dumps(chains(co.dual_basis(torus, h.cycles)))
+                      .encode())
+    assert digest.hexdigest() == ("2c3e7aedc5458bfd089231c5cec42b29"
+                                  "d7e9b81e9651f122e86eb37bfd839a64")
+
+
+def test_each_linear_system_is_factored_once(bundled, corpus_tori,
+                                             monkeypatch):
+    # h1 factors d1, the relation matrix and the dual system; dual_basis
+    # factors only the dual system.
+    calls = []
+    factor = co.smith_normal_form
+    monkeypatch.setattr(co, "smith_normal_form",
+                        lambda matrix: calls.append(1) or factor(matrix))
+    co.h1(corpus_tori[74])
+    assert len(calls) == 3
+    calls.clear()
+    co.dual_basis(bundled[1], [CYCLE_B, CYCLE_R])
+    assert len(calls) == 1
 
 
 def test_least_fiber_cocycle_of_the_largest_corpus_torus(corpus_tori):

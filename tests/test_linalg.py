@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebycyclic.linalg import (identity_matrix, integer_nullspace,
-                                 mat_mul, rational_solve, smith_normal_form,
-                                 solve_integer)
+from freebycyclic.linalg import identity_matrix, mat_mul, smith_normal_form
 
 from fm_oracle import (lexmin_nonnegative, minimum_of_coordinate,
                        solve_inequalities)
@@ -59,6 +57,8 @@ def check_snf(matrix):
     assert mat_mul(mat_mul(snf.u, [list(r) for r in matrix]), snf.v) == snf.d
     assert abs(det(snf.u)) == 1
     assert abs(det(snf.v)) == 1
+    assert mat_mul(snf.u, snf.u_inv) == identity_matrix(m)
+    assert mat_mul(snf.v, snf.v_inv) == identity_matrix(n)
     diag = snf.diagonal
     for i in range(m):
         for j in range(n):
@@ -85,35 +85,45 @@ def test_snf_random(rows):
     check_snf(rows)
 
 
+def solve(matrix, rhs):
+    return smith_normal_form(matrix).solve(rhs)
+
+
+def is_integral(x):
+    return all(Fraction(c).denominator == 1 for c in x)
+
+
 def test_solve_integer():
-    x = solve_integer([[2, 4]], [6])
-    assert x is not None and 2 * x[0] + 4 * x[1] == 6
-    assert solve_integer([[2, 4]], [3]) is None
+    x = solve([[2, 4]], [6])
+    assert x is not None and is_integral(x) and 2 * x[0] + 4 * x[1] == 6
+    x = solve([[2, 4]], [3])
+    assert x is not None and not is_integral(x)
     # (x, y) = (-3, 4) solves this one integrally
-    x = solve_integer([[1, 2], [3, 4]], [5, 7])
-    assert x is not None
+    x = solve([[1, 2], [3, 4]], [5, 7])
+    assert x is not None and is_integral(x)
     assert (x[0] + 2 * x[1], 3 * x[0] + 4 * x[1]) == (5, 7)
-    # rational-only solution (-4, 9/2) must be rejected
-    assert solve_integer([[1, 2], [3, 4]], [5, 6]) is None
+    # only the rational solution (-4, 9/2) exists
+    assert solve([[1, 2], [3, 4]], [5, 6]) == (-4, Fraction(9, 2))
     # inconsistent system
-    assert solve_integer([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_integer_nullspace():
-    basis = integer_nullspace([[1, 2, 3]])
+    snf = smith_normal_form([[1, 2, 3]])
+    basis = [tuple(row[j] for row in snf.v) for j in range(snf.rank, 3)]
     assert len(basis) == 2
     for v in basis:
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
     assert rational_rank(basis) == 2
     # the kernel of the zero map is everything
-    assert len(integer_nullspace([[0, 0]])) == 2
+    assert smith_normal_form([[0, 0]]).rank == 0
 
 
 def test_rational_solve():
-    x = rational_solve([[2, 0], [0, 4]], [1, 1])
+    x = solve([[2, 0], [0, 4]], [1, 1])
     assert x == (Fraction(1, 2), Fraction(1, 4))
-    assert rational_solve([[1, 1], [1, 1]], [0, 1]) is None
-    x = rational_solve([[1, 1]], [7])
+    assert solve([[1, 1], [1, 1]], [0, 1]) is None
+    x = solve([[1, 1]], [7])
     assert x is not None and x[0] + x[1] == 7
 
 
