@@ -166,8 +166,10 @@ class Workspace:
     pairing: Optional[tuple[int, int]]
 
 
-def load_workspace(path_text: str, *, need_presentation: bool = False,
-                   need_complex: bool = False) -> Workspace:
+def load_workspace(path_text: str, *, with_classes: bool = False
+                   ) -> Workspace:
+    """Parse a ``.map`` or ``.2gen`` input.  ``with_classes`` requires a
+    presentation and builds the torus, the dual class basis and the pairing."""
     path = Path(path_text)
     if not path.is_file():
         raise InputParseError(f"no such input file: {path}")
@@ -185,19 +187,17 @@ def load_workspace(path_text: str, *, need_presentation: bool = False,
         raise InputParseError(
             f"unrecognized input extension {path.suffix!r}; "
             "expected .map or .2gen")
-    if need_presentation and presentation is None:
-        raise InputParseError(
-            "class coordinates are read in a presentation's dual basis; "
-            "supply a .2gen input")
     complex_ = duals = pairing = None
-    if need_complex:
+    if with_classes:
+        if presentation is None:
+            raise InputParseError(
+                "class coordinates are read in a presentation's dual basis; "
+                "supply a .2gen input")
         complex_ = build_torus(decompose(mapfile.gmap))
-        if presentation is not None:
-            cycles = [presentation.dualcycles[g]
-                      for g in presentation.generators]
-            duals = tuple(co.dual_basis(complex_, cycles))
-            pairing = bns.pairing_coordinates(complex_, cycles, duals,
-                                              skew_loop(complex_))
+        cycles = [presentation.dualcycles[g] for g in presentation.generators]
+        duals = tuple(co.dual_basis(complex_, cycles))
+        pairing = bns.pairing_coordinates(complex_, cycles, duals,
+                                          skew_loop(complex_))
     return Workspace(mapfile, presentation, complex_, duals, pairing)
 
 
@@ -258,7 +258,7 @@ def cmd_traintrack(cfg: RunConfig) -> int:
 
 
 def cmd_survey(cfg: RunConfig) -> int:
-    ws = load_workspace(cfg.input, need_presentation=True, need_complex=True)
+    ws = load_workspace(cfg.input, with_classes=True)
     pres = ws.presentation
     trace = bns.trace_polygon(pres)
     slopes = bns.excluded_directions(trace)
@@ -339,8 +339,7 @@ def _build_for_class(cfg: RunConfig, ws: Workspace, coords: tuple[int, int]):
     """
     cb, cr = coords
     co.cone_membership(ws.complex_, _class_of(ws, coords))
-    canonical = (ws.pairing is not None
-                 and cb * ws.pairing[0] + cr * ws.pairing[1] == 1
+    canonical = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1
                  and cr == cb + 1 and cb >= 0
                  and cfg.phase == Fraction(1, 2))
     if canonical:
@@ -352,7 +351,7 @@ def _build_for_class(cfg: RunConfig, ws: Workspace, coords: tuple[int, int]):
 
 
 def cmd_section(cfg: RunConfig) -> int:
-    ws = load_workspace(cfg.input, need_presentation=True, need_complex=True)
+    ws = load_workspace(cfg.input, with_classes=True)
     coords = _require_class(cfg)
     if math.gcd(abs(coords[0]), abs(coords[1])) != 1:
         return _disconnection_report(cfg, ws, coords)
@@ -413,7 +412,7 @@ def _input_class_match(ws: Workspace, data: sect.MonodromyData
 
 
 def cmd_monodromy(cfg: RunConfig) -> int:
-    ws = load_workspace(cfg.input, need_presentation=True, need_complex=True)
+    ws = load_workspace(cfg.input, with_classes=True)
     coords = _require_class(cfg)
     if math.gcd(abs(coords[0]), abs(coords[1])) != 1:
         return _disconnection_report(cfg, ws, coords)

@@ -2,9 +2,10 @@
 
 Subdivide a map at image preimages so every edge carries a single-edge label,
 then repeatedly identify label-equal direction pairs (folds) until the
-remaining labelling is a graph isomorphism.  The recorded sequence
-reassembles verbatim into the original map and drives the mapping torus
-construction.
+remaining labelling is a graph isomorphism.  Each fold is kept as a
+:class:`FoldRecord` and nothing else: the record determines the fold map,
+and the torus construction and :meth:`FoldSequence.verify` read the records
+directly.  The recorded sequence reassembles verbatim into the original map.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ from dataclasses import dataclass
 
 from .errors import FoldStuckError, InvariantViolation
 from .graphs import Graph, GraphMap, Subdivision, compose, subdivide_at_preimages
-from .words import Letter, format_word
+from .words import Letter
 
 
 def _letter_key(letter: Letter):
     return (letter[0], -letter[1])
-
-
-def format_letter(letter: Letter) -> str:
-    return format_word((letter,))
 
 
 @dataclass
@@ -40,6 +37,13 @@ class Stage:
 
 @dataclass
 class FoldRecord:
+    """One fold, and with it the fold map from the stage before to the next.
+
+    The map sends ``dropped`` onto ``kept`` (with sign
+    ``kept[1] * dropped[1]``), each vertex in ``merged_vertices`` to its
+    representative, and fixes every other edge and vertex.
+    """
+
     index: int                       # 1-based position in the sequence
     kind: str                        # "strict" | "offset"
     vertex: str                      # shared vertex in the previous stage
@@ -54,8 +58,7 @@ class FoldSequence:
     original: GraphMap
     subdivision: Subdivision
     stages: tuple[Stage, ...]        # stages[0] is the subdivided graph
-    folds: tuple[FoldRecord, ...]
-    maps: tuple[GraphMap, ...]       # maps[i]: stages[i].graph -> stages[i+1].graph
+    folds: tuple[FoldRecord, ...]    # folds[i]: stages[i] -> stages[i+1]
     final_iso: GraphMap              # last stage -> codomain, bijective
 
     @property
@@ -63,125 +66,91 @@ class FoldSequence:
         return len(self.folds)
 
     def verify(self) -> None:
-        """Chase the subdivided graph through the fold maps and insist the
-        chain reproduces the original map verbatim.
+        """Chase the codomain labelling back through the fold records and
+        insist the chain reproduces the original map verbatim.
 
-        Every fold map and ``final_iso`` send each edge to a single letter,
-        so the codomain label of every edge and vertex is pulled back one
-        map at a time, from ``final_iso`` to the subdivided graph, as one
-        oriented letter or one name; no per-stage composite is built.
-        Three checks: the fold count matches the edge loss, the
-        chased labelling equals the subdivision's single-letter labelling,
-        and that labelling, built once as a validated ``GraphMap`` and
-        composed with the subdivision, gives back the original map.
+        ``final_iso`` and every fold send each edge to a single letter, so
+        the codomain label of every edge and vertex is pulled back one fold
+        at a time, from ``final_iso`` to the subdivided graph, as one
+        oriented letter or one name.  Three checks: the fold count matches
+        the edge loss, the chased labelling equals the subdivision's
+        single-letter labelling, and that labelling, built once as a
+        validated ``GraphMap`` and composed with the subdivision, gives
+        back the original map.
         """
         if self.fold_count != (len(self.stages[0].graph.edges)
                                - len(self.stages[-1].graph.edges)):
             raise InvariantViolation("fold count does not match edge loss")
-        chain = (*self.maps, self.final_iso)
-        for step, (q, nxt) in enumerate(zip(chain, chain[1:]), start=1):
-            if q.codomain != nxt.domain:
-                raise InvariantViolation(
-                    f"fold map {step} does not end where the next map starts")
-        # pull the codomain labelling back one map at a time, last map first
-        labels: dict[str, Letter] = {
-            name: (name, 1) for name in self.final_iso.codomain.edge_names}
-        vertex_labels = {v: v for v in self.final_iso.codomain.vertices}
-        for step in range(len(chain), 0, -1):
-            q = chain[step - 1]
+        iso = self.final_iso
+        if iso.domain != self.stages[-1].graph:
+            raise InvariantViolation(
+                "final_iso does not start at the last stage of the fold chain")
+        # an edge without a single-letter image is left out, so the chase fails
+        labels = {name: img[0] for name, img in iso.edge_images.items()
+                  if len(img) == 1}
+        vertex_labels = dict(iso.vertex_map)
+        for record in reversed(self.folds):
+            graph = self.stages[record.index - 1].graph
+            merged = dict(record.merged_vertices)
+            kept, dropped = record.kept, record.dropped
             pulled: dict[str, Letter] = {}
-            for name, _init, _term in q.domain.edges:
-                img = q.edge_images.get(name, ())
-                if len(img) != 1 or img[0][0] not in labels:
+            for name in graph.edge_names:
+                target, sign = (kept[0], kept[1] * dropped[1]) \
+                    if name == dropped[0] else (name, 1)
+                if target not in labels:
                     raise InvariantViolation(
-                        f"map {step} of the fold chain does not send edge "
-                        f"{name!r} to a single edge")
-                ((target, sign),) = img
+                        f"fold {record.index} of the fold chain sends edge "
+                        f"{name!r} to no edge of the next stage")
                 label, label_sign = labels[target]
                 pulled[name] = (label, label_sign * sign)
             pulled_vertices: dict[str, str] = {}
-            for v in q.domain.vertices:
-                image = q.vertex_map.get(v)
+            for v in graph.vertices:
+                image = merged.get(v, v)
                 if image not in vertex_labels:
                     raise InvariantViolation(
-                        f"map {step} of the fold chain sends vertex {v!r} "
-                        f"to no vertex of the next stage")
+                        f"fold {record.index} of the fold chain sends vertex "
+                        f"{v!r} to no vertex of the next stage")
                 pulled_vertices[v] = vertex_labels[image]
             labels, vertex_labels = pulled, pulled_vertices
-        composite = GraphMap(chain[0].domain, self.final_iso.codomain,
-                             vertex_labels,
-                             {name: (lt,) for name, lt in labels.items()})
-        # the composite over the subdivided graph is the single-letter labelling
-        for name in self.stages[0].graph.edge_names:
-            if composite.edge_images.get(name) != \
-                    self.subdivision.relabeled.edge_images[name]:
+        # the chased labelling of the subdivided graph is its own labelling
+        for name, lt in labels.items():
+            if (lt,) != self.subdivision.relabeled.edge_images[name]:
                 raise InvariantViolation(
                     f"fold chain mislabels subdivided edge {name}")
+        composite = GraphMap(self.stages[0].graph, iso.codomain, vertex_labels,
+                             {name: (lt,) for name, lt in labels.items()})
         total = compose(composite, self.subdivision.inclusion)
         if total.vertex_map != self.original.vertex_map or any(
                 total.edge_images[e] != self.original.edge_images[e]
                 for e in self.original.domain.edge_names):
             raise InvariantViolation("recomposed fold sequence differs from map")
 
-    def to_json(self) -> dict:
-        def stage_json(stage: Stage) -> dict:
-            return {
-                "vertices": list(stage.graph.vertices),
-                "edges": [[name, init, term,
-                           format_letter(stage.edge_labels[name])]
-                          for name, init, term in stage.graph.edges],
-                "vertex_labels": dict(sorted(stage.vertex_labels.items())),
-            }
-
-        return {
-            "fold_count": self.fold_count,
-            "stages": [stage_json(s) for s in self.stages],
-            "folds": [{
-                "index": r.index,
-                "kind": r.kind,
-                "vertex": r.vertex,
-                "kept": format_letter(r.kept),
-                "dropped": format_letter(r.dropped),
-                "label": format_letter(r.label),
-                "merged_vertices": [list(p) for p in r.merged_vertices],
-            } for r in self.folds],
-            "final_iso": {
-                "vertices": dict(sorted(self.final_iso.vertex_map.items())),
-                "edges": {e: format_word(self.final_iso.edge_images[e])
-                          for e in self.final_iso.domain.edge_names},
-            },
-        }
-
 
 Candidate = tuple[str, Letter, Letter, Letter, str]  # vertex, label, d1, d2, kind
 
 
-def _pick_fold(stage: Stage, policy: str) -> Candidate | None:
-    """The fold ``policy`` takes at this stage, or None when none applies.
+def _pick_fold(stage: Stage) -> Candidate | None:
+    """The least fold at this stage by (vertex, label, directions), or None
+    when none applies.
 
-    "lex" takes the least candidate by (vertex, label, directions) and
-    "reverse" the greatest, so only the first vertex in policy order that
-    has a fold is examined, and at it the least or greatest label.  A
-    strict fold is two directions at a vertex with one label.  When no
-    vertex has one, every label occurs at most once per vertex, and an
-    offset fold at v is the direction d2 labelled L at v with d1 the
-    reverse of the direction labelled L⁻¹ at v (so d1 ends where d2
-    starts), on two different edges.
+    Only the first vertex in name order that has a fold is examined, and at
+    it the least label.  A strict fold is two directions at a vertex with
+    one label.  When no vertex has one, every label occurs at most once per
+    vertex, and an offset fold at v is the direction d2 labelled L at v
+    with d1 the reverse of the direction labelled L⁻¹ at v (so d1 ends
+    where d2 starts), on two different edges.
     """
     graph = stage.graph
-    last = policy == "reverse"
-    pick = max if last else min
     by_vertex: list[tuple[str, dict[Letter, list[Letter]]]] = []
-    for v in sorted(graph.vertices, reverse=last):
+    for v in sorted(graph.vertices):
         by_label: dict[Letter, list[Letter]] = {}
         for d in graph.directions(v):
             by_label.setdefault(stage.direction_label(d), []).append(d)
         by_vertex.append((v, by_label))
         repeated = [label for label, group in by_label.items() if len(group) > 1]
         if repeated:
-            label = pick(repeated, key=_letter_key)
-            group = by_label[label]
-            d1, d2 = group[-2:] if last else group[:2]
+            label = min(repeated, key=_letter_key)
+            d1, d2 = by_label[label][:2]
             return (v, label, d1, d2, "strict")
     for v, by_label in by_vertex:
         offsets = []
@@ -190,13 +159,13 @@ def _pick_fold(stage: Stage, policy: str) -> Candidate | None:
             if back is not None and back[0][0] != d2[0]:
                 offsets.append((label, (back[0][0], -back[0][1]), d2))
         if offsets:
-            label, d1, d2 = pick(offsets, key=lambda o: _letter_key(o[0]))
+            label, d1, d2 = min(offsets, key=lambda o: _letter_key(o[0]))
             return (v, label, d1, d2, "offset")
     return None
 
 
 def _apply_fold(stage: Stage, cand: Candidate, index: int
-                ) -> tuple[Stage, GraphMap, FoldRecord]:
+                ) -> tuple[Stage, FoldRecord]:
     vertex, label, d1, d2, kind = cand
     graph = stage.graph
     # keep the direction with the smaller edge name
@@ -231,46 +200,34 @@ def _apply_fold(stage: Stage, cand: Candidate, index: int
     new_vertices = tuple(sorted(set(rep.values())))
     new_edges = tuple((name, rep[i], rep[t]) for name, i, t in graph.edges
                       if name != drop_edge)
-    new_graph = Graph(new_vertices, new_edges)
     new_labels = {n: l for n, l in stage.edge_labels.items() if n != drop_edge}
     new_vlabels = {v: stage.vertex_labels[v] for v in new_vertices}
-    new_stage = Stage(new_graph, new_labels, new_vlabels)
-
-    images = {name: ((name, 1),) for name, _i, _t in graph.edges
-              if name != drop_edge}
-    images[drop_edge] = ((keep[0], keep[1] * drop[1]),)
-    q = GraphMap(graph, new_graph, dict(rep), images)
-    record = FoldRecord(index, kind, vertex, keep, drop, label, merged)
-    return new_stage, q, record
+    new_stage = Stage(Graph(new_vertices, new_edges), new_labels, new_vlabels)
+    return new_stage, FoldRecord(index, kind, vertex, keep, drop, label, merged)
 
 
-def decompose(f: GraphMap, policy: str = "lex") -> FoldSequence:
+def decompose(f: GraphMap) -> FoldSequence:
     """Fold the subdivided map down to an isomorphism over the codomain.
 
-    ``policy`` picks among simultaneously available folds: "lex" takes the
-    least candidate by (vertex, label, directions), "reverse" the greatest.
-    Strict folds (shared initial vertex) are always preferred; head-to-tail
+    Every step takes the least available fold (:func:`_pick_fold`): strict
+    folds (shared initial vertex) are always preferred, and head-to-tail
     label-equal pairs are folded only when no strict fold exists.  Raises
-    FoldStuckError when no fold applies and the labelling is not yet a graph
-    isomorphism.
+    FoldStuckError when no fold applies and the labelling is not yet a
+    graph isomorphism.
     """
-    if policy not in ("lex", "reverse"):
-        raise InvariantViolation(f"unknown fold policy: {policy}")
     sub = subdivide_at_preimages(f)
     labels = {name: images[0]
               for name, images in sub.relabeled.edge_images.items()}
     stage = Stage(sub.graph, labels, dict(sub.relabeled.vertex_map))
     stages = [stage]
     folds: list[FoldRecord] = []
-    maps: list[GraphMap] = []
     codomain = f.codomain
     for _safety in range(len(sub.graph.edges) + 1):
-        cand = _pick_fold(stage, policy)
+        cand = _pick_fold(stage)
         if cand is None:
             break
-        stage, q, record = _apply_fold(stage, cand, len(folds) + 1)
+        stage, record = _apply_fold(stage, cand, len(folds) + 1)
         stages.append(stage)
-        maps.append(q)
         folds.append(record)
     else:
         raise InvariantViolation("fold loop exceeded the edge budget")
@@ -289,7 +246,6 @@ def decompose(f: GraphMap, policy: str = "lex") -> FoldSequence:
             f"{'bijective' if vertex_ok else 'not bijective'})")
     final = GraphMap(stage.graph, codomain, dict(vlabels),
                      {name: (label,) for name, label in stage.edge_labels.items()})
-    seq = FoldSequence(f, sub, tuple(stages), tuple(folds), tuple(maps), final)
+    seq = FoldSequence(f, sub, tuple(stages), tuple(folds), final)
     seq.verify()
     return seq
-

@@ -203,20 +203,24 @@ def _crossing_name(cell: str, index: int) -> str:
     return f"{cell}#{index}"
 
 
+# caps the steps of one point flow and the iterations of the vertex flow
+# closure in build_section; read at call time
+_FLOW_BUDGET = 100_000
+
+
 @dataclass
 class _Level:
     """The crossing grid and the exact forward semiflow of the level sets
     of one cocycle at one phase.
 
-    ``budget`` caps the steps of one point flow (``vertex_step``); the
-    segment flow of ``first_return`` makes none.
+    ``_FLOW_BUDGET`` caps the steps of one point flow (``vertex_step``);
+    the segment flow of ``first_return`` makes none.
     """
 
     complex: TrapComplex
     charts: dict[str, HeightChart]
     z: Mapping
     phase: Fraction
-    budget: int = 0
 
     def crossing(self, cell: str, local: Fraction) -> str:
         """The crossing of ``cell`` at height ``local`` above its start."""
@@ -255,9 +259,9 @@ class _Level:
 
     def _spend(self, steps: int) -> int:
         steps += 1
-        if steps > self.budget:
+        if steps > _FLOW_BUDGET:
             raise IterationBudgetError(
-                f"flow trace exceeded {self.budget} steps")
+                f"flow trace exceeded {_FLOW_BUDGET} steps")
         return steps
 
     def climb(self, zero_cell: str, remaining: Fraction, steps: int
@@ -360,8 +364,7 @@ def _components(graph: Graph) -> tuple[tuple[str, ...], ...]:
 
 
 def build_section(complex_: TrapComplex, cocycle: Mapping,
-                  phase=Fraction(1, 2), budget: int = 100_000
-                  ) -> SectionGraph:
+                  phase=Fraction(1, 2)) -> SectionGraph:
     """Level-set graph of a nonnegative integral cocycle.
 
     Vertices are crossings of 1-cells together with the forward-flow
@@ -387,7 +390,7 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
         raise InvariantViolation("the zero cocycle has an empty level set")
     phase = _generic_phase(phase)
     charts = build_charts(complex_, z)
-    grid = _Level(complex_, charts, z, phase, budget)
+    grid = _Level(complex_, charts, z, phase)
 
     arcs = []  # (trap, level, x_lo, x_hi, init vertex, term vertex)
     for trap in sorted(charts):
@@ -415,9 +418,9 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
     spent = 0
     while queue:
         spent += 1
-        if spent > budget:
+        if spent > _FLOW_BUDGET:
             raise IterationBudgetError(
-                f"vertex flow closure exceeded {budget} iterations")
+                f"vertex flow closure exceeded {_FLOW_BUDGET} iterations")
         vertex = queue.popleft()
         landing = grid.vertex_step(host[vertex])
         if landing[0] == "vertex":
@@ -691,12 +694,11 @@ class LineSection:
     monodromy: MonodromyData
 
 
-def line_section(complex_: TrapComplex, k: int, phase=Fraction(1, 2)
-                 ) -> LineSection:
-    """Section, canonical first return table, and monodromy for the k-th
-    member of the cocycle line family of the complex."""
+def line_section(complex_: TrapComplex, k: int) -> LineSection:
+    """Section at phase 1/2, canonical first return table, and monodromy
+    for the k-th member of the cocycle line family of the complex."""
     z = line_family_cocycle(complex_, k)
-    section = build_section(complex_, z, phase)
+    section = build_section(complex_, z)
     if len(section.components) != 1:
         raise DisconnectedGraphError(
             f"line-family section has {len(section.components)} components")

@@ -136,6 +136,8 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
             "construction needs at least one fold window")
     codomain = seq.original.codomain
     h_vmap = seq.final_iso.vertex_map
+    # merged[i]: the vertices fold i+1 renames; every other vertex is fixed
+    merged = [dict(record.merged_vertices) for record in seq.folds]
 
     def norm(vertex: str, stage: int) -> tuple[str, int]:
         if stage == k:
@@ -152,15 +154,16 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
     for record in seq.folds:
         i = record.index
         prev = seq.stages[i - 1].graph
-        q = seq.maps[i - 1]
+        renames = merged[i - 1]
         keep = record.kept
+        top_vertex = prev.term_of(keep)
+        top = norm(renames.get(top_vertex, top_vertex), i)
         if record.kind == "strict":
             bottom = (record.vertex, i - 1)
-            top = norm(q.vertex_map[prev.term_of(keep)], i)
             rise = 1
         else:
-            bottom = norm(q.vertex_map[prev.init_of(keep)], i)
-            top = norm(q.vertex_map[prev.term_of(keep)], i)
+            bottom_vertex = prev.init_of(keep)
+            bottom = norm(renames.get(bottom_vertex, bottom_vertex), i)
             rise = 0
         for endpoint in (bottom, top):
             cell_set[endpoint] = cell_name(endpoint)
@@ -175,7 +178,7 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
         """(number of fold windows crossed, end cell)."""
         cur, st = vertex, stage
         for span in range(1, k + 2):
-            cur = seq.maps[st].vertex_map[cur]
+            cur = merged[st].get(cur, cur)
             st += 1
             if st == k:
                 cur, st = h_vmap[cur], 0

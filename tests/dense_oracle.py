@@ -7,7 +7,8 @@ module keeps the dense, quadratic code those replaced, so the tests can
 check the new kernels bit for bit.  The dense power iteration is slow:
 about 3 s on a return map with 200 edges.  ``matmul`` multiplies the
 package's own sparse crossing matrices, for the tests of the composition
-law.
+law; ``mat_mul`` multiplies plain integer matrices, for the Smith
+factorisation and boundary-matrix tests.
 """
 
 from __future__ import annotations
@@ -242,3 +243,10 @@ def matmul(left: traintrack.TransitionMatrix,
                 acc[j] = acc.get(j, 0) + a * b
         entries.append(tuple(sorted(acc.items())))
     return traintrack.TransitionMatrix(left.edges, tuple(entries))
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The dense product ``a · b`` of two integer matrices given by rows."""
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]

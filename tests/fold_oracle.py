@@ -1,12 +1,13 @@
 """All-pairs fold candidates and stage-by-stage recomposition: the reference oracle.
 
-The package picks the fold its policy chooses by looking only at the first
-vertex in policy order that has one, and verifies a fold sequence by chasing
-single letters through the fold maps.  This module keeps the code those
+The package picks the least fold by looking only at the first vertex in
+name order that has one, and verifies a fold sequence by chasing single
+letters back through the fold records.  This module keeps the code those
 replaced: it lists every candidate pair at a stage and sorts them, and it
-verifies by composing a validated ``GraphMap`` per stage.  ``decompose`` here
-runs the package's own fold step (``folding._apply_fold``) on the oracle's
-pick, so the tests can compare the two sequences stage by stage.
+verifies by building a validated ``GraphMap`` per fold from its record and
+composing them stage by stage.  ``decompose`` here runs the package's own
+fold step (``folding._apply_fold``) on the oracle's pick, so the tests can
+compare the two sequences stage by stage.
 """
 
 from __future__ import annotations
@@ -52,11 +53,19 @@ def offset_candidates(stage: Stage) -> list[Candidate]:
     return out
 
 
-def pick_fold(stage: Stage, policy: str) -> Candidate | None:
+def pick_fold(stage: Stage) -> Candidate | None:
     candidates = strict_candidates(stage) or offset_candidates(stage)
-    if not candidates:
-        return None
-    return candidates[0] if policy == "lex" else candidates[-1]
+    return candidates[0] if candidates else None
+
+
+def fold_map(before: Stage, after: Stage, record: FoldRecord) -> GraphMap:
+    """The fold map of ``record`` from ``before`` to ``after``, validated."""
+    kept, dropped = record.kept, record.dropped
+    images = {name: ((name, 1),) for name in before.graph.edge_names}
+    images[dropped[0]] = ((kept[0], kept[1] * dropped[1]),)
+    vertex_map = {v: v for v in before.graph.vertices}
+    vertex_map.update(record.merged_vertices)
+    return GraphMap(before.graph, after.graph, vertex_map, images)
 
 
 def verify(seq: FoldSequence) -> None:
@@ -66,8 +75,10 @@ def verify(seq: FoldSequence) -> None:
                           - len(seq.stages[-1].graph.edges)):
         raise InvariantViolation("fold count does not match edge loss")
     composite = seq.final_iso
-    for q in reversed(seq.maps):
-        composite = compose(composite, q)
+    for record in reversed(seq.folds):
+        i = record.index
+        composite = compose(composite,
+                            fold_map(seq.stages[i - 1], seq.stages[i], record))
     for name in seq.stages[0].graph.edge_names:
         if composite.edge_images[name] != \
                 seq.subdivision.relabeled.edge_images[name]:
@@ -80,7 +91,7 @@ def verify(seq: FoldSequence) -> None:
         raise InvariantViolation("recomposed fold sequence differs from map")
 
 
-def decompose(f: GraphMap, policy: str = "lex") -> FoldSequence:
+def decompose(f: GraphMap) -> FoldSequence:
     """The fold sequence with every pick made by :func:`pick_fold`."""
     sub = subdivide_at_preimages(f)
     labels = {name: images[0]
@@ -88,11 +99,9 @@ def decompose(f: GraphMap, policy: str = "lex") -> FoldSequence:
     stage = Stage(sub.graph, labels, dict(sub.relabeled.vertex_map))
     stages = [stage]
     folds: list[FoldRecord] = []
-    maps: list[GraphMap] = []
-    while (cand := pick_fold(stage, policy)) is not None:
-        stage, q, record = _apply_fold(stage, cand, len(folds) + 1)
+    while (cand := pick_fold(stage)) is not None:
+        stage, record = _apply_fold(stage, cand, len(folds) + 1)
         stages.append(stage)
-        maps.append(q)
         folds.append(record)
     codomain = f.codomain
     vlabels = stage.vertex_labels
@@ -104,6 +113,6 @@ def decompose(f: GraphMap, policy: str = "lex") -> FoldSequence:
                              "isomorphism")
     final = GraphMap(stage.graph, codomain, dict(vlabels),
                      {name: (label,) for name, label in stage.edge_labels.items()})
-    seq = FoldSequence(f, sub, tuple(stages), tuple(folds), tuple(maps), final)
+    seq = FoldSequence(f, sub, tuple(stages), tuple(folds), final)
     verify(seq)
     return seq

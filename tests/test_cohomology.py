@@ -25,6 +25,7 @@ from freebycyclic.torus import build_torus, skew_loop
 
 import fm_oracle
 from conftest import EXAMPLES
+from dense_oracle import mat_mul
 
 CYCLE_B = {"up:black.0": 1, "up:c@1.1": -1, "up:a@2.3": 1,
            "skew1": -1, "skew4": -2}
@@ -56,7 +57,6 @@ def test_boundary_matrices_compose_to_zero(bundled):
     assert len(data.zero_cells) == 6
     assert len(data.one_cells) == 10
     assert len(data.two_cells) == 4
-    from freebycyclic.linalg import mat_mul
     assert all(x == 0 for row in mat_mul(data.d1, data.d2) for x in row)
 
 

@@ -5,9 +5,12 @@ subdivided labelling (see the direction-by-direction candidate scan in the
 comments) and is frozen here; the other expectations are direct counts.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import fold_oracle
+from freebycyclic import folding
 from freebycyclic.corpus import corpus
 from freebycyclic.errors import FoldStuckError, InvariantViolation
 from freebycyclic.folding import _pick_fold, decompose
@@ -73,19 +76,26 @@ def test_bundled_final_iso(bundled_seq):
 
 def test_bundled_verify_and_json(bundled_seq):
     bundled_seq.verify()  # raises on failure
-    data = bundled_seq.to_json()
-    assert data["fold_count"] == 4
-    assert [f["label"] for f in data["folds"]] == ["A", "E", "A", "D"]
-    assert len(data["stages"]) == 5
+    assert bundled_seq.fold_count == 4
+    assert [r.label for r in bundled_seq.folds] == \
+        [("a", -1), ("e", -1), ("a", -1), ("d", -1)]
+    assert [r.index for r in bundled_seq.folds] == [1, 2, 3, 4]
+    assert len(bundled_seq.stages) == 5
 
 
-def test_policy_reverse_same_unique_sequence():
-    # every stage of the bundled map has exactly one candidate, so the
-    # alternate policy must produce the identical sequence
-    f = load_map_file(EXAMPLES / "phi_f3.map").gmap
-    a = decompose(f, policy="lex")
-    b = decompose(f, policy="reverse")
-    assert [r.kept for r in a.folds] == [r.kept for r in b.folds]
+def test_decompose_builds_two_graph_maps(monkeypatch):
+    # the folds are kept as records only: the bundled map's decomposition
+    # builds final_iso and the chased composite in verify, nothing per fold
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return GraphMap(*args, **kwargs)
+
+    monkeypatch.setattr(folding, "GraphMap", counting)
+    seq = decompose(load_map_file(EXAMPLES / "phi_f3.map").gmap)
+    assert seq.fold_count == 4
+    assert len(built) == 2
 
 
 def test_doubling_offset_fold():
@@ -135,35 +145,41 @@ def oracle_maps():
     yield from corpus(200, seed=20260823)
 
 
-@pytest.mark.parametrize("policy", ["lex", "reverse"])
-def test_fold_picks_agree_with_all_pairs_oracle(policy):
+def test_fold_picks_agree_with_all_pairs_oracle():
     offsets = 0
     for f in oracle_maps():
         try:
-            expected = fold_oracle.decompose(f, policy)
+            expected = fold_oracle.decompose(f)
         except FoldStuckError:
             with pytest.raises(FoldStuckError):
-                decompose(f, policy)
+                decompose(f)
             continue
-        seq = decompose(f, policy)
+        seq = decompose(f)
         for stage in seq.stages:
-            assert _pick_fold(stage, policy) == \
-                fold_oracle.pick_fold(stage, policy)
-        assert seq.to_json() == expected.to_json()
+            assert _pick_fold(stage) == fold_oracle.pick_fold(stage)
+        assert (seq.stages, seq.folds, seq.final_iso) == \
+            (expected.stages, expected.folds, expected.final_iso)
         fold_oracle.verify(seq)
         offsets += sum(r.kind == "offset" for r in seq.folds)
     assert offsets > 0  # the head-to-tail branch was exercised
 
 
-@pytest.mark.parametrize("tamper", ["two-letter image", "no vertex image"])
-def test_verify_rejects_a_tampered_fold_map(tamper):
+@pytest.mark.parametrize("tamper", ["kept edge folded away",
+                                    "merged onto a vanished vertex",
+                                    "kept edge with another label"])
+def test_verify_rejects_a_tampered_fold_record(tamper):
     seq = decompose(load_map_file(EXAMPLES / "phi_f3.map").gmap)
-    q = seq.maps[1]
-    if tamper == "two-letter image":
-        name = q.domain.edge_names[0]
-        q.edge_images[name] = q.edge_images[name] * 2
+    first, second = seq.folds[:2]
+    if tamper == "kept edge folded away":
+        changes = {"kept": first.dropped}
+    elif tamper == "merged onto a vanished vertex":
+        (vanished, _rep), = first.merged_vertices
+        changes = {"merged_vertices": ((second.merged_vertices[0][0],
+                                        vanished),)}
     else:
-        del q.vertex_map[q.domain.vertices[0]]
+        changes = {"kept": ("a_1", second.kept[1])}
+        assert seq.stages[1].edge_labels["a_1"][0] != second.label[0]
+    seq.folds = (first, replace(second, **changes), *seq.folds[2:])
     with pytest.raises(InvariantViolation, match="fold chain"):
         seq.verify()
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebycyclic.linalg import identity_matrix, mat_mul, smith_normal_form
+from freebycyclic.linalg import identity_matrix, smith_normal_form
 
+from dense_oracle import mat_mul
 from fm_oracle import (lexmin_nonnegative, minimum_of_coordinate,
                        solve_inequalities)
 

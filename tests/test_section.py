@@ -14,10 +14,11 @@ from freebycyclic.errors import (DisconnectedGraphError, FreeByCyclicError,
                                  NonIntegralClassError)
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import load_map_file, map_to_automorphism
-from freebycyclic.section import (_generic_phase, build_charts, build_section,
-                                  crossing_rank, first_return, host_kind,
-                                  line_section, monodromy, section_audit,
-                                  section_dot)
+from freebycyclic import section as sect
+from freebycyclic.section import (_generic_phase, _line_names, build_charts,
+                                  build_section, crossing_rank, first_return,
+                                  host_kind, line_section, monodromy,
+                                  section_audit, section_dot)
 from freebycyclic.torus import build_torus
 from freebycyclic.traintrack import (eigen_metric, ideal_whitehead,
                                      is_expanding, is_irreducible,
@@ -525,8 +526,11 @@ def test_other_phases_keep_the_invariants(torus, phase):
 
 
 def test_line_section_rejects_non_standard_phase_combinatorics(torus):
-    with pytest.raises(InvariantViolation):
-        line_section(torus, 1, phase=F(9, 16))
+    # the canonical names are defined at phase 1/2 only; at 9/16 the
+    # return map of the same class does not have the line-family shape
+    section = build_section(torus, line_family_cocycle(torus, 1), F(9, 16))
+    with pytest.raises(InvariantViolation, match="line-family shape"):
+        _line_names(first_return(section))
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +560,10 @@ def test_non_cocycle_rejected(torus):
         build_section(torus, {"skew1": 1})
 
 
-def test_tiny_budget_exhausts(torus):
+def test_tiny_budget_exhausts(torus, monkeypatch):
+    monkeypatch.setattr(sect, "_FLOW_BUDGET", 3)
     with pytest.raises(IterationBudgetError):
-        build_section(torus, line_family_cocycle(torus, 0), budget=3)
+        build_section(torus, line_family_cocycle(torus, 0))
 
 
 # ---------------------------------------------------------------------------
