@@ -1,4 +1,4 @@
-"""Seeded generators of example maps and paths for property testing.
+"""Seeded generators of example maps for property testing.
 
 Products of positive elementary Nielsen substitutions on a rose are
 homotopy equivalences whose edge images contain no inverse letters, so
@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import InvariantViolation
 from .graphs import Graph, GraphMap
-from .traintrack import is_expanding, is_irreducible, transition_matrix
-from .words import Letter, Word
+from .traintrack import is_expanding, transition_matrix
 
 ALPHABET = "abcdefgh"
 # random_expanding_map draws at most this many Nielsen moves per candidate
@@ -67,7 +66,7 @@ def random_expanding_map(seed: Optional[int] = None, *,
         images = _random_positive_images(rng, names, moves)
         candidate = rose_map(images)
         matrix = transition_matrix(candidate)
-        if is_irreducible(matrix) and is_expanding(matrix):
+        if is_expanding(matrix):
             return candidate
     raise InvariantViolation(
         f"no expanding irreducible map found in {_ATTEMPTS} attempts")
@@ -78,30 +77,3 @@ def corpus(count: int, seed: int) -> tuple[GraphMap, ...]:
     rng = random.Random(seed)
     return tuple(random_expanding_map(rng=rng) for _ in range(count))
 
-
-def random_pair(seed: int) -> tuple[GraphMap, GraphMap]:
-    """Two maps on the same rose, suitable for composition laws."""
-    rng = random.Random(seed)
-    rank = rng.choice((2, 3))
-    f = random_expanding_map(rng=rng, rank=rank)
-    g = random_expanding_map(rng=rng, rank=rank)
-    return f, g
-
-
-def random_path(graph: Graph, length: int, seed: Optional[int] = None, *,
-                rng: Optional[random.Random] = None) -> Word:
-    """A random edge path (backtracking allowed) of the given length."""
-    if rng is None:
-        rng = random.Random(seed)
-    if length <= 0:
-        return ()
-    at = rng.choice(graph.vertices)
-    out: list[Letter] = []
-    for _ in range(length):
-        choices = graph.directions(at)
-        if not choices:
-            raise InvariantViolation(f"vertex {at!r} has no directions")
-        lt = rng.choice(choices)
-        out.append(lt)
-        at = graph.term_of(lt)
-    return tuple(out)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .cohomology import is_cocycle, line_family_cocycle
@@ -33,42 +34,85 @@ from .words import FreeGroupMap, Word, inverse
 
 
 # ---------------------------------------------------------------------------
-# integer height charts
+# height charts on the section lattice
+
+
+def _exact(num: int, den: int, trap: str) -> int:
+    """``num / den``, which the section lattice makes an integer."""
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise InvariantViolation(
+            f"a point of {trap} leaves the section lattice: {num}/{den} "
+            "is not an integer")
+    return quotient
+
+
+def _on_lattice(x: Fraction, lattice: int, trap: str) -> int:
+    """The numerator of ``x`` over the lattice denominator."""
+    return _exact(x.numerator * lattice, x.denominator, trap)
+
+
+def _lattice(complex_: TrapComplex, z: Mapping, phase: Fraction) -> int:
+    """The one denominator every coordinate of the section lives over.
+
+    With q the phase's denominator, levels sit at multiples of 1/q.  The
+    bottom of a trapezoid, a skew s, meets a level and starts the flow of a
+    crossing at a multiple of 1/(q·z(s)); a top piece of width 1/N that
+    rises by r meets a level at a multiple of 1/(N·q·|r|).  Carrying a
+    point through a top piece only multiplies its offset by N, so the
+    forward flow never leaves the lattice of the least common multiple.
+    """
+    q = phase.denominator
+    lattice = q
+    for trap in complex_.trapezoids:
+        for piece in trap.top:
+            n = (piece.x_hi - piece.x_lo).denominator
+            lattice = lcm(lattice, q * n * (z.get(piece.skew, 0) or 1))
+    for skew in complex_.skews:
+        lattice = lcm(lattice, q * (z.get(skew.name, 0) or 1))
+    return lattice
 
 
 @dataclass
 class TopGeom:
-    """One top piece of a trapezoid with its height span.
+    """One top piece of a trapezoid on the section lattice.
 
-    The piece covers ``[x_lo, x_hi]`` of the top edge and maps onto the
-    whole skew cell, forward when ``sign`` is positive and backward when
-    negative; heights run linearly from ``h_lo`` at ``x_lo`` to ``h_hi``
-    at ``x_hi``.
+    The piece covers ``[x_lo, x_hi]`` of the top edge, a width of 1/n, and
+    maps onto the whole skew cell, forward when ``sign`` is positive and
+    backward when negative.  Positions and heights are numerators over the
+    lattice denominator: the height is ``h_lo`` at ``x_lo`` and changes by
+    ``slope`` per lattice step, reaching ``h_hi`` at ``x_hi``.
     """
 
     skew: str
     sign: int
-    x_lo: Fraction
-    x_hi: Fraction
+    n: int
+    x_lo: int
+    x_hi: int
     h_lo: int
     h_hi: int
+    slope: int
 
-    def height_at(self, x: Fraction) -> Fraction:
-        u = (x - self.x_lo) / (self.x_hi - self.x_lo)
-        return self.h_lo + (self.h_hi - self.h_lo) * u
+    def height_at(self, x: int) -> int:
+        return self.h_lo + self.slope * (x - self.x_lo)
 
-    def skew_position(self, x: Fraction) -> Fraction:
-        u = (x - self.x_lo) / (self.x_hi - self.x_lo)
-        return u if self.sign > 0 else 1 - u
+    def skew_position(self, x: int) -> int:
+        if self.sign > 0:
+            return (x - self.x_lo) * self.n
+        return (self.x_hi - x) * self.n
 
 
 @dataclass
 class HeightChart:
-    """Integer corner heights of one trapezoid under a cocycle.
+    """Corner heights of one trapezoid under a cocycle.
 
     The bottom-left corner sits at height zero; the bottom edge rises by
     the bottom skew's count, the side cells stack their counts, and each
-    top piece rises or falls by the full count of its skew cell.
+    top piece rises or falls by the full count of its skew cell.  Positions
+    across the trapezoid, top heights and levels are numerators over the
+    section lattice, so the height of the bottom at x is
+    ``bottom_rise * x``; the side spans and ``max_height`` are in whole
+    height units.
     """
 
     trap: str
@@ -77,28 +121,26 @@ class HeightChart:
     left: tuple[tuple[str, int, int], ...]
     right: tuple[tuple[str, int, int], ...]
     top: tuple[TopGeom, ...]
-    tl: int
-    tr: int
+    corners: dict[int, str]
+    max_height: int
 
-    def bottom_height(self, x: Fraction) -> Fraction:
-        return self.bottom_rise * x
-
-    def top_height(self, x: Fraction) -> Fraction:
+    def top_height(self, x: int) -> int:
         for piece in self.top:
             if piece.x_lo <= x <= piece.x_hi:
                 return piece.height_at(x)
         raise InvariantViolation(
-            f"x = {x} outside the top of {self.trap}")  # pragma: no cover
+            f"lattice point {x} outside the top of {self.trap}"
+        )  # pragma: no cover
 
-    def piece_at(self, x: Fraction) -> Optional[TopGeom]:
+    def piece_at(self, x: int) -> Optional[TopGeom]:
         """The top piece with ``x`` strictly inside it, or None at a corner."""
         for piece in self.top:
             if piece.x_lo < x < piece.x_hi:
                 return piece
         return None
 
-    def runs(self, y: Fraction, lo: Fraction, hi: Fraction
-             ) -> list[tuple[Fraction, Fraction, Optional[TopGeom]]]:
+    def runs(self, y: int, lo: int, hi: int
+             ) -> list[tuple[int, int, Optional[TopGeom]]]:
         """Cut ``[lo, hi]`` where the level ``y`` meets the top.
 
         Maximal runs below the top are tagged None; a run at or above it is
@@ -109,29 +151,28 @@ class HeightChart:
             for x in (piece.x_lo, piece.x_hi):
                 if lo < x < hi:
                     cuts.add(x)
-            h_min, h_max = sorted((piece.h_lo, piece.h_hi))
-            if h_min < h_max and h_min < y < h_max:
-                u = (y - piece.h_lo) / (piece.h_hi - piece.h_lo)
-                x = piece.x_lo + u * (piece.x_hi - piece.x_lo)
+            if min(piece.h_lo, piece.h_hi) < y < max(piece.h_lo, piece.h_hi):
+                x = piece.x_lo + _exact(y - piece.h_lo, piece.slope,
+                                        self.trap)
                 if lo < x < hi:
                     cuts.add(x)
         xs = sorted(cuts)
-        out: list[tuple[Fraction, Fraction, Optional[TopGeom]]] = []
+        out: list[tuple[int, int, Optional[TopGeom]]] = []
+        pieces = iter(self.top)
+        piece = next(pieces)
         for a, b in zip(xs, xs[1:]):
-            mid = (a + b) / 2
-            piece = self.piece_at(mid)
-            if piece.height_at(mid) <= y:
+            while piece.x_hi <= a:
+                piece = next(pieces)
+            # the level does not cross the top inside (a, b); compare the
+            # two at the midpoint, doubled to stay on the lattice
+            if 2 * piece.h_lo + piece.slope * (a + b - 2 * piece.x_lo) \
+                    <= 2 * y:
                 out.append((a, b, piece))
             elif out and out[-1][2] is None:
                 out[-1] = (out[-1][0], b, None)
             else:
                 out.append((a, b, None))
         return out
-
-    @property
-    def max_height(self) -> int:
-        return max([self.tl, self.tr, self.bottom_rise]
-                   + [p.h_lo for p in self.top] + [p.h_hi for p in self.top])
 
 
 def _stack(cells: Sequence[str], z: Mapping, offset: int
@@ -145,7 +186,8 @@ def _stack(cells: Sequence[str], z: Mapping, offset: int
     return tuple(spans), h
 
 
-def build_charts(complex_: TrapComplex, z: Mapping) -> dict[str, HeightChart]:
+def build_charts(complex_: TrapComplex, z: Mapping, lattice: int
+                 ) -> dict[str, HeightChart]:
     charts = {}
     for trap in complex_.trapezoids:
         bottom_rise = int(z.get(trap.bottom, 0))
@@ -155,14 +197,22 @@ def build_charts(complex_: TrapComplex, z: Mapping) -> dict[str, HeightChart]:
         h = tl
         for piece in trap.top:
             rise = piece.sign * int(z.get(piece.skew, 0))
-            pieces.append(TopGeom(piece.skew, piece.sign, piece.x_lo,
-                                  piece.x_hi, h, h + rise))
+            x_lo = _on_lattice(piece.x_lo, lattice, trap.name)
+            x_hi = _on_lattice(piece.x_hi, lattice, trap.name)
+            n = _exact(lattice, x_hi - x_lo, trap.name)
+            pieces.append(TopGeom(piece.skew, piece.sign, n, x_lo, x_hi,
+                                  h * lattice, (h + rise) * lattice,
+                                  rise * n))
             h += rise
         if h != tr:
             raise InvariantViolation(
                 f"height chart of {trap.name} does not close up")
-        charts[trap.name] = HeightChart(trap.name, trap.bottom, bottom_rise,
-                                        left, right, tuple(pieces), tl, tr)
+        corners = {_on_lattice(x, lattice, trap.name): cell
+                   for x, cell in trap.corners}
+        heights = [tl, tr, bottom_rise] + [p.h_hi // lattice for p in pieces]
+        charts[trap.name] = HeightChart(
+            trap.name, trap.bottom, bottom_rise, left, right, tuple(pieces),
+            corners, max(heights))
     return charts
 
 
@@ -185,11 +235,16 @@ class EdgeRecord:
 
 @dataclass
 class SectionGraph:
-    """The level-set graph of an integral cocycle at a generic phase."""
+    """The level-set graph of an integral cocycle at a generic phase.
+
+    ``charts`` and the flow run on integer numerators over ``lattice``;
+    the edge records and interior vertex hosts carry fractions.
+    """
 
     complex: TrapComplex
     cocycle: dict[str, int]
     phase: Fraction
+    lattice: int
     graph: Graph
     charts: dict[str, HeightChart]
     vertex_host: dict[str, tuple]
@@ -211,50 +266,62 @@ _FLOW_BUDGET = 100_000
 @dataclass
 class _Level:
     """The crossing grid and the exact forward semiflow of the level sets
-    of one cocycle at one phase.
+    of one cocycle at one phase, on the section lattice.
 
-    ``_FLOW_BUDGET`` caps the steps of one point flow (``vertex_step``);
-    the segment flow of ``first_return`` makes none.
+    Positions and heights are numerators over ``lattice``; ``offset`` is
+    the phase's.  ``_FLOW_BUDGET`` caps the steps of one point flow
+    (``vertex_step``); the segment flow (``flow_segment``) makes none.
     """
 
     complex: TrapComplex
     charts: dict[str, HeightChart]
     z: Mapping
     phase: Fraction
+    lattice: int
 
-    def crossing(self, cell: str, local: Fraction) -> str:
+    def __post_init__(self):
+        self.offset = self.phase.numerator * self.lattice \
+            // self.phase.denominator
+
+    def level_of(self, y: int) -> Optional[int]:
+        """The level whose height is ``y``, or None between levels."""
+        level, rest = divmod(y - self.offset, self.lattice)
+        return None if rest else level
+
+    def crossing(self, cell: str, local: int) -> str:
         """The crossing of ``cell`` at height ``local`` above its start."""
-        index = local - self.phase + 1
-        if index.denominator != 1:
+        index = self.level_of(local)
+        if index is None:
             raise DegeneratePhaseError(
-                f"local height {local} is off the crossing grid at "
-                f"phase {self.phase}")
-        return _crossing_name(cell, int(index))
+                f"local height {Fraction(local, self.lattice)} is off the "
+                f"crossing grid at phase {self.phase}")
+        return _crossing_name(cell, index + 1)
 
-    def cross_top(self, piece: TopGeom, x: Fraction, rise: Fraction
-                  ) -> tuple[str, Fraction, Fraction]:
+    def cross_top(self, piece: TopGeom, x: int, rise: int
+                  ) -> tuple[str, int, int]:
         """Carry the point ``rise`` above the top at ``x`` through ``piece``:
         (trapezoid above, its x, the point's height there)."""
         pos = piece.skew_position(x)
         return (self.complex.trap_above[piece.skew].name, pos,
                 pos * self.z.get(piece.skew, 0) + rise)
 
-    def arc_endpoint(self, chart: HeightChart, x: Fraction, y: Fraction
-                     ) -> str:
+    def arc_endpoint(self, chart: HeightChart, x: int, y: int) -> str:
         """The crossing where a level arc at height ``y`` ends at ``x``."""
-        if chart.bottom_height(x) == y:
+        if chart.bottom_rise * x == y:
             return self.crossing(chart.bottom, y)
-        if x in (0, 1):
+        if x in (0, self.lattice):
             spans = chart.left if x == 0 else chart.right
             for cell, lo, hi in spans:
-                if lo < y < hi:
-                    return self.crossing(cell, y - lo)
+                if lo * self.lattice < y < hi * self.lattice:
+                    return self.crossing(cell, y - lo * self.lattice)
             raise InvariantViolation(
-                f"height {y} misses the side stack {spans!r}")
+                f"height {Fraction(y, self.lattice)} misses the side stack "
+                f"{spans!r}")
         piece = chart.piece_at(x)
         if piece is None or piece.height_at(x) != y:
             raise InvariantViolation(
-                f"({x}, {y}) is not on the boundary of {chart.trap}")
+                f"({Fraction(x, self.lattice)}, {Fraction(y, self.lattice)})"
+                f" is not on the boundary of {chart.trap}")
         return self.crossing(piece.skew, self.cross_top(piece, x, 0)[2])
 
     def _spend(self, steps: int) -> int:
@@ -264,21 +331,20 @@ class _Level:
                 f"flow trace exceeded {_FLOW_BUDGET} steps")
         return steps
 
-    def climb(self, zero_cell: str, remaining: Fraction, steps: int
+    def climb(self, zero_cell: str, remaining: int, steps: int
               ) -> tuple[str, int]:
         """Flow up the vertical 1-cells from a 0-cell onto a crossing."""
         cell = zero_cell
         while True:
             steps = self._spend(steps)
             vert = self.complex.vertical_from[cell]
-            rise = self.z.get(vert.name, 0)
+            rise = self.z.get(vert.name, 0) * self.lattice
             if remaining < rise:
                 return self.crossing(vert.name, remaining), steps
             remaining -= rise
             cell = vert.end
 
-    def point_step(self, trap: str, x: Fraction, target: Fraction,
-                   steps: int):
+    def point_step(self, trap: str, x: int, target: int, steps: int):
         """Flow the point of ``trap`` at horizontal position ``x`` upward
         until its height reaches ``target``, re-based into each next chart
         as the point crosses skew cells.
@@ -291,18 +357,19 @@ class _Level:
             chart = self.charts[trap]
             top = chart.top_height(x)
             if top > target:
-                level = target - self.phase
-                if level.denominator != 1:
+                level = self.level_of(target)
+                if level is None:
                     raise InvariantViolation(
                         "interior landing is off the phase grid")
-                return ("interior", trap, int(level), x)
+                return ("interior", trap, level, x)
             piece = chart.piece_at(x)
             if piece is None:
-                corners = dict(self.complex.trap_by_name[trap].corners)
-                if x not in corners:
+                if x not in chart.corners:
                     raise InvariantViolation(
-                        f"no corner 0-cell at x = {x} on top of {trap}")
-                name, steps = self.climb(corners[x], target - top, steps)
+                        f"no corner 0-cell at x = "
+                        f"{Fraction(x, self.lattice)} on top of {trap}")
+                name, steps = self.climb(chart.corners[x], target - top,
+                                         steps)
                 return ("vertex", name)
             rise = target - top
             trap, x, target = self.cross_top(piece, x, rise)
@@ -313,17 +380,69 @@ class _Level:
         """Flow a section vertex forward by one height unit."""
         if host[0] == "interior":
             _, trap, level, x = host
-            return self.point_step(trap, x, self.phase + level + 1, 0)
+            return self.point_step(trap, x,
+                                   self.offset + (level + 1) * self.lattice,
+                                   0)
         _, cell, index = host
-        local = self.phase + (index - 1)
+        local = self.offset + (index - 1) * self.lattice
         vert = self.complex.vertical_by_name.get(cell)
         if vert is None:
-            return self.point_step(self.complex.trap_above[cell].name,
-                                   local / self.z[cell], local + 1, 0)
-        room = self.z[cell] - local
-        if room > 1:
+            above = self.complex.trap_above[cell].name
+            return self.point_step(above, _exact(local, self.z[cell], above),
+                                   local + self.lattice, 0)
+        room = self.z[cell] * self.lattice - local
+        if room > self.lattice:
             return ("vertex", _crossing_name(cell, index + 1))
-        return ("vertex", self.climb(vert.end, 1 - room, 0)[0])
+        return ("vertex", self.climb(vert.end, self.lattice - room, 0)[0])
+
+    def flow_segment(self, starting_at: Mapping, trap: str, x_lo: int,
+                     x_hi: int, target: int, orient: int, depth: int = 0
+                     ) -> Word:
+        """The section edges that the segment ``[x_lo, x_hi]`` of ``trap``
+        runs along once flowed up to height ``target``, read in the
+        direction ``orient``; ``starting_at`` sends (trapezoid, level, x) to
+        the name and right end of the section edge that starts there."""
+        if depth > 64:
+            raise IterationBudgetError(
+                "segment flow recursion exceeded depth 64")
+        level = self.level_of(target)
+        if level is None:
+            raise InvariantViolation("segment landing is off the phase grid")
+        runs = self.charts[trap].runs(target, x_lo, x_hi)
+        if orient < 0:
+            runs.reverse()
+        word: list = []
+        for a, b, piece in runs:
+            if piece is None:
+                word.extend(self._edges_along(starting_at, trap, level, a, b,
+                                              orient))
+                continue
+            above, pos_a, lifted = self.cross_top(
+                piece, a, target - piece.height_at(a))
+            pos_b = piece.skew_position(b)
+            word.extend(self.flow_segment(starting_at, above,
+                                          min(pos_a, pos_b),
+                                          max(pos_a, pos_b), lifted,
+                                          orient * piece.sign, depth + 1))
+        return tuple(word)
+
+    def _edges_along(self, starting_at: Mapping, trap: str, level: int,
+                     x_lo: int, x_hi: int, orient: int) -> Word:
+        found = []
+        x = x_lo
+        while x < x_hi:
+            step = starting_at.get((trap, level, x))
+            if step is None:
+                break
+            found.append(step[0])
+            x = step[1]
+        if not found or x != x_hi:
+            raise InvariantViolation(
+                f"flowed segment [{Fraction(x_lo, self.lattice)}, "
+                f"{Fraction(x_hi, self.lattice)}] at level {level} of "
+                f"{trap} is not a union of section edges")
+        letters = tuple((name, 1) for name in found)
+        return letters if orient > 0 else inverse(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +508,20 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
     if not z:
         raise InvariantViolation("the zero cocycle has an empty level set")
     phase = _generic_phase(phase)
-    charts = build_charts(complex_, z)
-    grid = _Level(complex_, charts, z, phase)
+    lattice = _lattice(complex_, z, phase)
+    charts = build_charts(complex_, z, lattice)
+    grid = _Level(complex_, charts, z, phase, lattice)
 
     arcs = []  # (trap, level, x_lo, x_hi, init vertex, term vertex)
     for trap in sorted(charts):
         chart = charts[trap]
         for level in range(chart.max_height):
-            y = phase + level
+            y = grid.offset + level * lattice
             # the bottom edge stays below the level left of y / bottom_rise
-            hi = min(Fraction(1), y / chart.bottom_rise) \
-                if chart.bottom_rise else Fraction(1)
-            for x_lo, x_hi, piece in chart.runs(y, Fraction(0), hi):
+            hi = lattice
+            if y < chart.bottom_rise * lattice:
+                hi = _exact(y, chart.bottom_rise, trap)
+            for x_lo, x_hi, piece in chart.runs(y, 0, hi):
                 if piece is None:
                     arcs.append((trap, level, x_lo, x_hi,
                                  grid.arc_endpoint(chart, x_lo, y),
@@ -435,11 +556,19 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
             queue.append(name)
         vertex_return[vertex] = interior_points[key]
 
-    by_arc: dict[tuple, list[tuple[Fraction, str]]] = {}
+    fractions: dict[int, Fraction] = {}
+
+    def frac(x: int) -> Fraction:
+        if x not in fractions:
+            fractions[x] = Fraction(x, lattice)
+        return fractions[x]
+
+    by_arc: dict[tuple, list[tuple[int, str]]] = {}
     placed: set[str] = set()
     for key, name in interior_points.items():
         trap, level, x = key
         by_arc.setdefault((trap, level), []).append((x, name))
+        host[name] = ("interior", trap, level, frac(x))
     records: dict[str, EdgeRecord] = {}
     edges = []
     for trap, level, x_lo, x_hi, init, term in arcs:
@@ -448,8 +577,9 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
         placed.update(name for _, name in inner)
         stations = [(x_lo, init)] + inner + [(x_hi, term)]
         for (xa, va), (xb, vb) in zip(stations, stations[1:]):
-            name = f"{trap}.{level}.{_frac_token(xa)}"
-            records[name] = EdgeRecord(name, trap, level, xa, xb, va, vb)
+            name = f"{trap}.{level}.{_frac_token(frac(xa))}"
+            records[name] = EdgeRecord(name, trap, level, frac(xa),
+                                       frac(xb), va, vb)
             edges.append((name, va, vb))
     missing = set(interior_points.values()) - placed
     if missing:
@@ -461,7 +591,7 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
     crossed_skews = [s.name for s in complex_.skews if z.get(s.name, 0)]
     basepoint = _crossing_name(min(crossed_skews), 1) if crossed_skews \
         else None
-    return SectionGraph(complex_, z, phase, graph, charts, host,
+    return SectionGraph(complex_, z, phase, lattice, graph, charts, host,
                         vertex_return, records, components, basepoint)
 
 
@@ -471,59 +601,18 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
 
 def first_return(section: SectionGraph) -> GraphMap:
     """Graph self-map induced by flowing the section up one height unit."""
+    lattice = section.lattice
     grid = _Level(section.complex, section.charts, section.cocycle,
-                  section.phase)
+                  section.phase, lattice)
 
-    starting_at = {(rec.trap, rec.level, rec.x_lo): rec
-                   for rec in section.edge_records.values()}
-
-    def segment_to_letters(trap: str, level: int, x_lo: Fraction,
-                           x_hi: Fraction, orient: int) -> Word:
-        found = []
-        x = x_lo
-        while x < x_hi:
-            rec = starting_at.get((trap, level, x))
-            if rec is None:
-                break
-            found.append(rec)
-            x = rec.x_hi
-        if not found or x != x_hi:
-            raise InvariantViolation(
-                f"flowed segment [{x_lo}, {x_hi}] at level {level} of "
-                f"{trap} is not a union of section edges")
-        letters = tuple((rec.name, 1) for rec in found)
-        return letters if orient > 0 else inverse(letters)
-
-    def flow_segment(trap: str, x_lo: Fraction, x_hi: Fraction,
-                     target: Fraction, orient: int, depth: int = 0) -> Word:
-        if depth > 64:
-            raise IterationBudgetError(
-                "segment flow recursion exceeded depth 64")
-        level = target - grid.phase
-        if level.denominator != 1:
-            raise InvariantViolation("segment landing is off the phase grid")
-        runs = grid.charts[trap].runs(target, x_lo, x_hi)
-        if orient < 0:
-            runs.reverse()
-        word: list = []
-        for a, b, piece in runs:
-            if piece is None:
-                word.extend(segment_to_letters(trap, int(level), a, b,
-                                               orient))
-                continue
-            above, pos_a, lifted = grid.cross_top(
-                piece, a, target - piece.height_at(a))
-            pos_b = piece.skew_position(b)
-            word.extend(flow_segment(above, min(pos_a, pos_b),
-                                     max(pos_a, pos_b), lifted,
-                                     orient * piece.sign, depth + 1))
-        return tuple(word)
-
-    edge_images = {}
-    for name, rec in section.edge_records.items():
-        target = grid.phase + rec.level + 1
-        edge_images[name] = flow_segment(rec.trap, rec.x_lo, rec.x_hi,
-                                         target, 1)
+    starting_at = {
+        (rec.trap, rec.level, _on_lattice(rec.x_lo, lattice, rec.trap)):
+        (name, _on_lattice(rec.x_hi, lattice, rec.trap))
+        for name, rec in section.edge_records.items()}
+    edge_images = {
+        name: grid.flow_segment(starting_at, trap, x_lo, x_hi,
+                                grid.offset + (level + 1) * lattice, 1)
+        for (trap, level, x_lo), (name, x_hi) in starting_at.items()}
     return GraphMap(section.graph, section.graph,
                     dict(section.vertex_return), edge_images)
 

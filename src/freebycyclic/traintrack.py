@@ -123,7 +123,13 @@ def is_train_track(f: GraphMap) -> tuple[bool, Optional[tuple[str, int]]]:
     Returns ``(True, None)`` or ``(False, (edge, position))`` where position
     is the 1-based index of the offending turn inside the edge's image word.
     """
-    bad = set(illegal_turns(f))
+    return _first_illegal_crossing(f, illegal_turns(f))
+
+
+def _first_illegal_crossing(f: GraphMap, illegal: Sequence[Turn]
+                            ) -> tuple[bool, Optional[tuple[str, int]]]:
+    """``is_train_track`` with the illegal turns of ``f`` already known."""
+    bad = set(illegal)
     for name in f.domain.edge_names:
         for pos, turn in crossed_turns_of_path(f.edge_images[name]):
             if len(turn) == 1 or turn in bad:
@@ -212,8 +218,12 @@ def is_irreducible(matrix: TransitionMatrix) -> bool:
 
 def is_expanding(matrix: TransitionMatrix) -> bool:
     """Irreducible with some edge image crossing at least two edges."""
-    return is_irreducible(matrix) and any(
-        matrix.row_sum(i) >= 2 for i in range(len(matrix.edges)))
+    return is_irreducible(matrix) and _stretches(matrix)
+
+
+def _stretches(matrix: TransitionMatrix) -> bool:
+    """Some edge image crosses at least two edges."""
+    return any(matrix.row_sum(i) >= 2 for i in range(len(matrix.edges)))
 
 
 @dataclass
@@ -235,8 +245,13 @@ def eigen_metric(f: GraphMap) -> EigenMetric:
     matrix = transition_matrix(f)
     if not is_irreducible(matrix):
         raise NotIrreducibleError("crossing matrix is not irreducible")
-    if not is_expanding(matrix):
+    if not _stretches(matrix):
         raise NotExpandingError("crossing matrix is irreducible but not expanding")
+    return _power_iteration(matrix)
+
+
+def _power_iteration(matrix: TransitionMatrix) -> EigenMetric:
+    """``eigen_metric`` of an irreducible, expanding crossing matrix."""
     n = len(matrix.edges)
     x = [1.0 / n] * n
     entries = matrix.entries
@@ -595,8 +610,16 @@ def nielsen_search(f: GraphMap, max_len: int = 10, max_period: int = 6
     overflow); otherwise it falls back to capped direct enumeration.
     """
     matrix = transition_matrix(f)
-    tt, _ = is_train_track(f)
-    if tt and is_expanding(matrix):
+    return _nielsen_search(f, matrix, is_train_track(f)[0]
+                           and is_expanding(matrix), max_len, max_period)
+
+
+def _nielsen_search(f: GraphMap, matrix: TransitionMatrix,
+                    expanding_train_track: bool, max_len: int,
+                    max_period: int) -> NielsenReport:
+    """``nielsen_search`` with the crossing matrix of ``f`` already built
+    and its expanding train track test already answered."""
+    if expanding_train_track:
         found, capped = _eigenray_search(f, matrix, max_len, max_period)
         note = (f"incomplete: a half whose image passed "
                 f"{_POWER_IMAGE_CAP:,} letters was skipped" if capped else
@@ -625,20 +648,24 @@ class Verdict:
 
 
 class _Invariants:
-    """The train track invariants of one map, shared by a report and its
-    verdict; the Nielsen search and Whitehead data run on first use."""
+    """The train track invariants of one map, each computed once and shared
+    by a report, its eigenmetric and Nielsen search, and its verdict; the
+    Nielsen search and Whitehead data run on first use."""
 
     def __init__(self, f: GraphMap, nielsen_len: int, nielsen_period: int):
         self.f = f
         self.nielsen_bounds = (nielsen_len, nielsen_period)
         self.matrix = transition_matrix(f)
-        self.train_track = is_train_track(f)
-        self.expanding = is_expanding(self.matrix)
         self.illegal = illegal_turns(f)
+        self.train_track = _first_illegal_crossing(f, self.illegal)
+        self.irreducible = is_irreducible(self.matrix)
+        self.expanding = self.irreducible and _stretches(self.matrix)
 
     @cached_property
     def nielsen(self) -> NielsenReport:
-        return nielsen_search(self.f, *self.nielsen_bounds)
+        return _nielsen_search(self.f, self.matrix,
+                               self.train_track[0] and self.expanding,
+                               *self.nielsen_bounds)
 
     @cached_property
     def whitehead(self) -> WhiteheadData:
@@ -736,12 +763,12 @@ def traintrack_report(f: GraphMap, *, assume_ageometric: bool = False,
         "transition_matrix": [list(r) for r in matrix.rows],
         "train_track": tt,
         "train_track_witness": list(witness) if witness else None,
-        "irreducible": is_irreducible(matrix),
+        "irreducible": inv.irreducible,
         "expanding": inv.expanding,
         "illegal_turns": [format_turn(t) for t in inv.illegal],
     }
     if report["expanding"] and tt:
-        metric = eigen_metric(f)
+        metric = _power_iteration(matrix)
         report["stretch"] = metric.stretch
         report["eigen_residual"] = metric.residual
         report["lengths"] = {e: metric.lengths[e] for e in metric.edges}

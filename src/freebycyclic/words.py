@@ -268,13 +268,6 @@ class FreeGroupMap:
         return FreeGroupMap(other.domain, self.codomain,
                             tuple(self.apply(w) for w in other.images))
 
-    def same_images(self, other: "FreeGroupMap") -> bool:
-        return (self.domain == other.domain and self.codomain == other.codomain
-                and self.images == other.images)
-
-    def as_dict(self) -> dict[str, str]:
-        return {g: format_word(self.image(g)) for g in self.domain}
-
 
 def greedy_nielsen_inverse(fmap: FreeGroupMap) -> Optional[FreeGroupMap]:
     """Invert ``fmap`` by greedy strictly-length-reducing Nielsen moves.

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import freebycyclic.cohomology as co
-from freebycyclic.corpus import corpus, random_pair, random_path
+from freebycyclic.corpus import corpus
 from freebycyclic.errors import ConeInfeasibleError
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import compose, load_map_file, map_to_automorphism
@@ -33,6 +33,7 @@ import os
 
 from conftest import EXAMPLES
 from dense_oracle import matmul
+from helpers import random_path
 MAP_PATH = os.path.join(EXAMPLES, "phi_f3.map")
 
 F = Fraction

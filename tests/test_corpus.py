@@ -2,8 +2,7 @@
 
 import pytest
 
-from freebycyclic.corpus import (corpus, random_expanding_map, random_pair,
-                                 random_path, rose_map)
+from freebycyclic.corpus import corpus, random_expanding_map, rose_map
 from freebycyclic.errors import InvariantViolation
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import check_path, compose
@@ -12,6 +11,7 @@ from freebycyclic.traintrack import (eigen_metric, is_expanding,
                                      transition_matrix)
 
 from dense_oracle import matmul
+from helpers import random_pair, random_path
 
 
 def test_deterministic_in_the_seed():

@@ -30,6 +30,8 @@ from freebycyclic.words import FreeGroupMap, format_word, outer_equal
 import os
 
 from conftest import EXAMPLES
+from helpers import as_dict
+import section_oracle as oracle
 
 F = Fraction
 
@@ -64,13 +66,14 @@ def family_like(coords):
 
 
 # ---------------------------------------------------------------------------
-# height charts
+# height charts; the fraction charts of the oracle carry the exact heights,
+# the integer charts of the package the same values over the section lattice
 
 
 def test_fiber_charts(torus):
     z = line_family_cocycle(torus, 0)
     assert z == {"up:black.0": 1, "up:blue.0": 1, "up:red.0": 1, "skew1": 1}
-    charts = build_charts(torus, z)
+    charts = oracle.build_charts(torus, z)
     c1 = charts["trap1"]
     assert (c1.bottom, c1.bottom_rise, c1.tl, c1.tr) == ("skew1", 1, 1, 1)
     assert [(p.skew, p.sign, p.x_lo, p.x_hi, p.h_lo, p.h_hi)
@@ -100,7 +103,7 @@ def test_fiber_charts(torus):
 
 
 def test_chart_heights_are_exact(torus):
-    charts = build_charts(torus, line_family_cocycle(torus, 3))
+    charts = oracle.build_charts(torus, line_family_cocycle(torus, 3))
     for chart in charts.values():
         assert chart.top_height(F(0)) == chart.tl
         assert chart.top_height(F(1)) == chart.tr
@@ -114,7 +117,47 @@ def test_chart_heights_are_exact(torus):
 
 def test_charts_reject_non_cocycle(torus):
     with pytest.raises(InvariantViolation):
-        build_charts(torus, {"skew1": 1})
+        build_charts(torus, {"skew1": 1}, 2)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_integer_charts_scale_the_fraction_charts(torus, k):
+    sec = build_section(torus, line_family_cocycle(torus, k))
+    lattice = sec.lattice
+    for name, exact in oracle.build_charts(torus, sec.cocycle).items():
+        chart = sec.charts[name]
+        assert (chart.bottom, chart.bottom_rise, chart.left, chart.right,
+                chart.max_height) == (exact.bottom, exact.bottom_rise,
+                                      exact.left, exact.right,
+                                      exact.max_height)
+        assert [(p.skew, p.sign, F(p.x_lo, lattice), F(p.x_hi, lattice),
+                 F(p.h_lo, lattice), F(p.h_hi, lattice)) for p in chart.top] \
+            == [(p.skew, p.sign, p.x_lo, p.x_hi, p.h_lo, p.h_hi)
+                for p in exact.top]
+        for p, q in zip(chart.top, exact.top):
+            for x in range(p.x_lo, p.x_hi + 1):
+                assert F(p.height_at(x), lattice) == q.height_at(
+                    F(x, lattice))
+                assert F(p.skew_position(x), lattice) == q.skew_position(
+                    F(x, lattice))
+
+
+def test_lattice_carries_every_coordinate(torus):
+    # the fiber class at phase 1/2 lives on halves: the lattice is the lcm
+    # of 2, 2·z(s) and 2·N·|rise| over the top pieces of width 1/N
+    assert build_section(torus, line_family_cocycle(torus, 0)).lattice == 16
+    sec = build_section(torus, integral_cocycle(torus, family_like((1, 6))))
+    assert all(sec.lattice % rec.x_lo.denominator == 0
+               and sec.lattice % rec.x_hi.denominator == 0
+               for rec in sec.edge_records.values())
+
+
+def test_off_lattice_level_names_the_trapezoid(torus):
+    sec = build_section(torus, line_family_cocycle(torus, 3))
+    chart = sec.charts["trap3"]
+    piece = next(p for p in chart.top if abs(p.slope) > 1)
+    with pytest.raises(InvariantViolation, match="trap3"):
+        chart.runs(piece.h_lo + 1, 0, sec.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +271,7 @@ def test_line_family_tables(torus, k):
                                          if n.startswith("e")))
     assert ls.monodromy.generators == ("s1", "s2") + tuple(
         f"t{i}" for i in range(1, k + 2))
-    assert ls.monodromy.automorphism.as_dict() == expected_line_monodromy(k)
+    assert as_dict(ls.monodromy.automorphism) == expected_line_monodromy(k)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -281,7 +324,7 @@ def test_line_family_dynamics(torus, k):
 def test_fiber_monodromy_is_the_input_class(torus, mapfile):
     ls = line_section(torus, 0)
     psi = ls.monodromy.automorphism
-    assert psi.as_dict() == {"s1": "t1", "s2": "s2 t1", "t1": "s2 s1 t1 s2'"}
+    assert as_dict(psi) == {"s1": "t1", "s2": "s2 t1", "t1": "s2 s1 t1 s2'"}
     phi = map_to_automorphism(mapfile.marked, mapfile.gmap)
     relabel = FreeGroupMap.from_strings(("s1", "s2", "t1"),
                                         {"s1": "c", "s2": "b", "t1": "a"},
@@ -300,17 +343,19 @@ def test_fiber_monodromy_is_the_input_class(torus, mapfile):
 def classify_incidences(sec):
     """Map each vertex to the sides of the trapezoid boundary it meets."""
     charts = sec.charts
+    lattice = sec.lattice
     sides = {v: [] for v in sec.graph.vertices}
     for name, rec in sec.edge_records.items():
         for v, x in ((sec.graph.init_of((name, 1)), rec.x_lo),
                      (sec.graph.term_of((name, 1)), rec.x_hi)):
             chart = charts[rec.trap]
-            y = sec.phase + rec.level
-            if chart.bottom_height(x) == y:
+            x = int(x * lattice)
+            y = int((sec.phase + rec.level) * lattice)
+            if chart.bottom_rise * x == y:
                 sides[v].append("bottom")
             elif x == 0:
                 sides[v].append("left")
-            elif x == 1:
+            elif x == lattice:
                 sides[v].append("right")
             elif chart.top_height(x) == y:
                 sides[v].append("top")
@@ -633,3 +678,50 @@ def test_generic_route_golden_digest(torus):
                 digest.update(record.encode())
     assert errors == 9
     assert digest.hexdigest() == GOLDEN_ROUTE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the integer route against the fraction oracle
+
+
+def _record(sec, ret):
+    """Everything the golden digest hashes of one section and return map."""
+    return (sec.phase, sec.graph.vertices, sec.graph.edges,
+            sorted(sec.vertex_host.items()), sorted(sec.vertex_return.items()),
+            sorted((n, r.trap, r.level, r.x_lo, r.x_hi, r.init, r.term)
+                   for n, r in sec.edge_records.items()),
+            sec.components, sec.basepoint, sorted(ret.vertex_map.items()),
+            sorted(ret.edge_images.items()))
+
+
+def _route(route, torus, z, phase):
+    """build_section → first_return on one route, or the type of the
+    error it raises."""
+    try:
+        sec = route.build_section(torus, z, phase)
+        return _record(sec, route.first_return(sec))
+    except FreeByCyclicError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("phase", [F(1, 2), F(1, 3), F(9, 16),
+                                   F(1, 2) + F(1, 64)])
+def test_integer_route_matches_the_fraction_oracle(torus, phase):
+    compared = 0
+    for cb in range(-3, 4):
+        for cr in range(1, 6):
+            try:
+                z = integral_cocycle(torus, family_like((cb, cr)))
+            except FreeByCyclicError:
+                continue  # no class to section on either route
+            assert _route(sect, torus, z, phase) \
+                == _route(oracle, torus, z, phase), (cb, cr)
+            compared += 1
+    assert compared == 32
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_line_sections_match_the_fraction_oracle(torus, k):
+    ls = line_section(torus, k)
+    assert _record(ls.section, ls.return_map) == _route(
+        oracle, torus, line_family_cocycle(torus, k), F(1, 2))

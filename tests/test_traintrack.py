@@ -432,17 +432,60 @@ def test_traintrack_report(bundled):
 
 
 def test_traintrack_report_searches_for_nielsen_paths_once(fmap, monkeypatch):
+    # the report and its verdict share one search, run on the report's own
+    # crossing matrix through the core of nielsen_search
     calls = []
+    search = traintrack._nielsen_search
 
     def counting_search(*args, **kwargs):
         calls.append(args)
-        return nielsen_search(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(traintrack, "nielsen_search", counting_search)
+    monkeypatch.setattr(traintrack, "_nielsen_search", counting_search)
     report = traintrack_report(fmap, assume_ageometric=True,
                                assume_fully_irreducible=True)
     assert report["lone_axis"]["verdict"] == "yes"
     assert len(calls) == 1
+
+
+def test_traintrack_report_computes_each_invariant_once(fmap, monkeypatch):
+    # the crossing matrix, the illegal turns, the train track test and the
+    # irreducibility and expansion tests each run once per report; the
+    # public wrappers that would recompute them from f are not called
+    counted = ("transition_matrix", "illegal_turns", "is_irreducible",
+               "_first_illegal_crossing", "_stretches", "is_train_track",
+               "is_expanding", "eigen_metric", "nielsen_search")
+    calls = dict.fromkeys(counted, 0)
+
+    def counting(name):
+        inner = getattr(traintrack, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(traintrack, name, counting(name))
+    report = traintrack_report(fmap, assume_ageometric=True,
+                               assume_fully_irreducible=True)
+    assert calls == {"transition_matrix": 1, "illegal_turns": 1,
+                     "is_irreducible": 1, "_first_illegal_crossing": 1,
+                     "_stretches": 1, "is_train_track": 0,
+                     "is_expanding": 0, "eigen_metric": 0,
+                     "nielsen_search": 0}
+    assert report["lone_axis"]["verdict"] == "yes"
+    # the shared values are the ones the public functions give
+    matrix = transition_matrix(fmap)
+    assert report["illegal_turns"] == [format_turn(t)
+                                       for t in illegal_turns(fmap)]
+    assert is_train_track(fmap) == (report["train_track"],
+                                    report["train_track_witness"])
+    assert report["irreducible"] == is_irreducible(matrix)
+    assert report["expanding"] == is_expanding(matrix)
+    metric = eigen_metric(fmap)
+    assert (report["stretch"], report["lengths"]) == (metric.stretch,
+                                                      metric.lengths)
 
 
 # ---------------------------------------------------------------------------
