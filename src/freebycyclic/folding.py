@@ -2,19 +2,23 @@
 
 Subdivide a map at image preimages so every edge carries a single-edge label,
 then repeatedly identify label-equal direction pairs (folds) until the
-remaining labelling is a graph isomorphism.  Each fold is kept as a
-:class:`FoldRecord` and nothing else: the record determines the fold map,
-and the torus construction and :meth:`FoldSequence.verify` read the records
-directly.  The recorded sequence reassembles verbatim into the original map.
+remaining labelling is a graph isomorphism.  The folds run on one mutable
+:class:`WorkingStage`, and each fold is kept as a :class:`FoldRecord` and
+nothing else: the record determines the fold map, the torus construction and
+:meth:`FoldSequence.verify` read the records directly, and the intermediate
+stages are replayed from them only when :attr:`FoldSequence.stages` is read.
+The recorded sequence reassembles verbatim into the original map.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FoldStuckError, InvariantViolation
 from .graphs import Graph, GraphMap, Subdivision, compose, subdivide_at_preimages
-from .words import Letter
+from .words import Letter, inverse_letter
 
 
 def _letter_key(letter: Letter):
@@ -28,11 +32,6 @@ class Stage:
     graph: Graph
     edge_labels: dict[str, Letter]   # stage edge -> oriented codomain edge
     vertex_labels: dict[str, str]    # stage vertex -> codomain vertex
-
-    def direction_label(self, d: Letter) -> Letter:
-        name, sign = d
-        lname, lsign = self.edge_labels[name]
-        return (lname, lsign * sign)
 
 
 @dataclass
@@ -53,11 +52,141 @@ class FoldRecord:
     merged_vertices: tuple[tuple[str, str], ...]  # (old name, new name)
 
 
+Candidate = tuple[str, Letter, Letter, Letter, str]  # vertex, label, d1, d2, kind
+
+
+def _first_stage(sub: Subdivision) -> Stage:
+    return Stage(sub.graph,
+                 {name: images[0]
+                  for name, images in sub.relabeled.edge_images.items()},
+                 dict(sub.relabeled.vertex_map))
+
+
+def _oriented(ends: dict[str, tuple[str, str]], d: Letter) -> tuple[str, str]:
+    """The (initial, terminal) vertices of the direction ``d``."""
+    init, term = ends[d[0]]
+    return (init, term) if d[1] > 0 else (term, init)
+
+
+class WorkingStage:
+    """The stage being folded, changed in place by each fold.
+
+    Besides the edge ends and the labels it keeps, per vertex, its
+    directions grouped by label, each group in ``Graph.directions`` order
+    (edge name, forward first), and the set of vertices where some label
+    has two directions, so that a strict fold is found without a scan.
+    """
+
+    def __init__(self, first: Stage) -> None:
+        self.ends = {name: (init, term) for name, init, term in first.graph.edges}
+        self.edge_labels = dict(first.edge_labels)
+        self.vertex_labels = dict(first.vertex_labels)
+        self.buckets: dict[str, dict[Letter, list[Letter]]] = {
+            v: {} for v in first.graph.vertices}
+        self.repeated: set[str] = set()
+        for name, init, term in sorted(first.graph.edges):
+            lname, lsign = self.edge_labels[name]
+            self._add(init, (lname, lsign), (name, 1))
+            self._add(term, (lname, -lsign), (name, -1))
+
+    def _add(self, v: str, label: Letter, d: Letter) -> None:
+        group = self.buckets[v].setdefault(label, [])
+        # a group never holds both directions of one edge (their labels
+        # are inverse), so letter order is edge-name order
+        insort(group, d)
+        if len(group) > 1:
+            self.repeated.add(v)
+
+    def _remove(self, v: str, label: Letter, d: Letter) -> None:
+        by_label = self.buckets[v]
+        group = by_label[label]
+        group.remove(d)
+        if not group:
+            del by_label[label]
+        elif len(group) == 1 and not any(len(g) > 1 for g in by_label.values()):
+            self.repeated.discard(v)
+
+    def pick(self) -> Candidate | None:
+        """The least fold by (vertex, label, directions), or None when none
+        applies.
+
+        A strict fold is two directions at a vertex with one label: the
+        least such vertex, its least repeated label and that label's first
+        two directions.  When no vertex has one, every label occurs at most
+        once per vertex, and an offset fold at v is the direction d2
+        labelled L at v with d1 the reverse of the direction labelled L⁻¹
+        at v (so d1 ends where d2 starts), on two different edges, at the
+        least vertex that has one.
+        """
+        if self.repeated:
+            v = min(self.repeated)
+            by_label = self.buckets[v]
+            label = min((lt for lt, group in by_label.items() if len(group) > 1),
+                        key=_letter_key)
+            d1, d2 = by_label[label][:2]
+            return (v, label, d1, d2, "strict")
+        for v in sorted(self.buckets):
+            by_label = self.buckets[v]
+            offsets = []
+            for label, (d2,) in by_label.items():
+                back = by_label.get(inverse_letter(label))
+                if back is not None and back[0][0] != d2[0]:
+                    offsets.append((label, inverse_letter(back[0]), d2))
+            if offsets:
+                label, d1, d2 = min(offsets, key=lambda o: _letter_key(o[0]))
+                return (v, label, d1, d2, "offset")
+        return None
+
+    def fold(self, keep: Letter, drop: Letter) -> tuple[tuple[str, str], ...]:
+        """Identify ``drop`` with ``keep`` and return the merged vertices as
+        sorted (old name, representative) pairs; the smaller name represents."""
+        ends, buckets = self.ends, self.buckets
+        # union the initial and then the terminal vertices of the two
+        parent: dict[str, str] = {}
+        for u, w in zip(_oriented(ends, keep), _oriented(ends, drop)):
+            while u in parent:
+                u = parent[u]
+            while w in parent:
+                w = parent[w]
+            if u != w:
+                lo, hi = (u, w) if u < w else (w, u)
+                parent[hi] = lo
+        merged = []
+        for old in sorted(parent):
+            new = parent[old]
+            while new in parent:
+                new = parent[new]
+            if self.vertex_labels[old] != self.vertex_labels[new]:
+                raise InvariantViolation(
+                    f"fold would merge vertices {old}, {new} with different labels")
+            merged.append((old, new))
+
+        name = drop[0]
+        init, term = ends.pop(name)
+        lname, lsign = self.edge_labels.pop(name)
+        self._remove(init, (lname, lsign), (name, 1))
+        self._remove(term, (lname, -lsign), (name, -1))
+        for old, new in merged:
+            for label, group in buckets.pop(old).items():
+                for d in group:
+                    i, t = ends[d[0]]
+                    ends[d[0]] = (new, t) if d[1] > 0 else (i, new)
+                    self._add(new, label, d)
+            del self.vertex_labels[old]
+            self.repeated.discard(old)
+        return tuple(merged)
+
+    def stage(self) -> Stage:
+        """The current stage as a validated :class:`Stage`."""
+        graph = Graph(tuple(sorted(self.vertex_labels)),
+                      tuple((name, i, t) for name, (i, t) in self.ends.items()))
+        return Stage(graph, dict(self.edge_labels), dict(self.vertex_labels))
+
+
 @dataclass
 class FoldSequence:
     original: GraphMap
     subdivision: Subdivision
-    stages: tuple[Stage, ...]        # stages[0] is the subdivided graph
     folds: tuple[FoldRecord, ...]    # folds[i]: stages[i] -> stages[i+1]
     final_iso: GraphMap              # last stage -> codomain, bijective
 
@@ -65,60 +194,90 @@ class FoldSequence:
     def fold_count(self) -> int:
         return len(self.folds)
 
-    def verify(self) -> None:
-        """Chase the codomain labelling back through the fold records and
-        insist the chain reproduces the original map verbatim.
+    @cached_property
+    def stages(self) -> tuple[Stage, ...]:
+        """Every stage, stages[0] the subdivided graph; replayed from the
+        records through a :class:`WorkingStage` on first read."""
+        stages = [_first_stage(self.subdivision)]
+        work = WorkingStage(stages[0])
+        for record in self.folds:
+            work.fold(record.kept, record.dropped)
+            stages.append(work.stage())
+        return tuple(stages)
 
-        ``final_iso`` and every fold send each edge to a single letter, so
-        the codomain label of every edge and vertex is pulled back one fold
-        at a time, from ``final_iso`` to the subdivided graph, as one
-        oriented letter or one name.  Three checks: the fold count matches
-        the edge loss, the chased labelling equals the subdivision's
-        single-letter labelling, and that labelling, built once as a
-        validated ``GraphMap`` and composed with the subdivision, gives
-        back the original map.
+    def verify(self) -> None:
+        """Chase every edge and vertex of the subdivided graph forward
+        through the fold records and insist the chain reproduces the
+        original map verbatim.
+
+        Each record must drop and keep edges, and merge vertices, that
+        are still there at its stage; an edge is dropped at most once and
+        a vertex renamed at most once, so the chase is linear.  Four
+        checks: the fold count matches the edge loss, ``final_iso`` starts
+        at the chased last stage, the labelling pulled back through
+        ``final_iso`` equals the subdivision's single-letter labelling,
+        and that labelling, built once as a validated ``GraphMap`` and
+        composed with the subdivision, gives back the original map.
         """
-        if self.fold_count != (len(self.stages[0].graph.edges)
-                               - len(self.stages[-1].graph.edges)):
-            raise InvariantViolation("fold count does not match edge loss")
+        first = self.subdivision.graph
         iso = self.final_iso
-        if iso.domain != self.stages[-1].graph:
+        if self.fold_count != len(first.edges) - len(iso.domain.edges):
+            raise InvariantViolation("fold count does not match edge loss")
+        edges = set(first.edge_names)
+        vertices = set(first.vertices)
+        drops: list[tuple[str, Letter]] = []   # dropped edge -> kept letter
+        renames: list[tuple[str, str]] = []
+
+        def claim(alive: set[str], name: str, record: FoldRecord,
+                  what: str) -> None:
+            if name not in alive:
+                raise InvariantViolation(
+                    f"fold {record.index} of the fold chain {what} {name!r}, "
+                    "which is not in the stage it folds")
+
+        for record in self.folds:
+            kept, dropped = record.kept, record.dropped
+            claim(edges, dropped[0], record, "drops edge")
+            edges.remove(dropped[0])
+            claim(edges, kept[0], record, "keeps edge")
+            drops.append((dropped[0], (kept[0], kept[1] * dropped[1])))
+            for old, new in record.merged_vertices:
+                claim(vertices, old, record, "merges vertex")
+                vertices.remove(old)
+                claim(vertices, new, record, f"merges {old!r} onto vertex")
+                renames.append((old, new))
+        # where each edge and vertex ends up, resolved from the last fold back
+        edge_to: dict[str, Letter] = {name: (name, 1) for name in edges}
+        for name, (target, sign) in reversed(drops):
+            end, end_sign = edge_to[target]
+            edge_to[name] = (end, end_sign * sign)
+        vertex_to = {v: v for v in vertices}
+        for old, new in reversed(renames):
+            vertex_to[old] = vertex_to[new]
+        last = Graph(tuple(sorted(vertices)), tuple(
+            (name, vertex_to[i], vertex_to[t])
+            for name, i, t in first.edges if name in edges))
+        if iso.domain != last:
             raise InvariantViolation(
                 "final_iso does not start at the last stage of the fold chain")
-        # an edge without a single-letter image is left out, so the chase fails
-        labels = {name: img[0] for name, img in iso.edge_images.items()
-                  if len(img) == 1}
-        vertex_labels = dict(iso.vertex_map)
-        for record in reversed(self.folds):
-            graph = self.stages[record.index - 1].graph
-            merged = dict(record.merged_vertices)
-            kept, dropped = record.kept, record.dropped
-            pulled: dict[str, Letter] = {}
-            for name in graph.edge_names:
-                target, sign = (kept[0], kept[1] * dropped[1]) \
-                    if name == dropped[0] else (name, 1)
-                if target not in labels:
-                    raise InvariantViolation(
-                        f"fold {record.index} of the fold chain sends edge "
-                        f"{name!r} to no edge of the next stage")
-                label, label_sign = labels[target]
-                pulled[name] = (label, label_sign * sign)
-            pulled_vertices: dict[str, str] = {}
-            for v in graph.vertices:
-                image = merged.get(v, v)
-                if image not in vertex_labels:
-                    raise InvariantViolation(
-                        f"fold {record.index} of the fold chain sends vertex "
-                        f"{v!r} to no vertex of the next stage")
-                pulled_vertices[v] = vertex_labels[image]
-            labels, vertex_labels = pulled, pulled_vertices
+        labels: dict[str, Letter] = {}
+        for name, (target, sign) in edge_to.items():
+            image = iso.edge_images[target]
+            if len(image) != 1:
+                raise InvariantViolation(
+                    f"final_iso sends edge {target!r} of the fold chain's last "
+                    f"stage to {len(image)} letters")
+            label, label_sign = image[0]
+            labels[name] = (label, label_sign * sign)
         # the chased labelling of the subdivided graph is its own labelling
-        for name, lt in labels.items():
-            if (lt,) != self.subdivision.relabeled.edge_images[name]:
+        for name in first.edge_names:
+            if (labels[name],) != self.subdivision.relabeled.edge_images[name]:
                 raise InvariantViolation(
                     f"fold chain mislabels subdivided edge {name}")
-        composite = GraphMap(self.stages[0].graph, iso.codomain, vertex_labels,
-                             {name: (lt,) for name, lt in labels.items()})
+        composite = GraphMap(first, iso.codomain,
+                             {v: iso.vertex_map[vertex_to[v]]
+                              for v in first.vertices},
+                             {name: (labels[name],) for name in first.edge_names})
         total = compose(composite, self.subdivision.inclusion)
         if total.vertex_map != self.original.vertex_map or any(
                 total.edge_images[e] != self.original.edge_images[e]
@@ -126,114 +285,34 @@ class FoldSequence:
             raise InvariantViolation("recomposed fold sequence differs from map")
 
 
-Candidate = tuple[str, Letter, Letter, Letter, str]  # vertex, label, d1, d2, kind
-
-
-def _pick_fold(stage: Stage) -> Candidate | None:
-    """The least fold at this stage by (vertex, label, directions), or None
-    when none applies.
-
-    Only the first vertex in name order that has a fold is examined, and at
-    it the least label.  A strict fold is two directions at a vertex with
-    one label.  When no vertex has one, every label occurs at most once per
-    vertex, and an offset fold at v is the direction d2 labelled L at v
-    with d1 the reverse of the direction labelled L⁻¹ at v (so d1 ends
-    where d2 starts), on two different edges.
-    """
-    graph = stage.graph
-    by_vertex: list[tuple[str, dict[Letter, list[Letter]]]] = []
-    for v in sorted(graph.vertices):
-        by_label: dict[Letter, list[Letter]] = {}
-        for d in graph.directions(v):
-            by_label.setdefault(stage.direction_label(d), []).append(d)
-        by_vertex.append((v, by_label))
-        repeated = [label for label, group in by_label.items() if len(group) > 1]
-        if repeated:
-            label = min(repeated, key=_letter_key)
-            d1, d2 = by_label[label][:2]
-            return (v, label, d1, d2, "strict")
-    for v, by_label in by_vertex:
-        offsets = []
-        for label, (d2,) in by_label.items():
-            back = by_label.get((label[0], -label[1]))
-            if back is not None and back[0][0] != d2[0]:
-                offsets.append((label, (back[0][0], -back[0][1]), d2))
-        if offsets:
-            label, d1, d2 = min(offsets, key=lambda o: _letter_key(o[0]))
-            return (v, label, d1, d2, "offset")
-    return None
-
-
-def _apply_fold(stage: Stage, cand: Candidate, index: int
-                ) -> tuple[Stage, FoldRecord]:
-    vertex, label, d1, d2, kind = cand
-    graph = stage.graph
-    # keep the direction with the smaller edge name
-    keep, drop = (d1, d2) if d1[0] <= d2[0] else (d2, d1)
-
-    parent = {v: v for v in graph.vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(u: str, v: str) -> None:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # smaller name becomes the representative
-            lo, hi = sorted((ru, rv))
-            parent[hi] = lo
-
-    union(graph.init_of(keep), graph.init_of(drop))
-    union(graph.term_of(keep), graph.term_of(drop))
-
-    rep = {v: find(v) for v in graph.vertices}
-    merged = tuple(sorted((old, new) for old, new in rep.items() if old != new))
-    for old, new in merged:
-        if stage.vertex_labels[old] != stage.vertex_labels[new]:
-            raise InvariantViolation(
-                f"fold would merge vertices {old}, {new} with different labels")
-
-    drop_edge = drop[0]
-    new_vertices = tuple(sorted(set(rep.values())))
-    new_edges = tuple((name, rep[i], rep[t]) for name, i, t in graph.edges
-                      if name != drop_edge)
-    new_labels = {n: l for n, l in stage.edge_labels.items() if n != drop_edge}
-    new_vlabels = {v: stage.vertex_labels[v] for v in new_vertices}
-    new_stage = Stage(Graph(new_vertices, new_edges), new_labels, new_vlabels)
-    return new_stage, FoldRecord(index, kind, vertex, keep, drop, label, merged)
-
-
 def decompose(f: GraphMap) -> FoldSequence:
     """Fold the subdivided map down to an isomorphism over the codomain.
 
-    Every step takes the least available fold (:func:`_pick_fold`): strict
-    folds (shared initial vertex) are always preferred, and head-to-tail
-    label-equal pairs are folded only when no strict fold exists.  Raises
+    Every step takes the least available fold (:meth:`WorkingStage.pick`):
+    strict folds (shared initial vertex) are always preferred, and
+    head-to-tail label-equal pairs are folded only when no strict fold
+    exists; the direction with the smaller edge name is kept.  Raises
     FoldStuckError when no fold applies and the labelling is not yet a
     graph isomorphism.
     """
     sub = subdivide_at_preimages(f)
-    labels = {name: images[0]
-              for name, images in sub.relabeled.edge_images.items()}
-    stage = Stage(sub.graph, labels, dict(sub.relabeled.vertex_map))
-    stages = [stage]
+    work = WorkingStage(_first_stage(sub))
     folds: list[FoldRecord] = []
     codomain = f.codomain
     for _safety in range(len(sub.graph.edges) + 1):
-        cand = _pick_fold(stage)
+        cand = work.pick()
         if cand is None:
             break
-        stage, record = _apply_fold(stage, cand, len(folds) + 1)
-        stages.append(stage)
-        folds.append(record)
+        vertex, label, d1, d2, kind = cand
+        keep, drop = (d1, d2) if d1[0] <= d2[0] else (d2, d1)
+        merged = work.fold(keep, drop)
+        folds.append(FoldRecord(len(folds) + 1, kind, vertex, keep, drop,
+                                label, merged))
     else:
         raise InvariantViolation("fold loop exceeded the edge budget")
 
-    vlabels = stage.vertex_labels
-    elabel_names = [l[0] for l in stage.edge_labels.values()]
+    vlabels = work.vertex_labels
+    elabel_names = [l[0] for l in work.edge_labels.values()]
     vertex_ok = sorted(vlabels.values()) == sorted(codomain.vertices) and \
         len(set(vlabels.values())) == len(vlabels)
     edge_ok = sorted(elabel_names) == sorted(codomain.edge_names)
@@ -241,11 +320,12 @@ def decompose(f: GraphMap) -> FoldSequence:
         missing = sorted(set(codomain.edge_names) - set(elabel_names))
         raise FoldStuckError(
             "no fold available but the labelling is not an isomorphism "
-            f"({len(stage.graph.edges)} edges over {len(codomain.edges)}, "
+            f"({len(work.ends)} edges over {len(codomain.edges)}, "
             f"codomain edges never reached: {missing}, vertex labelling "
             f"{'bijective' if vertex_ok else 'not bijective'})")
-    final = GraphMap(stage.graph, codomain, dict(vlabels),
-                     {name: (label,) for name, label in stage.edge_labels.items()})
-    seq = FoldSequence(f, sub, tuple(stages), tuple(folds), final)
+    last = work.stage()
+    final = GraphMap(last.graph, codomain, last.vertex_labels,
+                     {name: (label,) for name, label in last.edge_labels.items()})
+    seq = FoldSequence(f, sub, tuple(folds), final)
     seq.verify()
     return seq

@@ -33,10 +33,11 @@ class Graph:
         names = [e[0] for e in self.edges]
         if len(set(names)) != len(names):
             raise InvariantViolation("duplicate edge names")
-        vset = set(self.vertices)
+        vset = frozenset(self.vertices)
         for name, init, term in self.edges:
             if init not in vset or term not in vset:
                 raise InvariantViolation(f"edge {name!r} has unknown endpoint")
+        object.__setattr__(self, "_vertex_set", vset)
         object.__setattr__(self, "_ends",
                            {name: (init, term) for name, init, term in self.edges})
 
@@ -157,10 +158,11 @@ class GraphMap:
     edge_images: dict[str, Word]
 
     def __post_init__(self) -> None:
+        codomain_vertices = self.codomain._vertex_set
         for v in self.domain.vertices:
             if v not in self.vertex_map:
                 raise InvariantViolation(f"vertex {v!r} has no image")
-            if self.vertex_map[v] not in self.codomain.vertices:
+            if self.vertex_map[v] not in codomain_vertices:
                 raise InvariantViolation(f"vertex image {self.vertex_map[v]!r} unknown")
         for name, init, term in self.domain.edges:
             if name not in self.edge_images:

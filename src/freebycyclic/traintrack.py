@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (InvariantViolation, MissingAssumptionError,
@@ -62,18 +63,32 @@ def _stable_images(f: GraphMap) -> dict[Letter, Letter]:
 
     Two directions merge under some iterate exactly when they merge within
     #directions steps, so equality of these stabilized images decides
-    illegality of a turn.  The power is taken by repeated squaring.
+    illegality of a turn.  Each orbit is walked once: a direction on a
+    cycle of length L goes to the one #directions mod L steps ahead, and
+    a direction off the cycles, whose successor's stabilized image is
+    known, goes to the cycle predecessor of that image (it lies at most
+    #directions - L steps before its cycle).
     """
     dmap = direction_map(f)
-    stable = {d: d for d in dmap}
-    power = dmap
     n = len(dmap)
-    while n:
-        if n & 1:
-            stable = {d: power[s] for d, s in stable.items()}
-        n >>= 1
-        if n:
-            power = {d: power[s] for d, s in power.items()}
+    stable: dict[Letter, Letter] = {}
+    cycle_prev: dict[Letter, Letter] = {}
+    for start in dmap:
+        path: list[Letter] = []
+        on_path: dict[Letter, int] = {}
+        d = start
+        while d not in stable and d not in on_path:
+            on_path[d] = len(path)
+            path.append(d)
+            d = dmap[d]
+        if d in on_path:  # the walk closed a new cycle
+            cycle = path[on_path[d]:]
+            del path[on_path[d]:]
+            for p, c in enumerate(cycle):
+                stable[c] = cycle[(p + n) % len(cycle)]
+                cycle_prev[c] = cycle[p - 1]
+        for d in reversed(path):
+            stable[d] = cycle_prev[stable[dmap[d]]]
     return stable
 
 
@@ -98,10 +113,19 @@ def all_turns(graph: Graph) -> tuple[Turn, ...]:
 
 
 def illegal_turns(f: GraphMap) -> tuple[Turn, ...]:
-    """Turns whose two directions are eventually identified by the direction map."""
+    """Turns whose two directions are eventually identified by the direction map.
+
+    At each vertex the directions are grouped by their stabilized image,
+    and the illegal turns are the pairs inside a group.
+    """
     stable = _stable_images(f)
-    out = [t for t in all_turns(f.domain)
-           if len({stable[d] for d in t}) == 1]
+    out = []
+    for v in f.domain.vertices:
+        groups: dict[Letter, list[Letter]] = {}
+        for d in f.domain.directions(v):
+            groups.setdefault(stable[d], []).append(d)
+        for group in groups.values():
+            out.extend(make_turn(d1, d2) for d1, d2 in combinations(group, 2))
     return tuple(sorted(out, key=turn_sort_key))
 
 

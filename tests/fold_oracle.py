@@ -1,21 +1,46 @@
 """All-pairs fold candidates and stage-by-stage recomposition: the reference oracle.
 
-The package picks the least fold by looking only at the first vertex in
-name order that has one, and verifies a fold sequence by chasing single
-letters back through the fold records.  This module keeps the code those
-replaced: it lists every candidate pair at a stage and sorts them, and it
-verifies by building a validated ``GraphMap`` per fold from its record and
-composing them stage by stage.  ``decompose`` here runs the package's own
-fold step (``folding._apply_fold``) on the oracle's pick, so the tests can
-compare the two sequences stage by stage.
+The package folds on one working stage, picks the least fold from its
+label buckets, and verifies a fold sequence by chasing edges and vertices
+forward through the fold records.  This module keeps the code those
+replaced: it lists every candidate pair at a stage and sorts them, applies
+each fold by building the next validated stage from scratch
+(:func:`_apply_fold`, the package's fold step before the working stage),
+and verifies by building a validated ``GraphMap`` per fold from its record
+and composing them stage by stage.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from freebycyclic.errors import FoldStuckError, InvariantViolation
 from freebycyclic.folding import (Candidate, FoldRecord, FoldSequence, Stage,
-                                  _apply_fold, _letter_key)
-from freebycyclic.graphs import GraphMap, compose, subdivide_at_preimages
+                                  _letter_key)
+from freebycyclic.graphs import (Graph, GraphMap, Subdivision, compose,
+                                 subdivide_at_preimages)
+from freebycyclic.words import Letter
+
+
+@dataclass
+class OracleSequence:
+    """The oracle's fold sequence, with every stage built eagerly."""
+
+    original: GraphMap
+    subdivision: Subdivision
+    stages: tuple[Stage, ...]
+    folds: tuple[FoldRecord, ...]
+    final_iso: GraphMap
+
+    @property
+    def fold_count(self) -> int:
+        return len(self.folds)
+
+
+def direction_label(stage: Stage, d: Letter) -> Letter:
+    name, sign = d
+    lname, lsign = stage.edge_labels[name]
+    return (lname, lsign * sign)
 
 
 def strict_candidates(stage: Stage) -> list[Candidate]:
@@ -24,7 +49,7 @@ def strict_candidates(stage: Stage) -> list[Candidate]:
         dirs = stage.graph.directions(v)
         by_label: dict = {}
         for d in dirs:
-            by_label.setdefault(stage.direction_label(d), []).append(d)
+            by_label.setdefault(direction_label(stage, d), []).append(d)
         for label in sorted(by_label, key=_letter_key):
             group = by_label[label]
             for i in range(len(group)):
@@ -42,11 +67,11 @@ def offset_candidates(stage: Stage) -> list[Candidate]:
         for d2 in dirs:
             if d1[0] == d2[0]:
                 continue  # never fold an edge onto itself
-            if stage.direction_label(d1) != stage.direction_label(d2):
+            if direction_label(stage, d1) != direction_label(stage, d2):
                 continue
             if graph.term_of(d1) != graph.init_of(d2):
                 continue
-            out.append((graph.term_of(d1), stage.direction_label(d1),
+            out.append((graph.term_of(d1), direction_label(stage, d1),
                         d1, d2, "offset"))
     out.sort(key=lambda c: (c[0], _letter_key(c[1]),
                             _letter_key(c[2]), _letter_key(c[3])))
@@ -56,6 +81,48 @@ def offset_candidates(stage: Stage) -> list[Candidate]:
 def pick_fold(stage: Stage) -> Candidate | None:
     candidates = strict_candidates(stage) or offset_candidates(stage)
     return candidates[0] if candidates else None
+
+
+def _apply_fold(stage: Stage, cand: Candidate, index: int
+                ) -> tuple[Stage, FoldRecord]:
+    vertex, label, d1, d2, kind = cand
+    graph = stage.graph
+    # keep the direction with the smaller edge name
+    keep, drop = (d1, d2) if d1[0] <= d2[0] else (d2, d1)
+
+    parent = {v: v for v in graph.vertices}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(u: str, v: str) -> None:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            # smaller name becomes the representative
+            lo, hi = sorted((ru, rv))
+            parent[hi] = lo
+
+    union(graph.init_of(keep), graph.init_of(drop))
+    union(graph.term_of(keep), graph.term_of(drop))
+
+    rep = {v: find(v) for v in graph.vertices}
+    merged = tuple(sorted((old, new) for old, new in rep.items() if old != new))
+    for old, new in merged:
+        if stage.vertex_labels[old] != stage.vertex_labels[new]:
+            raise InvariantViolation(
+                f"fold would merge vertices {old}, {new} with different labels")
+
+    drop_edge = drop[0]
+    new_vertices = tuple(sorted(set(rep.values())))
+    new_edges = tuple((name, rep[i], rep[t]) for name, i, t in graph.edges
+                      if name != drop_edge)
+    new_labels = {n: l for n, l in stage.edge_labels.items() if n != drop_edge}
+    new_vlabels = {v: stage.vertex_labels[v] for v in new_vertices}
+    new_stage = Stage(Graph(new_vertices, new_edges), new_labels, new_vlabels)
+    return new_stage, FoldRecord(index, kind, vertex, keep, drop, label, merged)
 
 
 def fold_map(before: Stage, after: Stage, record: FoldRecord) -> GraphMap:
@@ -68,7 +135,7 @@ def fold_map(before: Stage, after: Stage, record: FoldRecord) -> GraphMap:
     return GraphMap(before.graph, after.graph, vertex_map, images)
 
 
-def verify(seq: FoldSequence) -> None:
+def verify(seq: FoldSequence | OracleSequence) -> None:
     """Recompose the chain one stage at a time and insist it reproduces the
     original verbatim."""
     if seq.fold_count != (len(seq.stages[0].graph.edges)
@@ -91,9 +158,8 @@ def verify(seq: FoldSequence) -> None:
         raise InvariantViolation("recomposed fold sequence differs from map")
 
 
-def decompose(f: GraphMap) -> FoldSequence:
-    """The fold sequence with every pick made by :func:`pick_fold`."""
-    sub = subdivide_at_preimages(f)
+def fold_chain(sub: Subdivision) -> tuple[list[Stage], list[FoldRecord]]:
+    """Fold with :func:`pick_fold` until no fold applies, stuck or not."""
     labels = {name: images[0]
               for name, images in sub.relabeled.edge_images.items()}
     stage = Stage(sub.graph, labels, dict(sub.relabeled.vertex_map))
@@ -103,6 +169,14 @@ def decompose(f: GraphMap) -> FoldSequence:
         stage, record = _apply_fold(stage, cand, len(folds) + 1)
         stages.append(stage)
         folds.append(record)
+    return stages, folds
+
+
+def decompose(f: GraphMap) -> OracleSequence:
+    """The fold sequence with every pick made by :func:`pick_fold`."""
+    sub = subdivide_at_preimages(f)
+    stages, folds = fold_chain(sub)
+    stage = stages[-1]
     codomain = f.codomain
     vlabels = stage.vertex_labels
     if sorted(vlabels.values()) != sorted(codomain.vertices) or \
@@ -113,6 +187,6 @@ def decompose(f: GraphMap) -> FoldSequence:
                              "isomorphism")
     final = GraphMap(stage.graph, codomain, dict(vlabels),
                      {name: (label,) for name, label in stage.edge_labels.items()})
-    seq = FoldSequence(f, sub, tuple(stages), tuple(folds), final)
+    seq = OracleSequence(f, sub, tuple(stages), tuple(folds), final)
     verify(seq)
     return seq

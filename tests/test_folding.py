@@ -13,8 +13,9 @@ import fold_oracle
 from freebycyclic import folding
 from freebycyclic.corpus import corpus
 from freebycyclic.errors import FoldStuckError, InvariantViolation
-from freebycyclic.folding import _pick_fold, decompose
-from freebycyclic.graphs import Graph, GraphMap, load_map_file
+from freebycyclic.folding import WorkingStage, decompose
+from freebycyclic.graphs import (Graph, GraphMap, load_map_file,
+                                 subdivide_at_preimages)
 
 from conftest import EXAMPLES
 
@@ -98,6 +99,23 @@ def test_decompose_builds_two_graph_maps(monkeypatch):
     assert len(built) == 2
 
 
+def test_decompose_builds_two_graphs(monkeypatch):
+    # the folds run on one working stage: only the last stage (the domain
+    # of final_iso) and verify's chased last stage are built as graphs, and
+    # the intermediate stages wait until they are read
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return Graph(*args, **kwargs)
+
+    monkeypatch.setattr(folding, "Graph", counting)
+    seq = decompose(load_map_file(EXAMPLES / "phi_f3.map").gmap)
+    assert seq.fold_count == 4
+    assert "stages" not in vars(seq)
+    assert len(built) == 2
+
+
 def test_doubling_offset_fold():
     seq = decompose(rose_map({"a": "aa"}))
     assert seq.fold_count == 1
@@ -146,27 +164,36 @@ def oracle_maps():
 
 
 def test_fold_picks_agree_with_all_pairs_oracle():
-    offsets = 0
+    offsets = stuck = 0
     for f in oracle_maps():
+        # the working stage's pick at every step, stuck chains included
+        stages, records = fold_oracle.fold_chain(subdivide_at_preimages(f))
+        work = WorkingStage(stages[0])
+        for stage, record in zip(stages, records):
+            assert work.pick() == fold_oracle.pick_fold(stage)
+            assert work.fold(record.kept, record.dropped) == \
+                record.merged_vertices
+        assert work.pick() is None
         try:
             expected = fold_oracle.decompose(f)
         except FoldStuckError:
             with pytest.raises(FoldStuckError):
                 decompose(f)
+            stuck += 1
             continue
         seq = decompose(f)
-        for stage in seq.stages:
-            assert _pick_fold(stage) == fold_oracle.pick_fold(stage)
         assert (seq.stages, seq.folds, seq.final_iso) == \
             (expected.stages, expected.folds, expected.final_iso)
         fold_oracle.verify(seq)
         offsets += sum(r.kind == "offset" for r in seq.folds)
     assert offsets > 0  # the head-to-tail branch was exercised
+    assert stuck > 0
 
 
 @pytest.mark.parametrize("tamper", ["kept edge folded away",
                                     "merged onto a vanished vertex",
-                                    "kept edge with another label"])
+                                    "kept edge with another label",
+                                    "dropped edge dropped before"])
 def test_verify_rejects_a_tampered_fold_record(tamper):
     seq = decompose(load_map_file(EXAMPLES / "phi_f3.map").gmap)
     first, second = seq.folds[:2]
@@ -176,9 +203,11 @@ def test_verify_rejects_a_tampered_fold_record(tamper):
         (vanished, _rep), = first.merged_vertices
         changes = {"merged_vertices": ((second.merged_vertices[0][0],
                                         vanished),)}
-    else:
+    elif tamper == "kept edge with another label":
         changes = {"kept": ("a_1", second.kept[1])}
         assert seq.stages[1].edge_labels["a_1"][0] != second.label[0]
+    else:
+        changes = {"dropped": first.dropped}
     seq.folds = (first, replace(second, **changes), *seq.folds[2:])
     with pytest.raises(InvariantViolation, match="fold chain"):
         seq.verify()
