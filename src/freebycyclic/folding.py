@@ -194,6 +194,11 @@ class FoldSequence:
     def fold_count(self) -> int:
         return len(self.folds)
 
+    def working_stage(self) -> WorkingStage:
+        """A fresh working stage at the subdivided graph, to replay the
+        records on without building any stage."""
+        return WorkingStage(_first_stage(self.subdivision))
+
     @cached_property
     def stages(self) -> tuple[Stage, ...]:
         """Every stage, stages[0] the subdivided graph; replayed from the

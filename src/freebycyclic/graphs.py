@@ -15,9 +15,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (DisconnectedGraphError, InputParseError,
                      InvariantViolation, MarkingError)
-from .words import (FreeGroupMap, Letter, Word, concat, format_word, inverse,
-                    greedy_nielsen_inverse, parse_word, reduce_word,
-                    substitute)
+from .words import (FreeGroupMap, Letter, Word, _Alphabet, _reduced_image,
+                    concat, format_word, inverse, greedy_nielsen_inverse,
+                    parse_word, reduce_word)
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,11 @@ class Graph:
             out[init].append((name, 1))
             out[term].append((name, -1))
         return {v: tuple(dirs) for v, dirs in out.items()}
+
+    @cached_property
+    def _alphabet(self) -> _Alphabet:
+        """The code points of the oriented edges, built on first use."""
+        return _Alphabet(self.edge_names)
 
     def directions(self, vertex: str) -> tuple[Letter, ...]:
         """All directions based at ``vertex``, sorted by (edge name, forward first)."""
@@ -204,18 +209,8 @@ class GraphMap:
         return tuple(out)
 
     def apply_tight(self, word: Iterable[Letter]) -> Word:
-        """Tightened image of an edge path; equals ``tighten(apply_path(word))``.
-
-        Edge images need not be tight, so each letter's image is reduced
-        once per call (``edge_images`` is mutable, so nothing is cached on
-        the map) before :func:`substitute` cancels at the junctions.
-        """
-        word = tuple(word)
-        reduced: dict[Letter, Word] = {}
-        for name, sign in set(word):
-            img = reduce_word(self.edge_images[name])
-            reduced[(name, sign)] = img if sign > 0 else inverse(img)
-        return substitute(word, reduced)
+        """Tightened image of an edge path; equals ``tighten(apply_path(word))``."""
+        return self.codomain._alphabet.decode(self._tight_text(word, 1))
 
     def direction_image(self, lt: Letter) -> Letter:
         """First letter of the image of the direction ``lt`` (image must be nonempty)."""
@@ -226,10 +221,37 @@ class GraphMap:
         return img[0] if sign > 0 else (img[-1][0], -img[-1][1])
 
     def iterate_tight(self, word: Iterable[Letter], n: int) -> Word:
-        out = tuple(word)
-        for _ in range(n):
-            out = self.apply_tight(out)
-        return out
+        """The tightened image of an edge path under the n-th power of a self-map."""
+        return self.codomain._alphabet.decode(self._tight_text(word, n))
+
+    def _tight_text(self, word: Iterable[Letter], rounds: int) -> str:
+        """The tightened image of ``word`` under ``rounds`` applications of
+        the map, as text over the codomain's alphabet: the word is encoded
+        once and each round substitutes and reduces on the text.
+
+        Edge images need not be tight, so each letter's image is reduced
+        when the letter first occurs (``edge_images`` is mutable, so nothing
+        is cached on the map).
+        """
+        if rounds > 1 and not self.is_self_map:
+            raise InvariantViolation("only a self-map can be iterated")
+        source, target = self.domain._alphabet, self.codomain._alphabet
+        text = source.encode(word)
+        table: dict[str, str] = {}
+        pairs: tuple[str, ...] = ()
+        letters = set(text)  # every letter the next round can meet
+        for _ in range(rounds):
+            fresh = letters.difference(table)
+            if fresh:
+                for ch in fresh:
+                    name, sign = source.letter[ch]
+                    img = reduce_word(self.edge_images[name])
+                    table[ch] = target.encode(img if sign > 0 else inverse(img))
+                images = "".join(table.values())
+                pairs = target.cancelling_pairs(images)
+                letters = set(images)
+            text = _reduced_image(text, table, pairs)
+        return text
 
 
 def compose(f: GraphMap, g: GraphMap) -> GraphMap:

@@ -151,18 +151,21 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
     cell_set: dict[tuple[str, int], str] = {
         (v, 0): cell_name((v, 0)) for v in codomain.vertices}
     skews: list[SkewCell] = []
+    work = seq.working_stage()
     for record in seq.folds:
         i = record.index
-        prev = seq.stages[i - 1].graph
         renames = merged[i - 1]
         keep = record.kept
-        top_vertex = prev.term_of(keep)
+        # the ends of the kept direction in the stage the fold starts from
+        bottom_vertex, top_vertex = work.ends[keep[0]]
+        if keep[1] < 0:
+            bottom_vertex, top_vertex = top_vertex, bottom_vertex
+        work.fold(keep, record.dropped)
         top = norm(renames.get(top_vertex, top_vertex), i)
         if record.kind == "strict":
             bottom = (record.vertex, i - 1)
             rise = 1
         else:
-            bottom_vertex = prev.init_of(keep)
             bottom = norm(renames.get(bottom_vertex, bottom_vertex), i)
             rise = 0
         for endpoint in (bottom, top):

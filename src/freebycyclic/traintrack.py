@@ -534,7 +534,7 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
         if not fixed:
             continue
         rays = {d: _ray_prefix(f, period, d, max_len) for d in fixed}
-        halves: list[tuple[Letter, Word, Word]] = []  # (dir, prefix, overflow)
+        halves: list[tuple[Letter, Word, str]] = []  # (dir, prefix, overflow)
         for d in fixed:
             ray = rays[d]
             for a in range(1, min(len(ray), max_len - 1) + 1):
@@ -543,13 +543,16 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
                 if predicted > _POWER_IMAGE_CAP:
                     capped = True
                     continue
-                image = f.iterate_tight(sigma, period)
+                # the image stays text, never decoded: it is only measured
+                # and compared, with the prefix (its text after no rounds)
+                # and with other overflows, as the words would be
+                image = f._tight_text(sigma, period)
                 if len(image) != predicted:
                     raise InvariantViolation(
                         f"f^{period}-image of the eigenray prefix "
                         f"{format_word(sigma)} has {len(image)} letters, "
                         f"not the {predicted} its crossing counts predict")
-                if image[:a] != sigma:
+                if image[:a] != f._tight_text(sigma, 0):
                     continue
                 halves.append((d, sigma, image[a:]))
         graph = f.domain

@@ -12,6 +12,7 @@ Text conventions used everywhere in the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InputParseError, InvariantViolation
@@ -51,36 +52,6 @@ def reduce_word(word: Iterable[Letter]) -> Word:
             out.pop()
         else:
             out.append(lt)
-    return tuple(out)
-
-
-def substitute(word: Iterable[Letter], image_of: Mapping[Letter, Word]) -> Word:
-    """Freely reduced product of ``image_of[lt]`` over the letters of ``word``.
-
-    Every image must be freely reduced.  The output then stays reduced
-    inside each appended image, so the only cancellation is where a new
-    image meets the tail of the output: each image is appended after its
-    head has cancelled against that tail.  ``word`` itself may be
-    unreduced.
-    """
-    out: list[Letter] = []
-    pop, extend = out.pop, out.extend
-    for lt in word:
-        img = image_of[lt]
-        if out and img:
-            last, head = out[-1], img[0]
-            if last[0] == head[0] and last[1] == -head[1]:
-                pop()
-                k, n = 1, len(img)
-                while out and k < n:
-                    last, head = out[-1], img[k]
-                    if last[0] != head[0] or last[1] != -head[1]:
-                        break
-                    pop()
-                    k += 1
-                extend(img[k:])
-                continue
-        extend(img)
     return tuple(out)
 
 
@@ -203,6 +174,62 @@ def centralizer_generator(word: Iterable[Letter]) -> Word:
 
 
 # ---------------------------------------------------------------------------
+# the substitution kernel: a word as a string of one code point per letter
+
+
+class _Alphabet:
+    """One code point per oriented letter over ``names``, in sorted letter
+    order from 0, skipping the surrogate block.
+
+    An alphabet of at most 256 letters stays below 256, where CPython keeps
+    every one-character string cached, so decoding a text makes no string
+    per letter.
+    """
+
+    def __init__(self, names: Iterable[str]) -> None:
+        letters = sorted((name, sign) for name in set(names) for sign in (-1, 1))
+        points = (c for c in count() if not 0xD800 <= c <= 0xDFFF)
+        self.char = {lt: chr(c) for lt, c in zip(letters, points)}
+        self.letter = {ch: lt for lt, ch in self.char.items()}
+
+    def encode(self, word: Iterable[Letter]) -> str:
+        return "".join(map(self.char.__getitem__, word))
+
+    def decode(self, text: str) -> Word:
+        return tuple(map(self.letter.__getitem__, text))
+
+    def cancelling_pairs(self, text: str) -> tuple[str, ...]:
+        """The pairs u u⁻¹ and u⁻¹ u for every generator that occurs in ``text``."""
+        names = sorted({self.letter[ch][0] for ch in set(text)})
+        char = self.char
+        return tuple(char[(name, sign)] + char[(name, -sign)]
+                     for name in names for sign in (1, -1))
+
+
+def _reduced_image(letters: Iterable, image_text: Mapping[object, str],
+                   pairs: tuple[str, ...]) -> str:
+    """The freely reduced product of ``image_text[x]`` over ``letters``.
+
+    ``letters`` is a word or the text of one, keyed accordingly; the images
+    are texts over one alphabet, and ``pairs`` must hold the cancelling
+    pairs of every generator they contain.  The product is concatenated in
+    C and reduced by deleting the pairs until a pass over them deletes
+    nothing.  Free reduction is confluent, so the order of the deletions
+    does not change the result.  Each pass peels at least one layer off
+    every cancellation, so the passes number one more than the deepest
+    cancellation; for a reduced word under a map with reduced images that
+    depth is at most the map's bounded cancellation constant (Cooper 1987).
+    """
+    text = "".join(map(image_text.__getitem__, letters))
+    size = -1
+    while size != len(text):
+        size = len(text)
+        for pair in pairs:
+            text = text.replace(pair, "")
+    return text
+
+
+# ---------------------------------------------------------------------------
 # group maps
 
 
@@ -233,11 +260,15 @@ class FreeGroupMap:
                 if name not in cod:
                     raise InvariantViolation(f"image letter {name!r} not in codomain")
         self._index = {g: i for i, g in enumerate(self.domain)}
-        # each generator's image in both orientations, for substitute()
-        self._image_of: dict[Letter, Word] = {}
+        # each generator's image in both orientations as codomain text, and
+        # the cancelling pairs of the generators those images contain
+        self._alphabet = _Alphabet(self.codomain)
+        self._image_text: dict[Letter, str] = {}
         for g, img in zip(self.domain, self.images):
-            self._image_of[(g, 1)] = img
-            self._image_of[(g, -1)] = inverse(img)
+            self._image_text[(g, 1)] = self._alphabet.encode(img)
+            self._image_text[(g, -1)] = self._alphabet.encode(inverse(img))
+        self._pairs = self._alphabet.cancelling_pairs(
+            "".join(self._image_text.values()))
 
     @classmethod
     def identity(cls, gens: Sequence[str]) -> "FreeGroupMap":
@@ -256,7 +287,10 @@ class FreeGroupMap:
         return self.images[self._index[name]]
 
     def apply(self, word: Iterable[Letter]) -> Word:
-        return substitute(word, self._image_of)
+        """Freely reduced product of the images of the letters of ``word``,
+        which may itself be unreduced."""
+        return self._alphabet.decode(
+            _reduced_image(word, self._image_text, self._pairs))
 
     def __call__(self, word: Iterable[Letter]) -> Word:
         return self.apply(word)

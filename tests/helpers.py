@@ -1,10 +1,11 @@
 """Helpers that only the tests use: seeded random paths and map pairs,
-and two readings of a free-group map."""
+two readings of a free-group map, and the tuple substitution loop that
+checks the string kernel behind ``FreeGroupMap.apply``."""
 
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from freebycyclic.corpus import random_expanding_map
 from freebycyclic.errors import InvariantViolation
@@ -21,6 +22,36 @@ def same_images(f: FreeGroupMap, g: FreeGroupMap) -> bool:
     """Equal domains, codomains and image words, letter for letter."""
     return (f.domain == g.domain and f.codomain == g.codomain
             and f.images == g.images)
+
+
+def substitute(word: Iterable[Letter], image_of: Mapping[Letter, Word]) -> Word:
+    """Freely reduced product of ``image_of[lt]`` over the letters of ``word``.
+
+    Every image must be freely reduced.  The output then stays reduced
+    inside each appended image, so the only cancellation is where a new
+    image meets the tail of the output: each image is appended after its
+    head has cancelled against that tail.  ``word`` itself may be
+    unreduced.
+    """
+    out: list[Letter] = []
+    pop, extend = out.pop, out.extend
+    for lt in word:
+        img = image_of[lt]
+        if out and img:
+            last, head = out[-1], img[0]
+            if last[0] == head[0] and last[1] == -head[1]:
+                pop()
+                k, n = 1, len(img)
+                while out and k < n:
+                    last, head = out[-1], img[k]
+                    if last[0] != head[0] or last[1] != -head[1]:
+                        break
+                    pop()
+                    k += 1
+                extend(img[k:])
+                continue
+        extend(img)
+    return tuple(out)
 
 
 def random_pair(seed: int) -> tuple[GraphMap, GraphMap]:

@@ -216,6 +216,52 @@ def test_apply_tight_on_the_square_of_a_map(length, seed):
         assert g.apply_tight(path) == W.reduce_word(g.apply_path(path))
 
 
+#: a rose of 130 petals, whose 260 directions run past code point 255
+ROSE130 = G.Graph.rose(tuple(f"e{i:03d}" for i in range(130)))
+
+
+@st.composite
+def rose_maps_and_paths(draw):
+    rose = draw(st.sampled_from((ROSE2, ROSE3, ROSE130)))
+    names = rose.edge_names
+    letters = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    # untight images over the last three petals, so that rounds cancel;
+    # any other petal maps to itself
+    petals = names[-3:]
+    images = {e: ((e, 1),) for e in names}
+    for e in petals:
+        images[e] = tuple(draw(st.lists(
+            st.tuples(st.sampled_from(petals), st.sampled_from((1, -1))),
+            max_size=3)))
+    word = tuple(draw(st.lists(letters, max_size=8)))
+    return G.GraphMap(rose, rose, {"v": "v"}, images), word
+
+
+@settings(max_examples=150, deadline=None)
+@given(rose_maps_and_paths(), st.integers(min_value=0, max_value=4))
+def test_iterate_tight_equals_repeated_apply_tight(case, n):
+    f, word = case
+    expected = oracle = word
+    for _ in range(n):
+        expected = f.apply_tight(expected)
+        oracle = W.reduce_word(f.apply_path(oracle))
+    assert f.iterate_tight(word, n) == expected == oracle
+
+
+def test_iterate_tight_cancels_generators_first_met_in_later_rounds():
+    # a -> bc -> aA: a cancels in round two, though the image of a has none
+    f = G.GraphMap.from_strings(ROSE3, {"v": "v"}, {"a": "bc", "b": "a", "c": "A"})
+    assert f.iterate_tight(w("a"), 2) == f.apply_tight(w("bc")) == ()
+    assert f.iterate_tight(w("aa"), 3) == f.apply_tight(f.apply_tight(w("bcbc"))) == ()
+
+
+def test_iterate_tight_needs_a_self_map():
+    f = G.GraphMap(ROSE2, ROSE3, {"v": "v"}, {"a": w("ab"), "b": w("c")})
+    assert f.iterate_tight(w("ab"), 1) == f.apply_tight(w("ab")) == w("abc")
+    with pytest.raises(InvariantViolation):
+        f.iterate_tight(w("ab"), 2)
+
+
 # -- tighten laws on paths (acceptance criterion support) --------------------
 
 @given(st.lists(st.tuples(st.sampled_from(("a", "b", "c")),

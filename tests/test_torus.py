@@ -179,6 +179,18 @@ def test_golden_torus_smoke():
     validate(torus)
 
 
+def test_build_torus_replays_the_folds_without_stages():
+    # the ends of each kept direction come from one working stage, so no
+    # intermediate stage is built
+    for images in ({"a": "ab", "b": "a"}, {"a": "aa"}):
+        seq = decompose(rose_map(images))
+        build_torus(seq)
+        assert "stages" not in seq.__dict__
+    seq = decompose(load_map_file(os.path.join(EXAMPLES, "phi_f3.map")).gmap)
+    build_torus(seq)
+    assert "stages" not in seq.__dict__
+
+
 def test_no_folds_rejected():
     rose = Graph.rose(["a", "b"], vertex="v")
     identity = GraphMap.identity(rose)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from freebycyclic import traintrack
 from freebycyclic.cohomology import dict_scale, dict_sum, integral_cocycle
 from freebycyclic.corpus import corpus
-from freebycyclic.errors import (MissingAssumptionError, NotExpandingError,
-                                 NotIrreducibleError)
+from freebycyclic.errors import (InvariantViolation, MissingAssumptionError,
+                                 NotExpandingError, NotIrreducibleError)
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap, compose, load_map_file
 from freebycyclic.section import build_section, first_return, line_section
@@ -340,6 +340,15 @@ def test_nielsen_image_cap_marks_the_search_incomplete():
     assert report.exhaustive is False
     assert not report.none_up_to_bounds
     assert "1,000,000 letters" in report.note
+
+
+def test_eigenray_image_shorter_than_predicted_is_refused():
+    # not a train track: f(ab) = ab.Baaa tightens to aaaa, 4 letters where
+    # the crossing counts predict 6, so the eigenray search must refuse it
+    f = rose_map({"a": "ab", "b": "Baaa"})
+    with pytest.raises(InvariantViolation,
+                       match="prefix ab has 4 letters, not the 6"):
+        traintrack._eigenray_search(f, transition_matrix(f), 6, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from freebycyclic.errors import InputParseError
 from freebycyclic import words as W
 from freebycyclic.words import FreeGroupMap
 
+from helpers import substitute
+
 ABC = ("a", "b", "c")
 
 
@@ -237,3 +239,66 @@ def test_apply_cancels_through_whole_images():
     f = FreeGroupMap.from_strings(ABC, {"a": "ab", "b": "", "c": "BA"})
     assert f.apply(w("aBc")) == ()
     assert f.apply(w("cac")) == w("BA")
+
+
+# -- the string kernel against the tuple substitution oracle -----------------
+
+#: codomains: one-character names, multi-character names, and 130
+#: generators, whose 260 letters run past code point 255
+CODOMAINS = (ABC, ("e1", "e2_1", "up:black.0", "b"),
+             tuple(f"g{i:03d}" for i in range(130)))
+DOMAINS = (("a", "b", "c"), ("x", "y"), ("e1", "e2_1", "up:black.0", "b"))
+LETTERS = {names: st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+           for names in CODOMAINS + DOMAINS}
+
+
+@st.composite
+def maps_and_words(draw):
+    codomain = draw(st.sampled_from(CODOMAINS))
+    # a self-map when the codomain is small, else a map into it
+    domain = draw(st.sampled_from(
+        DOMAINS + (codomain,) if len(codomain) < 10 else DOMAINS))
+    # images may be empty or unreduced; the map reduces them
+    images = tuple(tuple(draw(st.lists(LETTERS[codomain], max_size=6)))
+                   for _ in domain)
+    word = lambda: tuple(draw(st.lists(LETTERS[domain], max_size=12)))
+    # an unreduced middle u u⁻¹ makes cancellation run through whole images
+    head, middle, tail = word(), word(), word()
+    return (FreeGroupMap(domain, codomain, images),
+            head + middle + W.inverse(middle) + tail)
+
+
+def oracle_apply(f, word):
+    image_of = {}
+    for g in f.domain:
+        image_of[(g, 1)] = f.image(g)
+        image_of[(g, -1)] = W.inverse(f.image(g))
+    return substitute(word, image_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_words())
+def test_apply_equals_the_substitution_oracle(case):
+    f, word = case
+    assert f.apply(word) == oracle_apply(f, word)
+
+
+def test_apply_on_deep_cancellation_equals_the_oracle():
+    # x^200 X^200 cancels 200 layers deep, through images of two letters
+    f = FreeGroupMap(("x", "y"), ("e1", "e2_1"),
+                     (W.parse_word("e1 e2_1 e1'", ("e1", "e2_1")), ()))
+    word = (("x", 1),) * 200 + (("y", 1),) + (("x", -1),) * 200
+    assert f.apply(word) == oracle_apply(f, word) == ()
+    word = (("x", 1),) * 200 + (("x", -1),) * 199
+    assert f.apply(word) == oracle_apply(f, word) == f.image("x")
+
+
+def test_apply_decodes_letters_past_code_point_255():
+    # g_i -> g_(129-i)⁻¹ g_i, so the letters of g129 sit past code point 255
+    names = CODOMAINS[2]
+    f = FreeGroupMap(names, names, tuple(
+        ((names[-1 - i], -1), (g, 1)) for i, g in enumerate(names)))
+    word = tuple((g, 1) for g in reversed(names))
+    assert f.apply(word) == oracle_apply(f, word)
+    assert f.apply((("g129", 1),)) == (("g000", -1), ("g129", 1))
+    assert f.apply((("g129", 1), ("g000", 1))) == ()
