@@ -255,7 +255,8 @@ LETTERS = {names: st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
 @st.composite
 def maps_and_words(draw):
     codomain = draw(st.sampled_from(CODOMAINS))
-    # a self-map when the codomain is small, else a map into it
+    # the domain may be the codomain only when that is small, so that
+    # drawing one image per generator stays cheap
     domain = draw(st.sampled_from(
         DOMAINS + (codomain,) if len(codomain) < 10 else DOMAINS))
     # images may be empty or unreduced; the map reduces them
