@@ -128,7 +128,10 @@ def parse_presentation_text(text: str) -> TwoGenPresentation:
 
 
 def load_presentation_file(path: str | Path) -> TwoGenPresentation:
-    return parse_presentation_text(Path(path).read_text())
+    try:
+        return parse_presentation_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def format_presentation(pres: TwoGenPresentation) -> str:

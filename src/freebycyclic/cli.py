@@ -109,6 +109,17 @@ def _phase(text: str) -> Fraction:
         raise InputParseError(f"bad phase {text!r}") from exc
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a bad value
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     parser = _Parser(prog="freebycyclic",
                      description="train tracks, mapping tori, sections, "
@@ -131,14 +142,14 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         cmd.add_argument("--out", default=None, metavar="DIR",
                          help="write the artifact into DIR instead of stdout")
         if name == "traintrack":
-            cmd.add_argument("--nielsen-len", type=int, default=10,
+            cmd.add_argument("--nielsen-len", type=_at_least(1), default=10,
                              help="Nielsen path length bound (default 10)")
-            cmd.add_argument("--nielsen-period", type=int, default=6,
+            cmd.add_argument("--nielsen-period", type=_at_least(1), default=6,
                              help="Nielsen path period bound (default 6)")
         elif name == "survey":
-            cmd.add_argument("--height-max", type=int, default=8,
+            cmd.add_argument("--height-max", type=_at_least(1), default=8,
                              help="survey coordinate height (default 8)")
-            cmd.add_argument("--k-max", type=int, default=5,
+            cmd.add_argument("--k-max", type=_at_least(0), default=5,
                              help="axis-line enumeration bound (default 5)")
         else:
             cmd.add_argument("--class", dest="class_coords",

@@ -36,7 +36,7 @@ from .errors import (
     NotACycleError,
     TurnDataError,
 )
-from .graphs import Graph, GraphMap, spanning_tree
+from .graphs import Graph, GraphMap, fundamental_group_map, spanning_tree
 from .linalg import smith_normal_form
 from .torus import TrapComplex, skew_loop
 
@@ -678,36 +678,22 @@ def delta_lengths(graph: Graph, lengths: Mapping[str, float],
 # abelianized rank oracle
 
 
-def graph_h1_action(f: GraphMap) -> list[list[int]]:
-    """Matrix of the induced map on graph homology in a non-tree-edge basis.
+def mapping_torus_h1_rank(f: GraphMap) -> int:
+    """Abelianization rank of the group presented by the map and a stable letter.
 
-    Row ``i`` lists the signed occurrences of each non-tree edge in the
-    image of the loop carried by non-tree edge ``i``.
+    That is 1 + n - rank(A - I), where row i of A counts the signed letters
+    of the image of generator i of the map read on π₁.
     """
     if not f.is_self_map:
         raise InvariantViolation("homology action needs a self map")
-    tree = spanning_tree(f.domain)
-    free = [name for name in f.domain.edge_names
-            if name not in tree.tree_edges]
-    index = {name: i for i, name in enumerate(free)}
-    rows = []
-    for name in free:
-        loop = tree.path(tree.root, f.domain.init_of((name, 1))) \
-            + ((name, 1),) \
-            + tree.path(f.domain.term_of((name, 1)), tree.root)
-        counts = [0] * len(free)
-        for lt in f.apply_path(loop):
-            if lt[0] in index:
-                counts[index[lt[0]]] += lt[1]
-        rows.append(counts)
-    return rows
-
-
-def mapping_torus_h1_rank(f: GraphMap) -> int:
-    """Abelianization rank of the group presented by the map and a stable letter."""
-    action = graph_h1_action(f)
-    n = len(action)
-    shifted = [[action[i][j] - (1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
+    fmap = fundamental_group_map(f, spanning_tree(f.domain))
+    n = len(fmap.domain)
+    index = {name: i for i, name in enumerate(fmap.domain)}
+    shifted = []
+    for i, image in enumerate(fmap.images):
+        row = [-1 if j == i else 0 for j in range(n)]
+        for name, sign in image:
+            row[index[name]] += sign
+        shifted.append(row)
     rank = smith_normal_form(shifted).rank if n else 0
     return 1 + n - rank

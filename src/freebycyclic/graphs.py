@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (DisconnectedGraphError, InputParseError,
                      InvariantViolation, MarkingError)
@@ -85,18 +85,39 @@ class Graph:
     def valence(self, vertex: str) -> int:
         return len(self.directions(vertex))
 
+    def _neighbours(self, vertex: str) -> Iterable[str]:
+        return map(self.term_of, self.directions(vertex))
+
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            for lt in self.directions(frontier.pop()):
-                w = self.term_of(lt)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+        return not self.vertices or len(
+            reachable(self.vertices[:1], self._neighbours)) == len(self.vertices)
+
+
+T = TypeVar("T")
+
+
+def reachable(starts: Iterable[T], step: Callable[[T], Iterable[T]]) -> set[T]:
+    """Everything reachable from ``starts`` (included) by repeated ``step``."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
+    """The sorted vertex tuples of the connected components, in sorted order."""
+    seen: set[str] = set()
+    out = []
+    for start in graph.vertices:
+        if start not in seen:
+            comp = reachable((start,), graph._neighbours)
+            seen |= comp
+            out.append(tuple(sorted(comp)))
+    return tuple(sorted(out))
 
 
 def rank(graph: Graph) -> int:
@@ -370,6 +391,23 @@ def collapse_word(tree: SpanningTree, word: Iterable[Letter]) -> Word:
     return reduce_word(lt for lt in word if lt[0] not in tree.tree_edges)
 
 
+def fundamental_group_map(f: GraphMap, tree: SpanningTree) -> FreeGroupMap:
+    """A self-map read on π₁ at the tree's root, on the sorted non-tree edges.
+
+    Each non-tree edge stands for its loop through the tree from the root;
+    its image is the image of that loop with the tree collapsed.
+    """
+    graph = f.domain
+    gens = tuple(sorted(name for name in graph.edge_names
+                        if name not in tree.tree_edges))
+    images = []
+    for gen in gens:
+        loop = tree.path(tree.root, graph.init_of((gen, 1))) + ((gen, 1),) \
+            + tree.path(graph.term_of((gen, 1)), tree.root)
+        images.append(collapse_word(tree, f.apply_path(loop)))
+    return FreeGroupMap(gens, gens, tuple(images))
+
+
 # ---------------------------------------------------------------------------
 # markings
 
@@ -532,7 +570,10 @@ def parse_map_text(text: str) -> MapFile:
 
 
 def load_map_file(path: str | Path) -> MapFile:
-    return parse_map_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_map_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def format_map_file(mapfile: MapFile) -> str:

@@ -26,8 +26,8 @@ from .errors import (
     IterationBudgetError,
     NonIntegralClassError,
 )
-from .graphs import Graph, GraphMap, SpanningTree, collapse_word, \
-    spanning_tree
+from .graphs import Graph, GraphMap, SpanningTree, components, \
+    fundamental_group_map, spanning_tree
 from .torus import TrapComplex
 from .traintrack import illegal_turns
 from .words import FreeGroupMap, Word, inverse
@@ -464,24 +464,6 @@ def _frac_token(x: Fraction) -> str:
     return f"{x.numerator}of{x.denominator}"
 
 
-def _components(graph: Graph) -> tuple[tuple[str, ...], ...]:
-    seen: set[str] = set()
-    out = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            for w in map(graph.term_of, graph.directions(frontier.pop())):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        out.append(tuple(sorted(comp)))
-    return tuple(sorted(out))
-
-
 def build_section(complex_: TrapComplex, cocycle: Mapping,
                   phase=Fraction(1, 2)) -> SectionGraph:
     """Level-set graph of a nonnegative integral cocycle.
@@ -587,12 +569,11 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
             f"flow landings {sorted(missing)!r} miss every level arc")
 
     graph = Graph(tuple(sorted(host)), tuple(sorted(edges)))
-    components = _components(graph)
     crossed_skews = [s.name for s in complex_.skews if z.get(s.name, 0)]
     basepoint = _crossing_name(min(crossed_skews), 1) if crossed_skews \
         else None
     return SectionGraph(complex_, z, phase, lattice, graph, charts, host,
-                        vertex_return, records, components, basepoint)
+                        vertex_return, records, components(graph), basepoint)
 
 
 # ---------------------------------------------------------------------------
@@ -631,20 +612,6 @@ class MonodromyData:
     basepoint: str
 
 
-def _graph_monodromy(graph: Graph, return_map: GraphMap, root: str,
-                     tree: SpanningTree) -> MonodromyData:
-    gens = tuple(sorted(name for name in graph.edge_names
-                        if name not in tree.tree_edges))
-    images = []
-    for gen in gens:
-        init = graph.init_of((gen, 1))
-        term = graph.term_of((gen, 1))
-        loop = tree.path(root, init) + ((gen, 1),) + tree.path(term, root)
-        images.append(collapse_word(tree, return_map.apply_path(loop)))
-    fmap = FreeGroupMap(gens, gens, tuple(images))
-    return MonodromyData(gens, fmap, tree, root)
-
-
 def monodromy(section: SectionGraph, return_map: GraphMap) -> MonodromyData:
     """Outer automorphism induced by the first return map.
 
@@ -660,8 +627,9 @@ def monodromy(section: SectionGraph, return_map: GraphMap) -> MonodromyData:
     root = section.basepoint
     if root is None or root not in graph.vertices:
         raise InvariantViolation("section has no usable basepoint")
-    return _graph_monodromy(graph, return_map, root,
-                            spanning_tree(graph, root))
+    tree = spanning_tree(graph, root)
+    fmap = fundamental_group_map(return_map, tree)
+    return MonodromyData(fmap.domain, fmap, tree, root)
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +772,9 @@ def line_section(complex_: TrapComplex, k: int) -> LineSection:
     tree = spanning_tree(chain, section.basepoint)
     if tree.tree_edges != set(tree_edges):
         raise InvariantViolation("the chain edges are not a spanning tree")
-    data = _graph_monodromy(graph, table, section.basepoint, tree)
-    return LineSection(k, section, return_map, names, graph, table,
-                       tree_edges, data)
+    fmap = fundamental_group_map(table, tree)
+    return LineSection(k, section, return_map, names, graph, table, tree_edges,
+                       MonodromyData(fmap.domain, fmap, tree, tree.root))
 
 
 # ---------------------------------------------------------------------------

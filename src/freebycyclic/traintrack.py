@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import (InvariantViolation, MissingAssumptionError,
                      NotExpandingError, NotIrreducibleError)
-from .graphs import Graph, GraphMap, rank as graph_rank, tighten
+from .graphs import Graph, GraphMap, rank as graph_rank, reachable, tighten
 from .words import Letter, Word, format_word, inverse, inverse_letter
 
 #: A turn is an unordered pair of distinct directions at a common vertex.
@@ -210,20 +210,6 @@ def transition_matrix(f: GraphMap) -> TransitionMatrix:
     return TransitionMatrix(edges, entries)
 
 
-def _reaches_all(adjacency: Sequence[Sequence[int]]) -> bool:
-    seen = [False] * len(adjacency)
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        for j in adjacency[stack.pop()]:
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-                stack.append(j)
-    return count == len(adjacency)
-
-
 def is_irreducible(matrix: TransitionMatrix) -> bool:
     """The crossing digraph (arc i -> j iff entry > 0) is strongly connected.
 
@@ -237,7 +223,8 @@ def is_irreducible(matrix: TransitionMatrix) -> bool:
     for i, row in enumerate(succ):
         for j in row:
             pred[j].append(i)
-    return _reaches_all(succ) and _reaches_all(pred)
+    return len(reachable((0,), succ.__getitem__)) == n \
+        and len(reachable((0,), pred.__getitem__)) == n
 
 
 def is_expanding(matrix: TransitionMatrix) -> bool:
@@ -318,20 +305,15 @@ def taken_turns(f: GraphMap) -> tuple[Turn, ...]:
     """Least set of turns containing all turns crossed by edge images and
     closed under the direction map."""
     dmap = direction_map(f)
-    taken: set[Turn] = set()
-    frontier: list[Turn] = []
-    for name in f.domain.edge_names:
-        for _pos, turn in crossed_turns_of_path(f.edge_images[name]):
-            if len(turn) == 2 and turn not in taken:
-                taken.add(turn)
-                frontier.append(turn)
-    while frontier:
-        turn = frontier.pop()
-        image = frozenset(dmap[d] for d in turn)
-        if len(image) == 2 and image not in taken:
-            taken.add(image)
-            frontier.append(image)
-    return tuple(sorted(taken, key=turn_sort_key))
+    crossed = (turn for name in f.domain.edge_names
+               for _pos, turn in crossed_turns_of_path(f.edge_images[name])
+               if len(turn) == 2)
+
+    def image(turn: Turn) -> tuple[Turn, ...]:
+        img = frozenset(dmap[d] for d in turn)
+        return (img,) if len(img) == 2 else ()
+
+    return tuple(sorted(reachable(crossed, image), key=turn_sort_key))
 
 
 @dataclass
@@ -368,28 +350,25 @@ def whitehead_data(f: GraphMap) -> WhiteheadData:
     components = []
     for v in principal:
         pdirs, pturns = stable[v]
-        adj = {d: set() for d in pdirs}
-        for t in pturns:
-            d1, d2 = sorted(t)
-            adj[d1].add(d2)
-            adj[d2].add(d1)
+        adj = _turn_adjacency(pdirs, pturns)
         seen: set[Letter] = set()
         for d in pdirs:
-            if d in seen:
-                continue
-            comp = {d}
-            stack = [d]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        stack.append(nxt)
-            seen |= comp
-            nodes = tuple(sorted(comp))
-            edges = tuple(t for t in pturns if all(x in comp for x in t))
-            components.append((v, nodes, edges))
+            if d not in seen:
+                comp = reachable((d,), adj.__getitem__)
+                seen |= comp
+                edges = tuple(t for t in pturns if t <= comp)
+                components.append((v, tuple(sorted(comp)), edges))
     return WhiteheadData(local, stable, principal, tuple(components))
+
+
+def _turn_adjacency(nodes: Sequence[Letter], turns: Sequence[Turn]
+                    ) -> dict[Letter, list[Letter]]:
+    """Each node's neighbours in the graph whose edges are the turns."""
+    adj: dict[Letter, list[Letter]] = {d: [] for d in nodes}
+    for d1, d2 in turns:
+        adj[d1].append(d2)
+        adj[d2].append(d1)
+    return adj
 
 
 def ideal_whitehead(f: GraphMap, *, no_pnp: bool) -> WhiteheadData:
@@ -417,27 +396,10 @@ def rotationless_index(wd: WhiteheadData) -> Fraction:
 def _has_cut_vertex(nodes: Sequence[Letter], edges: Sequence[Turn]) -> bool:
     if len(nodes) <= 2:
         return False
-    nodeset = list(nodes)
-    for removed in nodeset:
-        remaining = [n for n in nodeset if n != removed]
-        if not remaining:
-            continue
-        adj = {n: set() for n in remaining}
-        for t in edges:
-            if removed in t:
-                continue
-            d1, d2 = sorted(t)
-            adj[d1].add(d2)
-            adj[d2].add(d1)
-        seen = {remaining[0]}
-        stack = [remaining[0]]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(remaining):
+    for removed in nodes:
+        remaining = [n for n in nodes if n != removed]
+        adj = _turn_adjacency(remaining, [t for t in edges if removed not in t])
+        if len(reachable(remaining[:1], adj.__getitem__)) != len(remaining):
             return True
     return False
 

@@ -52,6 +52,23 @@ def is_connected(graph: Graph) -> bool:
     return len(seen) == len(graph.vertices)
 
 
+def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
+    """Connected components by union-find over the edge list."""
+    parent = {v: v for v in graph.vertices}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for _name, init, term in graph.edges:
+        parent[find(init)] = find(term)
+    groups: dict[str, list[str]] = {}
+    for v in graph.vertices:
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(sorted(group)) for group in groups.values()))
+
+
 def _stable_images(f: GraphMap) -> dict[Letter, Letter]:
     """Image of each direction under Df iterated #directions times."""
     dmap = direction_map(f)

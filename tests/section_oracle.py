@@ -20,9 +20,8 @@ from freebycyclic import section as sect
 from freebycyclic.cohomology import is_cocycle
 from freebycyclic.errors import (DegeneratePhaseError, InvariantViolation,
                                  IterationBudgetError, NonIntegralClassError)
-from freebycyclic.graphs import Graph, GraphMap
-from freebycyclic.section import (EdgeRecord, _components, _crossing_name,
-                                  _generic_phase)
+from freebycyclic.graphs import Graph, GraphMap, components
+from freebycyclic.section import EdgeRecord, _crossing_name, _generic_phase
 from freebycyclic.torus import TrapComplex
 from freebycyclic.words import Word, inverse
 
@@ -383,12 +382,11 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
             f"flow landings {sorted(missing)!r} miss every level arc")
 
     graph = Graph(tuple(sorted(host)), tuple(sorted(edges)))
-    components = _components(graph)
     crossed_skews = [s.name for s in complex_.skews if z.get(s.name, 0)]
     basepoint = _crossing_name(min(crossed_skews), 1) if crossed_skews \
         else None
     return OracleSection(complex_, z, phase, graph, charts, host,
-                         vertex_return, records, components, basepoint)
+                         vertex_return, records, components(graph), basepoint)
 
 
 def first_return(section: OracleSection) -> GraphMap:

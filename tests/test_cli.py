@@ -349,6 +349,10 @@ def test_monodromy_imprimitive_class_fails(capsys):
     ["survey", "--input", PRES, "--phase", "1/2"],
     ["section", "--input", PRES, "--class=1,2", "--height-max", "2"],
     ["monodromy", "--input", PRES, "--class=1,2", "--nielsen-len", "3"],
+    ["traintrack", "--input", MAP, "--nielsen-period", "0"],
+    ["traintrack", "--input", MAP, "--nielsen-len", "-3"],
+    ["survey", "--input", PRES, "--k-max", "-4"],
+    ["survey", "--input", PRES, "--height-max", "-2"],
 ])
 def test_usage_errors_exit_64(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -362,6 +366,16 @@ def test_bad_extension_exits_64(capsys, tmp_path):
     code, _out, err = run(capsys, "traintrack", "--input", str(stray))
     assert code == 64
     assert "extension" in err
+
+
+@pytest.mark.parametrize("suffix", [".map", ".2gen"])
+def test_input_that_is_not_utf8_exits_64(capsys, tmp_path, suffix):
+    stray = tmp_path / f"input{suffix}"
+    stray.write_bytes(b"vertices v\xff\n")
+    code, _out, err = run(capsys, "traintrack", "--input", str(stray))
+    assert code == 64
+    assert err.startswith("error:")
+    assert str(stray) in err
 
 
 def test_out_of_cone_class_exits_65(capsys):

@@ -1,7 +1,7 @@
 """Graph layer: paths, composition, subdivision, trees, markings, file format."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freebycyclic import graphs as G
@@ -12,6 +12,7 @@ from freebycyclic.words import FreeGroupMap
 
 from conftest import EXAMPLES
 from helpers import random_path, same_images
+import dense_oracle
 
 ROSE2 = G.Graph.rose(("a", "b"))
 ROSE3 = G.Graph.rose(("a", "b", "c"))
@@ -120,6 +121,29 @@ def test_subdivision_identity_is_noop():
     sub = G.subdivide_at_preimages(ident)
     assert sub.graph == ROSE3
     assert sub.relabeled.edge_images == ident.edge_images
+
+
+# -- searches ----------------------------------------------------------------
+
+@st.composite
+def small_graphs(draw):
+    """Up to 7 vertices, some isolated, and up to 10 edges, loops and
+    parallel edges included."""
+    n = draw(st.integers(0, 7))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(ends, max_size=10)) if n else []
+    return G.Graph(tuple(f"v{i}" for i in range(n)),
+                   tuple((f"e{k}", f"v{i}", f"v{j}")
+                         for k, (i, j) in enumerate(pairs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+@example(G.Graph((), ()))
+def test_components_match_the_union_find_oracle(graph):
+    found = G.components(graph)
+    assert found == dense_oracle.components(graph)
+    assert graph.is_connected() == (len(found) <= 1)
 
 
 # -- spanning trees ----------------------------------------------------------

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from freebycyclic.cohomology import (axis_dim_lower_bound, dict_scale,
-                                     dict_sum, integral_cocycle,
-                                     line_family_cocycle)
-from freebycyclic.errors import (DisconnectedGraphError, FreeByCyclicError,
+from freebycyclic.cohomology import (axis_dim_lower_bound, cone_membership,
+                                     dict_scale, dict_sum, integral_cocycle,
+                                     line_family_cocycle,
+                                     mapping_torus_h1_rank)
+from freebycyclic.errors import (ConeInfeasibleError,
+                                 DisconnectedGraphError, FreeByCyclicError,
                                  InvariantViolation, IterationBudgetError,
                                  NonIntegralClassError)
 from freebycyclic.folding import decompose
@@ -539,6 +541,29 @@ def test_suspension_homology_rank_is_two(torus, k):
     shifted = [[rows[i][j] - (1 if i == j else 0) for j in range(n)]
                for i in range(n)]
     assert 1 + (n - rational_rank(shifted)) == 2
+
+
+def test_section_return_maps_keep_the_group_invariants(torus):
+    # every primitive class in the cone sections the torus once, so its
+    # return map's mapping torus is the whole group (b1 = 2) and the section
+    # has the rank the class pairs to, -cb + 2cr, read off its monodromy
+    checked = 0
+    for cb in range(-6, 7):
+        for cr in range(-6, 7):
+            if math.gcd(cb, cr) != 1:
+                continue
+            try:
+                cone_membership(torus, family_like((cb, cr)))
+            except ConeInfeasibleError:
+                continue
+            sec = build_section(torus,
+                                integral_cocycle(torus, family_like((cb, cr))))
+            ret = first_return(sec)
+            assert mapping_torus_h1_rank(ret) == 2, (cb, cr)
+            assert len(monodromy(sec, ret).generators) - 1 \
+                == -cb + 2 * cr, (cb, cr)
+            checked += 1
+    assert checked == 35
 
 
 # ---------------------------------------------------------------------------
