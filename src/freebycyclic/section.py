@@ -18,8 +18,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import is_cocycle, line_family_cocycle
+from .cohomology import cone_membership, is_cocycle, line_family_cocycle
 from .errors import (
+    ConeInfeasibleError,
     DegeneratePhaseError,
     DisconnectedGraphError,
     InvariantViolation,
@@ -590,10 +591,19 @@ def first_return(section: SectionGraph) -> GraphMap:
         (rec.trap, rec.level, _on_lattice(rec.x_lo, lattice, rec.trap)):
         (name, _on_lattice(rec.x_hi, lattice, rec.trap))
         for name, rec in section.edge_records.items()}
-    edge_images = {
-        name: grid.flow_segment(starting_at, trap, x_lo, x_hi,
-                                grid.offset + (level + 1) * lattice, 1)
-        for (trap, level, x_lo), (name, x_hi) in starting_at.items()}
+    try:
+        edge_images = {
+            name: grid.flow_segment(starting_at, trap, x_lo, x_hi,
+                                    grid.offset + (level + 1) * lattice, 1)
+            for (trap, level, x_lo), (name, x_hi) in starting_at.items()}
+    except IterationBudgetError as exc:
+        # a class outside the open cone is the likely cause: say so
+        try:
+            cone_membership(section.complex, section.cocycle)
+        except ConeInfeasibleError as outside:
+            raise outside from exc
+        raise IterationBudgetError(
+            f"first return of the cocycle {section.cocycle!r}: {exc}") from exc
     return GraphMap(section.graph, section.graph,
                     dict(section.vertex_return), edge_images)
 

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (InvariantViolation, IterationBudgetError, NotACycleError)
+from .errors import (InvariantViolation, IterationBudgetError, NotACycleError,
+                     NotIrreducibleError)
 from .folding import FoldSequence
+from .graphs import GraphMap, reachable
+from .traintrack import is_irreducible, transition_matrix
 from .words import Letter
 
 
@@ -128,12 +131,33 @@ class TrapComplex:
 _MAX_SWEEP_STEPS = 200_000  # over all trapezoids, before build_torus gives up
 
 
+def _require_irreducible(f: GraphMap) -> None:
+    """Refuse a map with a proper invariant subgraph: the edges outside it
+    are crossed by no image of its edges, so no sweep reaches them."""
+    matrix = transition_matrix(f)
+    if is_irreducible(matrix):
+        return
+    succ = [[j for j, _count in row] for row in matrix.entries]
+    n = len(succ)
+    for i in range(n):  # reducible: some edge does not reach every edge
+        inside = reachable((i,), succ.__getitem__)
+        if len(inside) < n:
+            break
+    edges = matrix.edges
+    raise NotIrreducibleError(
+        f"the map is reducible: edges "
+        f"{[edges[i] for i in range(n) if i not in inside]} are crossed by "
+        f"no image of an edge of the invariant subgraph "
+        f"{[edges[i] for i in sorted(inside)]}")
+
+
 def build_torus(seq: FoldSequence) -> TrapComplex:
     k = seq.fold_count
     if k == 0:
         raise InvariantViolation(
             "the map folds to an isomorphism with no folds; the torus "
             "construction needs at least one fold window")
+    _require_irreducible(seq.original)
     codomain = seq.original.codomain
     h_vmap = seq.final_iso.vertex_map
     # merged[i]: the vertices fold i+1 renames; every other vertex is fixed

@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Optional, Sequence
 
 from .errors import (InvariantViolation, MissingAssumptionError,
@@ -261,33 +262,59 @@ def eigen_metric(f: GraphMap) -> EigenMetric:
     return _power_iteration(matrix)
 
 
+def _gather(indices: Sequence[int]):
+    """``itemgetter`` that returns a tuple for one index too."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda vec: (vec[i],)
+    return itemgetter(*indices)
+
+
 def _power_iteration(matrix: TransitionMatrix) -> EigenMetric:
     """``eigen_metric`` of an irreducible, expanding crossing matrix."""
     n = len(matrix.edges)
     x = [1.0 / n] * n
-    entries = matrix.entries
 
-    # dropping the zero entries drops exact zeros from sums of nonnegative
-    # terms, so the products equal the dense ones bit for bit
-    def apply_a(vec: list[float]) -> list[float]:
-        return [sum(count * vec[j] for j, count in row) for row in entries]
+    # A·x is one gather from x followed by the sums of the other rows: a
+    # row that is one entry of count 1 is x_j itself (sum((1 * v,)) == v);
+    # every other row sums its products in column order with sum(), as the
+    # dense products do, and dropping the zero entries drops exact zeros
+    # from sums of nonnegative terms, so A·x equals the dense one bit for bit
+    sums = []
+    slots = []  # where row i of A·x sits in x + [the sums]
+    for row in matrix.entries:
+        if len(row) == 1 and row[0][1] == 1:
+            slots.append(row[0][0])
+        else:
+            slots.append(n + len(sums))
+            sums.append((tuple(count for _j, count in row),
+                         _gather([j for j, _count in row])))
+    get = _gather(slots)
+
+    def apply_a(vec: list[float]) -> tuple[float, ...]:
+        return get(vec + [sum(map(mul, counts, cols(vec)))
+                          for counts, cols in sums])
 
     stretch = 0.0
     residual = float("inf")
     iterations = 0
+    worst = 0  # the argmax of the last full residual
     ax = apply_a(x)  # kept from one iteration to the next
     while iterations < _EIGEN_MAX_ITERATIONS:
         iterations += 1
-        y = [ax[i] + x[i] for i in range(n)]
-        total = sum(y)
-        x = [v / total for v in y]
+        y = list(map(add, ax, x))
+        x = list(map(truediv, y, repeat(sum(y))))
         ax = apply_a(x)
-        num = sum(ax[i] * x[i] for i in range(n))
-        den = sum(x[i] * x[i] for i in range(n))
-        stretch = num / den
-        residual = max(abs(ax[i] - stretch * x[i]) for i in range(n))
+        stretch = sum(map(mul, ax, x)) / sum(map(mul, x, x))
+        # the max is at least one entry: skip it while that entry is too big
+        if abs(ax[worst] - stretch * x[worst]) > _EIGEN_TOL \
+                and iterations < _EIGEN_MAX_ITERATIONS:
+            continue
+        res = list(map(abs, map(sub, ax, map(mul, repeat(stretch), x))))
+        residual = max(res)
         if residual <= _EIGEN_TOL:
             break
+        worst = res.index(residual)
     if residual > 1e-10:
         raise InvariantViolation(
             f"eigenmetric did not certify: residual {residual:g} > 1e-10")

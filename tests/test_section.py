@@ -457,6 +457,14 @@ def test_deep_class_stretch(deep_section):
     metric = eigen_metric(ret)
     assert abs(metric.stretch - 1.0505183582) <= 1e-9
     assert metric.residual <= 1e-10
+    # the whole eigenmetric, bit for bit; the dense oracle is too slow at
+    # 1243 edges, so these values pin the power iteration here
+    assert repr(metric.stretch) == "1.0505183581501454"
+    assert repr(metric.residual) == "9.889554453135219e-13"
+    assert metric.iterations == 816
+    lengths = repr([metric.lengths[e] for e in metric.edges])
+    assert hashlib.sha256(lengths.encode()).hexdigest() == \
+        "d47a25894712b993cd1834aa958808db366bf5b29d42e74b8aee23c190893b37"
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +642,32 @@ def test_tiny_budget_exhausts(torus, monkeypatch):
     monkeypatch.setattr(sect, "_FLOW_BUDGET", 3)
     with pytest.raises(IterationBudgetError):
         build_section(torus, line_family_cocycle(torus, 0))
+
+
+def test_boundary_class_return_names_the_cone(torus):
+    # (-1, 0) spans a boundary ray of the cone: its least integral cocycle
+    # builds a section whose segment flow never closes up
+    z = integral_cocycle(torus, family_like((-1, 0)))
+    assert z == {"up:a@2.3": 1, "skew4": 1}
+    sec = build_section(torus, z)
+    with pytest.raises(ConeInfeasibleError) as caught:
+        first_return(sec)
+    assert isinstance(caught.value.__cause__, IterationBudgetError)
+    with pytest.raises(ConeInfeasibleError) as direct:
+        cone_membership(torus, z)
+    assert str(caught.value) == str(direct.value)
+
+
+def test_return_budget_error_names_the_cocycle(torus, monkeypatch):
+    def exhausted(*_args):
+        raise IterationBudgetError("segment flow recursion exceeded depth 64")
+
+    sec = build_section(torus, line_family_cocycle(torus, 0))
+    monkeypatch.setattr(sect._Level, "flow_segment", exhausted)
+    with pytest.raises(IterationBudgetError) as caught:
+        first_return(sec)
+    assert repr(sec.cocycle) in str(caught.value)
+    assert "depth 64" in str(caught.value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from freebycyclic.errors import (InvariantViolation, NotACycleError)
+from freebycyclic.errors import (InvariantViolation, NotACycleError,
+                                 NotIrreducibleError)
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap
 from freebycyclic.torus import build_torus, skew_loop, validate
@@ -196,6 +197,18 @@ def test_no_folds_rejected():
     identity = GraphMap.identity(rose)
     with pytest.raises(InvariantViolation):
         build_torus(decompose(identity))
+
+
+def test_reducible_map_refused_before_the_sweep():
+    # b spans an invariant subgraph and a is crossed only by its own image,
+    # so the sweep would never reach a at the base level
+    seq = decompose(rose_map({"a": "ab", "b": "b"}))
+    assert seq.fold_count == 1
+    with pytest.raises(NotIrreducibleError) as err:
+        build_torus(seq)
+    assert str(err.value) == (
+        "the map is reducible: edges ['a'] are crossed by no image of an "
+        "edge of the invariant subgraph ['b']")
 
 
 def test_validate_catches_missing_top_piece(bundled_torus):

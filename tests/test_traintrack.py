@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freebycyclic import traintrack
@@ -576,6 +576,48 @@ def test_sparse_kernels_agree_with_dense_oracle(fmap):
         assert whitehead_data(f) == dense_oracle.whitehead_data(f)
         assert _metric_outcome(eigen_metric, f) == \
             _metric_outcome(dense_oracle.eigen_metric, f)
+
+
+@st.composite
+def expanding_rose_images(draw):
+    """Images of an irreducible, expanding rose map of 1-6 petals.
+
+    Petal i's image crosses petal i + 1 (cyclically), so the crossing
+    digraph is strongly connected; petal 0's image has a second letter.
+    """
+    n = draw(st.integers(1, 6))
+    petals = "abcdef"[:n]
+    images = {}
+    for i, p in enumerate(petals):
+        extra = draw(st.text(alphabet=petals, min_size=1 if i == 0 else 0,
+                             max_size=5))
+        images[p] = petals[(i + 1) % n] + extra
+    return images
+
+
+@settings(max_examples=150, deadline=None)
+@given(expanding_rose_images())
+@example({"a": "aa"})
+@example({"a": "aaaaa"})
+@example({"a": "b", "b": "c", "c": "abcaab"})
+@example({"a": "bbb", "b": "abcc", "c": "a"})
+@example({"a": "bcdef", "b": "c", "c": "d", "d": "e", "e": "f", "f": "a"})
+def test_eigen_metric_matches_the_dense_oracle_bit_for_bit(images):
+    f = rose_map(images)
+    assert is_expanding(transition_matrix(f))
+    assert _metric_outcome(eigen_metric, f) == \
+        _metric_outcome(dense_oracle.eigen_metric, f)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 10])
+def test_eigen_metric_cap_reports_the_oracle_residual(fmap, monkeypatch, cap):
+    monkeypatch.setattr(traintrack, "_EIGEN_MAX_ITERATIONS", cap)
+    for f in (fmap, rose_map({"a": "b", "b": "c", "c": "abcaab"})):
+        with pytest.raises(InvariantViolation) as oracle_exc:
+            dense_oracle.eigen_metric(f, max_iterations=cap)
+        with pytest.raises(InvariantViolation) as exc:
+            eigen_metric(f)
+        assert str(exc.value) == str(oracle_exc.value)
 
 
 def test_sparse_matrix_access(fmap):
