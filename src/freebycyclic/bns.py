@@ -134,19 +134,6 @@ def load_presentation_file(path: str | Path) -> TwoGenPresentation:
         raise InputParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def format_presentation(pres: TwoGenPresentation) -> str:
-    lines = []
-    if pres.use:
-        lines.append(f"use {pres.use}")
-    lines.append("generators " + " ".join(pres.generators))
-    lines.append("relator " + format_word(pres.relator))
-    for g in pres.generators:
-        pairs = " ".join(f"{cell} {coeff}"
-                         for cell, coeff in pres.dualcycles[g].items())
-        lines.append(f"dualcycle {g} {pairs}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # lattice trace
 

@@ -187,6 +187,9 @@ def load_workspace(path_text: str, *, with_classes: bool = False
     presentation = None
     if path.suffix == ".2gen":
         presentation = bns.load_presentation_file(path)
+        if presentation.use is None:
+            raise InputParseError(
+                f"{path} has no use line naming its map file")
         map_path = path.parent / presentation.use
         if not map_path.is_file():
             raise InputParseError(
@@ -215,8 +218,12 @@ def load_workspace(path_text: str, *, with_classes: bool = False
 def _emit(cfg: RunConfig, payload: str, filename: str) -> None:
     if cfg.out is not None:
         directory = Path(cfg.out)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / filename).write_text(payload)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / filename).write_text(payload)
+        except OSError as exc:
+            raise InputParseError(
+                f"cannot write to --out {directory}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 

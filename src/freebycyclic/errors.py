@@ -36,14 +36,6 @@ class NotExpandingError(InvariantViolation):
     """The transition matrix is irreducible but not expanding."""
 
 
-class MissingAssumptionError(InvariantViolation):
-    """An operation was asked to use a hypothesis that was not supplied.
-
-    Raised with an explanation of which assumption flag is required and why it
-    cannot be computed internally.
-    """
-
-
 class FoldStuckError(InvariantViolation):
     """No fold is available but the graph map is not yet a relabeling."""
 

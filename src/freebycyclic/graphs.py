@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 from .errors import (DisconnectedGraphError, InputParseError,
                      InvariantViolation, MarkingError)
 from .words import (FreeGroupMap, Letter, Word, _Alphabet, _reduced_image,
-                    concat, format_word, inverse, greedy_nielsen_inverse,
+                    concat, inverse, greedy_nielsen_inverse,
                     parse_word, reduce_word)
 
 
@@ -574,21 +574,3 @@ def load_map_file(path: str | Path) -> MapFile:
         return parse_map_text(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise InputParseError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def format_map_file(mapfile: MapFile) -> str:
-    """Serialize back to the text format (used by generators and tests)."""
-    g = mapfile.graph
-    lines = ["vertices " + " ".join(g.vertices)]
-    lines += [f"edge {n} {i} {t}" for n, i, t in g.edges]
-    lines += [f"vmap {v} {mapfile.gmap.vertex_map[v]}" for v in g.vertices]
-    lines += [f"emap {n} {format_word(mapfile.gmap.edge_images[n])}"
-              for n in g.edge_names]
-    if mapfile.marked is not None:
-        m = mapfile.marked
-        lines.append(f"marking basepoint {m.basepoint}")
-        lines += [f"marking {gen} {format_word(m.marking_word(gen))}"
-                  for gen in m.generators]
-    for flag in sorted(mapfile.assumptions):
-        lines.append(f"assume {flag}")
-    return "\n".join(lines) + "\n"

@@ -5,11 +5,18 @@ crossing (transition) matrix with its irreducibility/expansion tests and
 eigenmetric, taken turns, stable Whitehead data at principal vertices, the
 rotationless index, a bounded periodic-Nielsen-path search, and the lone
 axis verdict.
+
+One lazy record, ``_Invariants``, computes each train track invariant of a
+map at most once, on first use: ``is_train_track``, ``eigen_metric``,
+``nielsen_search``, ``lone_axis_check`` and ``traintrack_report`` each read
+one record, so a caller computes only the invariants it reads and a report
+shares them with its verdict.  The Nielsen search takes only expanding
+irreducible train track maps and refuses any other map with a typed error
+naming the failed hypothesis.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,9 +25,8 @@ from itertools import combinations, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from typing import Optional, Sequence
 
-from .errors import (InvariantViolation, MissingAssumptionError,
-                     NotExpandingError, NotIrreducibleError)
-from .graphs import Graph, GraphMap, rank as graph_rank, reachable, tighten
+from .errors import InvariantViolation, NotExpandingError, NotIrreducibleError
+from .graphs import GraphMap, rank as graph_rank, reachable, tighten
 from .words import Letter, Word, format_word, inverse, inverse_letter
 
 #: A turn is an unordered pair of distinct directions at a common vertex.
@@ -28,14 +34,11 @@ Turn = frozenset  # frozenset[Letter] of size 2
 
 # eigen_metric stops at this residual or after this many iterations; the
 # eigenray Nielsen search skips a half whose tight image passes the cap; a
-# periodic orbit is abandoned once an iterate passes the growth cap; direct
-# enumeration stops after the candidate cap or at the found cap
+# periodic orbit is abandoned once an iterate passes the growth cap
 _EIGEN_TOL = 1e-12
 _EIGEN_MAX_ITERATIONS = 200_000
 _POWER_IMAGE_CAP = 1_000_000
 _ORBIT_GROWTH_CAP = 100_000
-_CANDIDATE_CAP = 200_000
-_FOUND_CAP = 500
 
 
 def make_turn(d1: Letter, d2: Letter) -> Turn:
@@ -103,16 +106,6 @@ def periodic_directions(f: GraphMap) -> frozenset[Letter]:
     return frozenset(_stable_images(f).values())
 
 
-def all_turns(graph: Graph) -> tuple[Turn, ...]:
-    turns = []
-    for v in graph.vertices:
-        dirs = graph.directions(v)
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                turns.append(make_turn(dirs[i], dirs[j]))
-    return tuple(sorted(set(turns), key=turn_sort_key))
-
-
 def illegal_turns(f: GraphMap) -> tuple[Turn, ...]:
     """Turns whose two directions are eventually identified by the direction map.
 
@@ -148,18 +141,7 @@ def is_train_track(f: GraphMap) -> tuple[bool, Optional[tuple[str, int]]]:
     Returns ``(True, None)`` or ``(False, (edge, position))`` where position
     is the 1-based index of the offending turn inside the edge's image word.
     """
-    return _first_illegal_crossing(f, illegal_turns(f))
-
-
-def _first_illegal_crossing(f: GraphMap, illegal: Sequence[Turn]
-                            ) -> tuple[bool, Optional[tuple[str, int]]]:
-    """``is_train_track`` with the illegal turns of ``f`` already known."""
-    bad = set(illegal)
-    for name in f.domain.edge_names:
-        for pos, turn in crossed_turns_of_path(f.edge_images[name]):
-            if len(turn) == 1 or turn in bad:
-                return False, (name, pos)
-    return True, None
+    return _Invariants(f).train_track
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +174,6 @@ class TransitionMatrix:
 
     def row_sum(self, i: int) -> int:
         return sum(count for _j, count in self.entries[i])
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        row = self.entries[i]
-        k = bisect_left(row, (j,))
-        return row[k][1] if k < len(row) and row[k][0] == j else 0
 
 
 def transition_matrix(f: GraphMap) -> TransitionMatrix:
@@ -253,13 +229,10 @@ def eigen_metric(f: GraphMap) -> EigenMetric:
     Power iteration on (A + I) applied to the crossing matrix A; the lengths
     are the positive right eigenvector normalized to total length 1 and the
     certified residual max_i |(A l)_i - stretch * l_i| is at most 1e-10.
+    Raises ``NotIrreducibleError`` or ``NotExpandingError`` on a crossing
+    matrix that is not irreducible or not expanding.
     """
-    matrix = transition_matrix(f)
-    if not is_irreducible(matrix):
-        raise NotIrreducibleError("crossing matrix is not irreducible")
-    if not _stretches(matrix):
-        raise NotExpandingError("crossing matrix is irreducible but not expanding")
-    return _power_iteration(matrix)
+    return _Invariants(f).metric
 
 
 def _gather(indices: Sequence[int]):
@@ -398,22 +371,6 @@ def _turn_adjacency(nodes: Sequence[Letter], turns: Sequence[Turn]
     return adj
 
 
-def ideal_whitehead(f: GraphMap, *, no_pnp: bool) -> WhiteheadData:
-    """Stable Whitehead graphs over the principal vertices.
-
-    The disjoint-union-over-principal-vertices description is only valid in
-    the absence of periodic Nielsen paths, which this operation cannot decide
-    internally; the caller must assert it (for instance from nielsen_search
-    bounds plus external knowledge).
-    """
-    if not no_pnp:
-        raise MissingAssumptionError(
-            "ideal Whitehead graph computation needs the no-periodic-Nielsen-"
-            "path hypothesis; run nielsen_search and pass no_pnp=True if "
-            "justified")
-    return whitehead_data(f)
-
-
 def rotationless_index(wd: WhiteheadData) -> Fraction:
     """Sum over ideal components of (1 - nodes/2), as an exact rational."""
     return sum((1 - Fraction(len(nodes), 2) for _v, nodes, _e in wd.components),
@@ -442,7 +399,7 @@ class NielsenReport:
     ``found`` lists tight vertex-to-vertex paths p (as words) with
     tighten(f^p(path)) == path for some period <= max_period and length
     <= max_len, each tagged with its minimal period.  ``exhaustive`` is False
-    only if an enumeration cap or the image-length cap was hit.
+    only if the image-length cap was hit.
     """
 
     found: tuple[tuple[Word, int], ...]
@@ -585,70 +542,22 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
     return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])), capped
 
 
-def _enumeration_search(f: GraphMap, max_len: int, max_period: int
-                        ) -> tuple[list[tuple[Word, int]], bool]:
-    graph = f.domain
-    found: list[tuple[Word, int]] = []
-    examined = 0
-    stack: list[Word] = [ (d,) for d in
-                          sorted(graph.all_directions(), key=lambda x: (x[0], -x[1])) ]
-    stack.reverse()
-    truncated = False
-    while stack:
-        path = stack.pop()
-        examined += 1
-        if examined > _CANDIDATE_CAP or len(found) >= _FOUND_CAP:
-            truncated = True
-            break
-        p = _orbit_period(f, path, max_period)
-        if p is not None:
-            found.append((path, p))
-        if len(path) < max_len:
-            last = path[-1]
-            for d in reversed(graph.directions(graph.term_of(last))):
-                if d == inverse_letter(last):
-                    continue
-                stack.append(path + (d,))
-    found.sort(key=lambda kv: (len(kv[0]), kv[0]))
-    return found, truncated
-
-
 def nielsen_search(f: GraphMap, max_len: int = 10, max_period: int = 6
                    ) -> NielsenReport:
-    """Bounded search for periodic Nielsen paths.
+    """Bounded search for periodic Nielsen paths of an expanding irreducible
+    train track map.
 
     Semidecision: reports all tight vertex-to-vertex paths of length at most
     ``max_len`` whose tightened f^p-image returns to the path for some
-    p <= ``max_period``, or "none up to bounds".  For expanding irreducible
-    train track maps the search is driven by fixed directions of iterated
-    direction maps (legal paths stretch strictly, and every indivisible
-    periodic Nielsen path splits into two legal eigenray prefixes with equal
-    overflow); otherwise it falls back to capped direct enumeration.
+    p <= ``max_period``, or "none up to bounds".  The search is driven by
+    fixed directions of iterated direction maps (legal paths stretch
+    strictly, and every indivisible periodic Nielsen path splits into two
+    legal eigenray prefixes with equal overflow).  A map that is not a train
+    track raises ``InvariantViolation`` with the witness of
+    ``is_train_track``; a crossing matrix that is not irreducible or not
+    expanding raises ``NotIrreducibleError`` or ``NotExpandingError``.
     """
-    matrix = transition_matrix(f)
-    return _nielsen_search(f, matrix, is_train_track(f)[0]
-                           and is_expanding(matrix), max_len, max_period)
-
-
-def _nielsen_search(f: GraphMap, matrix: TransitionMatrix,
-                    expanding_train_track: bool, max_len: int,
-                    max_period: int) -> NielsenReport:
-    """``nielsen_search`` with the crossing matrix of ``f`` already built
-    and its expanding train track test already answered."""
-    if expanding_train_track:
-        found, capped = _eigenray_search(f, matrix, max_len, max_period)
-        note = (f"incomplete: a half whose image passed "
-                f"{_POWER_IMAGE_CAP:,} letters was skipped" if capped else
-                "complete within bounds for expanding irreducible train "
-                "track maps")
-        return NielsenReport(tuple(found), max_len, max_period, not capped,
-                             "eigenray", note)
-    found, truncated = _enumeration_search(f, max_len, max_period)
-    note = "direct enumeration"
-    if truncated:
-        note += " (cap reached; listing truncated)"
-    return NielsenReport(tuple(found), max_len, max_period, not truncated,
-                         "enumeration", note)
+    return _Invariants(f, max_len, max_period).nielsen
 
 
 # ---------------------------------------------------------------------------
@@ -664,28 +573,120 @@ class Verdict:
 
 
 class _Invariants:
-    """The train track invariants of one map, each computed once and shared
-    by a report, its eigenmetric and Nielsen search, and its verdict; the
-    Nielsen search and Whitehead data run on first use."""
+    """The train track invariants of one map, each computed on first use and
+    then shared: a report, its eigenmetric, Nielsen search and verdict read
+    one record, and a reader computes only the invariants it reads."""
 
-    def __init__(self, f: GraphMap, nielsen_len: int, nielsen_period: int):
+    def __init__(self, f: GraphMap, nielsen_len: int = 10,
+                 nielsen_period: int = 6):
         self.f = f
         self.nielsen_bounds = (nielsen_len, nielsen_period)
-        self.matrix = transition_matrix(f)
-        self.illegal = illegal_turns(f)
-        self.train_track = _first_illegal_crossing(f, self.illegal)
-        self.irreducible = is_irreducible(self.matrix)
-        self.expanding = self.irreducible and _stretches(self.matrix)
+
+    @cached_property
+    def matrix(self) -> TransitionMatrix:
+        return transition_matrix(self.f)
+
+    @cached_property
+    def illegal(self) -> tuple[Turn, ...]:
+        return illegal_turns(self.f)
+
+    @cached_property
+    def train_track(self) -> tuple[bool, Optional[tuple[str, int]]]:
+        bad = set(self.illegal)
+        for name in self.f.domain.edge_names:
+            for pos, turn in crossed_turns_of_path(self.f.edge_images[name]):
+                if len(turn) == 1 or turn in bad:
+                    return False, (name, pos)
+        return True, None
+
+    @cached_property
+    def irreducible(self) -> bool:
+        return is_irreducible(self.matrix)
+
+    @cached_property
+    def expanding(self) -> bool:
+        return self.irreducible and _stretches(self.matrix)
+
+    def _require_expanding(self) -> None:
+        if not self.irreducible:
+            raise NotIrreducibleError("crossing matrix is not irreducible")
+        if not self.expanding:
+            raise NotExpandingError(
+                "crossing matrix is irreducible but not expanding")
+
+    @cached_property
+    def metric(self) -> EigenMetric:
+        self._require_expanding()
+        return _power_iteration(self.matrix)
 
     @cached_property
     def nielsen(self) -> NielsenReport:
-        return _nielsen_search(self.f, self.matrix,
-                               self.train_track[0] and self.expanding,
-                               *self.nielsen_bounds)
+        tt, witness = self.train_track
+        if not tt:
+            raise InvariantViolation(
+                f"not a train track map (witness {witness})")
+        self._require_expanding()
+        found, capped = _eigenray_search(self.f, self.matrix,
+                                         *self.nielsen_bounds)
+        note = (f"incomplete: a half whose image passed "
+                f"{_POWER_IMAGE_CAP:,} letters was skipped" if capped else
+                "complete within bounds for expanding irreducible train "
+                "track maps")
+        return NielsenReport(tuple(found), *self.nielsen_bounds, not capped,
+                             "eigenray", note)
 
     @cached_property
     def whitehead(self) -> WhiteheadData:
         return whitehead_data(self.f)
+
+    def lone_axis(self, assume_ageometric: bool,
+                  assume_fully_irreducible: bool) -> Verdict:
+        tt, witness = self.train_track
+        if not tt:
+            return Verdict("inconclusive",
+                           f"not a train track map (witness {witness})", (), {})
+        if not self.expanding:
+            return Verdict("inconclusive",
+                           "crossing matrix is not expanding irreducible", (), {})
+        data: dict = {"illegal_turns": [format_turn(t) for t in self.illegal]}
+        if len(self.illegal) >= 2:
+            return Verdict("no", "at least 2 illegal turns", (), data)
+
+        flags = (("ageometric", assume_ageometric),
+                 ("fully irreducible", assume_fully_irreducible))
+        assumptions = [f"{name} (assumed)" for name, given in flags if given]
+        missing = [name for name, given in flags if not given]
+        if missing:
+            return Verdict("inconclusive",
+                           "unverifiable hypotheses not asserted: "
+                           + ", ".join(missing), tuple(assumptions), data)
+
+        report = self.nielsen
+        if report.found or not report.exhaustive:
+            return Verdict("inconclusive",
+                           "periodic Nielsen paths not excluded within bounds "
+                           f"(len {report.max_len}, period {report.max_period})",
+                           tuple(assumptions), data)
+        assumptions.append(
+            f"no periodic Nielsen paths up to length {report.max_len}, "
+            f"period {report.max_period} (searched)")
+
+        wd = self.whitehead
+        index = rotationless_index(wd)
+        n = graph_rank(self.f.domain)
+        data["index"] = str(index)
+        data["rank"] = n
+        data["ideal_components"] = _ideal_components(wd)
+        if index != Fraction(3, 2) - n:
+            return Verdict("no", f"index {index} differs from 3/2 - rank = "
+                           f"{Fraction(3, 2) - n}", tuple(assumptions), data)
+        for v, nodes, edges in wd.components:
+            if _has_cut_vertex(nodes, edges):
+                return Verdict("no",
+                               f"ideal component at vertex {v} has a cut vertex",
+                               tuple(assumptions), data)
+        return Verdict("yes", "index equals 3/2 - rank and no ideal component "
+                       "has a cut vertex", tuple(assumptions), data)
 
 
 def _ideal_components(wd: WhiteheadData) -> list[dict]:
@@ -703,68 +704,8 @@ def lone_axis_check(f: GraphMap, *, assume_ageometric: bool = False,
     (under the recorded assumptions); no: at least two illegal turns, or the
     index/cut-vertex test fails; inconclusive: hypotheses unavailable.
     """
-    return _lone_axis(_Invariants(f, nielsen_len, nielsen_period),
-                      assume_ageometric, assume_fully_irreducible)
-
-
-def _lone_axis(inv: _Invariants, assume_ageometric: bool,
-               assume_fully_irreducible: bool) -> Verdict:
-    tt, witness = inv.train_track
-    data: dict = {}
-    if not tt:
-        return Verdict("inconclusive",
-                       f"not a train track map (witness {witness})", (), data)
-    if not inv.expanding:
-        return Verdict("inconclusive",
-                       "crossing matrix is not expanding irreducible", (), data)
-
-    bad = inv.illegal
-    data["illegal_turns"] = [format_turn(t) for t in bad]
-    if len(bad) >= 2:
-        return Verdict("no", "at least 2 illegal turns", (), data)
-
-    assumptions = []
-    missing = []
-    if assume_ageometric:
-        assumptions.append("ageometric (assumed)")
-    else:
-        missing.append("ageometric")
-    if assume_fully_irreducible:
-        assumptions.append("fully irreducible (assumed)")
-    else:
-        missing.append("fully irreducible")
-    if missing:
-        return Verdict("inconclusive",
-                       "unverifiable hypotheses not asserted: " + ", ".join(missing),
-                       tuple(assumptions), data)
-
-    report = inv.nielsen
-    if report.found or not report.exhaustive:
-        return Verdict("inconclusive",
-                       "periodic Nielsen paths not excluded within bounds "
-                       f"(len {report.max_len}, period {report.max_period})",
-                       tuple(assumptions), data)
-    assumptions.append(
-        f"no periodic Nielsen paths up to length {report.max_len}, "
-        f"period {report.max_period} (searched)")
-
-    wd = inv.whitehead
-    index = rotationless_index(wd)
-    n = graph_rank(inv.f.domain)
-    data["index"] = str(index)
-    data["rank"] = n
-    data["ideal_components"] = _ideal_components(wd)
-    if index != Fraction(3, 2) - n:
-        return Verdict("no",
-                       f"index {index} differs from 3/2 - rank = {Fraction(3, 2) - n}",
-                       tuple(assumptions), data)
-    for v, nodes, edges in wd.components:
-        if _has_cut_vertex(nodes, edges):
-            return Verdict("no", f"ideal component at vertex {v} has a cut vertex",
-                           tuple(assumptions), data)
-    return Verdict("yes",
-                   "index equals 3/2 - rank and no ideal component has a cut vertex",
-                   tuple(assumptions), data)
+    return _Invariants(f, nielsen_len, nielsen_period).lone_axis(
+        assume_ageometric, assume_fully_irreducible)
 
 
 def traintrack_report(f: GraphMap, *, assume_ageometric: bool = False,
@@ -784,7 +725,7 @@ def traintrack_report(f: GraphMap, *, assume_ageometric: bool = False,
         "illegal_turns": [format_turn(t) for t in inv.illegal],
     }
     if report["expanding"] and tt:
-        metric = _power_iteration(matrix)
+        metric = inv.metric
         report["stretch"] = metric.stretch
         report["eigen_residual"] = metric.residual
         report["lengths"] = {e: metric.lengths[e] for e in metric.edges}
@@ -800,7 +741,7 @@ def traintrack_report(f: GraphMap, *, assume_ageometric: bool = False,
             wd = inv.whitehead
             report["ideal_components"] = _ideal_components(wd)
             report["rotationless_index"] = str(rotationless_index(wd))
-    verdict = _lone_axis(inv, assume_ageometric, assume_fully_irreducible)
+    verdict = inv.lone_axis(assume_ageometric, assume_fully_irreducible)
     report["lone_axis"] = {
         "verdict": verdict.verdict,
         "reason": verdict.reason,

@@ -8,7 +8,10 @@ check the new kernels bit for bit.  The dense power iteration is slow:
 about 3 s on a return map with 200 edges.  ``matmul`` multiplies the
 package's own sparse crossing matrices, for the tests of the composition
 law; ``mat_mul`` multiplies plain integer matrices, for the Smith
-factorisation and boundary-matrix tests.
+factorisation and boundary-matrix tests.  ``enumeration_search`` lists
+periodic Nielsen paths by walking every tight path up to the length bound,
+the oracle for the eigenray search behind ``nielsen_search``; it runs on
+any map, at a cost exponential in the length bound.
 """
 
 from __future__ import annotations
@@ -23,7 +26,11 @@ from freebycyclic.graphs import Graph, GraphMap
 from freebycyclic.traintrack import (EigenMetric, Turn, WhiteheadData,
                                      crossed_turns_of_path, direction_map,
                                      make_turn, taken_turns, turn_sort_key)
-from freebycyclic.words import Letter
+from freebycyclic.words import Letter, Word, inverse_letter
+
+# enumeration_search stops after the candidate cap or at the found cap
+_CANDIDATE_CAP = 200_000
+_FOUND_CAP = 500
 
 
 def directions(graph: Graph, vertex: str) -> tuple[Letter, ...]:
@@ -267,3 +274,34 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
             for i in range(rows)]
+
+
+def enumeration_search(f: GraphMap, max_len: int, max_period: int
+                       ) -> tuple[list[tuple[Word, int]], bool]:
+    """Periodic Nielsen paths of length at most ``max_len`` and period at
+    most ``max_period``, each with its minimal period, and whether a cap
+    cut the walk short."""
+    graph = f.domain
+    found: list[tuple[Word, int]] = []
+    examined = 0
+    stack: list[Word] = [ (d,) for d in
+                          sorted(graph.all_directions(), key=lambda x: (x[0], -x[1])) ]
+    stack.reverse()
+    truncated = False
+    while stack:
+        path = stack.pop()
+        examined += 1
+        if examined > _CANDIDATE_CAP or len(found) >= _FOUND_CAP:
+            truncated = True
+            break
+        p = traintrack._orbit_period(f, path, max_period)
+        if p is not None:
+            found.append((path, p))
+        if len(path) < max_len:
+            last = path[-1]
+            for d in reversed(graph.directions(graph.term_of(last))):
+                if d == inverse_letter(last):
+                    continue
+                stack.append(path + (d,))
+    found.sort(key=lambda kv: (len(kv[0]), kv[0]))
+    return found, truncated

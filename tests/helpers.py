@@ -1,15 +1,17 @@
 """Helpers that only the tests use: seeded random paths and map pairs,
-two readings of a free-group map, and the tuple substitution loop that
-checks the string kernel behind ``FreeGroupMap.apply``."""
+two readings of a free-group map, the tuple substitution loop that
+checks the string kernel behind ``FreeGroupMap.apply``, and writers of
+the ``.map`` and ``.2gen`` text formats for round-trip tests."""
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, Mapping, Optional
 
+from freebycyclic.bns import TwoGenPresentation
 from freebycyclic.corpus import random_expanding_map
 from freebycyclic.errors import InvariantViolation
-from freebycyclic.graphs import Graph, GraphMap
+from freebycyclic.graphs import Graph, GraphMap, MapFile
 from freebycyclic.words import FreeGroupMap, Letter, Word, format_word
 
 
@@ -80,3 +82,35 @@ def random_path(graph: Graph, length: int, seed: Optional[int] = None, *,
         out.append(lt)
         at = graph.term_of(lt)
     return tuple(out)
+
+
+def format_map_file(mapfile: MapFile) -> str:
+    """Serialize back to the ``.map`` text format."""
+    g = mapfile.graph
+    lines = ["vertices " + " ".join(g.vertices)]
+    lines += [f"edge {n} {i} {t}" for n, i, t in g.edges]
+    lines += [f"vmap {v} {mapfile.gmap.vertex_map[v]}" for v in g.vertices]
+    lines += [f"emap {n} {format_word(mapfile.gmap.edge_images[n])}"
+              for n in g.edge_names]
+    if mapfile.marked is not None:
+        m = mapfile.marked
+        lines.append(f"marking basepoint {m.basepoint}")
+        lines += [f"marking {gen} {format_word(m.marking_word(gen))}"
+                  for gen in m.generators]
+    for flag in sorted(mapfile.assumptions):
+        lines.append(f"assume {flag}")
+    return "\n".join(lines) + "\n"
+
+
+def format_presentation(pres: TwoGenPresentation) -> str:
+    """Serialize back to the ``.2gen`` text format."""
+    lines = []
+    if pres.use:
+        lines.append(f"use {pres.use}")
+    lines.append("generators " + " ".join(pres.generators))
+    lines.append("relator " + format_word(pres.relator))
+    for g in pres.generators:
+        pairs = " ".join(f"{cell} {coeff}"
+                         for cell, coeff in pres.dualcycles[g].items())
+        lines.append(f"dualcycle {g} {pairs}")
+    return "\n".join(lines) + "\n"

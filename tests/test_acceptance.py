@@ -21,11 +21,11 @@ from freebycyclic.section import (build_section, first_return, line_section,
                                   monodromy, section_audit)
 from freebycyclic.torus import build_torus, skew_loop
 from freebycyclic.traintrack import (eigen_metric, format_turn,
-                                     ideal_whitehead, illegal_turns,
-                                     is_expanding, is_irreducible,
-                                     is_train_track, lone_axis_check,
-                                     nielsen_search, rotationless_index,
-                                     transition_matrix)
+                                     illegal_turns, is_expanding,
+                                     is_irreducible, is_train_track,
+                                     lone_axis_check, nielsen_search,
+                                     rotationless_index, transition_matrix,
+                                     whitehead_data)
 from freebycyclic.words import FreeGroupMap, outer_equal, format_word, \
     reduce_word
 
@@ -84,7 +84,7 @@ def test_criterion_1_running_example_end_to_end():
     assert [record.label[0] for record in seq.folds] == ["a", "e", "a", "d"]
     report = nielsen_search(f, 10, 6)
     assert report.exhaustive and report.none_up_to_bounds
-    wd = ideal_whitehead(f, no_pnp=True)
+    wd = whitehead_data(f)
     assert len(wd.components) == 3
     for _v, nodes, edges in wd.components:
         assert len(nodes) == 3 and len(edges) == 3
@@ -166,7 +166,7 @@ def test_criterion_4_line_family_sections(bundled):
             assert got == canonical_return_table(k)
             assert ls.tree_edges == tuple(sorted(
                 n for n in ls.graph.edge_names if n.startswith("e")))
-        wd = ideal_whitehead(ls.table, no_pnp=True)
+        wd = whitehead_data(ls.table)
         assert len(wd.components) == 2 * k + 3
         for _v, nodes, edges in wd.components:
             assert len(nodes) == 3 and len(edges) == 3

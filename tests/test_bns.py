@@ -8,10 +8,10 @@ import pytest
 
 from freebycyclic.bns import (AxisLine, ConeComponent, SlopeSet,
                               TwoGenPresentation, component_containing,
-                              excluded_directions, format_presentation,
-                              load_presentation_file, lone_axis_line,
-                              pairing_coordinates, parse_presentation_text,
-                              polygon_tikz, sigma_report, trace_polygon)
+                              excluded_directions, load_presentation_file,
+                              lone_axis_line, pairing_coordinates,
+                              parse_presentation_text, polygon_tikz,
+                              sigma_report, trace_polygon)
 from freebycyclic.cohomology import boundary, cone_membership, dict_scale, \
     dict_sum, dual_basis
 from freebycyclic.errors import (ConeInfeasibleError, ExcludedDirectionError,
@@ -24,6 +24,7 @@ from freebycyclic.words import cyclic_reduce, format_word, parse_word, \
     reduce_word
 
 from conftest import EXAMPLES
+from helpers import format_presentation
 
 F = Fraction
 

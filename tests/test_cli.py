@@ -378,6 +378,18 @@ def test_input_that_is_not_utf8_exits_64(capsys, tmp_path, suffix):
     assert str(stray) in err
 
 
+def test_presentation_without_use_line_exits_64(capsys, tmp_path):
+    lines = [line for line in open(PRES).read().splitlines()
+             if not line.startswith("use")]
+    target = tmp_path / "bare.2gen"
+    target.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "traintrack", "--input", str(target))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error:")
+    assert str(target) in err and "use line" in err
+
+
 def test_out_of_cone_class_exits_65(capsys):
     code, _out, err = run(capsys, "section", "--input", PRES, "--class=2,1")
     assert code == 65
@@ -413,3 +425,15 @@ def test_out_directory_receives_the_artifact(capsys, tmp_path):
                                      "--class=1,2")
     assert direct_code == 0
     assert written == direct_out
+
+
+def test_out_naming_a_regular_file_exits_64(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    code, out, err = run(capsys, "traintrack", "--input", MAP,
+                         "--out", str(taken))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error:")
+    assert str(taken) in err
+    assert taken.read_text() == "keep me\n"

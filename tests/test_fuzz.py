@@ -1,13 +1,15 @@
 """Input fuzz: mutated input files and random command lines.
 
 Every mutation of the bundled ``.map`` and ``.2gen`` texts either parses or
-raises :class:`InputParseError`; every command line either runs or exits
+raises :class:`InputParseError`, and a command run on a mutated ``.2gen``
+file exits with a documented code; every command line either runs or exits
 with a documented code, and no other exception escapes ``cli.main``.
 """
 
 import contextlib
 import io
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +80,39 @@ def test_mutated_presentation_text_parses_or_raises_input_parse_error(text):
     parses_or_refuses(parse_presentation_text, text)
 
 
+@pytest.fixture(scope="module")
+def beside_the_map(tmp_path_factory):
+    """A directory holding a copy of ``phi_f3.map``, which the bundled
+    ``.2gen`` text names on its ``use`` line."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "phi_f3.map").write_text(MAP_TEXT, encoding="utf-8")
+    return directory
+
+
+def run_main(argv):
+    """``cli.main(argv)``'s exit code and what it wrote to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(PRES_TEXT), st.sampled_from(
+    [["traintrack"], ["survey"], ["section", "--class=1,2"],
+     ["monodromy", "--class=1,2"]]))
+def test_commands_on_a_mutated_presentation_exit_with_a_documented_code(
+        beside_the_map, text, command):
+    target = beside_the_map / "mutated.2gen"
+    target.write_bytes(text.encode("utf-8"))
+    code, err = run_main([command[0], "--input", str(target), *command[1:]])
+    verdicts = {1, 2} if command[0] == "traintrack" else set()
+    assert code in {0, 64, 65} | verdicts, (command, code, err)
+
+
 def mostly(valid, invalid):
     """``valid`` three times in four, else one of ``invalid``."""
     return st.integers(0, 3).flatmap(
@@ -131,15 +166,10 @@ def argvs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 def test_random_command_lines_exit_with_a_documented_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's --help
-            code = exc.code
+    code, err = run_main(argv)
     # 1 and 2 are the "no" and "inconclusive" verdicts of traintrack; any
     # other command succeeds, is refused (64) or fails a check (65)
     verdicts = {1, 2} if "traintrack" in argv else set()
-    assert code in {0, 64, 65} | verdicts, (argv, code, err.getvalue())
+    assert code in {0, 64, 65} | verdicts, (argv, code, err)
     if code == 64:
-        assert err.getvalue().startswith("error:")
+        assert err.startswith("error:")

@@ -11,7 +11,7 @@ from freebycyclic.errors import (DisconnectedGraphError, InputParseError,
 from freebycyclic.words import FreeGroupMap
 
 from conftest import EXAMPLES
-from helpers import random_path, same_images
+from helpers import format_map_file, random_path, same_images
 import dense_oracle
 
 ROSE2 = G.Graph.rose(("a", "b"))
@@ -208,7 +208,7 @@ def test_parse_errors():
 
 
 def test_format_roundtrip(bundled):
-    text = G.format_map_file(bundled)
+    text = format_map_file(bundled)
     again = G.parse_map_text(text)
     assert again.graph == bundled.graph
     assert again.gmap.edge_images == bundled.gmap.edge_images

@@ -1,11 +1,16 @@
-"""Every name a package module imports is used in that module, and every
-private helper it defines is referenced in it.
+"""Every name a package module imports is used in that module, every
+private helper it defines is referenced in it, and every public function
+and class it defines is referenced by the package or the benchmark.
 
 No linter ships with the project, so these are small ``ast`` checks: each
 name bound by an ``import`` or ``from … import`` must be read somewhere
 in the module, as a name, as the base of an attribute, or inside a string
 annotation; each private module-level function or class, and each private
-method, must be referenced by name or as an attribute.
+method, must be referenced by name or as an attribute; each public
+module-level function or class must be referenced by name or as an
+attribute somewhere in ``src/freebycyclic`` or ``bench``, where a mention
+in a docstring or other string does not count.  Public names that only the
+tests call move to the tests.
 """
 
 import ast
@@ -16,6 +21,23 @@ import pytest
 import freebycyclic
 
 MODULES = sorted(Path(freebycyclic.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# public names that nothing in the package or the benchmark calls yet
+UNCALLED_PUBLIC = {
+    "cohomology.h1": "ROADMAP item 10: H^1 of a torus built from a .map file",
+    "cohomology.mapping_torus_h1_rank": "ROADMAP item 9: the rank check of "
+                                        "every torus built",
+    "traintrack.lone_axis_check": "ROADMAP items 10 and 11: the atlas "
+                                  "verdict of one class",
+    "traintrack.nielsen_search": "ROADMAP item 11; bench/spans.py traces it",
+    "cohomology.discreteness_cone": "the paper's discreteness statement, "
+                                    "pinned in test_acceptance and "
+                                    "test_cohomology",
+    "cohomology.delta_lengths": "the paper's discreteness statement, pinned "
+                                "in test_acceptance and test_cohomology",
+}
 
 
 def _bound_imports(tree: ast.Module) -> dict[str, int]:
@@ -70,26 +92,30 @@ def test_the_check_sees_an_unused_import():
     assert unused == {"Iterable", "os"}
 
 
-def _unreferenced_privates(tree: ast.Module) -> set[str]:
-    """Private module-level functions and classes, and private methods,
-    that the module never refers to."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defined = set()
-    for node in tree.body:
-        if isinstance(node, defs) and node.name.startswith("_"):
-            defined.add(node.name)
-        if isinstance(node, ast.ClassDef):
-            defined |= {item.name for item in node.body
-                        if isinstance(item, defs)
-                        and item.name.startswith("_")
-                        and not item.name.endswith("__")}
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names the module refers to, as a name or as an attribute."""
     referenced = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             referenced.add(node.id)
         elif isinstance(node, ast.Attribute):
             referenced.add(node.attr)
-    return defined - referenced
+    return referenced
+
+
+def _unreferenced_privates(tree: ast.Module) -> set[str]:
+    """Private module-level functions and classes, and private methods,
+    that the module never refers to."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, DEFS) and node.name.startswith("_"):
+            defined.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            defined |= {item.name for item in node.body
+                        if isinstance(item, DEFS)
+                        and item.name.startswith("_")
+                        and not item.name.endswith("__")}
+    return defined - _referenced(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -108,3 +134,42 @@ def test_the_check_sees_an_unreferenced_helper():
                      "    def _step(self):\n        return _used()\n"
                      "    def _orphan(self):\n        pass\n")
     assert _unreferenced_privates(tree) == {"_unused", "_Gone", "_orphan"}
+
+
+def _unreferenced_publics(modules: dict[str, ast.Module],
+                          readers: list[ast.Module]) -> set[str]:
+    """``module.name`` of each public module-level function or class of
+    ``modules`` that no tree in ``readers`` refers to."""
+    referenced = set().union(*map(_referenced, readers))
+    return {f"{module}.{node.name}" for module, tree in modules.items()
+            for node in tree.body
+            if isinstance(node, DEFS) and not node.name.startswith("_")
+            and node.name not in referenced}
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in MODULES}
+    readers = list(modules.values())
+    readers += [ast.parse(path.read_text(), filename=str(path))
+                for path in BENCH]
+    assert BENCH, "the benchmark sources are not beside the tests"
+    unused = _unreferenced_publics(modules, readers)
+    assert sorted(unused - set(UNCALLED_PUBLIC)) == [], \
+        "public names that only the tests use belong in the tests"
+    assert sorted(set(UNCALLED_PUBLIC) - unused) == [], \
+        "allowlisted names that are now used leave the allowlist"
+
+
+def test_the_check_sees_an_unused_public_name():
+    module = ast.parse("def used():\n    pass\n"
+                       "def unused():\n    pass\n"
+                       "class Mentioned:\n    pass\n"
+                       "class Based:\n    pass\n"
+                       "def _private():\n    pass\n")
+    reader = ast.parse('"""Mentioned only here."""\n'
+                       "import mod\n"
+                       "class Child(mod.Based):\n"
+                       "    def method(self):\n        return used()\n")
+    assert _unreferenced_publics({"mod": module}, [module, reader]) == \
+        {"mod.unused", "mod.Mentioned"}

@@ -22,11 +22,11 @@ from freebycyclic.section import (_generic_phase, _line_names, build_charts,
                                   host_kind, line_section, monodromy,
                                   section_audit, section_dot)
 from freebycyclic.torus import build_torus
-from freebycyclic.traintrack import (eigen_metric, ideal_whitehead,
-                                     is_expanding, is_irreducible,
-                                     is_train_track, lone_axis_check,
-                                     nielsen_search, rotationless_index,
-                                     transition_matrix)
+from freebycyclic.traintrack import (eigen_metric, is_expanding,
+                                     is_irreducible, is_train_track,
+                                     lone_axis_check, nielsen_search,
+                                     rotationless_index, transition_matrix,
+                                     whitehead_data)
 from freebycyclic.words import FreeGroupMap, format_word, outer_equal
 
 import os
@@ -313,7 +313,7 @@ def test_line_family_dynamics(torus, k):
     assert is_irreducible(matrix) and is_expanding(matrix)
     report = nielsen_search(table, 10, 6)
     assert report.exhaustive and report.none_up_to_bounds
-    wd = ideal_whitehead(table, no_pnp=True)
+    wd = whitehead_data(table)
     assert len(wd.components) == 2 * k + 3
     for _v, nodes, edges in wd.components:
         assert len(nodes) == 3 and len(edges) == 3

@@ -16,17 +16,17 @@ from hypothesis import strategies as st
 from freebycyclic import traintrack
 from freebycyclic.cohomology import dict_scale, dict_sum, integral_cocycle
 from freebycyclic.corpus import corpus
-from freebycyclic.errors import (InvariantViolation, MissingAssumptionError,
-                                 NotExpandingError, NotIrreducibleError)
+from freebycyclic.errors import (InvariantViolation, NotExpandingError,
+                                 NotIrreducibleError)
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap, compose, load_map_file
 from freebycyclic.section import build_section, first_return, line_section
 from freebycyclic.torus import build_torus
 from freebycyclic.traintrack import (EigenMetric, NielsenReport, TransitionMatrix,
-                                     Verdict, all_turns, direction_map,
-                                     eigen_metric, format_turn, ideal_whitehead,
-                                     illegal_turns, is_expanding, is_irreducible,
-                                     is_train_track, lone_axis_check, make_turn,
+                                     Verdict, direction_map, eigen_metric,
+                                     format_turn, illegal_turns, is_expanding,
+                                     is_irreducible, is_train_track,
+                                     lone_axis_check, make_turn,
                                      nielsen_search, periodic_directions,
                                      rotationless_index, taken_turns,
                                      traintrack_report, transition_matrix,
@@ -119,7 +119,7 @@ def test_all_turns_count(fmap):
     # valences: black 4 (a-, d+... a out, d in, e in => (a,1),(d,-1),(e,-1)) is 3;
     # red 4: (a,-1),(b,1),(e,1); blue: (b,-1),(c,1),(c,-1),(d,1)
     # turns: C(3,2)+C(3,2)+C(4,2) = 3+3+6 = 12
-    assert len(all_turns(fmap.domain)) == 12
+    assert len(dense_oracle.all_turns(fmap.domain)) == 12
 
 
 def test_is_train_track_bundled(fmap):
@@ -239,7 +239,7 @@ def test_taken_turns_bundled(fmap):
 
 
 def test_ideal_whitehead_three_triangles(fmap):
-    wd = ideal_whitehead(fmap, no_pnp=True)
+    wd = whitehead_data(fmap)
     assert wd.principal_vertices == ("black", "blue", "red")
     assert len(wd.components) == 3
     for _v, nodes, edges in wd.components:
@@ -250,11 +250,6 @@ def test_ideal_whitehead_three_triangles(fmap):
     assert by_vertex["red"][0] == set(W("beA"))
     assert by_vertex["blue"][0] == set(W("cdB"))
     assert rotationless_index(wd) == Fraction(-3, 2)
-
-
-def test_ideal_whitehead_needs_assumption(fmap):
-    with pytest.raises(MissingAssumptionError):
-        ideal_whitehead(fmap, no_pnp=False)
 
 
 def test_doubling_map_empty_ideal_graph():
@@ -290,36 +285,50 @@ def test_nielsen_bundled_none(fmap):
 
 
 def test_nielsen_identity_everything_returns(fmap):
+    # the enumeration oracle runs on any map, the identity included
     ident = GraphMap.identity(fmap.domain)
-    report = nielsen_search(ident, max_len=2, max_period=2)
-    assert report.method == "enumeration"
-    assert report.exhaustive
-    assert (W("a"), 1) in report.found
-    assert (W("A"), 1) in report.found
-    assert all(period == 1 for _p, period in report.found)
+    found, truncated = dense_oracle.enumeration_search(ident, 2, 2)
+    assert not truncated
+    assert (W("a"), 1) in found
+    assert (W("A"), 1) in found
+    assert all(period == 1 for _p, period in found)
     # every tight path of length <= 2 is fixed: 10 single letters plus the
     # tight 2-letter paths
-    assert len([p for p, _ in report.found if len(p) == 1]) == 10
+    assert len([p for p, _ in found if len(p) == 1]) == 10
 
 
 def test_nielsen_eigenray_matches_enumeration_golden():
-    from freebycyclic.traintrack import _enumeration_search
     f = rose_map(GOLDEN)
     fast = nielsen_search(f, max_len=6, max_period=3)
     assert fast.method == "eigenray"
-    slow, truncated = _enumeration_search(f, 6, 3)
+    slow, truncated = dense_oracle.enumeration_search(f, 6, 3)
     assert not truncated
     assert set(fast.found) == set(slow)
 
 
 def test_nielsen_eigenray_matches_enumeration_two_illegal():
-    from freebycyclic.traintrack import _enumeration_search
     f = rose_map(TWO_ILLEGAL)
     fast = nielsen_search(f, max_len=5, max_period=2)
     assert fast.method == "eigenray"
-    slow, truncated = _enumeration_search(f, 5, 2)
+    slow, truncated = dense_oracle.enumeration_search(f, 5, 2)
     assert not truncated
     assert set(fast.found) == set(slow)
+
+
+def test_nielsen_search_refuses_a_map_that_is_not_a_train_track():
+    with pytest.raises(InvariantViolation,
+                       match=r"not a train track map \(witness \('a', 1\)\)"):
+        nielsen_search(rose_map(NOT_TT))
+
+
+def test_nielsen_search_refuses_a_map_that_does_not_expand():
+    with pytest.raises(NotExpandingError):
+        nielsen_search(rose_map(SWAP))
+
+
+def test_nielsen_search_refuses_a_reducible_map(fmap):
+    with pytest.raises(NotIrreducibleError):
+        nielsen_search(GraphMap.identity(fmap.domain), max_len=2, max_period=2)
 
 
 def test_nielsen_doubling_none():
@@ -442,15 +451,15 @@ def test_traintrack_report(bundled):
 
 def test_traintrack_report_searches_for_nielsen_paths_once(fmap, monkeypatch):
     # the report and its verdict share one search, run on the report's own
-    # crossing matrix through the core of nielsen_search
+    # crossing matrix
     calls = []
-    search = traintrack._nielsen_search
+    search = traintrack._eigenray_search
 
     def counting_search(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(traintrack, "_nielsen_search", counting_search)
+    monkeypatch.setattr(traintrack, "_eigenray_search", counting_search)
     report = traintrack_report(fmap, assume_ageometric=True,
                                assume_fully_irreducible=True)
     assert report["lone_axis"]["verdict"] == "yes"
@@ -458,12 +467,14 @@ def test_traintrack_report_searches_for_nielsen_paths_once(fmap, monkeypatch):
 
 
 def test_traintrack_report_computes_each_invariant_once(fmap, monkeypatch):
-    # the crossing matrix, the illegal turns, the train track test and the
-    # irreducibility and expansion tests each run once per report; the
-    # public wrappers that would recompute them from f are not called
+    # the crossing matrix, the illegal turns, the irreducibility and
+    # expansion tests, the power iteration, the Nielsen search and the
+    # Whitehead data each run once per report; the public wrappers that
+    # would recompute them from f are not called
     counted = ("transition_matrix", "illegal_turns", "is_irreducible",
-               "_first_illegal_crossing", "_stretches", "is_train_track",
-               "is_expanding", "eigen_metric", "nielsen_search")
+               "_stretches", "_power_iteration", "_eigenray_search",
+               "whitehead_data", "is_train_track", "is_expanding",
+               "eigen_metric", "nielsen_search", "lone_axis_check")
     calls = dict.fromkeys(counted, 0)
 
     def counting(name):
@@ -479,10 +490,11 @@ def test_traintrack_report_computes_each_invariant_once(fmap, monkeypatch):
     report = traintrack_report(fmap, assume_ageometric=True,
                                assume_fully_irreducible=True)
     assert calls == {"transition_matrix": 1, "illegal_turns": 1,
-                     "is_irreducible": 1, "_first_illegal_crossing": 1,
-                     "_stretches": 1, "is_train_track": 0,
+                     "is_irreducible": 1, "_stretches": 1,
+                     "_power_iteration": 1, "_eigenray_search": 1,
+                     "whitehead_data": 1, "is_train_track": 0,
                      "is_expanding": 0, "eigen_metric": 0,
-                     "nielsen_search": 0}
+                     "nielsen_search": 0, "lone_axis_check": 0}
     assert report["lone_axis"]["verdict"] == "yes"
     # the shared values are the ones the public functions give
     matrix = transition_matrix(fmap)
@@ -495,6 +507,21 @@ def test_traintrack_report_computes_each_invariant_once(fmap, monkeypatch):
     metric = eigen_metric(fmap)
     assert (report["stretch"], report["lengths"]) == (metric.stretch,
                                                       metric.lengths)
+
+
+@pytest.mark.parametrize("reader, unread", [
+    (is_train_track, ("transition_matrix", "_power_iteration")),
+    (eigen_metric, ("illegal_turns", "_eigenray_search")),
+    (nielsen_search, ("_power_iteration", "whitehead_data")),
+])
+def test_a_public_reader_computes_only_what_it_reads(fmap, monkeypatch,
+                                                     reader, unread):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed an invariant nobody read")
+
+    for name in unread:
+        monkeypatch.setattr(traintrack, name, refuse)
+    reader(fmap)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +549,7 @@ def test_illegal_turn_partition(wa, wb):
     f = rose_map({"a": wa, "b": wb})
     bad = set(illegal_turns(f))
     dmap = direction_map(f)
-    for turn in all_turns(f.domain):
+    for turn in dense_oracle.all_turns(f.domain):
         d1, d2 = sorted(turn)
         x, y = d1, d2
         merged = False
@@ -623,5 +650,4 @@ def test_eigen_metric_cap_reports_the_oracle_residual(fmap, monkeypatch, cap):
 def test_sparse_matrix_access(fmap):
     m = transition_matrix(fmap)
     assert m.entries[0] == ((0, 1), (2, 1), (3, 1), (4, 1))
-    assert [m[0, j] for j in range(5)] == list(m.rows[0])
     assert [m.row_sum(i) for i in range(5)] == [sum(r) for r in m.rows]
