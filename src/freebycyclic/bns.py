@@ -21,8 +21,8 @@ from .cohomology import cycle_coordinates
 from .errors import (ExcludedDirectionError, InputParseError,
                      InvariantViolation, OpenTraceError)
 from .torus import TrapComplex
-from .words import Word, format_word, cyclic_reduce, parse_word, \
-    reduce_word
+from .words import (Word, compact_name, cyclic_reduce, format_word, letters,
+                    parse_word, reduce_word)
 
 Vec = tuple[int, int]
 
@@ -54,7 +54,7 @@ class TwoGenPresentation:
         if len(self.generators) != 2 or len(set(self.generators)) != 2:
             raise InputParseError("exactly two distinct generators required")
         for g in self.generators:
-            if len(g) != 1 or g != g.lower():
+            if not compact_name(g):
                 raise InputParseError(
                     f"generator {g!r} is not a single lowercase letter")
         if not self.cyclic_relator:
@@ -192,7 +192,7 @@ def trace_polygon(pres: TwoGenPresentation) -> PolygonTrace:
     x, y = 0, 0
     points: list[Vec] = [(0, 0)]
     edges: dict[tuple[Vec, Vec], int] = {}
-    for name, sign in pres.cyclic_relator:
+    for name, sign in letters(pres.cyclic_relator):
         dx, dy = steps[name]
         nxt = (x + sign * dx, y + sign * dy)
         seg = tuple(sorted(((x, y), nxt)))

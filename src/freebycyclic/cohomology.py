@@ -39,6 +39,7 @@ from .errors import (
 from .graphs import Graph, GraphMap, fundamental_group_map, spanning_tree
 from .linalg import smith_normal_form
 from .torus import TrapComplex, skew_loop
+from .words import letters
 
 #: Sparse (co)chain: cell name to coefficient; absent cells carry zero.
 Chain = dict
@@ -692,7 +693,7 @@ def mapping_torus_h1_rank(f: GraphMap) -> int:
     shifted = []
     for i, image in enumerate(fmap.images):
         row = [-1 if j == i else 0 for j in range(n)]
-        for name, sign in image:
+        for name, sign in letters(image):
             row[index[name]] += sign
         shifted.append(row)
     rank = smith_normal_form(shifted).rank if n else 0

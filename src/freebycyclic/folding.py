@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .errors import FoldStuckError, InvariantViolation
 from .graphs import Graph, GraphMap, Subdivision, compose, subdivide_at_preimages
-from .words import Letter, inverse_letter
+from .words import Letter, char, inverse, inverse_letter, letter_of
 
 
 def _letter_key(letter: Letter):
@@ -57,8 +57,8 @@ Candidate = tuple[str, Letter, Letter, Letter, str]  # vertex, label, d1, d2, ki
 
 def _first_stage(sub: Subdivision) -> Stage:
     return Stage(sub.graph,
-                 {name: images[0]
-                  for name, images in sub.relabeled.edge_images.items()},
+                 {name: letter_of(image)
+                  for name, image in sub.relabeled.edge_images.items()},
                  dict(sub.relabeled.vertex_map))
 
 
@@ -265,24 +265,23 @@ class FoldSequence:
         if iso.domain != last:
             raise InvariantViolation(
                 "final_iso does not start at the last stage of the fold chain")
-        labels: dict[str, Letter] = {}
+        labels: dict[str, str] = {}   # subdivided edge -> its one-letter label
         for name, (target, sign) in edge_to.items():
             image = iso.edge_images[target]
             if len(image) != 1:
                 raise InvariantViolation(
                     f"final_iso sends edge {target!r} of the fold chain's last "
                     f"stage to {len(image)} letters")
-            label, label_sign = image[0]
-            labels[name] = (label, label_sign * sign)
+            labels[name] = image if sign > 0 else inverse(image)
         # the chased labelling of the subdivided graph is its own labelling
         for name in first.edge_names:
-            if (labels[name],) != self.subdivision.relabeled.edge_images[name]:
+            if labels[name] != self.subdivision.relabeled.edge_images[name]:
                 raise InvariantViolation(
                     f"fold chain mislabels subdivided edge {name}")
         composite = GraphMap(first, iso.codomain,
                              {v: iso.vertex_map[vertex_to[v]]
                               for v in first.vertices},
-                             {name: (labels[name],) for name in first.edge_names})
+                             {name: labels[name] for name in first.edge_names})
         total = compose(composite, self.subdivision.inclusion)
         if total.vertex_map != self.original.vertex_map or any(
                 total.edge_images[e] != self.original.edge_images[e]
@@ -330,7 +329,7 @@ def decompose(f: GraphMap) -> FoldSequence:
             f"{'bijective' if vertex_ok else 'not bijective'})")
     last = work.stage()
     final = GraphMap(last.graph, codomain, last.vertex_labels,
-                     {name: (label,) for name, label in last.edge_labels.items()})
+                     {name: char(label) for name, label in last.edge_labels.items()})
     seq = FoldSequence(f, sub, tuple(folds), final)
     seq.verify()
     return seq

@@ -1,23 +1,26 @@
 """Finite graphs with named oriented edges, edge paths, graph maps, markings.
 
 A *direction* at a vertex is a letter ``(name, sign)`` whose initial vertex is
-that vertex; an *edge path* is a word of letters whose consecutive endpoints
-match.  Tightening an edge path is exactly free reduction, which preserves the
-path property and its endpoints.
+that vertex; an *edge path* is a word (text, one code point per oriented
+edge) whose consecutive endpoints match.  Tightening an edge path is exactly
+free reduction, which preserves the path property and its endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from os.path import commonprefix
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (DisconnectedGraphError, InputParseError,
                      InvariantViolation, MarkingError)
-from .words import (FreeGroupMap, Letter, Word, _Alphabet, _reduced_image,
-                    concat, inverse, greedy_nielsen_inverse,
-                    parse_word, reduce_word)
+from .words import (FreeGroupMap, Letter, Word, _CHAR, _LETTER, _Images,
+                    _cancelling_pairs,
+                    _outside_domain, _reduced_image, char, check_names,
+                    encode, greedy_nielsen_inverse, intern, inverse,
+                    letter_of, parse_word, reduce_word)
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,7 @@ class Graph:
         object.__setattr__(self, "_vertex_set", vset)
         object.__setattr__(self, "_ends",
                            {name: (init, term) for name, init, term in self.edges})
+        object.__setattr__(self, "_forward", intern(names))
 
     @classmethod
     def rose(cls, edge_names: Sequence[str], vertex: str = "v") -> "Graph":
@@ -58,6 +62,16 @@ class Graph:
         return term if lt[1] > 0 else init
 
     @cached_property
+    def _path_ends(self) -> dict[str, tuple[str, str]]:
+        """(initial, terminal) vertex of each one-letter path, keyed by code
+        point; built on first use, once per graph."""
+        ends = dict(zip(self._forward, [(i, t) for _, i, t in self.edges]))
+        # the inverse letters, in edge order
+        ends.update(zip(inverse(self._forward)[::-1],
+                        [(t, i) for _, i, t in self.edges]))
+        return ends
+
+    @cached_property
     def _directions_at(self) -> dict[str, tuple[Letter, ...]]:
         """Vertex -> its directions; built on first use, once per graph."""
         out: dict[str, list[Letter]] = {v: [] for v in self.vertices}
@@ -65,11 +79,6 @@ class Graph:
             out[init].append((name, 1))
             out[term].append((name, -1))
         return {v: tuple(dirs) for v, dirs in out.items()}
-
-    @cached_property
-    def _alphabet(self) -> _Alphabet:
-        """The code points of the oriented edges, built on first use."""
-        return _Alphabet(self.edge_names)
 
     def directions(self, vertex: str) -> tuple[Letter, ...]:
         """All directions based at ``vertex``, sorted by (edge name, forward first)."""
@@ -132,33 +141,29 @@ def rank(graph: Graph) -> int:
 # paths
 
 
-def check_path(graph: Graph, word: Iterable[Letter]) -> tuple[str, str]:
+def check_path(graph: Graph, word: Word) -> tuple[str, str]:
     """Validate an edge path and return its (initial, terminal) vertices."""
-    ends = graph._ends
-    start = end = prev = None
-    first_break = None  # reported only once every letter is a known edge
-    for lt in word:
-        try:
-            init, term = ends[lt[0]]
-        except KeyError:
-            raise InvariantViolation(f"unknown edge {lt[0]!r} in path") from None
-        if lt[1] <= 0:
-            init, term = term, init
-        if prev is None:
-            start = init
-        elif end != init and first_break is None:
-            first_break = (prev, lt, end, init)
-        prev, end = lt, term
-    if prev is None:
-        raise InvariantViolation("an empty path has no endpoints")
-    if first_break is not None:
-        cur, nxt, got, want = first_break
-        raise InvariantViolation(
-            f"path breaks between {cur!r} and {nxt!r}: {got!r} != {want!r}")
+    ends = graph._path_ends
+    try:
+        start, end = ends[word[0]]
+        for i in range(1, len(word)):
+            init, term = ends[word[i]]
+            if init != end:
+                for ch in set(word).difference(ends):
+                    raise KeyError(ch)  # an unknown edge is reported first
+                raise InvariantViolation(
+                    f"path breaks between {letter_of(word[i - 1])!r} and "
+                    f"{letter_of(word[i])!r}: {end!r} != {init!r}")
+            end = term
+    except IndexError:
+        raise InvariantViolation("an empty path has no endpoints") from None
+    except KeyError as exc:
+        name = _LETTER.get(exc.args[0], exc.args[0])[0]
+        raise InvariantViolation(f"unknown edge {name!r} in path") from None
     return start, end
 
 
-def is_path(graph: Graph, word: Iterable[Letter]) -> bool:
+def is_path(graph: Graph, word: Word) -> bool:
     try:
         check_path(graph, word)
         return True
@@ -176,7 +181,9 @@ tighten = reduce_word
 
 @dataclass
 class GraphMap:
-    """A map of graphs sending vertices to vertices and edges to edge paths."""
+    """A map of graphs sending vertices to vertices and edges to edge paths.
+
+    ``edge_images`` holds each edge's image as text over the codomain."""
 
     domain: Graph
     codomain: Graph
@@ -193,8 +200,7 @@ class GraphMap:
         for name, init, term in self.domain.edges:
             if name not in self.edge_images:
                 raise InvariantViolation(f"edge {name!r} has no image")
-            img = tuple(self.edge_images[name])
-            self.edge_images[name] = img
+            img = self.edge_images[name]
             want = (self.vertex_map[init], self.vertex_map[term])
             if img:
                 got = check_path(self.codomain, img)
@@ -207,7 +213,7 @@ class GraphMap:
     @classmethod
     def identity(cls, graph: Graph) -> "GraphMap":
         return cls(graph, graph, {v: v for v in graph.vertices},
-                   {name: ((name, 1),) for name in graph.edge_names})
+                   {name: char((name, 1)) for name in graph.edge_names})
 
     @classmethod
     def from_strings(cls, graph: Graph, vertex_map: Mapping[str, str],
@@ -221,17 +227,22 @@ class GraphMap:
     def is_self_map(self) -> bool:
         return self.domain == self.codomain
 
-    def apply_path(self, word: Iterable[Letter]) -> Word:
-        """Image of an edge path, concatenated without tightening."""
-        out: list[Letter] = []
-        for name, sign in word:
-            img = self.edge_images[name]
-            out.extend(img if sign > 0 else inverse(img))
-        return tuple(out)
+    @cached_property
+    def _image_table(self) -> "_DirectionImages":
+        """The image of each direction, computed on first lookup
+        (``edge_images`` must not change after that)."""
+        return _DirectionImages(self.edge_images)
 
-    def apply_tight(self, word: Iterable[Letter]) -> Word:
+    def apply_path(self, word: Word) -> Word:
+        """Image of an edge path, concatenated without tightening."""
+        try:
+            return "".join(map(self._image_table.__getitem__, word))
+        except KeyError as exc:
+            raise _outside_domain(exc, self.domain.edge_names) from None
+
+    def apply_tight(self, word: Word) -> Word:
         """Tightened image of an edge path; equals ``tighten(apply_path(word))``."""
-        return self.codomain._alphabet.decode(self._tight_text(word, 1))
+        return self.iterate_tight(word, 1)
 
     def direction_image(self, lt: Letter) -> Letter:
         """First letter of the image of the direction ``lt`` (image must be nonempty)."""
@@ -239,40 +250,56 @@ class GraphMap:
         img = self.edge_images[name]
         if not img:
             raise InvariantViolation(f"edge {name!r} has empty image")
-        return img[0] if sign > 0 else (img[-1][0], -img[-1][1])
+        if sign > 0:
+            return _LETTER[img[0]]
+        name, sign = _LETTER[img[-1]]
+        return (name, -sign)
 
-    def iterate_tight(self, word: Iterable[Letter], n: int) -> Word:
-        """The tightened image of an edge path under the n-th power of a self-map."""
-        return self.codomain._alphabet.decode(self._tight_text(word, n))
+    def iterate_tight(self, word: Word, n: int) -> Word:
+        """The tightened image of an edge path under the n-th power of a
+        self-map.
 
-    def _tight_text(self, word: Iterable[Letter], rounds: int) -> str:
-        """The tightened image of ``word`` under ``rounds`` applications of
-        the map, as text over the codomain's alphabet: the word is encoded
-        once and each round substitutes and reduces on the text.
-
-        Edge images need not be tight, so each letter's image is reduced
-        when the letter first occurs (``edge_images`` is mutable, so nothing
-        is cached on the map).
+        Each round substitutes and reduces on the text.  Edge images need
+        not be tight, so each letter's image is tightened when the letter
+        first occurs.
         """
-        if rounds > 1 and not self.is_self_map:
+        if n > 1 and not self.is_self_map:
             raise InvariantViolation("only a self-map can be iterated")
-        source, target = self.domain._alphabet, self.codomain._alphabet
-        text = source.encode(word)
-        table: dict[str, str] = {}
+        if n < 1:
+            return encode(word)
+        table = _Images()
         pairs: tuple[str, ...] = ()
-        letters = set(text)  # every letter the next round can meet
-        for _ in range(rounds):
-            fresh = letters.difference(table)
-            if fresh:
-                for ch in fresh:
-                    name, sign = source.letter[ch]
-                    img = reduce_word(self.edge_images[name])
-                    table[ch] = target.encode(img if sign > 0 else inverse(img))
-                images = "".join(table.values())
-                pairs = target.cancelling_pairs(images)
-                letters = set(images)
-            text = _reduced_image(text, table, pairs)
-        return text
+        letters = set(word)  # every letter the next round can meet
+        try:
+            for _ in range(n):
+                fresh = letters.difference(table)
+                if fresh:
+                    for ch in map(_CHAR.__getitem__, fresh):
+                        table[ch] = reduce_word(self._image_table[ch])
+                    images = "".join(table.values())
+                    pairs = _cancelling_pairs(images)
+                    letters = set(images)
+                word = _reduced_image(word, table, pairs)
+        except KeyError as exc:
+            raise _outside_domain(exc, self.domain.edge_names) from None
+        return word
+
+
+class _DirectionImages(_Images):
+    """The image text of each direction of a map, computed on first lookup;
+    a letter outside the map's domain raises ``KeyError``."""
+
+    def __init__(self, edge_images: Mapping[str, Word]) -> None:
+        super().__init__()
+        self.edge_images = edge_images
+
+    def fill(self, ch: str) -> Word:
+        name, sign = _LETTER[ch]
+        img = self.edge_images.get(name)
+        if img is None:
+            raise KeyError(ch)
+        self[ch] = img = img if sign > 0 else inverse(img)
+        return img
 
 
 def compose(f: GraphMap, g: GraphMap) -> GraphMap:
@@ -311,7 +338,7 @@ def subdivide_at_preimages(f: GraphMap) -> Subdivision:
     vset = set(vertices)
     edges: list[tuple[str, str, str]] = []
     labels: dict[str, Word] = {}
-    inclusion_images: dict[str, Word] = {}
+    inclusion_images: dict[str, list[Letter]] = {}
     new_vertex_map: dict[str, str] = dict(f.vertex_map)
 
     for name, init, term in g.edges:
@@ -322,8 +349,8 @@ def subdivide_at_preimages(f: GraphMap) -> Subdivision:
         L = len(img)
         if L == 1:
             edges.append((name, init, term))
-            labels[name] = (img[0],)
-            inclusion_images[name] = ((name, 1),)
+            labels[name] = img
+            inclusion_images[name] = [(name, 1)]
             continue
         piece_names = [f"{name}_{i}" for i in range(1, L + 1)]
         inner = [f"{name}@{i}" for i in range(1, L)]
@@ -335,14 +362,16 @@ def subdivide_at_preimages(f: GraphMap) -> Subdivision:
         stops = [init] + inner + [term]
         for i, piece in enumerate(piece_names):
             edges.append((piece, stops[i], stops[i + 1]))
-            labels[piece] = (img[i],)
+            labels[piece] = img[i]
         for i, v in enumerate(inner, start=1):
-            new_vertex_map[v] = g.term_of(img[i - 1])
-        inclusion_images[name] = tuple((p, 1) for p in piece_names)
+            new_vertex_map[v] = g.term_of(letter_of(img[i - 1]))
+        inclusion_images[name] = [(p, 1) for p in piece_names]
 
     graph0 = Graph(tuple(vertices), tuple(edges))
     relabeled = GraphMap(graph0, g, new_vertex_map, labels)
-    inclusion = GraphMap(g, graph0, {v: v for v in g.vertices}, inclusion_images)
+    inclusion = GraphMap(g, graph0, {v: v for v in g.vertices},
+                         {name: encode(pieces)
+                          for name, pieces in inclusion_images.items()})
     return Subdivision(graph0, relabeled, inclusion)
 
 
@@ -358,7 +387,17 @@ class SpanningTree:
     root_paths: dict[str, Word]
 
     def path(self, u: str, v: str) -> Word:
-        return reduce_word(concat(inverse(self.root_paths[u]), self.root_paths[v]))
+        """The tree path from ``u`` to ``v``: the root paths cancel exactly
+        along their common prefix."""
+        pu, pv = self.root_paths[u], self.root_paths[v]
+        k = len(commonprefix((pu, pv)))
+        return inverse(pu[k:]) + pv[k:]
+
+    @cached_property
+    def _collapse(self) -> dict[int, None]:
+        """A ``str.translate`` table deleting the tree edges."""
+        return {ord(_CHAR[(name, sign)]): None
+                for name in self.tree_edges for sign in (1, -1)}
 
 
 def spanning_tree(graph: Graph, root: Optional[str] = None) -> SpanningTree:
@@ -368,7 +407,7 @@ def spanning_tree(graph: Graph, root: Optional[str] = None) -> SpanningTree:
         raise InvariantViolation("empty graph has no spanning tree")
     if root is None:
         root = min(graph.vertices)
-    seen: dict[str, Word] = {root: ()}
+    seen: dict[str, Word] = {root: ""}
     tree: set[str] = set()
     frontier = [root]
     while frontier:
@@ -377,7 +416,7 @@ def spanning_tree(graph: Graph, root: Optional[str] = None) -> SpanningTree:
             for lt in graph.directions(v):
                 w = graph.term_of(lt)
                 if w not in seen:
-                    seen[w] = seen[v] + (lt,)
+                    seen[w] = seen[v] + _CHAR[lt]
                     tree.add(lt[0])
                     nxt.append(w)
         frontier = nxt
@@ -386,9 +425,9 @@ def spanning_tree(graph: Graph, root: Optional[str] = None) -> SpanningTree:
     return SpanningTree(root, frozenset(tree), seen)
 
 
-def collapse_word(tree: SpanningTree, word: Iterable[Letter]) -> Word:
+def collapse_word(tree: SpanningTree, word: Word) -> Word:
     """Image of a path under collapsing the spanning tree: drop tree letters."""
-    return reduce_word(lt for lt in word if lt[0] not in tree.tree_edges)
+    return reduce_word(word.translate(tree._collapse))
 
 
 def fundamental_group_map(f: GraphMap, tree: SpanningTree) -> FreeGroupMap:
@@ -402,7 +441,7 @@ def fundamental_group_map(f: GraphMap, tree: SpanningTree) -> FreeGroupMap:
                         if name not in tree.tree_edges))
     images = []
     for gen in gens:
-        loop = tree.path(tree.root, graph.init_of((gen, 1))) + ((gen, 1),) \
+        loop = tree.path(tree.root, graph.init_of((gen, 1))) + char((gen, 1)) \
             + tree.path(graph.term_of((gen, 1)), tree.root)
         images.append(collapse_word(tree, f.apply_path(loop)))
     return FreeGroupMap(gens, gens, tuple(images))
@@ -425,9 +464,7 @@ class MarkedGraph:
         if self.basepoint not in self.graph.vertices:
             raise InvariantViolation(f"unknown basepoint {self.basepoint!r}")
         for gname in self.generators:
-            word = tuple(self.marking_words[gname])
-            self.marking_words[gname] = word
-            init, term = check_path(self.graph, word)
+            init, term = check_path(self.graph, self.marking_words[gname])
             if init != self.basepoint or term != self.basepoint:
                 raise InvariantViolation(
                     f"marking word for {gname!r} is not a loop at the basepoint")
@@ -550,6 +587,8 @@ def parse_map_text(text: str) -> MapFile:
         except (ValueError, IndexError) as exc:
             raise InputParseError(f"line {lineno}: malformed {kind!r} line") from exc
 
+    check_names(name for name, _, _ in edges)
+    check_names(g for g, _ in marking_raw)
     try:
         graph = Graph(tuple(vertices), tuple(edges))
         gmap = GraphMap.from_strings(graph, vmap, emap_raw)

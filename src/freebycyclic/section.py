@@ -31,7 +31,7 @@ from .graphs import Graph, GraphMap, SpanningTree, components, \
     fundamental_group_map, spanning_tree
 from .torus import TrapComplex
 from .traintrack import illegal_turns
-from .words import FreeGroupMap, Word, inverse
+from .words import FreeGroupMap, Word, encode, inverse, letters
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,8 @@ class _Level:
         """The section edges that the segment ``[x_lo, x_hi]`` of ``trap``
         runs along once flowed up to height ``target``, read in the
         direction ``orient``; ``starting_at`` sends (trapezoid, level, x) to
-        the name and right end of the section edge that starts there."""
+        the name, right end and one-letter word of the section edge that
+        starts there."""
         if depth > 64:
             raise IterationBudgetError(
                 "segment flow recursion exceeded depth 64")
@@ -412,20 +413,20 @@ class _Level:
         runs = self.charts[trap].runs(target, x_lo, x_hi)
         if orient < 0:
             runs.reverse()
-        word: list = []
+        word: list[Word] = []
         for a, b, piece in runs:
             if piece is None:
-                word.extend(self._edges_along(starting_at, trap, level, a, b,
+                word.append(self._edges_along(starting_at, trap, level, a, b,
                                               orient))
                 continue
             above, pos_a, lifted = self.cross_top(
                 piece, a, target - piece.height_at(a))
             pos_b = piece.skew_position(b)
-            word.extend(self.flow_segment(starting_at, above,
+            word.append(self.flow_segment(starting_at, above,
                                           min(pos_a, pos_b),
                                           max(pos_a, pos_b), lifted,
                                           orient * piece.sign, depth + 1))
-        return tuple(word)
+        return "".join(word)
 
     def _edges_along(self, starting_at: Mapping, trap: str, level: int,
                      x_lo: int, x_hi: int, orient: int) -> Word:
@@ -435,15 +436,15 @@ class _Level:
             step = starting_at.get((trap, level, x))
             if step is None:
                 break
-            found.append(step[0])
+            found.append(step[2])
             x = step[1]
         if not found or x != x_hi:
             raise InvariantViolation(
                 f"flowed segment [{Fraction(x_lo, self.lattice)}, "
                 f"{Fraction(x_hi, self.lattice)}] at level {level} of "
                 f"{trap} is not a union of section edges")
-        letters = tuple((name, 1) for name in found)
-        return letters if orient > 0 else inverse(letters)
+        word = "".join(found)
+        return word if orient > 0 else inverse(word)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +588,16 @@ def first_return(section: SectionGraph) -> GraphMap:
     grid = _Level(section.complex, section.charts, section.cocycle,
                   section.phase, lattice)
 
+    forward = encode([(name, 1) for name in section.edge_records])
     starting_at = {
         (rec.trap, rec.level, _on_lattice(rec.x_lo, lattice, rec.trap)):
-        (name, _on_lattice(rec.x_hi, lattice, rec.trap))
-        for name, rec in section.edge_records.items()}
+        (name, _on_lattice(rec.x_hi, lattice, rec.trap), ch)
+        for (name, rec), ch in zip(section.edge_records.items(), forward)}
     try:
         edge_images = {
             name: grid.flow_segment(starting_at, trap, x_lo, x_hi,
                                     grid.offset + (level + 1) * lattice, 1)
-            for (trap, level, x_lo), (name, x_hi) in starting_at.items()}
+            for (trap, level, x_lo), (name, x_hi, _) in starting_at.items()}
     except IterationBudgetError as exc:
         # a class outside the open cone is the likely cause: say so
         try:
@@ -657,8 +659,8 @@ def flip_rename(graph: Graph, self_map: GraphMap,
     flipped = Graph(graph.vertices,
                     tuple(sorted((names[n], term, init)
                                  for n, init, term in graph.edges)))
-    images = {names[n]: tuple((names[m], s) for m, s in
-                              reversed(self_map.edge_images[n]))
+    images = {names[n]: encode([(names[m], s) for m, s in
+                                reversed(letters(self_map.edge_images[n]))])
               for n in graph.edge_names}
     return flipped, GraphMap(flipped, flipped, dict(self_map.vertex_map),
                              images)
@@ -673,7 +675,7 @@ def _line_names(return_map: GraphMap) -> tuple[dict[str, str], int]:
     and the two subdivision loops.  Every step is validated, so a return
     map without the expected shape is rejected loudly.
     """
-    words = {n: tuple(reversed(return_map.edge_images[n]))
+    words = {n: letters(return_map.edge_images[n])[::-1]
              for n in return_map.domain.edge_names}
 
     def crash(reason: str):

@@ -20,7 +20,7 @@ from .errors import (InvariantViolation, IterationBudgetError, NotACycleError,
 from .folding import FoldSequence
 from .graphs import GraphMap, reachable
 from .traintrack import is_irreducible, transition_matrix
-from .words import Letter
+from .words import Letter, letter_of, letters
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
 
     skew_by_index = {s.index: s for s in skews}
     pieces_of_base = {
-        name: seq.subdivision.inclusion.edge_images[name]
+        name: letters(seq.subdivision.inclusion.edge_images[name])
         for name in codomain.edge_names
     }
 
@@ -257,7 +257,7 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
                     f"{_MAX_SWEEP_STEPS} steps "
                     "(the flow has an invariant circle missing every skew?)")
             if stage == k:
-                base_letter = seq.final_iso.edge_images[edge][0]
+                base_letter = letter_of(seq.final_iso.edge_images[edge][0])
                 base_edge = base_letter[0]
                 new_sign = sign * base_letter[1]
                 if base_edge in base_cover:

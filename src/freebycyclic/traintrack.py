@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 from .errors import InvariantViolation, NotExpandingError, NotIrreducibleError
 from .graphs import GraphMap, rank as graph_rank, reachable, tighten
-from .words import Letter, Word, format_word, inverse, inverse_letter
+from .words import (Letter, Word, char, encode, format_word, inverse,
+                    inverse_letter, letter_of, letters)
 
 #: A turn is an unordered pair of distinct directions at a common vertex.
 Turn = frozenset  # frozenset[Letter] of size 2
@@ -50,7 +51,7 @@ def turn_sort_key(turn: Turn):
 
 
 def format_direction(d: Letter) -> str:
-    return format_word((d,))
+    return format_word(char(d))
 
 
 def format_turn(turn: Turn) -> str:
@@ -129,10 +130,11 @@ def crossed_turns_of_path(word: Word) -> list[tuple[int, Turn]]:
     Position ``i`` (1-based) is the turn between letters ``i`` and ``i+1``;
     a degenerate crossing (immediate backtrack) yields a size-1 frozenset.
     """
-    out = []
-    for i in range(1, len(word)):
-        out.append((i, frozenset((inverse_letter(word[i - 1]), word[i]))))
-    return out
+    if len(word) < 2:
+        return []
+    word = letters(word)
+    return [(i, frozenset((inverse_letter(word[i - 1]), word[i])))
+            for i in range(1, len(word))]
 
 
 def is_train_track(f: GraphMap) -> tuple[bool, Optional[tuple[str, int]]]:
@@ -179,12 +181,20 @@ class TransitionMatrix:
 def transition_matrix(f: GraphMap) -> TransitionMatrix:
     """Entry (i, j): how often the image of edge i crosses edge j (either way)."""
     edges = tuple(sorted(f.domain.edge_names))
-    index = {e: i for i, e in enumerate(edges)}
+    column = _columns(edges)
     entries = tuple(
-        tuple(sorted(Counter(index[name] for name, _sign in f.edge_images[e])
+        tuple(sorted(Counter(map(column.__getitem__, f.edge_images[e]))
                      .items()))
         for e in edges)
     return TransitionMatrix(edges, entries)
+
+
+def _columns(edges: Sequence[str]) -> dict[str, int]:
+    """Each code point of an oriented edge to the index of its edge."""
+    forward = encode([(e, 1) for e in edges])
+    column = dict(zip(forward, range(len(edges))))
+    column.update(zip(inverse(forward)[::-1], range(len(edges))))
+    return column
 
 
 def is_irreducible(matrix: TransitionMatrix) -> bool:
@@ -432,19 +442,13 @@ def _ray_prefix(f: GraphMap, period: int, d: Letter, length: int) -> Word:
     letters; for a fixed direction each round extends the previous prefix, so
     the loop stops at stabilization or once ``length`` letters are available.
     """
-    word: Word = (d,)
+    word = char(d)
     for _round in range(4 * length * period + 16):
         if len(word) >= length:
             break
         nxt = word
         for _ in range(period):
-            grown: list[Letter] = []
-            for lt in nxt:
-                img = f.edge_images[lt[0]]
-                grown.extend(img if lt[1] > 0 else inverse(img))
-                if len(grown) >= length:
-                    break
-            nxt = tuple(grown[:length])
+            nxt = f.apply_path(nxt)[:length]
         if nxt == word:
             break  # no growth: the ray is eventually this finite path
         word = nxt
@@ -463,7 +467,7 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
     passes the cap is skipped without being built.
     """
     dmap = direction_map(f)
-    index = {e: i for i, e in enumerate(matrix.edges)}
+    column = _columns(matrix.edges)
     image_lengths = [1] * len(matrix.edges)  # of f^period-images of edges
     found: dict[Word, int] = {}
     capped = False
@@ -485,20 +489,17 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
             ray = rays[d]
             for a in range(1, min(len(ray), max_len - 1) + 1):
                 sigma = ray[:a]
-                predicted = sum(image_lengths[index[name]] for name, _ in sigma)
+                predicted = sum(image_lengths[column[ch]] for ch in sigma)
                 if predicted > _POWER_IMAGE_CAP:
                     capped = True
                     continue
-                # the image stays text, never decoded: it is only measured
-                # and compared, with the prefix (its text after no rounds)
-                # and with other overflows, as the words would be
-                image = f._tight_text(sigma, period)
+                image = f.iterate_tight(sigma, period)
                 if len(image) != predicted:
                     raise InvariantViolation(
                         f"f^{period}-image of the eigenray prefix "
                         f"{format_word(sigma)} has {len(image)} letters, "
                         f"not the {predicted} its crossing counts predict")
-                if image[:a] != f._tight_text(sigma, 0):
+                if image[:a] != sigma:
                     continue
                 halves.append((d, sigma, image[a:]))
         graph = f.domain
@@ -509,7 +510,8 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
                     continue
                 if len(s1) + len(s2) > max_len:
                     continue
-                if graph.term_of(s1[-1]) != graph.term_of(s2[-1]):
+                if graph.term_of(letter_of(s1[-1])) != \
+                        graph.term_of(letter_of(s2[-1])):
                     continue  # halves must meet at a common junction vertex
                 rho = s1 + inverse(s2)
                 if len(tighten(rho)) != len(rho):
@@ -527,7 +529,8 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
         while frontier:
             base = frontier.pop()
             for piece in verified:
-                if graph.term_of(base[-1]) != graph.init_of(piece[0]):
+                if graph.term_of(letter_of(base[-1])) != \
+                        graph.init_of(letter_of(piece[0])):
                     continue
                 combo = base + piece
                 if len(combo) > max_len or len(tighten(combo)) != len(combo):
@@ -539,7 +542,8 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
                 if p is not None:
                     found.setdefault(combo, p)
                     frontier.append(combo)
-    return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])), capped
+    return sorted(found.items(),
+                  key=lambda kv: (len(kv[0]), letters(kv[0]))), capped
 
 
 def nielsen_search(f: GraphMap, max_len: int = 10, max_period: int = 6

@@ -1,76 +1,160 @@
 """Free-group words over named generators, and word-level group maps.
 
-Text conventions used everywhere in the package:
+A word is text: one code point per oriented letter, from one process-wide
+letter table.  A name gets two adjacent code points, forward then inverse,
+when it is first seen (surrogates are skipped), so inverting a word
+reverses it and flips the low bit of each code point, concatenation is
+``+``, and free reduction deletes cancelling pairs until none is left.
+Code points follow the order in which names were first seen, so nothing
+orders words by them: orderings are keyed on the decoded letters.
 
-* a single-character name is written as itself for the forward letter and as
-  its uppercase form for the inverse (``"Bab"`` is b⁻¹ab);
-* a multi-character name takes a trailing apostrophe for the inverse
-  (``e2_1'``) and words over such names are whitespace-separated token
-  sequences.
+A :data:`Letter` stays a ``(name, sign)`` tuple: directions and turns are
+graph data.  The letter table and the image table of a map answer letters
+and code points alike, so :func:`encode` returns text unchanged and a map
+applies to a word of letters through the same code as to text.  Text is
+parsed and formatted only at the file and command-line boundary:
+
+* a compact name (one lowercase character) is written as itself for the
+  forward letter and in uppercase for the inverse (``"Bab"`` is b⁻¹ab);
+* any other name takes a trailing apostrophe for the inverse (``e2_1'``),
+  and a word with such a name is a whitespace-separated token sequence.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import count
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputParseError, InvariantViolation
 
 #: A letter is an oriented generator: (name, +1) forward, (name, -1) inverse.
 Letter = tuple[str, int]
-#: A word is a tuple of letters; the empty tuple is the identity.
-Word = tuple[Letter, ...]
+#: A word is text, one code point per letter; the empty text is the identity.
+Word = str
+
+# the letter table: each letter and each assigned code point to its code
+# point, each code point to its letter, each code point to its inverse's,
+# and each code point to the two cancelling pairs of its generator
+_CHAR: dict = {}
+_LETTER: dict[str, Letter] = {}
+_FLIP: dict[int, int] = {}
+_PAIRS: dict[str, tuple[str, str]] = {}
 
 
-def letter(name: str, sign: int = 1) -> Letter:
-    if sign not in (1, -1):
-        raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-    return (name, sign)
+def intern(names: Iterable[str]) -> Word:
+    """The word of the forward letters of ``names``; a name not seen
+    before gets its two code points here."""
+    forward = []
+    for name in names:
+        fwd = _CHAR.get((name, 1))
+        if fwd is None:
+            point = len(_LETTER) + (0x800 if len(_LETTER) >= 0xD800 else 0)
+            fwd, inv = chr(point), chr(point + 1)
+            for lt, ch in (((name, 1), fwd), ((name, -1), inv)):
+                _CHAR[lt] = _CHAR[ch] = ch
+                _LETTER[ch] = lt
+                _FLIP[ord(ch)] = ord(ch) ^ 1
+                _PAIRS[ch] = (fwd + inv, inv + fwd)
+        forward.append(fwd)
+    return "".join(forward)
 
 
 def inverse_letter(lt: Letter) -> Letter:
     return (lt[0], -lt[1])
 
 
-def inverse(word: Iterable[Letter]) -> Word:
-    return tuple((name, -sign) for (name, sign) in reversed(tuple(word)))
+def char(lt: Letter) -> Word:
+    """The one-letter word of ``lt``."""
+    if lt not in _CHAR:
+        intern((lt[0],))
+    return _CHAR[lt]
 
 
-def concat(*words: Iterable[Letter]) -> Word:
-    out: list[Letter] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
+def encode(word: Sequence) -> Word:
+    """The text of a word given as letters, code points or both; text
+    comes back unchanged."""
+    try:
+        return "".join(map(_CHAR.__getitem__, word))
+    except KeyError:
+        return "".join(map(char, word))
 
 
-def reduce_word(word: Iterable[Letter]) -> Word:
+def letters(word: Word) -> tuple[Letter, ...]:
+    """The letters of a word, in order."""
+    return tuple(map(_LETTER.__getitem__, word))
+
+
+def letter_of(ch: str) -> Letter:
+    """The letter of a one-letter word."""
+    return _LETTER[ch]
+
+
+def inverse(word: Word) -> Word:
+    return word[::-1].translate(_FLIP)
+
+
+def _cancelling_pairs(text: str) -> tuple[str, ...]:
+    """x x⁻¹ and x⁻¹ x for every generator x with a letter in ``text``."""
+    return tuple(set().union(*map(_PAIRS.__getitem__, set(text))))
+
+
+def _reduce(text: str, pairs: tuple[str, ...]) -> str:
+    """Delete the cancelling ``pairs`` until a pass deletes nothing.  Free
+    reduction is confluent, so the order of the deletions does not matter;
+    each pass peels at least one layer off every cancellation."""
+    size = -1
+    while size != len(text):
+        size = len(text)
+        for pair in pairs:
+            text = text.replace(pair, "")
+    return text
+
+
+def reduce_word(word: Word) -> Word:
     """Freely reduce: cancel adjacent inverse pairs until none remain."""
-    out: list[Letter] = []
-    for lt in word:
-        if out and out[-1][0] == lt[0] and out[-1][1] == -lt[1]:
-            out.pop()
-        else:
-            out.append(lt)
-    return tuple(out)
+    return _reduce(word, _cancelling_pairs(word))
 
 
-def power(word: Iterable[Letter], n: int) -> Word:
-    w = tuple(word)
+def power(word: Word, n: int) -> Word:
+    """``word``ⁿ, reduced: u cⁿ u⁻¹ for the cyclic reduction u c u⁻¹."""
+    core, u = cyclic_reduce(word)
     if n < 0:
-        w, n = inverse(w), -n
-    return reduce_word(concat(*([w] * n)))
+        core, n = inverse(core), -n
+    return u + core * n + inverse(u) if core and n else ""
 
 
 # ---------------------------------------------------------------------------
 # parsing / formatting
 
 
+def compact_name(name: str) -> bool:
+    """A name written in compact form: one lowercase character whose
+    uppercase form is one character that lowercases back to it."""
+    return len(name) == 1 and name.islower() and name.upper().lower() == name
+
+
+def check_names(names: Iterable[str]) -> None:
+    """Refuse, naming the colliding names, a name set on which
+    :func:`format_word` would not invert :func:`parse_word`: a name with an
+    apostrophe or equal to ``1``, a compact name and its uppercase form, or
+    a longer name spelt by compact names and their uppercase forms."""
+    names = set(names)
+    spelt = {form for c in names if compact_name(c) for form in (c, c.upper())}
+    for name in sorted(names):
+        if "'" in name or name == "1":
+            raise InputParseError(f"name {name!r} is reserved word syntax")
+        if compact_name(name) and name.upper() in names:
+            raise InputParseError(f"names {name!r} and {name.upper()!r} "
+                                  "collide: the second inverts the first")
+        if len(name) > 1 and set(name) <= spelt:
+            raise InputParseError(f"name {name!r} collides with a compact "
+                                  "word of single-character names")
+
+
 def _parse_token(token: str, universe: frozenset[str]) -> Letter:
-    sign = 1
-    if token.endswith("'"):
-        sign = -sign
-        token = token[:-1]
+    sign = -1 if token.endswith("'") else 1
+    token = token[:-1] if sign < 0 else token
     if token in universe:
         return (token, sign)
     if len(token) == 1 and token != token.lower() and token.lower() in universe:
@@ -81,43 +165,28 @@ def _parse_token(token: str, universe: frozenset[str]) -> Letter:
 def parse_word(text: str, names: Iterable[str]) -> Word:
     """Parse a word over ``names``.
 
-    Whitespace-separated tokens always work.  A compact run such as ``Bab``
-    is accepted when each character (case-folded) is a known single-character
-    name; a trailing apostrophe inverts the letter it follows.
+    Whitespace-separated tokens always work, and a lone token that is a
+    name is that letter.  A compact run such as ``Bab`` is accepted when
+    each character is a known single-character name or the uppercase form
+    of one; a trailing apostrophe inverts the letter it follows.
     """
     universe = frozenset(names)
+    intern(sorted(universe))
     text = text.strip()
     if not text or text == "1":
-        return ()
-    if any(ch.isspace() for ch in text):
-        return tuple(_parse_token(tok, universe) for tok in text.split())
-    # A lone multi-character token parses as a single letter.
-    bare = text[:-1] if text.endswith("'") else text
-    if bare in universe and len(bare) > 1:
-        return (_parse_token(text, universe),)
-    out: list[Letter] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        name, sign = ch, 1
-        if ch != ch.lower():
-            name, sign = ch.lower(), -1
-        if name not in universe:
-            raise InputParseError(f"unknown generator in word: {ch!r}")
-        if i + 1 < len(text) and text[i + 1] == "'":
-            sign, i = -sign, i + 1
-        out.append((name, sign))
-        i += 1
-    return tuple(out)
-
-
-def format_word(word: Iterable[Letter]) -> str:
-    """Inverse of :func:`parse_word`, choosing compact form when possible."""
-    word = tuple(word)
-    if not word:
         return ""
-    compact = all(len(name) == 1 and name == name.lower() for name, _ in word)
-    if compact:
+    bare = text[:-1] if text.endswith("'") else text
+    if any(ch.isspace() for ch in text) or bare in universe:
+        tokens = text.split()
+    else:
+        tokens = re.findall(r".'?", text, re.S)
+    return encode([_parse_token(token, universe) for token in tokens])
+
+
+def format_word(word: Word) -> str:
+    """Inverse of :func:`parse_word`, choosing compact form when possible."""
+    word = letters(word)
+    if all(len(name) == 1 and compact_name(name) for name, _ in word):
         return "".join(name if sign > 0 else name.upper() for name, sign in word)
     return " ".join(name if sign > 0 else name + "'" for name, sign in word)
 
@@ -126,107 +195,68 @@ def format_word(word: Iterable[Letter]) -> str:
 # conjugacy
 
 
-def cyclic_reduce(word: Iterable[Letter]) -> tuple[Word, Word]:
+def cyclic_reduce(word: Word) -> tuple[Word, Word]:
     """Return ``(core, u)`` with ``word = u core u^-1`` and core cyclically reduced."""
     w = reduce_word(word)
     k = 0
-    while 2 * k + 2 <= len(w) and w[k] == inverse_letter(w[-1 - k]):
+    while 2 * k + 2 <= len(w) and ord(w[k]) ^ 1 == ord(w[-1 - k]):
         k += 1
     return w[k:len(w) - k], w[:k]
 
 
-def cyclic_rotations(core: Word) -> Iterator[tuple[int, Word]]:
-    for j in range(max(1, len(core))):
-        yield j, core[j:] + core[:j]
-
-
-def conjugating_word(w1: Iterable[Letter], w2: Iterable[Letter]) -> Optional[Word]:
+def conjugating_word(w1: Word, w2: Word) -> Optional[Word]:
     """A word ``z`` with ``z w1 z^-1 = w2`` (reduced), or None."""
     c1, u1 = cyclic_reduce(w1)
     c2, u2 = cyclic_reduce(w2)
     if len(c1) != len(c2):
         return None
-    for j, rot in cyclic_rotations(c1):
-        if rot == c2:
-            return reduce_word(concat(u2, inverse(c1[:j]), inverse(u1)))
+    for j in range(max(1, len(c1))):
+        if c1[j:] + c1[:j] == c2:
+            return reduce_word(u2 + inverse(c1[:j]) + inverse(u1))
     return None
 
 
-def primitive_root(word: Iterable[Letter]) -> tuple[Word, int]:
+def primitive_root(word: Word) -> tuple[Word, int]:
     """For nonempty ``word = u c u^-1``: smallest ``r`` with ``c = r^k``; returns
     (``u r u^-1`` reduced, k)."""
     core, u = cyclic_reduce(word)
     if not core:
         raise InvariantViolation("the identity has no primitive root")
     n = len(core)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if core == core[:d] * (n // d):
-            return reduce_word(concat(u, core[:d], inverse(u))), n // d
-    raise AssertionError("unreachable")
-
-
-def centralizer_generator(word: Iterable[Letter]) -> Word:
-    """Generator of the centralizer of a nonempty element."""
-    root, _ = primitive_root(word)
-    return root
+    d = next(d for d in range(1, n + 1)
+             if n % d == 0 and core == core[:d] * (n // d))
+    return u + core[:d] + inverse(u), n // d
 
 
 # ---------------------------------------------------------------------------
-# the substitution kernel: a word as a string of one code point per letter
+# the substitution kernel
 
 
-class _Alphabet:
-    """One code point per oriented letter over ``names``, in sorted letter
-    order from 0, skipping the surrogate block.
-
-    An alphabet of at most 256 letters stays below 256, where CPython keeps
-    every one-character string cached, so decoding a text makes no string
-    per letter.
-    """
-
-    def __init__(self, names: Iterable[str]) -> None:
-        letters = sorted((name, sign) for name in set(names) for sign in (-1, 1))
-        points = (c for c in count() if not 0xD800 <= c <= 0xDFFF)
-        self.char = {lt: chr(c) for lt, c in zip(letters, points)}
-        self.letter = {ch: lt for lt, ch in self.char.items()}
-
-    def encode(self, word: Iterable[Letter]) -> str:
-        return "".join(map(self.char.__getitem__, word))
-
-    def decode(self, text: str) -> Word:
-        return tuple(map(self.letter.__getitem__, text))
-
-    def cancelling_pairs(self, text: str) -> tuple[str, ...]:
-        """The pairs u u⁻¹ and u⁻¹ u for every generator that occurs in ``text``."""
-        names = sorted({self.letter[ch][0] for ch in set(text)})
-        char = self.char
-        return tuple(char[(name, sign)] + char[(name, -sign)]
-                     for name in names for sign in (1, -1))
-
-
-def _reduced_image(letters: Iterable, image_text: Mapping[object, str],
+def _reduced_image(word: Iterable, image_text: Mapping[object, str],
                    pairs: tuple[str, ...]) -> str:
-    """The freely reduced product of ``image_text[x]`` over ``letters``.
+    """The reduced product of ``image_text[x]`` over the letters ``x`` of
+    ``word``; ``pairs`` must hold the cancelling pairs of the images.  The
+    passes number at most the map's bounded cancellation constant plus one
+    on a reduced word (Cooper 1987)."""
+    return _reduce("".join(map(image_text.__getitem__, word)), pairs)
 
-    ``letters`` is a word or the text of one, keyed accordingly; the images
-    are texts over one alphabet, and ``pairs`` must hold the cancelling
-    pairs of every generator they contain.  The product is concatenated in
-    C and reduced by deleting the pairs until a pass over them deletes
-    nothing.  Free reduction is confluent, so the order of the deletions
-    does not change the result.  Each pass peels at least one layer off
-    every cancellation, so the passes number one more than the deepest
-    cancellation; for a reduced word under a map with reduced images that
-    depth is at most the map's bounded cancellation constant (Cooper 1987).
-    """
-    text = "".join(map(image_text.__getitem__, letters))
-    size = -1
-    while size != len(text):
-        size = len(text)
-        for pair in pairs:
-            text = text.replace(pair, "")
-    return text
+
+class _Images(dict):
+    """Image texts keyed by code point alone (the fast path for text keys);
+    a letter finds its code point's image, and a missing one goes to fill."""
+
+    def __missing__(self, key) -> str:
+        ch = _CHAR[key]
+        return self[ch] if ch != key else self.fill(ch)
+
+    def fill(self, ch: str) -> str:
+        raise KeyError(ch)
+
+
+def _outside_domain(exc: KeyError, domain: tuple) -> InvariantViolation:
+    """The error for a word letter that a map's image table lacks."""
+    lt = _LETTER.get(exc.args[0], exc.args[0])
+    return InvariantViolation(f"letter {lt!r} is not in the domain {domain!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +268,7 @@ class FreeGroupMap:
     """A homomorphism between finite-rank free groups, given on generators.
 
     ``domain`` and ``codomain`` are generator name tuples; ``images[i]`` is
-    the reduced image word (over the codomain alphabet) of ``domain[i]``.
+    the reduced image word of ``domain[i]``, given as text or as letters.
     ``provenance`` optionally records how the map was produced (for instance
     the spanning tree and basepoint used to read it off a marked graph).
     """
@@ -253,28 +283,20 @@ class FreeGroupMap:
     def __post_init__(self) -> None:
         if len(self.images) != len(self.domain):
             raise InvariantViolation("one image word per domain generator required")
-        cod = frozenset(self.codomain)
-        self.images = tuple(reduce_word(w) for w in self.images)
-        for w in self.images:
-            for name, _ in w:
-                if name not in cod:
-                    raise InvariantViolation(f"image letter {name!r} not in codomain")
+        intern(self.domain)
+        forward = intern(self.codomain)
+        self.images = tuple(reduce_word(encode(w)) for w in self.images)
+        for ch in set("".join(self.images)).difference(forward, inverse(forward)):
+            raise InvariantViolation(
+                f"image letter {_LETTER[ch][0]!r} not in codomain")
         self._index = {g: i for i, g in enumerate(self.domain)}
-        # each generator's image in both orientations as codomain text, and
-        # the cancelling pairs of the generators those images contain
-        self._alphabet = _Alphabet(self.codomain)
-        self._image_text: dict[Letter, str] = {}
+        # each generator's image in both orientations, and the cancelling
+        # pairs of the letters they hold
+        self._image_text = _Images()
         for g, img in zip(self.domain, self.images):
-            self._image_text[(g, 1)] = self._alphabet.encode(img)
-            self._image_text[(g, -1)] = self._alphabet.encode(inverse(img))
-        self._pairs = self._alphabet.cancelling_pairs(
-            "".join(self._image_text.values()))
-
-    @classmethod
-    def identity(cls, gens: Sequence[str]) -> "FreeGroupMap":
-        gens = tuple(gens)
-        return cls(gens, gens, tuple(((g, 1),) for g in gens),
-                   invertibility="automorphism (inverse computed)")
+            self._image_text[_CHAR[(g, 1)]] = img
+            self._image_text[_CHAR[(g, -1)]] = inverse(img)
+        self._pairs = _cancelling_pairs("".join(self.images))
 
     @classmethod
     def from_strings(cls, gens: Sequence[str], images: Mapping[str, str],
@@ -286,14 +308,13 @@ class FreeGroupMap:
     def image(self, name: str) -> Word:
         return self.images[self._index[name]]
 
-    def apply(self, word: Iterable[Letter]) -> Word:
+    def apply(self, word: Iterable) -> Word:
         """Freely reduced product of the images of the letters of ``word``,
         which may itself be unreduced."""
-        return self._alphabet.decode(
-            _reduced_image(word, self._image_text, self._pairs))
-
-    def __call__(self, word: Iterable[Letter]) -> Word:
-        return self.apply(word)
+        try:
+            return _reduced_image(word, self._image_text, self._pairs)
+        except KeyError as exc:
+            raise _outside_domain(exc, self.domain) from None
 
     def compose(self, other: "FreeGroupMap") -> "FreeGroupMap":
         """Return self ∘ other (apply ``other`` first)."""
@@ -306,57 +327,41 @@ class FreeGroupMap:
 def greedy_nielsen_inverse(fmap: FreeGroupMap) -> Optional[FreeGroupMap]:
     """Invert ``fmap`` by greedy strictly-length-reducing Nielsen moves.
 
-    This is a semidecision: a return of None does not prove ``fmap`` is not
-    an automorphism, only that no strictly reducing move sequence reaches a
-    basis greedily.  Callers report "endomorphism, invertibility unverified"
-    in that case.
-    """
+    A semidecision: None means only that no strictly reducing move sequence
+    reaches a basis greedily, and callers then report "endomorphism,
+    invertibility unverified"."""
     if len(fmap.domain) != len(fmap.codomain):
         return None
-    system: list[Word] = [reduce_word(w) for w in fmap.images]
-    formal: list[Word] = [((g, 1),) for g in fmap.domain]
+    system: list[Word] = list(fmap.images)
+    formal: list[Word] = [char((g, 1)) for g in fmap.domain]
     n = len(system)
+    basis = {char((g, 1)) for g in fmap.codomain}
 
-    def at_basis() -> bool:
-        if any(len(w) != 1 for w in system):
-            return False
-        names = {w[0][0] for w in system}
-        return names == set(fmap.codomain)
+    def moved(words: list[Word], i: int, j: int, side: int, sign: int) -> Word:
+        """words[i] multiplied by words[j]^sign on the left (side 0) or
+        the right (side 1), reduced."""
+        gj = words[j] if sign > 0 else inverse(words[j])
+        return reduce_word(gj + words[i] if side == 0 else words[i] + gj)
 
-    while not at_basis():
+    while not (all(len(w) == 1 for w in system) and {
+            char((letter_of(w)[0], 1)) for w in system} == basis):
         if any(not w for w in system):
             return None
-        best: Optional[tuple[int, int, int, int, int]] = None  # (gain, i, j, side, sign)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for side in (0, 1):  # 0: left multiply, 1: right multiply
-                    for sign in (1, -1):
-                        gj = system[j] if sign > 0 else inverse(system[j])
-                        cand = concat(gj, system[i]) if side == 0 else concat(system[i], gj)
-                        gain = len(system[i]) - len(reduce_word(cand))
-                        if gain > 0:
-                            key = (gain, -i, -j, -side, -sign)
-                            if best is None or key > (best[0], -best[1], -best[2], -best[3], -best[4]):
-                                best = (gain, i, j, side, sign)
-        if best is None:
+        # the largest gain, ties to the least (i, j, side, sign)
+        gain, i, j, side, sign = max(
+            ((len(system[i]) - len(moved(system, i, j, side, sign)),
+              -i, -j, -side, -sign)
+             for i in range(n) for j in range(n) if i != j
+             for side in (0, 1) for sign in (1, -1)), default=(0,) * 5)
+        if gain <= 0:
             return None
-        _, i, j, side, sign = best
-        gj = system[j] if sign > 0 else inverse(system[j])
-        pj = formal[j] if sign > 0 else inverse(formal[j])
-        if side == 0:
-            system[i] = reduce_word(concat(gj, system[i]))
-            formal[i] = reduce_word(concat(pj, formal[i]))
-        else:
-            system[i] = reduce_word(concat(system[i], gj))
-            formal[i] = reduce_word(concat(formal[i], pj))
+        i, j, side, sign = -i, -j, -side, -sign
+        system[i] = moved(system, i, j, side, sign)
+        formal[i] = moved(formal, i, j, side, sign)
 
     images_by_name: dict[str, Word] = {}
     for i, w in enumerate(system):
-        name, sign = w[0]
-        if name in images_by_name:
-            return None
+        name, sign = letter_of(w)
         images_by_name[name] = formal[i] if sign > 0 else inverse(formal[i])
     return FreeGroupMap(fmap.codomain, fmap.domain,
                         tuple(images_by_name[g] for g in fmap.codomain),
@@ -375,26 +380,20 @@ def outer_equal(f: FreeGroupMap, g: FreeGroupMap) -> Optional[Word]:
     """
     if f.domain != g.domain or f.codomain != g.codomain:
         return None
-    pairs = [(reduce_word(f.image(x)), reduce_word(g.image(x))) for x in f.domain]
+    pairs = list(zip(f.images, g.images))
     nontrivial = [(w1, w2) for (w1, w2) in pairs if w1 or w2]
     if not nontrivial:
-        return ()
+        return ""
     if any((not w1) != (not w2) for (w1, w2) in pairs):
         return None
-    anchor = max(nontrivial, key=lambda p: len(p[0]))
-    w1, w2 = anchor
+    w1, w2 = max(nontrivial, key=lambda p: len(p[0]))
     z0 = conjugating_word(w1, w2)
     if z0 is None:
         return None
-    root = centralizer_generator(w1)
-
-    def check(z: Word) -> bool:
-        zi = inverse(z)
-        return all(reduce_word(concat(z, a, zi)) == b for (a, b) in pairs)
-
+    root, _ = primitive_root(w1)
     for m in range(_ROOT_POWER_BOUND + 1):
         for mm in ({m, -m} if m else {0}):
-            z = reduce_word(concat(z0, power(root, mm)))
-            if check(z):
+            z = reduce_word(z0 + power(root, mm))
+            if all(reduce_word(z + a + inverse(z)) == b for (a, b) in pairs):
                 return z
     return None

@@ -26,7 +26,7 @@ from freebycyclic.graphs import Graph, GraphMap
 from freebycyclic.traintrack import (EigenMetric, Turn, WhiteheadData,
                                      crossed_turns_of_path, direction_map,
                                      make_turn, taken_turns, turn_sort_key)
-from freebycyclic.words import Letter, Word, inverse_letter
+from freebycyclic.words import Letter, Word, encode, inverse_letter, letters
 
 # enumeration_search stops after the candidate cap or at the found cap
 _CANDIDATE_CAP = 200_000
@@ -142,7 +142,7 @@ def transition_matrix(f: GraphMap) -> TransitionMatrix:
     rows = []
     for e in edges:
         row = [0] * len(edges)
-        for name, _sign in f.edge_images[e]:
+        for name, _sign in letters(f.edge_images[e]):
             row[index[name]] += 1
         rows.append(tuple(row))
     return TransitionMatrix(edges, tuple(rows))
@@ -284,7 +284,7 @@ def enumeration_search(f: GraphMap, max_len: int, max_period: int
     graph = f.domain
     found: list[tuple[Word, int]] = []
     examined = 0
-    stack: list[Word] = [ (d,) for d in
+    stack: list[tuple[Letter, ...]] = [ (d,) for d in
                           sorted(graph.all_directions(), key=lambda x: (x[0], -x[1])) ]
     stack.reverse()
     truncated = False
@@ -294,14 +294,14 @@ def enumeration_search(f: GraphMap, max_len: int, max_period: int
         if examined > _CANDIDATE_CAP or len(found) >= _FOUND_CAP:
             truncated = True
             break
-        p = traintrack._orbit_period(f, path, max_period)
+        p = traintrack._orbit_period(f, encode(path), max_period)
         if p is not None:
-            found.append((path, p))
+            found.append((encode(path), p))
         if len(path) < max_len:
             last = path[-1]
             for d in reversed(graph.directions(graph.term_of(last))):
                 if d == inverse_letter(last):
                     continue
                 stack.append(path + (d,))
-    found.sort(key=lambda kv: (len(kv[0]), kv[0]))
+    found.sort(key=lambda kv: (len(kv[0]), letters(kv[0])))
     return found, truncated

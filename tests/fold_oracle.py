@@ -19,7 +19,7 @@ from freebycyclic.folding import (Candidate, FoldRecord, FoldSequence, Stage,
                                   _letter_key)
 from freebycyclic.graphs import (Graph, GraphMap, Subdivision, compose,
                                  subdivide_at_preimages)
-from freebycyclic.words import Letter
+from freebycyclic.words import Letter, char, letter_of
 
 
 @dataclass
@@ -128,8 +128,8 @@ def _apply_fold(stage: Stage, cand: Candidate, index: int
 def fold_map(before: Stage, after: Stage, record: FoldRecord) -> GraphMap:
     """The fold map of ``record`` from ``before`` to ``after``, validated."""
     kept, dropped = record.kept, record.dropped
-    images = {name: ((name, 1),) for name in before.graph.edge_names}
-    images[dropped[0]] = ((kept[0], kept[1] * dropped[1]),)
+    images = {name: char((name, 1)) for name in before.graph.edge_names}
+    images[dropped[0]] = char((kept[0], kept[1] * dropped[1]))
     vertex_map = {v: v for v in before.graph.vertices}
     vertex_map.update(record.merged_vertices)
     return GraphMap(before.graph, after.graph, vertex_map, images)
@@ -160,8 +160,8 @@ def verify(seq: FoldSequence | OracleSequence) -> None:
 
 def fold_chain(sub: Subdivision) -> tuple[list[Stage], list[FoldRecord]]:
     """Fold with :func:`pick_fold` until no fold applies, stuck or not."""
-    labels = {name: images[0]
-              for name, images in sub.relabeled.edge_images.items()}
+    labels = {name: letter_of(image)
+              for name, image in sub.relabeled.edge_images.items()}
     stage = Stage(sub.graph, labels, dict(sub.relabeled.vertex_map))
     stages = [stage]
     folds: list[FoldRecord] = []
@@ -186,7 +186,7 @@ def decompose(f: GraphMap) -> OracleSequence:
         raise FoldStuckError("no fold available but the labelling is not an "
                              "isomorphism")
     final = GraphMap(stage.graph, codomain, dict(vlabels),
-                     {name: (label,) for name, label in stage.edge_labels.items()})
+                     {name: char(label) for name, label in stage.edge_labels.items()})
     seq = OracleSequence(f, sub, tuple(stages), tuple(folds), final)
     verify(seq)
     return seq

@@ -1,7 +1,11 @@
 """Helpers that only the tests use: seeded random paths and map pairs,
-two readings of a free-group map, the tuple substitution loop that
-checks the string kernel behind ``FreeGroupMap.apply``, and writers of
-the ``.map`` and ``.2gen`` text formats for round-trip tests."""
+two readings of a free-group map, the tuple-word oracles (free reduction,
+inversion and the substitution loop) that check the text kernel behind
+``FreeGroupMap.apply`` and ``GraphMap.iterate_tight``, and writers of the
+``.map`` and ``.2gen`` text formats for round-trip tests.
+
+A tuple word is a tuple of ``(name, sign)`` letters, the package's word
+representation before words became text."""
 
 from __future__ import annotations
 
@@ -12,12 +16,18 @@ from freebycyclic.bns import TwoGenPresentation
 from freebycyclic.corpus import random_expanding_map
 from freebycyclic.errors import InvariantViolation
 from freebycyclic.graphs import Graph, GraphMap, MapFile
-from freebycyclic.words import FreeGroupMap, Letter, Word, format_word
+from freebycyclic.words import FreeGroupMap, Letter, Word, encode, format_word
 
 
 def as_dict(fmap: FreeGroupMap) -> dict[str, str]:
     """Each generator's image, written as a word."""
     return {g: format_word(fmap.image(g)) for g in fmap.domain}
+
+
+def identity_map(gens: tuple[str, ...]) -> FreeGroupMap:
+    """The identity automorphism of the free group on ``gens``."""
+    return FreeGroupMap(gens, gens, tuple(encode(((g, 1),)) for g in gens),
+                        invertibility="automorphism (inverse computed)")
 
 
 def same_images(f: FreeGroupMap, g: FreeGroupMap) -> bool:
@@ -26,7 +36,66 @@ def same_images(f: FreeGroupMap, g: FreeGroupMap) -> bool:
             and f.images == g.images)
 
 
-def substitute(word: Iterable[Letter], image_of: Mapping[Letter, Word]) -> Word:
+TupleWord = tuple[Letter, ...]
+
+
+def tuple_inverse(word: Iterable[Letter]) -> TupleWord:
+    return tuple((name, -sign) for (name, sign) in reversed(tuple(word)))
+
+
+def tuple_reduce(word: Iterable[Letter]) -> TupleWord:
+    """Freely reduce a tuple word with a stack."""
+    out: list[Letter] = []
+    for lt in word:
+        if out and out[-1][0] == lt[0] and out[-1][1] == -lt[1]:
+            out.pop()
+        else:
+            out.append(lt)
+    return tuple(out)
+
+
+def tuple_power(word: Iterable[Letter], n: int) -> TupleWord:
+    w = tuple(word)
+    if n < 0:
+        w, n = tuple_inverse(w), -n
+    return tuple_reduce(w * n)
+
+
+def tuple_cyclic_reduce(word: Iterable[Letter]) -> tuple[TupleWord, TupleWord]:
+    """``(core, u)`` with ``word = u core u^-1`` and core cyclically reduced."""
+    w = tuple_reduce(word)
+    k = 0
+    while 2 * k + 2 <= len(w) and w[k] == (w[-1 - k][0], -w[-1 - k][1]):
+        k += 1
+    return w[k:len(w) - k], w[:k]
+
+
+def tuple_conjugating_word(w1: Iterable[Letter], w2: Iterable[Letter]
+                           ) -> Optional[TupleWord]:
+    """A word ``z`` with ``z w1 z^-1 = w2`` (reduced), or None: the first
+    rotation of the core of ``w1`` that is the core of ``w2``."""
+    c1, u1 = tuple_cyclic_reduce(w1)
+    c2, u2 = tuple_cyclic_reduce(w2)
+    if len(c1) != len(c2):
+        return None
+    for j in range(max(1, len(c1))):
+        if c1[j:] + c1[:j] == c2:
+            return tuple_reduce(u2 + tuple_inverse(c1[:j]) + tuple_inverse(u1))
+    return None
+
+
+def tuple_primitive_root(word: Iterable[Letter]) -> tuple[TupleWord, int]:
+    """``(u r u^-1, k)`` for the least ``r`` with core ``r^k``."""
+    core, u = tuple_cyclic_reduce(word)
+    n = len(core)
+    for d in range(1, n + 1):
+        if n % d == 0 and core == core[:d] * (n // d):
+            return tuple_reduce(u + core[:d] + tuple_inverse(u)), n // d
+    raise InvariantViolation("the identity has no primitive root")
+
+
+def substitute(word: Iterable[Letter],
+               image_of: Mapping[Letter, TupleWord]) -> TupleWord:
     """Freely reduced product of ``image_of[lt]`` over the letters of ``word``.
 
     Every image must be freely reduced.  The output then stays reduced
@@ -71,7 +140,7 @@ def random_path(graph: Graph, length: int, seed: Optional[int] = None, *,
     if rng is None:
         rng = random.Random(seed)
     if length <= 0:
-        return ()
+        return ""
     at = rng.choice(graph.vertices)
     out: list[Letter] = []
     for _ in range(length):
@@ -81,7 +150,7 @@ def random_path(graph: Graph, length: int, seed: Optional[int] = None, *,
         lt = rng.choice(choices)
         out.append(lt)
         at = graph.term_of(lt)
-    return tuple(out)
+    return encode(out)
 
 
 def format_map_file(mapfile: MapFile) -> str:

@@ -23,7 +23,9 @@ from freebycyclic.errors import (DegeneratePhaseError, InvariantViolation,
 from freebycyclic.graphs import Graph, GraphMap, components
 from freebycyclic.section import EdgeRecord, _crossing_name, _generic_phase
 from freebycyclic.torus import TrapComplex
-from freebycyclic.words import Word, inverse
+from freebycyclic.words import Letter, encode
+
+from helpers import tuple_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +400,7 @@ def first_return(section: OracleSection) -> GraphMap:
                    for rec in section.edge_records.values()}
 
     def segment_to_letters(trap: str, level: int, x_lo: Fraction,
-                           x_hi: Fraction, orient: int) -> Word:
+                           x_hi: Fraction, orient: int) -> tuple[Letter, ...]:
         found = []
         x = x_lo
         while x < x_hi:
@@ -412,10 +414,11 @@ def first_return(section: OracleSection) -> GraphMap:
                 f"flowed segment [{x_lo}, {x_hi}] at level {level} of "
                 f"{trap} is not a union of section edges")
         letters = tuple((rec.name, 1) for rec in found)
-        return letters if orient > 0 else inverse(letters)
+        return letters if orient > 0 else tuple_inverse(letters)
 
     def flow_segment(trap: str, x_lo: Fraction, x_hi: Fraction,
-                     target: Fraction, orient: int, depth: int = 0) -> Word:
+                     target: Fraction, orient: int, depth: int = 0
+                     ) -> tuple[Letter, ...]:
         if depth > 64:
             raise IterationBudgetError(
                 "segment flow recursion exceeded depth 64")
@@ -442,7 +445,7 @@ def first_return(section: OracleSection) -> GraphMap:
     edge_images = {}
     for name, rec in section.edge_records.items():
         target = grid.phase + rec.level + 1
-        edge_images[name] = flow_segment(rec.trap, rec.x_lo, rec.x_hi,
-                                         target, 1)
+        edge_images[name] = encode(flow_segment(rec.trap, rec.x_lo,
+                                                rec.x_hi, target, 1))
     return GraphMap(section.graph, section.graph,
                     dict(section.vertex_return), edge_images)

@@ -26,8 +26,8 @@ from freebycyclic.traintrack import (eigen_metric, format_turn,
                                      lone_axis_check, nielsen_search,
                                      rotationless_index, transition_matrix,
                                      whitehead_data)
-from freebycyclic.words import FreeGroupMap, outer_equal, format_word, \
-    reduce_word
+from freebycyclic.words import FreeGroupMap, encode, format_word, letters, \
+    outer_equal, reduce_word
 
 import os
 
@@ -257,8 +257,8 @@ def test_criterion_6_property_suites(bundled):
         u, v = whole[:len(whole) // 2], whole[len(whole) // 2:]
         checked += 2
         assert reduce_word(reduce_word(whole)) == reduce_word(whole)
-        inverse = tuple((n, -s) for n, s in reversed(u))
-        assert reduce_word(u + inverse) == ()
+        inverse = encode([(n, -s) for n, s in reversed(letters(u))])
+        assert reduce_word(u + inverse) == ""
         image = mapfile.gmap.apply_tight(whole)
         assert reduce_word(image) == image
         assert image == reduce_word(mapfile.gmap.apply_tight(u)

@@ -20,8 +20,8 @@ from freebycyclic.errors import (ConeInfeasibleError, ExcludedDirectionError,
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import load_map_file
 from freebycyclic.torus import build_torus, skew_loop
-from freebycyclic.words import cyclic_reduce, format_word, parse_word, \
-    reduce_word
+from freebycyclic.words import cyclic_reduce, encode, format_word, \
+    letters, parse_word, reduce_word
 
 from conftest import EXAMPLES
 from helpers import format_presentation
@@ -60,7 +60,7 @@ def test_bundled_presentation(bundled):
     assert bundled.use == "phi_f3.map"
     assert format_word(bundled.relator) == "rrrBRbRbrBRbRB"
     assert bundled.cyclic_relator == bundled.relator
-    assert bundled.conjugator == ()
+    assert bundled.conjugator == ""
     assert bundled.dualcycles == {
         "b": {"up:black.0": 1, "up:c@1.1": -1, "up:a@2.3": 1,
               "skew1": -1, "skew4": -2},
@@ -109,6 +109,9 @@ def test_cyclic_reduction_recorded():
     ("generators b r\nrelator brBR\n", "dualcycle per generator"),
     ("generators b b\nrelator brBR\ndualcycle b\ndualcycle r\n", "dualcycle"),
     ("generators bb r\nrelator r\ndualcycle bb skew1 1\ndualcycle r skew2 1\n",
+     "single lowercase"),
+    # a name without an uppercase form could not write its inverse compactly
+    ("generators _ r\nrelator _r\ndualcycle _ skew1 1\ndualcycle r skew2 1\n",
      "single lowercase"),
     ("generators b r\nrelator brBR\ndualcycle b skew1 x\ndualcycle r skew2 1\n",
      "bad coefficient"),
@@ -200,7 +203,7 @@ def test_excluded_set_stable_under_rotation_and_inversion(bundled):
             assert rotated_slopes.excluded == base.excluded
             assert len(rotated_slopes.indeterminate_corners) == \
                 len(base.indeterminate_corners)
-        inverted = tuple((name, -sign) for name, sign in reversed(core))
+        inverted = encode([(name, -sign) for name, sign in reversed(letters(core))])
         inverted_slopes = excluded_directions(trace_polygon(
             presentation(format_word(inverted))))
         assert inverted_slopes.excluded == base.excluded

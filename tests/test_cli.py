@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -437,3 +440,43 @@ def test_out_naming_a_regular_file_exits_64(capsys, tmp_path):
     assert err.startswith("error:")
     assert str(taken) in err
     assert taken.read_text() == "keep me\n"
+
+
+#: first 16 hex digits of the sha256 of each command's stdout on the
+#: bundled inputs; the first five are the benchmark's pins
+PINNED_DIGESTS = {
+    "survey --height-max=8": "2cc3e91e6875b68a",
+    "section --class=1,6": "fd4c76122d502a68",
+    "section --class=1,14": "383975302e9944d2",
+    "monodromy --class=1,6": "dac2461fb7f51669",
+    "monodromy --class=1,14": "911cddb0caf4c780",
+    "traintrack": "aadb91ff08f79738",
+}
+
+_INTERN_FIRST = """
+import contextlib, hashlib, io, json, sys
+from freebycyclic import cli, words
+# a few hundred names, the bundled ones among them, in reverse-sorted
+# order, so that every code point differs from a fresh process's
+names = list("abcdebr") + [f"trap{t}.{h}.{i}of5" for t in range(1, 9)
+                           for h in range(6) for i in range(5)]
+words.intern(sorted(set(names), reverse=True))
+digests = {}
+for key, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    digests[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+print(json.dumps(digests))
+"""
+
+
+def test_output_does_not_depend_on_interning_order():
+    runs = {key: key.split() + ["--input", PRES] for key in PINNED_DIGESTS}
+    runs["traintrack"] = ["traintrack", "--input", MAP]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _INTERN_FIRST, json.dumps(runs)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(done.stdout) == PINNED_DIGESTS

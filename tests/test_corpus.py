@@ -9,6 +9,7 @@ from freebycyclic.graphs import check_path, compose
 from freebycyclic.traintrack import (eigen_metric, is_expanding,
                                      is_irreducible, is_train_track,
                                      transition_matrix)
+from freebycyclic.words import letters
 
 from dense_oracle import matmul
 from helpers import random_pair, random_path
@@ -24,7 +25,7 @@ def test_deterministic_in_the_seed():
 def test_samples_are_positive_expanding_irreducible():
     for f in corpus(30, seed=11):
         assert all(sign > 0 for word in f.edge_images.values()
-                   for _n, sign in word)
+                   for _n, sign in letters(word))
         matrix = transition_matrix(f)
         assert is_irreducible(matrix) and is_expanding(matrix)
         ok, witness = is_train_track(f)
@@ -60,4 +61,4 @@ def test_random_path_is_a_path():
     assert len(path) == 50
     check_path(f.domain, path)
     assert path == random_path(f.domain, 50, seed=3)
-    assert random_path(f.domain, 0, seed=3) == ()
+    assert random_path(f.domain, 0, seed=3) == ""

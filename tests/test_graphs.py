@@ -1,5 +1,7 @@
 """Graph layer: paths, composition, subdivision, trees, markings, file format."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,10 @@ from freebycyclic import graphs as G
 from freebycyclic import words as W
 from freebycyclic.errors import (DisconnectedGraphError, InputParseError,
                                  InvariantViolation, MarkingError)
-from freebycyclic.words import FreeGroupMap
+from freebycyclic.words import FreeGroupMap, encode, letters
 
 from conftest import EXAMPLES
-from helpers import format_map_file, random_path, same_images
+from helpers import format_map_file, identity_map, random_path, same_images
 import dense_oracle
 
 ROSE2 = G.Graph.rose(("a", "b"))
@@ -152,7 +154,7 @@ def test_spanning_tree_deterministic(bundled):
     tree = G.spanning_tree(bundled.graph)
     assert tree.root == "black"
     assert tree.tree_edges == frozenset({"a", "d"})
-    assert tree.path("red", "blue") == (("a", -1), ("d", -1))
+    assert letters(tree.path("red", "blue")) == (("a", -1), ("d", -1))
 
 
 def test_spanning_tree_disconnected():
@@ -164,14 +166,14 @@ def test_spanning_tree_disconnected():
 def test_collapse_word(bundled):
     tree = G.spanning_tree(bundled.graph)
     assert G.collapse_word(tree, w("ea")) == w("e")
-    assert G.collapse_word(tree, w("bdE")) == (("b", 1), ("e", -1))
+    assert letters(G.collapse_word(tree, w("bdE"))) == (("b", 1), ("e", -1))
 
 
 # -- map_to_automorphism -----------------------------------------------------
 
 def test_identity_gives_literal_identity(bundled):
     result = G.map_to_automorphism(bundled.marked, G.GraphMap.identity(bundled.graph))
-    ident = FreeGroupMap.identity(bundled.marked.generators)
+    ident = identity_map(bundled.marked.generators)
     assert same_images(result, ident)
 
 
@@ -219,7 +221,7 @@ def test_format_roundtrip(bundled):
 # -- tight images of maps whose edge images are not tight ---------------------
 
 rose3_words = st.lists(st.tuples(st.sampled_from(("a", "b", "c")),
-                                 st.sampled_from((1, -1))), max_size=8).map(tuple)
+                                 st.sampled_from((1, -1))), max_size=8).map(encode)
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,12 +254,12 @@ def rose_maps_and_paths(draw):
     # untight images over the last three petals, so that rounds cancel;
     # any other petal maps to itself
     petals = names[-3:]
-    images = {e: ((e, 1),) for e in names}
+    images = {e: encode(((e, 1),)) for e in names}
     for e in petals:
-        images[e] = tuple(draw(st.lists(
+        images[e] = encode(draw(st.lists(
             st.tuples(st.sampled_from(petals), st.sampled_from((1, -1))),
             max_size=3)))
-    word = tuple(draw(st.lists(letters, max_size=8)))
+    word = encode(draw(st.lists(letters, max_size=8)))
     return G.GraphMap(rose, rose, {"v": "v"}, images), word
 
 
@@ -275,8 +277,8 @@ def test_iterate_tight_equals_repeated_apply_tight(case, n):
 def test_iterate_tight_cancels_generators_first_met_in_later_rounds():
     # a -> bc -> aA: a cancels in round two, though the image of a has none
     f = G.GraphMap.from_strings(ROSE3, {"v": "v"}, {"a": "bc", "b": "a", "c": "A"})
-    assert f.iterate_tight(w("a"), 2) == f.apply_tight(w("bc")) == ()
-    assert f.iterate_tight(w("aa"), 3) == f.apply_tight(f.apply_tight(w("bcbc"))) == ()
+    assert f.iterate_tight(w("a"), 2) == f.apply_tight(w("bc")) == ""
+    assert f.iterate_tight(w("aa"), 3) == f.apply_tight(f.apply_tight(w("bcbc"))) == ""
 
 
 def test_iterate_tight_needs_a_self_map():
@@ -289,13 +291,13 @@ def test_iterate_tight_needs_a_self_map():
 # -- tighten laws on paths (acceptance criterion support) --------------------
 
 @given(st.lists(st.tuples(st.sampled_from(("a", "b", "c")),
-                          st.sampled_from((1, -1))), max_size=30).map(tuple))
+                          st.sampled_from((1, -1))), max_size=30).map(encode))
 @settings(max_examples=200)
 def test_tighten_laws_on_rose(word):
     t = G.tighten(word)
     assert G.tighten(t) == t
     assert len(t) <= len(word)
-    assert G.tighten(W.concat(word, W.inverse(word))) == ()
+    assert G.tighten(word + W.inverse(word)) == ""
 
 
 def test_tighten_preserves_path_endpoints(bundled):
@@ -306,3 +308,21 @@ def test_tighten_preserves_path_endpoints(bundled):
     t = G.tighten(word)
     assert G.is_path(g, t)
     assert G.check_path(g, t) == G.check_path(g, word)
+
+# -- letters outside the domain -----------------------------------------------
+
+@pytest.mark.parametrize("method", [
+    lambda f, word: f.apply_path(word),
+    lambda f, word: f.apply_tight(word),
+    lambda f, word: f.iterate_tight(word, 3),
+], ids=["apply_path", "apply_tight", "iterate_tight"])
+def test_a_letter_outside_the_domain_is_typed(bundled, method):
+    f = bundled.gmap
+    names = re.escape(repr(f.domain.edge_names))
+    with pytest.raises(InvariantViolation,
+                       match=rf"letter \('z', 1\) is not in the domain {names}"):
+        method(f, (("a", 1), ("z", 1)))
+    # a letter of another graph, given as text
+    other = W.parse_word("x'", ("x",))
+    with pytest.raises(InvariantViolation, match=r"letter \('x', -1\)"):
+        method(f, w("a") + other)

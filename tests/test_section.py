@@ -27,7 +27,7 @@ from freebycyclic.traintrack import (eigen_metric, is_expanding,
                                      lone_axis_check, nielsen_search,
                                      rotationless_index, transition_matrix,
                                      whitehead_data)
-from freebycyclic.words import FreeGroupMap, format_word, outer_equal
+from freebycyclic.words import FreeGroupMap, format_word, letters, outer_equal
 
 import os
 
@@ -477,7 +477,7 @@ def homology_matrix(fmap):
     cols = len(gens)
     rows = [[0] * cols for _ in gens]
     for j, g in enumerate(gens):
-        for name, sign in fmap.image(g):
+        for name, sign in letters(fmap.image(g)):
             rows[index[name]][j] += sign
     return rows
 
@@ -721,7 +721,8 @@ def _route_record(torus, coords, phase) -> str:
                  sorted(sec.vertex_return.items()), records,
                  sec.components, sec.basepoint,
                  sorted(ret.vertex_map.items()),
-                 sorted(ret.edge_images.items()))) + "\n"
+                 sorted((n, letters(w)) for n, w in ret.edge_images.items()))
+                ) + "\n"
 
 
 def test_generic_route_golden_digest(torus):

@@ -31,6 +31,7 @@ from freebycyclic.traintrack import (EigenMetric, NielsenReport, TransitionMatri
                                      rotationless_index, taken_turns,
                                      traintrack_report, transition_matrix,
                                      whitehead_data)
+from freebycyclic.words import encode, letters
 
 import dense_oracle
 from conftest import EXAMPLES
@@ -58,7 +59,7 @@ def fmap(bundled):
 def rose_map(images: dict) -> GraphMap:
     graph = Graph.rose(tuple(sorted(images)))
     return GraphMap(graph, graph, {"v": "v"},
-                    {name: W(word) for name, word in images.items()})
+                    {name: encode(W(word)) for name, word in images.items()})
 
 
 GOLDEN = {"a": "ab", "b": "a"}
@@ -216,7 +217,8 @@ def test_eigen_metric_defining_property(fmap):
     assert all(v > 0 for v in metric.lengths.values())
     assert metric.stretch > 1
     for e in metric.edges:
-        image_len = sum(metric.lengths[name] for name, _s in fmap.edge_images[e])
+        image_len = sum(metric.lengths[name]
+                        for name, _s in letters(fmap.edge_images[e]))
         assert abs(image_len - metric.stretch * metric.lengths[e]) < 1e-9
 
 
@@ -289,8 +291,8 @@ def test_nielsen_identity_everything_returns(fmap):
     ident = GraphMap.identity(fmap.domain)
     found, truncated = dense_oracle.enumeration_search(ident, 2, 2)
     assert not truncated
-    assert (W("a"), 1) in found
-    assert (W("A"), 1) in found
+    assert (encode(W("a")), 1) in found
+    assert (encode(W("A")), 1) in found
     assert all(period == 1 for _p, period in found)
     # every tight path of length <= 2 is fixed: 10 single letters plus the
     # tight 2-letter paths
@@ -387,9 +389,9 @@ def test_lone_axis_two_illegal_no():
 def test_golden_map_has_the_commutator_nielsen_path():
     # f(a)=ab, f(b)=a: rho = a^-1 b^-1 a b satisfies tighten(f^2(rho)) = rho
     f = rose_map(GOLDEN)
-    rho = W("ABab")
+    rho = encode(W("ABab"))
     once = f.apply_tight(rho)
-    assert once == W("BAba")
+    assert once == encode(W("BAba"))
     assert f.apply_tight(once) == rho
     report = nielsen_search(f, max_len=4, max_period=2)
     assert (rho, 2) in report.found

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebycyclic.errors import InputParseError
+from freebycyclic.errors import InputParseError, InvariantViolation
+from freebycyclic import graphs as G
 from freebycyclic import words as W
 from freebycyclic.words import FreeGroupMap
 
-from helpers import substitute
+from helpers import (identity_map, substitute, tuple_conjugating_word,
+                     tuple_cyclic_reduce, tuple_inverse, tuple_power,
+                     tuple_primitive_root, tuple_reduce)
 
 ABC = ("a", "b", "c")
 
@@ -18,23 +21,23 @@ def w(text, names=ABC):
 
 
 letters_abc = st.tuples(st.sampled_from(ABC), st.sampled_from((1, -1)))
-words_abc = st.lists(letters_abc, max_size=24).map(tuple)
+words_abc = st.lists(letters_abc, max_size=24).map(W.encode)
 
 
 # -- parsing / formatting ----------------------------------------------------
 
 def test_parse_compact():
-    assert w("Bab") == (("b", -1), ("a", 1), ("b", 1))
-    assert w("") == ()
-    assert w("1") == ()
-    assert w("a'b") == (("a", -1), ("b", 1))
+    assert W.letters(w("Bab")) == (("b", -1), ("a", 1), ("b", 1))
+    assert w("") == ""
+    assert w("1") == ""
+    assert W.letters(w("a'b")) == (("a", -1), ("b", 1))
 
 
 def test_parse_spaced_multichar():
     names = ("e1", "e2_1", "t1")
-    assert W.parse_word("e1 e2_1' t1", names) == (
+    assert W.letters(W.parse_word("e1 e2_1' t1", names)) == (
         ("e1", 1), ("e2_1", -1), ("t1", 1))
-    assert W.parse_word("e2_1'", names) == (("e2_1", -1),)
+    assert W.letters(W.parse_word("e2_1'", names)) == (("e2_1", -1),)
 
 
 def test_parse_unknown_generator():
@@ -52,7 +55,7 @@ def test_format_roundtrip_compact():
 
 def test_format_roundtrip_spaced():
     names = ("e1", "s2")
-    word = (("e1", 1), ("s2", -1), ("e1", -1))
+    word = W.encode((("e1", 1), ("s2", -1), ("e1", -1)))
     text = W.format_word(word)
     assert text == "e1 s2' e1'"
     assert W.parse_word(text, names) == word
@@ -63,11 +66,52 @@ def test_format_parse_roundtrip(word):
     assert W.parse_word(W.format_word(word), ABC) == word
 
 
+#: characters that names are drawn from: a compact name, its uppercase
+#: form, a second compact name, the apostrophe, a digit, an underscore and
+#: a letter past ASCII
+NAME_CHARS = "aAb'1_é"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(NAME_CHARS, min_size=1, max_size=3), min_size=1,
+                max_size=5, unique=True),
+       st.data())
+def test_format_parse_roundtrip_on_every_accepted_name_set(names, data):
+    # a rose with these edge names, each the marking of a generator of
+    # the same name: the .map parser either refuses the name set with a
+    # typed error naming a colliding name or accepts it, and then every
+    # word over it survives format → parse
+    text = "vertices v\n" + "".join(
+        f"edge {n} v v\nvmap v v\nemap {n} {n}\n" for n in names) \
+        + "marking basepoint v\n" + "".join(
+            f"marking {n} {n}\n" for n in names)
+    try:
+        G.parse_map_text(text)
+    except InputParseError as exc:
+        assert any(repr(n) in str(exc) for n in names)
+        return
+    lts = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    word = W.encode(data.draw(st.lists(lts, max_size=6)))
+    assert W.parse_word(W.format_word(word), names) == word
+
+
+@pytest.mark.parametrize("names, colliding", [
+    (("a", "A"), "'A'"),
+    (("a", "b", "ab"), "'ab'"),
+    (("a", "b", "aB"), "'aB'"),
+    (("e'",), "\"e'\""),
+    (("1",), "'1'"),
+])
+def test_colliding_names_are_refused(names, colliding):
+    with pytest.raises(InputParseError, match=colliding):
+        W.check_names(names)
+
+
 # -- reduction ---------------------------------------------------------------
 
 def test_reduce_examples():
-    assert W.reduce_word(w("aA")) == ()
-    assert W.reduce_word(w("abBA")) == ()
+    assert W.reduce_word(w("aA")) == ""
+    assert W.reduce_word(w("abBA")) == ""
     assert W.reduce_word(w("abBc")) == w("ac")
 
 
@@ -79,20 +123,20 @@ def test_reduce_idempotent(word):
 
 @given(words_abc)
 def test_reduce_inverse_cancels(word):
-    assert W.reduce_word(W.concat(word, W.inverse(word))) == ()
+    assert W.reduce_word(word + W.inverse(word)) == ""
 
 
 @given(words_abc, words_abc)
 def test_reduce_is_a_homomorphism(u, v):
-    lhs = W.reduce_word(W.concat(u, v))
-    rhs = W.reduce_word(W.concat(W.reduce_word(u), W.reduce_word(v)))
+    lhs = W.reduce_word(u + v)
+    rhs = W.reduce_word(W.reduce_word(u) + W.reduce_word(v))
     assert lhs == rhs
 
 
 def test_power():
     assert W.power(w("ab"), 3) == w("ababab")
     assert W.power(w("ab"), -2) == w("BABA")
-    assert W.power(w("ab"), 0) == ()
+    assert W.power(w("ab"), 0) == ""
 
 
 # -- conjugacy ---------------------------------------------------------------
@@ -101,16 +145,16 @@ def test_cyclic_reduce():
     core, u = W.cyclic_reduce(w("Babcb"))
     assert core == w("abc")
     assert u == w("B")
-    back = W.reduce_word(W.concat(u, core, W.inverse(u)))
+    back = W.reduce_word(u + core + W.inverse(u))
     assert back == W.reduce_word(w("Babcb"))
-    assert W.cyclic_reduce(w("abc")) == (w("abc"), ())
+    assert W.cyclic_reduce(w("abc")) == (w("abc"), "")
 
 
 def test_conjugating_word():
     w1, w2 = w("ab"), w("ba")
     z = W.conjugating_word(w1, w2)
     assert z is not None
-    assert W.reduce_word(W.concat(z, w1, W.inverse(z))) == w2
+    assert W.reduce_word(z + w1 + W.inverse(z)) == w2
     assert W.conjugating_word(w("ab"), w("ac")) is None
 
 
@@ -118,10 +162,10 @@ def test_conjugating_word():
 @settings(max_examples=60)
 def test_conjugates_detected(core, u):
     w1 = W.reduce_word(core)
-    w2 = W.reduce_word(W.concat(u, core, W.inverse(u)))
+    w2 = W.reduce_word(u + core + W.inverse(u))
     z = W.conjugating_word(w1, w2)
     assert z is not None
-    assert W.reduce_word(W.concat(z, w1, W.inverse(z))) == w2
+    assert W.reduce_word(z + w1 + W.inverse(z)) == w2
 
 
 def test_primitive_root():
@@ -130,7 +174,7 @@ def test_primitive_root():
     root, k = W.primitive_root(w("ab"))
     assert root == w("ab") and k == 1
     # conjugated power: B (ab)^3 b has root B(ab)b
-    word = W.reduce_word(W.concat(w("B"), W.power(w("ab"), 3), w("b")))
+    word = W.reduce_word(w("B") + W.power(w("ab"), 3) + w("b"))
     root, k = W.primitive_root(word)
     assert k == 3
     assert W.power(root, 3) == word
@@ -148,8 +192,17 @@ def test_apply_and_compose():
     assert sq.image("a") == PHI.apply(w("ca"))
 
 
+def test_apply_outside_the_domain_is_typed():
+    with pytest.raises(InvariantViolation,
+                       match=r"letter \('z', 1\) is not in the domain "
+                             r"\('a', 'b', 'c'\)"):
+        PHI.apply((("a", 1), ("z", 1)))
+    with pytest.raises(InvariantViolation, match=r"letter \('e1', -1\)"):
+        PHI.apply(w("a") + W.parse_word("e1'", ("e1",)))
+
+
 def test_identity_map():
-    ident = FreeGroupMap.identity(ABC)
+    ident = identity_map(ABC)
     assert ident.apply(w("aBc")) == w("aBc")
 
 
@@ -158,16 +211,16 @@ def test_greedy_inverse_succeeds_on_triangular():
     inv = W.greedy_nielsen_inverse(f)
     assert inv is not None
     for g in ABC:
-        assert inv.apply(f.image(g)) == ((g, 1),)
-        assert f.apply(inv.image(g)) == ((g, 1),)
+        assert inv.apply(f.image(g)) == W.encode(((g, 1),))
+        assert f.apply(inv.image(g)) == W.encode(((g, 1),))
 
 
 def test_greedy_inverse_on_phi():
     inv = W.greedy_nielsen_inverse(PHI)
     assert inv is not None
     for g in ABC:
-        assert inv.apply(PHI.image(g)) == ((g, 1),)
-        assert PHI.apply(inv.image(g)) == ((g, 1),)
+        assert inv.apply(PHI.image(g)) == W.encode(((g, 1),))
+        assert PHI.apply(inv.image(g)) == W.encode(((g, 1),))
     # the default status string before any verification is the documented one:
     assert PHI.invertibility == "endomorphism, invertibility unverified"
 
@@ -176,8 +229,8 @@ def test_phi_known_inverse_checks():
     # Independent oracle for the stall test above: the inverse exists.
     phi_inv = FreeGroupMap.from_strings(ABC, {"a": "bcB", "b": "bCBb", "c": "abCB"})
     for g in ABC:
-        assert phi_inv.apply(PHI.image(g)) == ((g, 1),)
-        assert PHI.apply(phi_inv.image(g)) == ((g, 1),)
+        assert phi_inv.apply(PHI.image(g)) == W.encode(((g, 1),))
+        assert PHI.apply(phi_inv.image(g)) == W.encode(((g, 1),))
 
 
 def test_greedy_inverse_none_on_noninjective():
@@ -188,11 +241,11 @@ def test_greedy_inverse_none_on_noninjective():
 def test_outer_equal_inner_conjugates():
     za = w("a")
     conj = FreeGroupMap(ABC, ABC, tuple(
-        W.reduce_word(W.concat(za, PHI.image(g), W.inverse(za))) for g in ABC))
+        W.reduce_word(za + PHI.image(g) + W.inverse(za)) for g in ABC))
     z = W.outer_equal(PHI, conj)
     assert z is not None
     for g in ABC:
-        assert W.reduce_word(W.concat(z, PHI.image(g), W.inverse(z))) == conj.image(g)
+        assert W.reduce_word(z + PHI.image(g) + W.inverse(z)) == conj.image(g)
 
 
 def test_outer_equal_distinguishes():
@@ -201,10 +254,11 @@ def test_outer_equal_distinguishes():
 
 
 def test_outer_equal_identity_vs_inner():
-    ident = FreeGroupMap.identity(ABC)
+    ident = identity_map(ABC)
     zw = w("ab")
     inner = FreeGroupMap(ABC, ABC, tuple(
-        W.reduce_word(W.concat(zw, ((g, 1),), W.inverse(zw))) for g in ABC))
+        W.reduce_word(zw + W.encode(((g, 1),)) + W.inverse(zw))
+        for g in ABC))
     z = W.outer_equal(ident, inner)
     assert z is not None
 
@@ -213,7 +267,7 @@ def test_outer_equal_identity_vs_inner():
 def test_outer_equal_random_conjugator(ztext):
     zw = w(ztext)
     conj = FreeGroupMap(ABC, ABC, tuple(
-        W.reduce_word(W.concat(zw, PHI.image(g), W.inverse(zw))) for g in ABC))
+        W.reduce_word(zw + PHI.image(g) + W.inverse(zw)) for g in ABC))
     assert W.outer_equal(PHI, conj) is not None
 
 
@@ -227,9 +281,9 @@ images_abc = st.lists(letters_abc, max_size=6).map(tuple)
 def test_apply_equals_reduced_concatenation(images, word):
     # images may be unreduced or empty, and the word unreduced
     f = FreeGroupMap(ABC, ABC, images)
-    expected = W.reduce_word(W.concat(*(
+    expected = W.reduce_word("".join((
         f.image(name) if sign > 0 else W.inverse(f.image(name))
-        for name, sign in word)))
+        for name, sign in W.letters(word))))
     assert f.apply(word) == expected
     assert f.apply(iter(word)) == expected
 
@@ -237,11 +291,11 @@ def test_apply_equals_reduced_concatenation(images, word):
 def test_apply_cancels_through_whole_images():
     # the image of c cancels the whole image of a, across the empty image of b
     f = FreeGroupMap.from_strings(ABC, {"a": "ab", "b": "", "c": "BA"})
-    assert f.apply(w("aBc")) == ()
+    assert f.apply(w("aBc")) == ""
     assert f.apply(w("cac")) == w("BA")
 
 
-# -- the string kernel against the tuple substitution oracle -----------------
+# -- the text kernel against the tuple substitution oracle -------------------
 
 #: codomains: one-character names, multi-character names, and 130
 #: generators, whose 260 letters run past code point 255
@@ -266,14 +320,14 @@ def maps_and_words(draw):
     # an unreduced middle u u⁻¹ makes cancellation run through whole images
     head, middle, tail = word(), word(), word()
     return (FreeGroupMap(domain, codomain, images),
-            head + middle + W.inverse(middle) + tail)
+            head + middle + tuple_inverse(middle) + tail)
 
 
 def oracle_apply(f, word):
     image_of = {}
     for g in f.domain:
-        image_of[(g, 1)] = f.image(g)
-        image_of[(g, -1)] = W.inverse(f.image(g))
+        image_of[(g, 1)] = W.letters(f.image(g))
+        image_of[(g, -1)] = tuple_inverse(W.letters(f.image(g)))
     return substitute(word, image_of)
 
 
@@ -281,17 +335,18 @@ def oracle_apply(f, word):
 @given(maps_and_words())
 def test_apply_equals_the_substitution_oracle(case):
     f, word = case
-    assert f.apply(word) == oracle_apply(f, word)
+    assert W.letters(f.apply(word)) == oracle_apply(f, word)
 
 
 def test_apply_on_deep_cancellation_equals_the_oracle():
     # x^200 X^200 cancels 200 layers deep, through images of two letters
     f = FreeGroupMap(("x", "y"), ("e1", "e2_1"),
-                     (W.parse_word("e1 e2_1 e1'", ("e1", "e2_1")), ()))
+                     (W.parse_word("e1 e2_1 e1'", ("e1", "e2_1")), ""))
     word = (("x", 1),) * 200 + (("y", 1),) + (("x", -1),) * 200
-    assert f.apply(word) == oracle_apply(f, word) == ()
+    assert W.letters(f.apply(word)) == oracle_apply(f, word) == ()
     word = (("x", 1),) * 200 + (("x", -1),) * 199
-    assert f.apply(word) == oracle_apply(f, word) == f.image("x")
+    assert W.letters(f.apply(word)) == oracle_apply(f, word) \
+        == W.letters(f.image("x"))
 
 
 def test_apply_decodes_letters_past_code_point_255():
@@ -300,6 +355,72 @@ def test_apply_decodes_letters_past_code_point_255():
     f = FreeGroupMap(names, names, tuple(
         ((names[-1 - i], -1), (g, 1)) for i, g in enumerate(names)))
     word = tuple((g, 1) for g in reversed(names))
-    assert f.apply(word) == oracle_apply(f, word)
-    assert f.apply((("g129", 1),)) == (("g000", -1), ("g129", 1))
-    assert f.apply((("g129", 1), ("g000", 1))) == ()
+    assert W.letters(f.apply(word)) == oracle_apply(f, word)
+    assert W.letters(f.apply((("g129", 1),))) == (("g000", -1), ("g129", 1))
+    assert f.apply((("g129", 1), ("g000", 1))) == ""
+
+
+# -- every text operation against its tuple oracle ---------------------------
+
+# 130 padding names first, so that every name interned after them has code
+# points past 255 and texts over it take two bytes per character
+W.intern(f"pad{i:03d}" for i in range(130))
+#: one-character names, from the start of the table, and names interned
+#: after the padding, one and several characters long
+MIXED = ABC + ("k", "kk_1", "up:q.0")
+mixed_letters = st.tuples(st.sampled_from(MIXED), st.sampled_from((1, -1)))
+mixed_words = st.lists(mixed_letters, max_size=16).map(tuple)
+
+
+def test_mixed_names_reach_past_code_point_255():
+    assert max(ord(W.encode(((name, -1),))) for name in MIXED) > 255
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_words, mixed_words, st.integers(-3, 3))
+def test_text_operations_equal_their_tuple_oracles(u, v, n):
+    text = W.encode(u)
+    assert W.letters(W.inverse(text)) == tuple_inverse(u)
+    assert W.letters(W.reduce_word(text)) == tuple_reduce(u)
+    assert W.letters(W.power(text, n)) == tuple_power(u, n)
+    core, conj = W.cyclic_reduce(text)
+    assert (W.letters(core), W.letters(conj)) == tuple_cyclic_reduce(u)
+    # v against u, and a conjugate of u, which always has a conjugator
+    for other in (v, tuple_reduce(v + u + tuple_inverse(v))):
+        z = W.conjugating_word(text, W.encode(other))
+        oracle = tuple_conjugating_word(u, other)
+        assert (None if z is None else W.letters(z)) == oracle
+    if tuple_reduce(u):
+        root, k = W.primitive_root(text)
+        assert (W.letters(root), k) == tuple_primitive_root(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(mixed_letters, max_size=5).map(tuple),
+                min_size=len(MIXED), max_size=len(MIXED)),
+       mixed_words, mixed_words)
+def test_maps_on_mixed_names_equal_the_tuple_oracles(images, u, v):
+    reduced = [tuple_reduce(img) for img in images]
+    image_of = {}
+    for g, img in zip(MIXED, reduced):
+        image_of[(g, 1)], image_of[(g, -1)] = img, tuple_inverse(img)
+    word = u + v + tuple_inverse(v)   # unreduced in the middle
+    f = FreeGroupMap(MIXED, MIXED, tuple(images))
+    expected = substitute(word, image_of)
+    assert W.letters(f.apply(word)) == expected
+    assert W.letters(f.apply(W.encode(word))) == expected
+    assert W.letters(f.apply(W.reduce_word(W.encode(word)))) == expected
+    # the same images on a rose, untight, and the path tightened round by
+    # round: the oracle concatenates the raw images and reduces
+    rose = G.Graph.rose(MIXED)
+    g = G.GraphMap(rose, rose, {"v": "v"},
+                   {name: W.encode(img) for name, img in zip(MIXED, images)})
+    raw = {}
+    for name, img in zip(MIXED, images):
+        raw[(name, 1)], raw[(name, -1)] = img, tuple_inverse(img)
+    oracle = word
+    for rounds in range(1, 4):
+        oracle = tuple_reduce(lt for x in oracle for lt in raw[x])
+        assert W.letters(g.iterate_tight(W.encode(word), rounds)) == oracle
+        if rounds == 1:
+            assert W.letters(g.apply_tight(word)) == oracle
