@@ -2,7 +2,13 @@
 
 Chains and cochains are sparse ``dict[str, value]`` maps keyed by cell name;
 values are integers or :class:`~fractions.Fraction`.  All computations are
-exact.  The module provides:
+exact.  The cocycle check and the cone and cocycle solves read a cochain
+through the complex's cached :class:`~freebycyclic.torus.Skeleton`, which
+refuses a cell the complex does not have, and scale it to ints by its
+common denominator; weights, distances, witness values and least values
+stay ints.  They turn into Fractions only on exit: one per 0-cell for a
+cone potential, one per 1-cell whose witness value the potential moved,
+and in error texts.  The module provides:
 
 * :func:`h1` — rank, torsion, an integral cycle basis, and a dual cocycle
   basis of the first homology;
@@ -38,7 +44,7 @@ from .errors import (
 )
 from .graphs import Graph, GraphMap, fundamental_group_map, spanning_tree
 from .linalg import smith_normal_form
-from .torus import TrapComplex, skew_loop
+from .torus import Skeleton, TrapComplex, skew_loop
 from .words import letters
 
 #: Sparse (co)chain: cell name to coefficient; absent cells carry zero.
@@ -87,23 +93,35 @@ def boundary(complex_: TrapComplex, chain: Mapping) -> Chain:
     return {v: c for v, c in out.items() if c != 0}
 
 
+def _scaled(values: Sequence, factor: int = 1) -> tuple[int, list[int]]:
+    """``(L, [L·v for v in values])`` for ``L`` = ``factor`` times the
+    common denominator of the values (ints or Fractions)."""
+    scale = factor * math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _closed(skeleton: Skeleton, values: Sequence) -> bool:
+    """Whether the cochain with these values, in 1-cell order, vanishes on
+    the boundary of every 2-cell."""
+    return not any(sum(values[e] * coef for e, coef in row)
+                   for row in skeleton.rows)
+
+
 def is_cocycle(complex_: TrapComplex, z: Mapping) -> bool:
     """Whether ``z`` vanishes on the boundary of every 2-cell."""
-    for row in complex_.boundary_two().values():
-        if sum(z.get(e, 0) * coef for e, coef in row.items()) != 0:
-            return False
-    return True
+    skeleton = complex_.skeleton
+    return _closed(skeleton, _scaled(skeleton.cochain(z))[1])
 
 
-def coboundary(complex_: TrapComplex, potential: Mapping) -> Chain:
-    """The 1-cochain ``e -> sum of potential over the boundary of e``."""
-    b1 = complex_.boundary_one()
-    out: Chain = {}
-    for e, row in b1.items():
-        val = sum(Fraction(potential.get(v, 0)) * inc for v, inc in row.items())
-        if val != 0:
-            out[e] = val
-    return out
+def _scaled_cocycle(complex_: TrapComplex, z: Mapping, factor: int = 1
+                    ) -> tuple[Skeleton, int, list[int]]:
+    """The skeleton, the scale ``L`` of :func:`_scaled` and the ints
+    ``L·z(e)`` in 1-cell order; raises unless ``z`` is a cocycle."""
+    skeleton = complex_.skeleton
+    scale, scaled = _scaled(skeleton.cochain(z), factor)
+    if not _closed(skeleton, scaled):
+        raise InvariantViolation("cochain is not a cocycle")
+    return skeleton, scale, scaled
 
 
 def evaluate(complex_: TrapComplex, z: Mapping, chain: Mapping) -> Fraction:
@@ -265,29 +283,20 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
 # denominators of z and m, so the shortest-path code adds and compares only
 # ints.  Scaling by a positive constant keeps every comparison, so the
 # shortest distances are ``scale`` times the rational ones and the negative
-# cycles and their tie-break are unchanged; values go back to Fractions only
-# where they leave this section.
+# cycles and their tie-break are unchanged.  The scaled values of z, the
+# witnesses and the least values stay ints too; they turn into Fractions
+# only where they leave this section: one per 0-cell for a cone potential,
+# one per 1-cell whose witness value moved, and in error texts.
 
 Arc = tuple[int, int, int]  # (tail, head, scaled weight) on 0-cell indices
 
 
-def _constraint_digraph(complex_: TrapComplex, z: Mapping, bound: Fraction,
-                        scale: int) -> list[Arc]:
-    """One arc per 1-cell, in ``one_cell_names`` order, of integer weight
-    ``scale·(z(e) − bound)``."""
-    index = {c.name: i for i, c in enumerate(complex_.zero_cells)}
-    ends = {v.name: (v.end, v.start) for v in complex_.verticals}
-    ends.update((s.name, (s.top, s.bottom)) for s in complex_.skews)
-    arcs = []
-    for e in complex_.one_cell_names:
-        weight = scale * (Fraction(z.get(e, 0)) - bound)
-        if weight.denominator != 1:
-            raise InvariantViolation(
-                f"scale {scale} leaves the constraint weight {weight} on "
-                f"{e!r} fractional")
-        end, start = ends[e]
-        arcs.append((index[end], index[start], weight.numerator))
-    return arcs
+def _constraint_digraph(skeleton: Skeleton, scaled: Sequence[int],
+                        offset: int) -> list[Arc]:
+    """One arc ``end -> start`` per 1-cell, in 1-cell order, of weight
+    ``scaled[e] − offset``: the ints ``scale·z(e)`` and ``scale·m``."""
+    return [(end, start, value - offset)
+            for (end, start), value in zip(skeleton.ends, scaled)]
 
 
 def _distances(n: int, arcs: Sequence[Arc], sources: Iterable[int]
@@ -380,7 +389,9 @@ def cone_membership(complex_: TrapComplex, z: Mapping) -> ConeWitness:
     ``(1/L)Z`` for ``L`` the common denominator of ``z``, and a simple cycle
     has at most ``n`` 1-cells for ``n`` 0-cells.  The shortest paths run on
     the integer weights ``L(n + 1)·z(e) − 1``; a distance ``d`` is the
-    potential ``d / (L(n + 1))``.
+    potential ``d / (L(n + 1))``, and the witness value on ``e`` is
+    ``z(e)`` where ``d(end) = d(start)`` and else the Fraction
+    ``(L(n + 1)·z(e) + d(end) − d(start)) / (L(n + 1))``.
 
     Raises :class:`ConeInfeasibleError` carrying a certificate when no
     representative is positive: the cycle of 1-cells, each with coefficient
@@ -388,22 +399,23 @@ def cone_membership(complex_: TrapComplex, z: Mapping) -> ConeWitness:
     1-cells; ties go to the least ascending tuple of 1-cell indices in
     ``one_cell_names`` order.
     """
-    if not is_cocycle(complex_, z):
-        raise InvariantViolation("cochain is not a cocycle")
     n = len(complex_.zero_cells)
-    common = math.lcm(*(Fraction(v).denominator for v in z.values()))
-    scale = common * (n + 1)
-    arcs = _constraint_digraph(complex_, z, Fraction(1, scale), scale)
+    skeleton, scale, scaled = _scaled_cocycle(complex_, z, n + 1)
+    arcs = _constraint_digraph(skeleton, scaled, 1)
     dist = _distances(n, arcs, range(n))
     if dist is not None:
+        values: Chain = {}
+        for e, value, (end, start) in zip(skeleton.one_cell_names, scaled,
+                                          skeleton.ends):
+            moved = dist[end] - dist[start]
+            if value + moved <= 0:
+                raise InvariantViolation(
+                    "positivity witness failed verification")
+            values[e] = Fraction(value + moved, scale) if moved else z[e]
         potential = {c.name: Fraction(d, scale)
                      for c, d in zip(complex_.zero_cells, dist)}
-        witness = dict_sum(z, coboundary(complex_, potential))
-        if any(val <= 0 for val in witness.values()) \
-                or len(witness) != len(arcs):
-            raise InvariantViolation("positivity witness failed verification")
-        return ConeWitness(witness, potential)
-    certificate: Chain = {complex_.one_cell_names[j]: 1
+        return ConeWitness(values, potential)
+    certificate: Chain = {skeleton.one_cell_names[j]: 1
                           for j in _least_negative_cycle(n, arcs)}
     bad = boundary(complex_, certificate)
     pairing = sum(Fraction(z.get(e, 0)) * lam
@@ -448,32 +460,32 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
     order.  Raises :class:`NonIntegralClassError` when a minimized value is
     fractional — the result is never rounded.
     """
-    if not is_cocycle(complex_, z):
-        raise InvariantViolation("cochain is not a cocycle")
+    skeleton, scale, scaled = _scaled_cocycle(complex_, z)
     n = len(complex_.zero_cells)
-    scale = math.lcm(*(Fraction(v).denominator for v in z.values()))
-    arcs = _constraint_digraph(complex_, z, Fraction(minimum), scale)
+    arcs = _constraint_digraph(skeleton, scaled, scale * minimum)
     if _distances(n, arcs, range(n)) is None:
         raise ConeInfeasibleError(
             f"no representative is at least {minimum} on every 1-cell",
-            certificate={complex_.one_cell_names[j]: 1
+            certificate={skeleton.one_cell_names[j]: 1
                          for j in _least_negative_cycle(n, arcs)})
 
     values: Chain = {}
-    for j, e in enumerate(complex_.one_cell_names):
-        end, start, _w = arcs[j]
+    for e, value, (end, start) in zip(skeleton.one_cell_names, scaled,
+                                      skeleton.ends):
         dist = _distances(n, arcs, (end,))
         if dist is None or dist[start] is None:
             raise InvariantViolation(
                 f"value on {e!r} is unbounded below despite the cellwise bound")
-        low = Fraction(z.get(e, 0)) - Fraction(dist[start], scale)
-        if low.denominator != 1:
+        low, rest = divmod(value - dist[start], scale)
+        if rest:
             raise NonIntegralClassError(
-                f"least value on {e!r} is the fraction {low}; "
+                f"least value on {e!r} is the fraction "
+                f"{Fraction(value - dist[start], scale)}; "
                 f"the class has no integral representative of this shape")
         arcs += [(end, start, dist[start]), (start, end, -dist[start])]
-        values[e] = int(low)
-    return {e: v for e, v in values.items() if v != 0}
+        if low:
+            values[e] = low
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +620,7 @@ def axis_dim_lower_bound(complex_: TrapComplex, z: Mapping) -> AxisBound:
     if not is_cocycle(complex_, z):
         raise InvariantViolation("cochain is not a cocycle")
     for e, val in z.items():
-        if Fraction(val).denominator != 1:
+        if val.denominator != 1:
             raise NonIntegralClassError(
                 f"witness value on {e!r} is the fraction {val}")
         if val < 0:

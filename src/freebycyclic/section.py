@@ -841,7 +841,7 @@ def crossing_rank(complex_: TrapComplex, cocycle: Mapping) -> int:
     level set (a primitive class); a class divisible by ``d`` has ``d``
     components and rank ``d - 1`` higher.
     """
-    vertices = sum(cocycle.get(name, 0) for name in complex_.one_cell_names)
+    vertices = sum(complex_.skeleton.cochain(cocycle))
     boundary_crossings = 0
     for trap in complex_.trapezoids:
         boundary_crossings += cocycle.get(trap.bottom, 0)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Mapping, Optional
 
 from .errors import (InvariantViolation, IterationBudgetError, NotACycleError,
                      NotIrreducibleError)
@@ -68,8 +69,57 @@ class Trapezoid:
     corners: tuple[tuple[Fraction, str], ...]    # interior break -> 0-cell
 
 
+@dataclass(frozen=True)
+class Skeleton:
+    """Integer incidence data of a trapezoid complex, in fixed cell orders.
+
+    1-cells are the verticals, then the skews.  ``ends[j]`` holds the
+    (end, start) 0-cell indices of 1-cell ``j``, and ``rows[t]`` the
+    (1-cell index, coefficient) pairs of the boundary of 2-cell ``t``.
+    """
+
+    one_cell_names: tuple[str, ...]
+    one_index: dict[str, int]
+    ends: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, complex_: "TrapComplex") -> "Skeleton":
+        """The skeleton read afresh from the cells and ``boundary_two``."""
+        names = tuple(v.name for v in complex_.verticals) + \
+            tuple(s.name for s in complex_.skews)
+        one_index = {e: j for j, e in enumerate(names)}
+        zero_index = {c.name: i for i, c in enumerate(complex_.zero_cells)}
+        ends = tuple((zero_index[v.end], zero_index[v.start])
+                     for v in complex_.verticals) + \
+            tuple((zero_index[s.top], zero_index[s.bottom])
+                  for s in complex_.skews)
+        rows = tuple(tuple((one_index[e], coef) for e, coef in row.items())
+                     for row in complex_.boundary_two().values())
+        return cls(names, one_index, ends, rows)
+
+    def cochain(self, z: Mapping) -> list:
+        """The values of the cochain ``z`` on the 1-cells, in order."""
+        values = [0] * len(self.one_cell_names)
+        index = self.one_index
+        try:
+            for e, v in z.items():
+                values[index[e]] = v
+        except KeyError:
+            raise InvariantViolation(
+                f"unknown 1-cell {min(z.keys() - index.keys())!r}") from None
+        return values
+
+
 @dataclass
 class TrapComplex:
+    """The cells of a folded mapping torus.
+
+    Cohomology reads the cells through :attr:`skeleton`, built on first
+    use and cached, so the cells must not change after that; ``validate``
+    and ``skew_loop`` read the cells themselves.
+    """
+
     folds: FoldSequence
     zero_cells: tuple[ZeroCell, ...]
     verticals: tuple[Vertical, ...]
@@ -86,13 +136,16 @@ class TrapComplex:
         self.trap_by_name = {t.name: t for t in self.trapezoids}
         self.trap_above = {t.bottom: t for t in self.trapezoids}
 
+    @cached_property
+    def skeleton(self) -> Skeleton:
+        return Skeleton.of(self)
+
     @property
     def one_cell_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.verticals) + \
-            tuple(s.name for s in self.skews)
+        return self.skeleton.one_cell_names
 
     def euler_characteristic(self) -> int:
-        return len(self.zero_cells) - len(self.one_cell_names) \
+        return len(self.zero_cells) - len(self.verticals) - len(self.skews) \
             + len(self.trapezoids)
 
     def boundary_one(self) -> dict[str, dict[str, int]]:

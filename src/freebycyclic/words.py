@@ -116,6 +116,26 @@ def reduce_word(word: Word) -> Word:
     return _reduce(word, _cancelling_pairs(word))
 
 
+def multiply(*words: Word) -> Word:
+    """The reduced product of reduced words.  Each junction cancels the
+    longest suffix of the product so far that is the inverse of a prefix of
+    the next word, found by halving the candidate length, so a deep
+    cancellation costs a few string comparisons, not a pass per layer."""
+    out = ""
+    for word in words:
+        m = min(len(out), len(word))
+        tail, head = inverse(out[len(out) - m:]), word[:m]
+        lo, hi = 0, m + 1  # the common prefix has length in [lo, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if tail[:mid] == head[:mid]:
+                lo = mid
+            else:
+                hi = mid
+        out = out[:len(out) - lo] + word[lo:]
+    return out
+
+
 def power(word: Word, n: int) -> Word:
     """``word``ⁿ, reduced: u cⁿ u⁻¹ for the cyclic reduction u c u⁻¹."""
     core, u = cyclic_reduce(word)
@@ -212,7 +232,7 @@ def conjugating_word(w1: Word, w2: Word) -> Optional[Word]:
         return None
     for j in range(max(1, len(c1))):
         if c1[j:] + c1[:j] == c2:
-            return reduce_word(u2 + inverse(c1[:j]) + inverse(u1))
+            return multiply(u2, inverse(c1[:j]), inverse(u1))
     return None
 
 
@@ -341,7 +361,7 @@ def greedy_nielsen_inverse(fmap: FreeGroupMap) -> Optional[FreeGroupMap]:
         """words[i] multiplied by words[j]^sign on the left (side 0) or
         the right (side 1), reduced."""
         gj = words[j] if sign > 0 else inverse(words[j])
-        return reduce_word(gj + words[i] if side == 0 else words[i] + gj)
+        return multiply(gj, words[i]) if side == 0 else multiply(words[i], gj)
 
     while not (all(len(w) == 1 for w in system) and {
             char((letter_of(w)[0], 1)) for w in system} == basis):
@@ -393,7 +413,7 @@ def outer_equal(f: FreeGroupMap, g: FreeGroupMap) -> Optional[Word]:
     root, _ = primitive_root(w1)
     for m in range(_ROOT_POWER_BOUND + 1):
         for mm in ({m, -m} if m else {0}):
-            z = reduce_word(z0 + power(root, mm))
-            if all(reduce_word(z + a + inverse(z)) == b for (a, b) in pairs):
+            z = multiply(z0, power(root, mm))
+            if all(multiply(z, a, inverse(z)) == b for (a, b) in pairs):
                 return z
     return None

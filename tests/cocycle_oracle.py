@@ -1,0 +1,120 @@
+"""The Fraction route of the cone and cocycle solves: the reference oracle.
+
+The package runs ``cone_membership`` and ``integral_cocycle`` on integers
+over the cached skeleton of a complex and turns values into Fractions only
+on exit.  This module keeps the code that route replaced: it re-reads the
+boundary matrices for every cocycle check, builds its constraint weights
+and witness as Fractions and checks each least value as a Fraction.  Both
+routes share the shortest-path kernels ``_distances`` and
+``_least_negative_cycle``, so the tests compare everything around them.
+``coboundary`` is the witness check: a cone witness is the queried
+cocycle plus the coboundary of its potential.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Mapping
+
+import freebycyclic.cohomology as co
+from freebycyclic.errors import (ConeInfeasibleError, InvariantViolation,
+                                 NonIntegralClassError)
+
+
+def is_cocycle(complex_, z: Mapping) -> bool:
+    """Whether ``z`` vanishes on the boundary of every 2-cell."""
+    for row in complex_.boundary_two().values():
+        if sum(z.get(e, 0) * coef for e, coef in row.items()) != 0:
+            return False
+    return True
+
+
+def coboundary(complex_, potential: Mapping) -> dict:
+    """The 1-cochain ``e -> sum of potential over the boundary of e``."""
+    b1 = complex_.boundary_one()
+    out: dict = {}
+    for e, row in b1.items():
+        val = sum(Fraction(potential.get(v, 0)) * inc for v, inc in row.items())
+        if val != 0:
+            out[e] = val
+    return out
+
+
+def constraint_digraph(complex_, z: Mapping, bound: Fraction,
+                       scale: int) -> list:
+    """One arc per 1-cell, in ``one_cell_names`` order, of integer weight
+    ``scale·(z(e) − bound)``."""
+    index = {c.name: i for i, c in enumerate(complex_.zero_cells)}
+    ends = {v.name: (v.end, v.start) for v in complex_.verticals}
+    ends.update((s.name, (s.top, s.bottom)) for s in complex_.skews)
+    arcs = []
+    for e in complex_.one_cell_names:
+        weight = scale * (Fraction(z.get(e, 0)) - bound)
+        if weight.denominator != 1:
+            raise InvariantViolation(
+                f"scale {scale} leaves the constraint weight {weight} on "
+                f"{e!r} fractional")
+        end, start = ends[e]
+        arcs.append((index[end], index[start], weight.numerator))
+    return arcs
+
+
+def cone_membership(complex_, z: Mapping) -> co.ConeWitness:
+    """Strictly positive representative of the class of ``z``."""
+    if not is_cocycle(complex_, z):
+        raise InvariantViolation("cochain is not a cocycle")
+    n = len(complex_.zero_cells)
+    common = math.lcm(*(Fraction(v).denominator for v in z.values()))
+    scale = common * (n + 1)
+    arcs = constraint_digraph(complex_, z, Fraction(1, scale), scale)
+    dist = co._distances(n, arcs, range(n))
+    if dist is not None:
+        potential = {c.name: Fraction(d, scale)
+                     for c, d in zip(complex_.zero_cells, dist)}
+        witness = co.dict_sum(z, coboundary(complex_, potential))
+        if any(val <= 0 for val in witness.values()) \
+                or len(witness) != len(arcs):
+            raise InvariantViolation("positivity witness failed verification")
+        return co.ConeWitness(witness, potential)
+    certificate = {complex_.one_cell_names[j]: 1
+                   for j in co._least_negative_cycle(n, arcs)}
+    bad = co.boundary(complex_, certificate)
+    pairing = sum(Fraction(z.get(e, 0)) * lam
+                  for e, lam in certificate.items())
+    if bad or pairing > 0:
+        raise InvariantViolation("infeasibility certificate failed verification")
+    raise ConeInfeasibleError(
+        f"class has no positive representative; the nonnegative cycle "
+        f"{certificate!r} pairs to {pairing} with it",
+        certificate=certificate)
+
+
+def integral_cocycle(complex_, z: Mapping, minimum: int = 0) -> dict:
+    """Least integral representative of the class of ``z``, cellwise."""
+    if not is_cocycle(complex_, z):
+        raise InvariantViolation("cochain is not a cocycle")
+    n = len(complex_.zero_cells)
+    scale = math.lcm(*(Fraction(v).denominator for v in z.values()))
+    arcs = constraint_digraph(complex_, z, Fraction(minimum), scale)
+    if co._distances(n, arcs, range(n)) is None:
+        raise ConeInfeasibleError(
+            f"no representative is at least {minimum} on every 1-cell",
+            certificate={complex_.one_cell_names[j]: 1
+                         for j in co._least_negative_cycle(n, arcs)})
+
+    values: dict = {}
+    for j, e in enumerate(complex_.one_cell_names):
+        end, start, _w = arcs[j]
+        dist = co._distances(n, arcs, (end,))
+        if dist is None or dist[start] is None:
+            raise InvariantViolation(
+                f"value on {e!r} is unbounded below despite the cellwise bound")
+        low = Fraction(z.get(e, 0)) - Fraction(dist[start], scale)
+        if low.denominator != 1:
+            raise NonIntegralClassError(
+                f"least value on {e!r} is the fraction {low}; "
+                f"the class has no integral representative of this shape")
+        arcs += [(end, start, dist[start]), (start, end, -dist[start])]
+        values[e] = int(low)
+    return {e: v for e, v in values.items() if v != 0}

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import freebycyclic.cohomology as co
+from cocycle_oracle import coboundary
 from freebycyclic.errors import (ConeInfeasibleError, InvariantViolation,
                                  NonIntegralClassError)
 
@@ -232,7 +233,7 @@ def fm_cone_membership(complex_, z: Mapping) -> co.ConeWitness:
     status, payload = solve_inequalities(rows)
     if status == "feasible":
         potential = {v: payload[i] for i, v in enumerate(data.zero_cells)}
-        return co.ConeWitness(co.dict_sum(z, co.coboundary(complex_, potential)),
+        return co.ConeWitness(co.dict_sum(z, coboundary(complex_, potential)),
                               potential)
     certificate = {data.one_cells[idx]: lam
                    for idx, lam in payload.items() if lam != 0}

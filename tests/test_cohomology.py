@@ -21,8 +21,9 @@ from freebycyclic.errors import (
 from freebycyclic.corpus import corpus
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap, load_map_file
-from freebycyclic.torus import build_torus, skew_loop
+from freebycyclic.torus import Skeleton, build_torus, skew_loop
 
+import cocycle_oracle
 import fm_oracle
 from conftest import EXAMPLES
 from dense_oracle import mat_mul
@@ -142,7 +143,7 @@ def test_evaluate_rejects_bad_input(bundled):
     st.integers(-4, 4)))
 def test_pairing_ignores_coboundary_shifts(bundled, potential):
     _, torus, _, r_star = bundled
-    shifted = co.dict_sum(r_star, co.coboundary(torus, potential))
+    shifted = co.dict_sum(r_star, cocycle_oracle.coboundary(torus, potential))
     assert co.is_cocycle(torus, shifted)
     loop = skew_loop(torus)
     assert co.evaluate(torus, shifted, loop) == co.evaluate(torus, r_star, loop)
@@ -175,7 +176,8 @@ def test_cone_membership_inside(bundled, t):
     witness = co.cone_membership(torus, z)
     assert set(witness.values) == set(torus.one_cell_names)
     assert all(v > 0 for v in witness.values.values())
-    rebuilt = co.dict_sum(z, co.coboundary(torus, witness.potential))
+    rebuilt = co.dict_sum(z, cocycle_oracle.coboundary(torus,
+                                                          witness.potential))
     assert rebuilt == witness.values
 
 
@@ -239,6 +241,43 @@ def test_no_strictly_positive_integral_representative(bundled):
     with pytest.raises(ConeInfeasibleError) as err:
         co.integral_cocycle(torus, r_star, minimum=1)
     assert_bound_certificate(torus, r_star, err.value.certificate, 1)
+
+
+# ---------------------------------------------------------------------------
+# cochains naming cells the complex does not have
+
+
+def with_unknown_cells(chain, *cells):
+    return {**chain, **{cell: 1 for cell in cells}}
+
+
+def assert_unknown_cell(call, cell):
+    with pytest.raises(InvariantViolation) as err:
+        call()
+    assert type(err.value) is InvariantViolation
+    assert str(err.value) == f"unknown 1-cell {cell!r}"
+
+
+def test_cone_membership_names_an_unknown_cell(bundled):
+    _, torus, b_star, r_star = bundled
+    z = co.dict_sum(b_star, co.dict_scale(2, r_star))
+    assert_unknown_cell(lambda: co.cone_membership(
+        torus, with_unknown_cells(z, "skew9", "nope")), "nope")
+
+
+def test_integral_cocycle_names_an_unknown_cell(bundled):
+    _, torus, b_star, r_star = bundled
+    z = co.dict_sum(b_star, co.dict_scale(2, r_star))
+    assert_unknown_cell(lambda: co.integral_cocycle(
+        torus, with_unknown_cells(z, "skew9")), "skew9")
+
+
+def test_axis_bound_names_an_unknown_cell(bundled):
+    _, torus, b_star, r_star = bundled
+    rep = co.integral_cocycle(torus, co.dict_sum(b_star,
+                                                 co.dict_scale(2, r_star)))
+    assert_unknown_cell(lambda: co.axis_dim_lower_bound(
+        torus, with_unknown_cells(rep, "skew9")), "skew9")
 
 
 def test_fractional_class_fails_loudly(bundled):
@@ -383,6 +422,72 @@ def test_each_linear_system_is_factored_once(bundled, corpus_tori,
     assert len(calls) == 1
 
 
+def typed(chain):
+    """Each value of a chain with its type, so 2 and Fraction(2) differ."""
+    return {cell: (type(value), value) for cell, value in chain.items()}
+
+
+def both_solves(solver, torus, z, minimum):
+    """What ``solver.cone_membership`` and ``solver.integral_cocycle``
+    return or raise on one class: values with their types, certificates
+    and error texts."""
+    try:
+        witness = solver.cone_membership(torus, z)
+        cone = ("witness", typed(witness.values), typed(witness.potential))
+    except ConeInfeasibleError as err:
+        cone = ("outside", err.certificate, str(err))
+    try:
+        least = ("least", typed(solver.integral_cocycle(torus, z, minimum)))
+    except (ConeInfeasibleError, NonIntegralClassError) as err:
+        least = (type(err), getattr(err, "certificate", None), str(err))
+    return cone, least
+
+
+def test_integer_route_matches_the_fraction_oracle(bundled, corpus_tori):
+    # integral classes and the same classes over 2 and 3, on the bundled
+    # torus and every corpus torus that builds
+    _, torus, b_star, r_star = bundled
+    cases = [(torus, co.dict_sum(co.dict_scale(cb, b_star),
+                                 co.dict_scale(cr, r_star)), minimum)
+             for cb in range(-3, 4) for cr in range(-3, 4)
+             for minimum in (0, 1)]
+    for other in corpus_tori.values():
+        fiber = co.fiber_cocycle(other)
+        duals = co.h1(other).duals
+        cases += [(other, z, 0) for z in (fiber, co.dict_scale(-1, fiber),
+                                          co.dict_sum(fiber, *duals))]
+    kinds = set()
+    witness_types = set()
+    for torus, z, minimum in cases:
+        for q in (1, 2, 3):
+            zq = co.dict_scale(Fraction(1, q), z) if q > 1 else z
+            found = both_solves(co, torus, zq, minimum)
+            assert found == both_solves(cocycle_oracle, torus, zq, minimum)
+            kinds.add((found[0][0], found[1][0]))
+            if found[0][0] == "witness":
+                witness_types |= {t for t, _v in found[0][1].values()}
+    assert kinds >= {("witness", "least"), ("witness", NonIntegralClassError),
+                     ("outside", ConeInfeasibleError)}
+    assert witness_types == {int, Fraction}
+
+
+def test_cached_skeleton_matches_the_cells(bundled, corpus_tori):
+    for torus in (bundled[1], *corpus_tori.values()):
+        assert co.is_cocycle(torus, co.fiber_cocycle(torus))
+        cached = torus.skeleton
+        assert cached is torus.skeleton
+        assert cached == Skeleton.of(torus)
+        zero = [c.name for c in torus.zero_cells]
+        names = cached.one_cell_names
+        assert names == tuple(v.name for v in torus.verticals) \
+            + tuple(s.name for s in torus.skews)
+        for e, (end, start) in zip(names, cached.ends):
+            ends = {zero[end]: 1, zero[start]: -1} if end != start else {}
+            assert torus.boundary_one()[e] == ends
+        assert [{names[e]: coef for e, coef in row} for row in cached.rows] \
+            == list(torus.boundary_two().values())
+
+
 def test_least_fiber_cocycle_of_the_largest_corpus_torus(corpus_tori):
     torus = corpus_tori[74]
     assert (len(torus.zero_cells), len(torus.one_cell_names)) == (73, 145)
@@ -395,13 +500,17 @@ def test_least_fiber_cocycle_of_the_largest_corpus_torus(corpus_tori):
 def test_constraint_digraph_has_integer_weights(bundled):
     _, torus, b_star, r_star = bundled
     z = co.dict_sum(co.dict_scale(Fraction(1, 3), b_star), r_star)
-    arcs = co._constraint_digraph(torus, z, Fraction(1, 6), 6)
+    skeleton, scale, scaled = co._scaled_cocycle(torus, z, 2)
+    assert scale == 6
+    arcs = co._constraint_digraph(skeleton, scaled, 1)
     assert len(arcs) == len(torus.one_cell_names)
     assert all(type(w) is int for _tail, _head, w in arcs)
     assert [w for _tail, _head, w in arcs] == [
         6 * Fraction(z.get(e, 0)) - 1 for e in torus.one_cell_names]
+    assert arcs == cocycle_oracle.constraint_digraph(torus, z,
+                                                     Fraction(1, 6), 6)
     with pytest.raises(InvariantViolation, match="fractional"):
-        co._constraint_digraph(torus, z, Fraction(0), 2)
+        cocycle_oracle.constraint_digraph(torus, z, Fraction(0), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -682,6 +682,22 @@ def test_crossing_rank_matches_the_built_section(torus, coords):
     assert crossing_rank(torus, z) == section_audit(section).rank
 
 
+def assert_unknown_cell_named(call, torus):
+    z = integral_cocycle(torus, family_like((1, 2)))
+    with pytest.raises(InvariantViolation) as err:
+        call(torus, {**z, "skew9": 3, "nope": 3})
+    assert type(err.value) is InvariantViolation
+    assert str(err.value) == "unknown 1-cell 'nope'"
+
+
+def test_build_section_names_an_unknown_cell(torus):
+    assert_unknown_cell_named(build_section, torus)
+
+
+def test_crossing_rank_names_an_unknown_cell(torus):
+    assert_unknown_cell_named(crossing_rank, torus)
+
+
 def test_crossing_rank_of_a_divisible_class_counts_one_component(torus):
     z = integral_cocycle(torus, family_like((0, 3)))
     section = build_section(torus, z)

@@ -1,5 +1,7 @@
 """Word layer: parsing, reduction, conjugacy, inversion, outer equality."""
 
+import timeit
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -393,6 +395,28 @@ def test_text_operations_equal_their_tuple_oracles(u, v, n):
     if tuple_reduce(u):
         root, k = W.primitive_root(text)
         assert (W.letters(root), k) == tuple_primitive_root(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_words, mixed_words, mixed_words, st.lists(mixed_words, max_size=3))
+def test_multiply_equals_the_tuple_oracle(u, v, w, more):
+    # u v and v⁻¹ w cancel through v at their junction
+    factors = [tuple_reduce(u + v), tuple_reduce(tuple_inverse(v) + w)]
+    factors += [tuple_reduce(word) for word in more]
+    product = W.multiply(*map(W.encode, factors))
+    assert W.letters(product) == tuple_reduce(sum(factors, ()))
+
+
+def test_deep_cancellation_over_many_generators_is_fast():
+    # q is 400 distinct generators, so q⁻¹q cancels through 400 layers
+    q = W.intern(f"deep{i:03d}" for i in range(400))
+    w = q + W.intern(["deepx"]) + W.inverse(q)
+    assert W.multiply(W.inverse(q), q) == ""
+    assert W.multiply(q, W.inverse(q[200:])) == q[:200]
+    assert W.conjugating_word(w, w) == ""
+    best = min(timeit.repeat(lambda: W.conjugating_word(w, w), number=1,
+                             repeat=5))
+    assert best < 0.005
 
 
 @settings(max_examples=200, deadline=None)
