@@ -2,13 +2,15 @@
 
 Chains and cochains are sparse ``dict[str, value]`` maps keyed by cell name;
 values are integers or :class:`~fractions.Fraction`.  All computations are
-exact.  The cocycle check and the cone and cocycle solves read a cochain
-through the complex's cached :class:`~freebycyclic.torus.Skeleton`, which
-refuses a cell the complex does not have, and scale it to ints by its
-common denominator; weights, distances, witness values and least values
-stay ints.  They turn into Fractions only on exit: one per 0-cell for a
-cone potential, one per 1-cell whose witness value the potential moved,
-and in error texts.  The module provides:
+exact.  Every boundary read goes through the complex's cached
+:class:`~freebycyclic.torus.Skeleton`: chains and cochains are read
+through it, which refuses a cell the complex does not have, and the dense
+matrices the Smith factorisations need are built from its rows where they
+are used.  The cocycle check and the cone and cocycle solves scale a
+cochain to ints by its common denominator; weights, distances, witness
+values and least values stay ints.  They turn into Fractions only on
+exit: one per 0-cell for a cone potential, one per 1-cell whose witness
+value the potential moved, and in error texts.  The module provides:
 
 * :func:`h1` — rank, torsion, an integral cycle basis, and a dual cocycle
   basis of the first homology;
@@ -52,45 +54,34 @@ Chain = dict
 
 
 # ---------------------------------------------------------------------------
-# boundary matrices in fixed cell orders
+# boundary maps, read from the cached skeleton
 
 
-@dataclass
-class ChainData:
-    """Boundary matrices of a trapezoid complex in fixed cell orders.
-
-    ``d1`` has one row per 0-cell and one column per 1-cell; ``d2`` has one
-    row per 1-cell and one column per 2-cell.
-    """
-
-    zero_cells: tuple[str, ...]
-    one_cells: tuple[str, ...]
-    two_cells: tuple[str, ...]
-    d1: list[list[int]]
-    d2: list[list[int]]
+def _dense(sparse: Iterable[Iterable[tuple[int, int]]], width: int
+           ) -> list[list[int]]:
+    """One row of ``width`` ints per row of (index, coefficient) pairs."""
+    out = []
+    for pairs in sparse:
+        row = [0] * width
+        for i, coef in pairs:
+            row[i] += coef
+        out.append(row)
+    return out
 
 
-def chain_data(complex_: TrapComplex) -> ChainData:
-    zero = tuple(c.name for c in complex_.zero_cells)
-    one = complex_.one_cell_names
-    two = tuple(t.name for t in complex_.trapezoids)
-    b1 = complex_.boundary_one()
-    b2 = complex_.boundary_two()
-    d1 = [[b1[e].get(v, 0) for e in one] for v in zero]
-    d2 = [[b2[t].get(e, 0) for t in two] for e in one]
-    return ChainData(zero, one, two, d1, d2)
+def _d2_transposed(skeleton: Skeleton) -> list[list[int]]:
+    """The boundary of each 2-cell as one dense row over the 1-cells."""
+    return _dense(skeleton.rows, len(skeleton.one_cell_names))
 
 
 def boundary(complex_: TrapComplex, chain: Mapping) -> Chain:
-    """Boundary of a 1-chain as a sparse 0-chain."""
-    b1 = complex_.boundary_one()
-    out: Chain = {}
-    for cell, coef in chain.items():
-        if cell not in b1:
-            raise InvariantViolation(f"unknown 1-cell {cell!r}")
-        for v, inc in b1[cell].items():
-            out[v] = out.get(v, 0) + coef * inc
-    return {v: c for v, c in out.items() if c != 0}
+    """Boundary of a 1-chain as a sparse 0-chain, in 0-cell order."""
+    skeleton = complex_.skeleton
+    out = [0] * len(complex_.zero_cells)
+    for coef, (end, start) in zip(skeleton.cochain(chain), skeleton.ends):
+        out[end] += coef
+        out[start] -= coef
+    return {c.name: x for c, x in zip(complex_.zero_cells, out) if x != 0}
 
 
 def _scaled(values: Sequence, factor: int = 1) -> tuple[int, list[int]]:
@@ -159,7 +150,7 @@ class H1Data:
     duals: tuple[Chain, ...]
 
 
-def _dual_cocycles(data: ChainData, cycles: Sequence[Chain]
+def _dual_cocycles(skeleton: Skeleton, cycles: Sequence[Mapping]
                    ) -> tuple[Chain, ...]:
     """Cocycles pairing as the identity matrix with ``cycles``.
 
@@ -167,17 +158,18 @@ def _dual_cocycles(data: ChainData, cycles: Sequence[Chain]
     plus one pairing row per cycle answers every right-hand side; the
     solution is integral whenever an integral one exists.
     """
-    rows = [list(col) for col in zip(*data.d2)]
-    rows += [[cyc.get(e, 0) for e in data.one_cells] for cyc in cycles]
+    rows = _d2_transposed(skeleton)
+    n2 = len(rows)
+    rows += [skeleton.cochain(cyc) for cyc in cycles]
     snf = smith_normal_form(rows)
     duals = []
     for which in range(len(cycles)):
-        rhs = [0] * len(data.two_cells) + [int(i == which)
-                                           for i in range(len(cycles))]
+        rhs = [0] * n2 + [int(i == which) for i in range(len(cycles))]
         sol = snf.solve(rhs)
         if sol is None:
             raise InvariantViolation("cycles do not admit a dual cocycle basis")
-        duals.append({e: x for e, x in zip(data.one_cells, sol) if x != 0})
+        duals.append({e: x for e, x in zip(skeleton.one_cell_names, sol)
+                      if x != 0})
     return tuple(duals)
 
 
@@ -190,13 +182,14 @@ def h1(complex_: TrapComplex) -> H1Data:
     U'·Y·V' = D' of rank r', the columns r'… of U'⁻¹ are the kernel
     coordinates of free generators of H1.
     """
-    data = chain_data(complex_)
-    n1 = len(data.one_cells)
-    cycle_snf = smith_normal_form(data.d1)
+    skeleton = complex_.skeleton
+    n1 = len(skeleton.one_cell_names)
+    d1_transposed = _dense((((end, 1), (start, -1))
+                            for end, start in skeleton.ends),
+                           len(complex_.zero_cells))
+    cycle_snf = smith_normal_form(list(zip(*d1_transposed)))
     r = cycle_snf.rank
-    boundaries = [[(e, c) for e, c in enumerate(col) if c]
-                  for col in zip(*data.d2)]
-    relations = [[sum(row[e] * c for e, c in col) for col in boundaries]
+    relations = [[sum(row[e] * c for e, c in pairs) for pairs in skeleton.rows]
                  for row in cycle_snf.v_inv]
     if any(x for row in relations[:r] for x in row):
         raise InvariantViolation("2-cell boundary is not a cycle")
@@ -209,8 +202,9 @@ def h1(complex_: TrapComplex) -> H1Data:
         coords = [row[j] for row in relation_snf.u_inv]
         vec = [sum(x * c for x, c in zip(row[r:], coords))
                for row in cycle_snf.v]
-        cycles.append({e: x for e, x in zip(data.one_cells, vec) if x != 0})
-    duals = list(_dual_cocycles(data, cycles))
+        cycles.append({e: x for e, x in zip(skeleton.one_cell_names, vec)
+                       if x != 0})
+    duals = list(_dual_cocycles(skeleton, cycles))
 
     try:
         loop = skew_loop(complex_)
@@ -235,14 +229,11 @@ def dual_basis(complex_: TrapComplex, cycles: Sequence[Mapping]
     Each input must be a cycle and the family must be independent in
     rational homology and of full rank there.
     """
-    data = chain_data(complex_)
-    normalized = []
     for cyc in cycles:
         bad = boundary(complex_, cyc)
         if bad:
             raise NotACycleError(f"chain has nonzero boundary {bad!r}")
-        normalized.append(dict(cyc))
-    return _dual_cocycles(data, normalized)
+    return _dual_cocycles(complex_.skeleton, cycles)
 
 
 def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
@@ -255,13 +246,14 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
     then checked to bound a rational 2-chain.
     """
     coords = tuple(evaluate(complex_, z, chain) for z in duals)
-    data = chain_data(complex_)
+    skeleton = complex_.skeleton
     diff = dict(chain)
     for coef, cyc in zip(coords, cycles):
         for e, c in cyc.items():
             diff[e] = diff.get(e, 0) - coef * c
-    rhs = [Fraction(diff.get(e, 0)) for e in data.one_cells]
-    if any(rhs) and smith_normal_form(data.d2).solve(rhs) is None:
+    rhs = [Fraction(v) for v in skeleton.cochain(diff)]
+    if any(rhs) and smith_normal_form(
+            list(zip(*_d2_transposed(skeleton)))).solve(rhs) is None:
         raise InvariantViolation(
             "cycle is not the coordinate combination of the basis "
             "modulo boundaries")
@@ -499,9 +491,8 @@ def fiber_cocycle(complex_: TrapComplex) -> Chain:
     skew 1-cell spanning the first height window.
     """
     z: Chain = {}
-    cell = {c.name: c for c in complex_.zero_cells}
     for vert in complex_.verticals:
-        if cell[vert.start].stage == 0:
+        if complex_.cell_by_name[vert.start].stage == 0:
             z[vert.name] = 1
     for skew in complex_.skews:
         if skew.kind == "strict" and skew.index == 1:

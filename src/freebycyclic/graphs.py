@@ -211,11 +211,6 @@ class GraphMap:
                     f"image of edge {name!r} runs {got} but vertex images need {want}")
 
     @classmethod
-    def identity(cls, graph: Graph) -> "GraphMap":
-        return cls(graph, graph, {v: v for v in graph.vertices},
-                   {name: char((name, 1)) for name in graph.edge_names})
-
-    @classmethod
     def from_strings(cls, graph: Graph, vertex_map: Mapping[str, str],
                      images: Mapping[str, str],
                      codomain: Optional[Graph] = None) -> "GraphMap":

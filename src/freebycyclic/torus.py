@@ -85,7 +85,12 @@ class Skeleton:
 
     @classmethod
     def of(cls, complex_: "TrapComplex") -> "Skeleton":
-        """The skeleton read afresh from the cells and ``boundary_two``."""
+        """The skeleton read afresh from the cells.
+
+        The row of a trapezoid adds its bottom skew, its right side, minus
+        its top pieces (each with its sign) and minus its left side, in
+        that order, merging repeated 1-cells and dropping zeros.
+        """
         names = tuple(v.name for v in complex_.verticals) + \
             tuple(s.name for s in complex_.skews)
         one_index = {e: j for j, e in enumerate(names)}
@@ -94,12 +99,19 @@ class Skeleton:
                      for v in complex_.verticals) + \
             tuple((zero_index[s.top], zero_index[s.bottom])
                   for s in complex_.skews)
-        rows = tuple(tuple((one_index[e], coef) for e, coef in row.items())
-                     for row in complex_.boundary_two().values())
-        return cls(names, one_index, ends, rows)
+        rows = []
+        for t in complex_.trapezoids:
+            terms = [(t.bottom, 1)] + [(e, 1) for e in t.right] + \
+                [(p.skew, -p.sign) for p in t.top] + [(e, -1) for e in t.left]
+            row: dict[int, int] = {}
+            for e, coef in terms:
+                j = one_index[e]
+                row[j] = row.get(j, 0) + coef
+            rows.append(tuple((e, coef) for e, coef in row.items() if coef))
+        return cls(names, one_index, ends, tuple(rows))
 
     def cochain(self, z: Mapping) -> list:
-        """The values of the cochain ``z`` on the 1-cells, in order."""
+        """The values of the (co)chain ``z`` on the 1-cells, in order."""
         values = [0] * len(self.one_cell_names)
         index = self.one_index
         try:
@@ -115,9 +127,10 @@ class Skeleton:
 class TrapComplex:
     """The cells of a folded mapping torus.
 
-    Cohomology reads the cells through :attr:`skeleton`, built on first
-    use and cached, so the cells must not change after that; ``validate``
-    and ``skew_loop`` read the cells themselves.
+    Every boundary read goes through :attr:`skeleton`, the one incidence
+    record, built on first use and cached, so the cells must not change
+    after that.  ``validate`` checks a skeleton read afresh, and
+    ``skew_loop`` reads the skew ends, so both see the cells as they are.
     """
 
     folds: FoldSequence
@@ -147,38 +160,6 @@ class TrapComplex:
     def euler_characteristic(self) -> int:
         return len(self.zero_cells) - len(self.verticals) - len(self.skews) \
             + len(self.trapezoids)
-
-    def boundary_one(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for v in self.verticals:
-            row: dict[str, int] = {}
-            row[v.end] = row.get(v.end, 0) + 1
-            row[v.start] = row.get(v.start, 0) - 1
-            out[v.name] = {c: x for c, x in row.items() if x}
-        for s in self.skews:
-            row = {}
-            row[s.top] = row.get(s.top, 0) + 1
-            row[s.bottom] = row.get(s.bottom, 0) - 1
-            out[s.name] = {c: x for c, x in row.items() if x}
-        return out
-
-    def boundary_two(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for t in self.trapezoids:
-            row: dict[str, int] = {}
-
-            def add(cell: str, coef: int):
-                row[cell] = row.get(cell, 0) + coef
-
-            add(t.bottom, 1)
-            for name in t.right:
-                add(name, 1)
-            for piece in t.top:
-                add(piece.skew, -piece.sign)
-            for name in t.left:
-                add(name, -1)
-            out[t.name] = {c: x for c, x in row.items() if x}
-        return out
 
 
 _MAX_SWEEP_STEPS = 200_000  # over all trapezoids, before build_torus gives up
@@ -429,15 +410,16 @@ def validate(complex_: TrapComplex) -> None:
                 "trapezoid sides (dangling)")
 
     # boundary of a boundary vanishes
-    d1 = complex_.boundary_one()
-    d2 = complex_.boundary_two()
-    for trap_name, row in d2.items():
-        acc: dict[str, int] = {}
-        for one_cell, coef in row.items():
-            for zero_cell, inc in d1[one_cell].items():
-                acc[zero_cell] = acc.get(zero_cell, 0) + coef * inc
-        if any(acc.values()):
-            problems.append(f"boundary of {trap_name} is not a cycle: {acc}")
+    skeleton = Skeleton.of(complex_)
+    for trap, row in zip(complex_.trapezoids, skeleton.rows):
+        acc = [0] * len(complex_.zero_cells)
+        for e, coef in row:
+            end, start = skeleton.ends[e]
+            acc[end] += coef
+            acc[start] -= coef
+        if any(acc):
+            bad = {c.name: x for c, x in zip(complex_.zero_cells, acc) if x}
+            problems.append(f"boundary of {trap.name} is not a cycle: {bad}")
 
     for edge, cover in complex_.base_cover.items():
         if not (0 <= cover[1] < cover[2] <= 1):
@@ -455,12 +437,11 @@ def validate(complex_: TrapComplex) -> None:
 def skew_loop(complex_: TrapComplex) -> dict[str, int]:
     """The 1-cycle crossing every skew once; raises if it fails to close."""
     chain = {s.name: 1 for s in complex_.skews}
-    boundary: dict[str, int] = {}
-    d1 = complex_.boundary_one()
-    for name, coef in chain.items():
-        for cell, inc in d1[name].items():
-            boundary[cell] = boundary.get(cell, 0) + coef * inc
-    if any(boundary.values()):
-        raise NotACycleError(
-            f"the skew chain has boundary {sorted(boundary.items())}")
+    boundary = dict.fromkeys(complex_.cell_by_name, 0)  # in 0-cell order
+    for s in complex_.skews:
+        boundary[s.top] = boundary.get(s.top, 0) + 1
+        boundary[s.bottom] = boundary.get(s.bottom, 0) - 1
+    nonzero = {cell: x for cell, x in boundary.items() if x}
+    if nonzero:
+        raise NotACycleError(f"the skew chain has boundary {nonzero}")
     return chain

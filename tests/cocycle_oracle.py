@@ -2,12 +2,14 @@
 
 The package runs ``cone_membership`` and ``integral_cocycle`` on integers
 over the cached skeleton of a complex and turns values into Fractions only
-on exit.  This module keeps the code that route replaced: it re-reads the
-boundary matrices for every cocycle check, builds its constraint weights
-and witness as Fractions and checks each least value as a Fraction.  Both
-routes share the shortest-path kernels ``_distances`` and
-``_least_negative_cycle``, so the tests compare everything around them.
-``coboundary`` is the witness check: a cone witness is the queried
+on exit.  This module keeps the code that route replaced: it reads the
+boundary maps from the cells itself (``boundary_one`` and
+``boundary_two``, as sparse dicts keyed by cell name) for every cocycle
+check, so it does not share the skeleton it checks; it builds its
+constraint weights and witness as Fractions and checks each least value as
+a Fraction.  Both routes share the shortest-path kernels ``_distances``
+and ``_least_negative_cycle``, so the tests compare everything around
+them.  ``coboundary`` is the witness check: a cone witness is the queried
 cocycle plus the coboundary of its potential.
 """
 
@@ -22,9 +24,39 @@ from freebycyclic.errors import (ConeInfeasibleError, InvariantViolation,
                                  NonIntegralClassError)
 
 
+def boundary_one(complex_) -> dict[str, dict[str, int]]:
+    """1-cell name to its boundary, 0-cell name to coefficient."""
+    ends = [(v.name, v.end, v.start) for v in complex_.verticals]
+    ends += [(s.name, s.top, s.bottom) for s in complex_.skews]
+    return {e: {end: 1, start: -1} if end != start else {}
+            for e, end, start in ends}
+
+
+def boundary_two(complex_) -> dict[str, dict[str, int]]:
+    """Trapezoid name to its boundary, 1-cell name to coefficient: the
+    bottom skew, the right side, minus the top pieces and minus the left
+    side, merged and without zeros."""
+    out: dict[str, dict[str, int]] = {}
+    for t in complex_.trapezoids:
+        row: dict[str, int] = {}
+
+        def add(cell: str, coef: int):
+            row[cell] = row.get(cell, 0) + coef
+
+        add(t.bottom, 1)
+        for name in t.right:
+            add(name, 1)
+        for piece in t.top:
+            add(piece.skew, -piece.sign)
+        for name in t.left:
+            add(name, -1)
+        out[t.name] = {c: x for c, x in row.items() if x}
+    return out
+
+
 def is_cocycle(complex_, z: Mapping) -> bool:
     """Whether ``z`` vanishes on the boundary of every 2-cell."""
-    for row in complex_.boundary_two().values():
+    for row in boundary_two(complex_).values():
         if sum(z.get(e, 0) * coef for e, coef in row.items()) != 0:
             return False
     return True
@@ -32,7 +64,7 @@ def is_cocycle(complex_, z: Mapping) -> bool:
 
 def coboundary(complex_, potential: Mapping) -> dict:
     """The 1-cochain ``e -> sum of potential over the boundary of e``."""
-    b1 = complex_.boundary_one()
+    b1 = boundary_one(complex_)
     out: dict = {}
     for e, row in b1.items():
         val = sum(Fraction(potential.get(v, 0)) * inc for v, inc in row.items())

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import freebycyclic.cohomology as co
-from cocycle_oracle import coboundary
+from cocycle_oracle import boundary_one, coboundary
 from freebycyclic.errors import (ConeInfeasibleError, InvariantViolation,
                                  NonIntegralClassError)
 
@@ -218,24 +218,32 @@ def lexmin_nonnegative(equalities: Sequence[tuple[Sequence, object]],
 # the cone and integral-cocycle problems as inequality rows
 
 
+def _d1_columns(complex_) -> tuple[list, tuple, list]:
+    """The 0-cell names, the 1-cell names, and per 1-cell the column of
+    the boundary matrix over the 0-cells, read from the cells."""
+    zero_cells = [c.name for c in complex_.zero_cells]
+    one_cells = complex_.one_cell_names
+    b1 = boundary_one(complex_)
+    return zero_cells, one_cells, [[b1[e].get(v, 0) for v in zero_cells]
+                                   for e in one_cells]
+
+
 def fm_cone_membership(complex_, z: Mapping) -> co.ConeWitness:
     """Strictly positive representative of the class of ``z``, by elimination.
 
     Raises :class:`ConeInfeasibleError` carrying Fourier–Motzkin's
     certificate, a nonnegative cycle pairing nonpositively with the class.
     """
-    data = co.chain_data(complex_)
-    n0 = len(data.zero_cells)
+    zero_cells, one_cells, columns = _d1_columns(complex_)
     rows = []
-    for j, e in enumerate(data.one_cells):
-        coeffs = [data.d1[i][j] for i in range(n0)]
+    for e, coeffs in zip(one_cells, columns):
         rows.append((coeffs, Fraction(z.get(e, 0)), True))
     status, payload = solve_inequalities(rows)
     if status == "feasible":
-        potential = {v: payload[i] for i, v in enumerate(data.zero_cells)}
+        potential = {v: payload[i] for i, v in enumerate(zero_cells)}
         return co.ConeWitness(co.dict_sum(z, coboundary(complex_, potential)),
                               potential)
-    certificate = {data.one_cells[idx]: lam
+    certificate = {one_cells[idx]: lam
                    for idx, lam in payload.items() if lam != 0}
     raise ConeInfeasibleError("class has no positive representative",
                               certificate=certificate)
@@ -244,13 +252,13 @@ def fm_cone_membership(complex_, z: Mapping) -> co.ConeWitness:
 def fm_integral_cocycle(complex_, z: Mapping, minimum: int = 0) -> dict:
     """Lexicographically least representative at least ``minimum`` cellwise,
     minimizing one 1-cell at a time by elimination."""
-    data = co.chain_data(complex_)
-    n0 = len(data.zero_cells)
+    zero_cells, one_cells, columns = _d1_columns(complex_)
+    n0 = len(zero_cells)
 
     def cell_rows(fixed: dict) -> list:
         rows = []
-        for j, e in enumerate(data.one_cells):
-            coeffs = [Fraction(data.d1[i][j]) for i in range(n0)] + [Fraction(0)]
+        for e, column in zip(one_cells, columns):
+            coeffs = [Fraction(x) for x in column] + [Fraction(0)]
             base = Fraction(z.get(e, 0))
             if e in fixed:
                 rows.append((coeffs, base - fixed[e], False))
@@ -263,7 +271,7 @@ def fm_integral_cocycle(complex_, z: Mapping, minimum: int = 0) -> dict:
     if status != "feasible":
         certificate: dict = {}
         for idx, lam in payload.items():
-            e = data.one_cells[idx]
+            e = one_cells[idx]
             certificate[e] = certificate.get(e, 0) + lam
         certificate = {e: lam for e, lam in certificate.items() if lam != 0}
         raise ConeInfeasibleError(
@@ -271,9 +279,9 @@ def fm_integral_cocycle(complex_, z: Mapping, minimum: int = 0) -> dict:
             certificate=certificate)
 
     fixed: dict = {}
-    for j, e in enumerate(data.one_cells):
+    for e, column in zip(one_cells, columns):
         rows = cell_rows(fixed)
-        coeffs = [Fraction(data.d1[i][j]) for i in range(n0)] + [Fraction(-1)]
+        coeffs = [Fraction(x) for x in column] + [Fraction(-1)]
         base = Fraction(z.get(e, 0))
         rows.append((coeffs, base, False))
         rows.append(([-c for c in coeffs], -base, False))

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: seeded random paths and map pairs,
-two readings of a free-group map, the tuple-word oracles (free reduction,
-inversion and the substitution loop) that check the text kernel behind
+two readings of a free-group map, the identity maps of a free group and
+of a graph, the tuple-word oracles (free reduction, inversion and the
+substitution loop) that check the text kernel behind
 ``FreeGroupMap.apply`` and ``GraphMap.iterate_tight``, and writers of the
 ``.map`` and ``.2gen`` text formats for round-trip tests.
 
@@ -28,6 +29,12 @@ def identity_map(gens: tuple[str, ...]) -> FreeGroupMap:
     """The identity automorphism of the free group on ``gens``."""
     return FreeGroupMap(gens, gens, tuple(encode(((g, 1),)) for g in gens),
                         invertibility="automorphism (inverse computed)")
+
+
+def identity_graph_map(graph: Graph) -> GraphMap:
+    """The identity self-map of ``graph``."""
+    return GraphMap(graph, graph, {v: v for v in graph.vertices},
+                    {name: encode(((name, 1),)) for name in graph.edge_names})
 
 
 def same_images(f: FreeGroupMap, g: FreeGroupMap) -> bool:

@@ -27,6 +27,7 @@ import cocycle_oracle
 import fm_oracle
 from conftest import EXAMPLES
 from dense_oracle import mat_mul
+from helpers import identity_graph_map
 
 CYCLE_B = {"up:black.0": 1, "up:c@1.1": -1, "up:a@2.3": 1,
            "skew1": -1, "skew4": -2}
@@ -54,11 +55,19 @@ def doubling_torus():
 
 def test_boundary_matrices_compose_to_zero(bundled):
     _, torus, _, _ = bundled
-    data = co.chain_data(torus)
-    assert len(data.zero_cells) == 6
-    assert len(data.one_cells) == 10
-    assert len(data.two_cells) == 4
-    assert all(x == 0 for row in mat_mul(data.d1, data.d2) for x in row)
+    skeleton = torus.skeleton
+    zero = [c.name for c in torus.zero_cells]
+    one = skeleton.one_cell_names
+    assert (len(zero), len(one), len(skeleton.rows)) == (6, 10, 4)
+    d1 = [[0] * len(one) for _ in zero]
+    for e, (end, start) in enumerate(skeleton.ends):
+        d1[end][e] += 1
+        d1[start][e] -= 1
+    d2 = [[0] * len(skeleton.rows) for _ in one]
+    for t, row in enumerate(skeleton.rows):
+        for e, coef in row:
+            d2[e][t] = coef
+    assert all(x == 0 for row in mat_mul(d1, d2) for x in row)
 
 
 def test_h1_rank_two_without_torsion(bundled):
@@ -91,7 +100,7 @@ def test_abelianization_rank_oracle(bundled, doubling_torus):
                                    {"a": "ab", "b": "a"})
     assert co.mapping_torus_h1_rank(golden) == 1 \
         == co.h1(build_torus(decompose(golden))).rank
-    identity = GraphMap.identity(Graph.rose(["a", "b"]))
+    identity = identity_graph_map(Graph.rose(["a", "b"]))
     assert co.mapping_torus_h1_rank(identity) == 3
 
 
@@ -156,7 +165,7 @@ def test_pairing_ignores_coboundary_shifts(bundled, potential):
                        st.integers(-3, 3)))
 def test_pairing_ignores_boundary_shifts(bundled, two_chain):
     _, torus, b_star, _ = bundled
-    rows = torus.boundary_two()
+    rows = cocycle_oracle.boundary_two(torus)
     shifted = dict(skew_loop(torus))
     for trap, coef in two_chain.items():
         for cell, inc in rows[trap].items():
@@ -270,6 +279,32 @@ def test_integral_cocycle_names_an_unknown_cell(bundled):
     z = co.dict_sum(b_star, co.dict_scale(2, r_star))
     assert_unknown_cell(lambda: co.integral_cocycle(
         torus, with_unknown_cells(z, "skew9")), "skew9")
+
+
+def test_boundary_names_an_unknown_cell(bundled):
+    _, torus, _, _ = bundled
+    assert_unknown_cell(lambda: co.boundary(
+        torus, with_unknown_cells(CYCLE_B, "skew9", "nope")), "nope")
+
+
+def test_evaluate_names_an_unknown_cell_of_the_chain(bundled):
+    _, torus, _, r_star = bundled
+    assert_unknown_cell(lambda: co.evaluate(
+        torus, r_star, with_unknown_cells(CYCLE_R, "skew9", "nope")), "nope")
+
+
+def test_dual_basis_names_an_unknown_cell(bundled):
+    _, torus, _, _ = bundled
+    assert_unknown_cell(lambda: co.dual_basis(
+        torus, [CYCLE_B, with_unknown_cells(CYCLE_R, "skew9", "nope")]),
+        "nope")
+
+
+def test_cycle_coordinates_names_an_unknown_cell(bundled):
+    _, torus, b_star, r_star = bundled
+    chain = with_unknown_cells(skew_loop(torus), "skew9", "nope")
+    assert_unknown_cell(lambda: co.cycle_coordinates(
+        torus, chain, [CYCLE_B, CYCLE_R], [b_star, r_star]), "nope")
 
 
 def test_axis_bound_names_an_unknown_cell(bundled):
@@ -481,11 +516,17 @@ def test_cached_skeleton_matches_the_cells(bundled, corpus_tori):
         names = cached.one_cell_names
         assert names == tuple(v.name for v in torus.verticals) \
             + tuple(s.name for s in torus.skews)
+        d1 = cocycle_oracle.boundary_one(torus)
+        assert list(d1) == list(names)
         for e, (end, start) in zip(names, cached.ends):
             ends = {zero[end]: 1, zero[start]: -1} if end != start else {}
-            assert torus.boundary_one()[e] == ends
-        assert [{names[e]: coef for e, coef in row} for row in cached.rows] \
-            == list(torus.boundary_two().values())
+            assert d1[e] == ends
+        # the same rows, term for term and in the same order
+        d2 = cocycle_oracle.boundary_two(torus)
+        assert list(d2) == [t.name for t in torus.trapezoids]
+        assert cached.rows == tuple(
+            tuple((cached.one_index[e], coef) for e, coef in row.items())
+            for row in d2.values())
 
 
 def test_least_fiber_cocycle_of_the_largest_corpus_torus(corpus_tori):

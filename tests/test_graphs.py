@@ -13,7 +13,8 @@ from freebycyclic.errors import (DisconnectedGraphError, InputParseError,
 from freebycyclic.words import FreeGroupMap, encode, letters
 
 from conftest import EXAMPLES
-from helpers import format_map_file, identity_map, random_path, same_images
+from helpers import (format_map_file, identity_graph_map, identity_map,
+                     random_path, same_images)
 import dense_oracle
 
 ROSE2 = G.Graph.rose(("a", "b"))
@@ -119,7 +120,7 @@ def test_subdivision_bundled(bundled):
 
 
 def test_subdivision_identity_is_noop():
-    ident = G.GraphMap.identity(ROSE3)
+    ident = identity_graph_map(ROSE3)
     sub = G.subdivide_at_preimages(ident)
     assert sub.graph == ROSE3
     assert sub.relabeled.edge_images == ident.edge_images
@@ -172,7 +173,7 @@ def test_collapse_word(bundled):
 # -- map_to_automorphism -----------------------------------------------------
 
 def test_identity_gives_literal_identity(bundled):
-    result = G.map_to_automorphism(bundled.marked, G.GraphMap.identity(bundled.graph))
+    result = G.map_to_automorphism(bundled.marked, identity_graph_map(bundled.graph))
     ident = identity_map(bundled.marked.generators)
     assert same_images(result, ident)
 
@@ -195,7 +196,7 @@ def test_marking_failure_raises():
     marked = G.MarkedGraph(rose, "v", ("x", "y"),
                            {"x": w("aa", ("a", "b")), "y": w("b", ("a", "b"))})
     with pytest.raises(MarkingError):
-        G.map_to_automorphism(marked, G.GraphMap.identity(rose))
+        G.map_to_automorphism(marked, identity_graph_map(rose))
 
 
 # -- file format -------------------------------------------------------------

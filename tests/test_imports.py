@@ -1,16 +1,18 @@
 """Every name a package module imports is used in that module, every
 private helper it defines is referenced in it, and every public function
-and class it defines is referenced by the package or the benchmark.
+and class it defines, and every public method, classmethod and property
+of a public class, is referenced by the package or the benchmark.
 
 No linter ships with the project, so these are small ``ast`` checks: each
 name bound by an ``import`` or ``from … import`` must be read somewhere
 in the module, as a name, as the base of an attribute, or inside a string
 annotation; each private module-level function or class, and each private
 method, must be referenced by name or as an attribute; each public
-module-level function or class must be referenced by name or as an
-attribute somewhere in ``src/freebycyclic`` or ``bench``, where a mention
-in a docstring or other string does not count.  Public names that only the
-tests call move to the tests.
+module-level function or class, and each public method of a public class,
+must be referenced by name or as an attribute somewhere in
+``src/freebycyclic`` or ``bench``, where a mention in a docstring or other
+string does not count.  Public names that only the tests call move to the
+tests.
 """
 
 import ast
@@ -136,15 +138,28 @@ def test_the_check_sees_an_unreferenced_helper():
     assert _unreferenced_privates(tree) == {"_unused", "_Gone", "_orphan"}
 
 
+def _public_defs(tree: ast.Module):
+    """``(qualified name, name)`` of each public module-level function or
+    class, and of each public method, classmethod or property of a public
+    class."""
+    for node in tree.body:
+        if isinstance(node, DEFS) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, DEFS) \
+                            and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
 def _unreferenced_publics(modules: dict[str, ast.Module],
                           readers: list[ast.Module]) -> set[str]:
-    """``module.name`` of each public module-level function or class of
-    ``modules`` that no tree in ``readers`` refers to."""
+    """``module.name`` of each public definition of ``modules`` (see
+    :func:`_public_defs`) that no tree in ``readers`` refers to."""
     referenced = set().union(*map(_referenced, readers))
-    return {f"{module}.{node.name}" for module, tree in modules.items()
-            for node in tree.body
-            if isinstance(node, DEFS) and not node.name.startswith("_")
-            and node.name not in referenced}
+    return {f"{module}.{qualified}" for module, tree in modules.items()
+            for qualified, name in _public_defs(tree)
+            if name not in referenced}
 
 
 def test_every_public_name_is_used_by_the_package_or_the_benchmark():
@@ -166,10 +181,25 @@ def test_the_check_sees_an_unused_public_name():
                        "def unused():\n    pass\n"
                        "class Mentioned:\n    pass\n"
                        "class Based:\n    pass\n"
-                       "def _private():\n    pass\n")
+                       "def _private():\n    pass\n"
+                       "class Kept:\n"
+                       "    def __init__(self):\n        self._step()\n"
+                       "    def _step(self):\n        pass\n"
+                       "    def called(self):\n        pass\n"
+                       "    def uncalled(self):\n        pass\n"
+                       "    @classmethod\n"
+                       "    def made(cls):\n        return cls()\n"
+                       "    @classmethod\n"
+                       "    def unmade(cls):\n        return cls()\n"
+                       "    @property\n"
+                       "    def read(self):\n        return 1\n"
+                       "    @property\n"
+                       "    def unread(self):\n        return 2\n")
     reader = ast.parse('"""Mentioned only here."""\n'
                        "import mod\n"
                        "class Child(mod.Based):\n"
-                       "    def method(self):\n        return used()\n")
+                       "    def method(self):\n        return used()\n"
+                       "print(mod.Kept.made().called(), mod.Kept().read)\n")
     assert _unreferenced_publics({"mod": module}, [module, reader]) == \
-        {"mod.unused", "mod.Mentioned"}
+        {"mod.unused", "mod.Mentioned", "mod.Kept.uncalled",
+         "mod.Kept.unmade", "mod.Kept.unread"}

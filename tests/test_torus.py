@@ -14,6 +14,7 @@ from freebycyclic.graphs import load_map_file
 import os
 
 from conftest import EXAMPLES
+from helpers import identity_graph_map
 
 
 def rose_map(images: dict[str, str]) -> GraphMap:
@@ -119,14 +120,29 @@ def test_base_cover(bundled_torus):
     assert cover["e"] == ("trap2", F(0), F(1), -1)
 
 
+def skeleton_d1(torus) -> dict[str, dict[str, int]]:
+    """The cached skeleton's ends, named: 1-cell to {0-cell: coefficient}."""
+    zero = [c.name for c in torus.zero_cells]
+    skeleton = torus.skeleton
+    return {e: {zero[end]: 1, zero[start]: -1} if end != start else {}
+            for e, (end, start) in zip(skeleton.one_cell_names, skeleton.ends)}
+
+
+def skeleton_d2(torus) -> dict[str, dict[str, int]]:
+    """The cached skeleton's rows, named: 2-cell to {1-cell: coefficient}."""
+    names = torus.skeleton.one_cell_names
+    return {t.name: {names[e]: coef for e, coef in row}
+            for t, row in zip(torus.trapezoids, torus.skeleton.rows)}
+
+
 def test_boundary_one(bundled_torus):
-    d1 = bundled_torus.boundary_one()
+    d1 = skeleton_d1(bundled_torus)
     assert d1["up:red.0"] == {"c@1.1": 1, "red.0": -1}
     assert d1["skew4"] == {"blue.0": 1, "a@2.3": -1}
 
 
 def test_boundary_two_row(bundled_torus):
-    d2 = bundled_torus.boundary_two()
+    d2 = skeleton_d2(bundled_torus)
     assert d2["trap1"] == {"skew1": 1, "up:c@1.1": 1,
                            "skew3": -1, "up:blue.0": -1}
     # bottom and a top copy of skew3 cancel in trap3
@@ -136,8 +152,8 @@ def test_boundary_two_row(bundled_torus):
 
 
 def test_boundary_of_boundary_vanishes(bundled_torus):
-    d1 = bundled_torus.boundary_one()
-    d2 = bundled_torus.boundary_two()
+    d1 = skeleton_d1(bundled_torus)
+    d2 = skeleton_d2(bundled_torus)
     for row in d2.values():
         acc: dict[str, int] = {}
         for one_cell, coef in row.items():
@@ -194,7 +210,7 @@ def test_build_torus_replays_the_folds_without_stages():
 
 def test_no_folds_rejected():
     rose = Graph.rose(["a", "b"], vertex="v")
-    identity = GraphMap.identity(rose)
+    identity = identity_graph_map(rose)
     with pytest.raises(InvariantViolation):
         build_torus(decompose(identity))
 
@@ -220,6 +236,9 @@ def test_validate_catches_missing_top_piece(bundled_torus):
         validate(torus)
     assert "skew2" in str(err.value)
     assert "degree" in str(err.value)
+    # only the 0-cells that did not cancel, in 0-cell order
+    assert "boundary of trap3 is not a cycle: {'c@1.1': -1, 'a@3.2': 1}" \
+        in str(err.value)
 
 
 def test_validate_catches_dangling_vertical():
@@ -234,6 +253,8 @@ def test_validate_catches_dangling_vertical():
 def test_skew_chain_failure_detected():
     torus = build_torus(decompose(rose_map({"a": "ab", "b": "a"})))
     torus.skews[0].top = "phantom"
-    with pytest.raises(NotACycleError):
+    with pytest.raises(NotACycleError) as err:
         skew_loop(torus)
+    assert str(err.value) == \
+        "the skew chain has boundary {'v.0': -1, 'phantom': 1}"
 
