@@ -251,7 +251,8 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
     for coef, cyc in zip(coords, cycles):
         for e, c in cyc.items():
             diff[e] = diff.get(e, 0) - coef * c
-    rhs = [Fraction(v) for v in skeleton.cochain(diff)]
+    # scaled to ints by their common denominator: solvable over Q alike
+    rhs = _scaled(skeleton.cochain(diff))[1]
     if any(rhs) and smith_normal_form(
             list(zip(*_d2_transposed(skeleton)))).solve(rhs) is None:
         raise InvariantViolation(

@@ -84,16 +84,6 @@ class Graph:
         """All directions based at ``vertex``, sorted by (edge name, forward first)."""
         return self._directions_at.get(vertex, ())
 
-    def all_directions(self) -> tuple[Letter, ...]:
-        out = []
-        for name, _, _ in self.edges:
-            out.append((name, 1))
-            out.append((name, -1))
-        return tuple(sorted(out, key=lambda lt: (lt[0], -lt[1])))
-
-    def valence(self, vertex: str) -> int:
-        return len(self.directions(vertex))
-
     def _neighbours(self, vertex: str) -> Iterable[str]:
         return map(self.term_of, self.directions(vertex))
 
@@ -119,11 +109,15 @@ def reachable(starts: Iterable[T], step: Callable[[T], Iterable[T]]) -> set[T]:
 
 def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
     """The sorted vertex tuples of the connected components, in sorted order."""
+    adjacent: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for _, init, term in graph.edges:
+        adjacent[init].append(term)
+        adjacent[term].append(init)
     seen: set[str] = set()
     out = []
     for start in graph.vertices:
         if start not in seen:
-            comp = reachable((start,), graph._neighbours)
+            comp = reachable((start,), adjacent.__getitem__)
             seen |= comp
             out.append(tuple(sorted(comp)))
     return tuple(sorted(out))
@@ -238,17 +232,6 @@ class GraphMap:
     def apply_tight(self, word: Word) -> Word:
         """Tightened image of an edge path; equals ``tighten(apply_path(word))``."""
         return self.iterate_tight(word, 1)
-
-    def direction_image(self, lt: Letter) -> Letter:
-        """First letter of the image of the direction ``lt`` (image must be nonempty)."""
-        name, sign = lt
-        img = self.edge_images[name]
-        if not img:
-            raise InvariantViolation(f"edge {name!r} has empty image")
-        if sign > 0:
-            return _LETTER[img[0]]
-        name, sign = _LETTER[img[-1]]
-        return (name, -sign)
 
     def iterate_tight(self, word: Word, n: int) -> Word:
         """The tightened image of an edge path under the n-th power of a

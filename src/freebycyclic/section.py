@@ -12,10 +12,13 @@ of the complex read along the chosen class.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .cohomology import cone_membership, is_cocycle, line_family_cocycle
@@ -238,8 +241,10 @@ class EdgeRecord:
 class SectionGraph:
     """The level-set graph of an integral cocycle at a generic phase.
 
-    ``charts`` and the flow run on integer numerators over ``lattice``;
-    the edge records and interior vertex hosts carry fractions.
+    ``charts``, the flow and ``stations`` run on integer numerators over
+    ``lattice``: ``stations`` sends (trapezoid, level, x_lo) of each edge
+    to its name and x_hi, in edge record order.  The edge records and
+    interior vertex hosts carry fractions.
     """
 
     complex: TrapComplex
@@ -251,6 +256,7 @@ class SectionGraph:
     vertex_host: dict[str, tuple]
     vertex_return: dict[str, str]
     edge_records: dict[str, EdgeRecord]
+    stations: dict[tuple[str, int, int], tuple[str, int]]
     components: tuple[tuple[str, ...], ...]
     basepoint: Optional[str]
 
@@ -271,7 +277,8 @@ class _Level:
 
     Positions and heights are numerators over ``lattice``; ``offset`` is
     the phase's.  ``_FLOW_BUDGET`` caps the steps of one point flow
-    (``vertex_step``); the segment flow (``flow_segment``) makes none.
+    (``vertex_step``); the segment flow (``flow_segment``) makes none, and
+    cuts each (trapezoid, height) it meets once, across the whole top.
     """
 
     complex: TrapComplex
@@ -283,6 +290,7 @@ class _Level:
     def __post_init__(self):
         self.offset = self.phase.numerator * self.lattice \
             // self.phase.denominator
+        self._runs: dict[tuple[str, int], tuple[list[int], list]] = {}
 
     def level_of(self, y: int) -> Optional[int]:
         """The level whose height is ``y``, or None between levels."""
@@ -410,7 +418,7 @@ class _Level:
         level = self.level_of(target)
         if level is None:
             raise InvariantViolation("segment landing is off the phase grid")
-        runs = self.charts[trap].runs(target, x_lo, x_hi)
+        runs = self.runs(trap, target, x_lo, x_hi)
         if orient < 0:
             runs.reverse()
         word: list[Word] = []
@@ -427,6 +435,24 @@ class _Level:
                                           max(pos_a, pos_b), lifted,
                                           orient * piece.sign, depth + 1))
         return "".join(word)
+
+    def runs(self, trap: str, y: int, lo: int, hi: int
+             ) -> list[tuple[int, int, Optional[TopGeom]]]:
+        """``charts[trap].runs(y, lo, hi)``, clipped from the runs of the
+        whole top at ``y``, which are cut on first use."""
+        table = self._runs.get((trap, y))
+        if table is None:
+            whole = self.charts[trap].runs(y, 0, self.lattice)
+            table = self._runs[trap, y] = ([a for a, _, _ in whole], whole)
+        starts, whole = table
+        i = bisect_right(starts, lo) - 1
+        _, b, piece = whole[i]
+        out = [(lo, min(b, hi), piece)]
+        for a, b, piece in islice(whole, i + 1, None):
+            if a >= hi:
+                break
+            out.append((a, min(b, hi), piece))
+        return out
 
     def _edges_along(self, starting_at: Mapping, trap: str, level: int,
                      x_lo: int, x_hi: int, orient: int) -> Word:
@@ -460,10 +486,6 @@ def _generic_phase(phase) -> Fraction:
         candidate = base + Fraction(1, 64 * 2 ** attempt)
         candidate -= int(candidate)
     raise DegeneratePhaseError(f"no generic phase found near {phase}")
-
-
-def _frac_token(x: Fraction) -> str:
-    return f"{x.numerator}of{x.denominator}"
 
 
 def build_section(complex_: TrapComplex, cocycle: Mapping,
@@ -540,30 +562,36 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
             queue.append(name)
         vertex_return[vertex] = interior_points[key]
 
-    fractions: dict[int, Fraction] = {}
-
-    def frac(x: int) -> Fraction:
-        if x not in fractions:
-            fractions[x] = Fraction(x, lattice)
-        return fractions[x]
+    # each position once: x / lattice and its token in edge names
+    at: dict[int, tuple[Fraction, str]] = {}
+    for x in {x for arc in arcs for x in arc[2:4]} | \
+            {key[2] for key in interior_points}:
+        g = gcd(x, lattice)
+        at[x] = (Fraction(x, lattice), f"{x // g}of{lattice // g}")
 
     by_arc: dict[tuple, list[tuple[int, str]]] = {}
-    placed: set[str] = set()
-    for key, name in interior_points.items():
-        trap, level, x = key
+    for (trap, level, x), name in interior_points.items():
         by_arc.setdefault((trap, level), []).append((x, name))
-        host[name] = ("interior", trap, level, frac(x))
+        host[name] = ("interior", trap, level, at[x][0])
+    for points in by_arc.values():
+        points.sort()
+    first = itemgetter(0)
+    placed: set[str] = set()
+    stations: dict[tuple[str, int, int], tuple[str, int]] = {}
     records: dict[str, EdgeRecord] = {}
     edges = []
     for trap, level, x_lo, x_hi, init, term in arcs:
-        inner = sorted(p for p in by_arc.get((trap, level), [])
-                       if x_lo < p[0] < x_hi)
+        points = by_arc.get((trap, level), [])
+        inner = points[bisect_right(points, x_lo, key=first):
+                       bisect_left(points, x_hi, key=first)]
         placed.update(name for _, name in inner)
-        stations = [(x_lo, init)] + inner + [(x_hi, term)]
-        for (xa, va), (xb, vb) in zip(stations, stations[1:]):
-            name = f"{trap}.{level}.{_frac_token(frac(xa))}"
-            records[name] = EdgeRecord(name, trap, level, frac(xa),
-                                       frac(xb), va, vb)
+        stops = [(x_lo, init)] + inner + [(x_hi, term)]
+        for (xa, va), (xb, vb) in zip(stops, stops[1:]):
+            fa, token = at[xa]
+            name = f"{trap}.{level}.{token}"
+            stations[trap, level, xa] = (name, xb)
+            records[name] = EdgeRecord(name, trap, level, fa, at[xb][0],
+                                       va, vb)
             edges.append((name, va, vb))
     missing = set(interior_points.values()) - placed
     if missing:
@@ -575,7 +603,8 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
     basepoint = _crossing_name(min(crossed_skews), 1) if crossed_skews \
         else None
     return SectionGraph(complex_, z, phase, lattice, graph, charts, host,
-                        vertex_return, records, components(graph), basepoint)
+                        vertex_return, records, stations, components(graph),
+                        basepoint)
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +617,10 @@ def first_return(section: SectionGraph) -> GraphMap:
     grid = _Level(section.complex, section.charts, section.cocycle,
                   section.phase, lattice)
 
-    forward = encode([(name, 1) for name in section.edge_records])
-    starting_at = {
-        (rec.trap, rec.level, _on_lattice(rec.x_lo, lattice, rec.trap)):
-        (name, _on_lattice(rec.x_hi, lattice, rec.trap), ch)
-        for (name, rec), ch in zip(section.edge_records.items(), forward)}
+    stations = section.stations
+    forward = encode([(name, 1) for name, _ in stations.values()])
+    starting_at = {key: (name, x_hi, ch) for (key, (name, x_hi)), ch
+                   in zip(stations.items(), forward)}
     try:
         edge_images = {
             name: grid.flow_segment(starting_at, trap, x_lo, x_hi,
@@ -811,22 +839,20 @@ def section_audit(section: SectionGraph,
     graph = section.graph
     skew_crossings = sum(section.cocycle.get(s.name, 0)
                          for s in section.complex.skews)
-    valences: dict[int, int] = {}
-    for v in graph.vertices:
-        val = graph.valence(v)
-        valences[val] = valences.get(val, 0) + 1
+    degree = dict.fromkeys(graph.vertices, 0)
+    for _, init, term in graph.edges:
+        degree[init] += 1
+        degree[term] += 1
     illegal: Optional[int] = None
     if return_map is not None:
-        illegal = 0
-        for turn in illegal_turns(return_map):
-            base = graph.init_of(sorted(turn)[0])
-            if graph.valence(base) == 3:
-                illegal += 1
+        illegal = sum(degree[graph.init_of(min(turn))] == 3
+                      for turn in illegal_turns(return_map))
     n_edges = len(graph.edge_names)
     n_vertices = len(graph.vertices)
     rank = n_edges - n_vertices + len(section.components)
     return SectionAudit(n_vertices, n_edges, rank, len(section.components),
-                        skew_crossings, tuple(sorted(valences.items())),
+                        skew_crossings,
+                        tuple(sorted(Counter(degree.values()).items())),
                         illegal)
 
 

@@ -129,8 +129,9 @@ class TrapComplex:
 
     Every boundary read goes through :attr:`skeleton`, the one incidence
     record, built on first use and cached, so the cells must not change
-    after that.  ``validate`` checks a skeleton read afresh, and
-    ``skew_loop`` reads the skew ends, so both see the cells as they are.
+    after that.  ``validate`` drops the cached skeleton and checks the one
+    it reads afresh, and ``skew_loop`` reads the skew ends, so both see the
+    cells as they are.
     """
 
     folds: FoldSequence
@@ -409,8 +410,10 @@ def validate(complex_: TrapComplex) -> None:
                 f"vertical {v.name} borders only {side_count[v.name]} "
                 "trapezoid sides (dangling)")
 
-    # boundary of a boundary vanishes
-    skeleton = Skeleton.of(complex_)
+    # boundary of a boundary vanishes, on the cells as they are now: the
+    # skeleton read here is the one the complex keeps
+    vars(complex_).pop("skeleton", None)
+    skeleton = complex_.skeleton
     for trap, row in zip(complex_.trapezoids, skeleton.rows):
         acc = [0] * len(complex_.zero_cells)
         for e, coef in row:

@@ -59,8 +59,17 @@ def format_turn(turn: Turn) -> str:
 
 
 def direction_map(f: GraphMap) -> dict[Letter, Letter]:
-    """The derivative: each direction to the first direction of its image."""
-    return {d: f.direction_image(d) for d in f.domain.all_directions()}
+    """The derivative: each direction to the first direction of its image,
+    read off the first and last letter of each edge image; directions in
+    edge name order, forward first."""
+    dmap = {}
+    for name in sorted(f.domain.edge_names):
+        img = f.edge_images[name]
+        if not img:
+            raise InvariantViolation(f"edge {name!r} has empty image")
+        dmap[name, 1] = letter_of(img[0])
+        dmap[name, -1] = inverse_letter(letter_of(img[-1]))
+    return dmap
 
 
 def _stable_images(f: GraphMap) -> dict[Letter, Letter]:
@@ -79,6 +88,8 @@ def _stable_images(f: GraphMap) -> dict[Letter, Letter]:
     stable: dict[Letter, Letter] = {}
     cycle_prev: dict[Letter, Letter] = {}
     for start in dmap:
+        if start in stable:
+            continue
         path: list[Letter] = []
         on_path: dict[Letter, int] = {}
         d = start
@@ -110,18 +121,19 @@ def periodic_directions(f: GraphMap) -> frozenset[Letter]:
 def illegal_turns(f: GraphMap) -> tuple[Turn, ...]:
     """Turns whose two directions are eventually identified by the direction map.
 
-    At each vertex the directions are grouped by their stabilized image,
-    and the illegal turns are the pairs inside a group.
+    The directions are grouped by their initial vertex and stabilized
+    image, and the illegal turns are the pairs inside a group.
     """
     stable = _stable_images(f)
-    out = []
-    for v in f.domain.vertices:
-        groups: dict[Letter, list[Letter]] = {}
-        for d in f.domain.directions(v):
-            groups.setdefault(stable[d], []).append(d)
-        for group in groups.values():
-            out.extend(make_turn(d1, d2) for d1, d2 in combinations(group, 2))
-    return tuple(sorted(out, key=turn_sort_key))
+    groups: dict[tuple[str, Letter], list[Letter]] = {}
+    for name, init, term in f.domain.edges:
+        d = (name, 1)
+        groups.setdefault((init, stable[d]), []).append(d)
+        d = (name, -1)
+        groups.setdefault((term, stable[d]), []).append(d)
+    return tuple(sorted((make_turn(d1, d2) for group in groups.values()
+                         for d1, d2 in combinations(group, 2)),
+                        key=turn_sort_key))
 
 
 def crossed_turns_of_path(word: Word) -> list[tuple[int, Turn]]:
@@ -183,9 +195,9 @@ def transition_matrix(f: GraphMap) -> TransitionMatrix:
     edges = tuple(sorted(f.domain.edge_names))
     column = _columns(edges)
     entries = tuple(
-        tuple(sorted(Counter(map(column.__getitem__, f.edge_images[e]))
-                     .items()))
-        for e in edges)
+        ((column[img], 1),) if len(img) == 1 else
+        tuple(sorted(Counter(map(column.__getitem__, img)).items()))
+        for img in map(f.edge_images.__getitem__, edges))
     return TransitionMatrix(edges, entries)
 
 
@@ -643,6 +655,17 @@ class _Invariants:
     def whitehead(self) -> WhiteheadData:
         return whitehead_data(self.f)
 
+    @cached_property
+    def index(self) -> Fraction:
+        return rotationless_index(self.whitehead)
+
+    @cached_property
+    def ideal_components(self) -> list[dict]:
+        """The ideal Whitehead components, formatted for a report."""
+        return [{"vertex": v, "nodes": [format_direction(d) for d in nodes],
+                 "edges": [format_turn(t) for t in edges]}
+                for v, nodes, edges in self.whitehead.components]
+
     def lone_axis(self, assume_ageometric: bool,
                   assume_fully_irreducible: bool) -> Verdict:
         tt, witness = self.train_track
@@ -675,28 +698,21 @@ class _Invariants:
             f"no periodic Nielsen paths up to length {report.max_len}, "
             f"period {report.max_period} (searched)")
 
-        wd = self.whitehead
-        index = rotationless_index(wd)
+        index = self.index
         n = graph_rank(self.f.domain)
         data["index"] = str(index)
         data["rank"] = n
-        data["ideal_components"] = _ideal_components(wd)
+        data["ideal_components"] = self.ideal_components
         if index != Fraction(3, 2) - n:
             return Verdict("no", f"index {index} differs from 3/2 - rank = "
                            f"{Fraction(3, 2) - n}", tuple(assumptions), data)
-        for v, nodes, edges in wd.components:
+        for v, nodes, edges in self.whitehead.components:
             if _has_cut_vertex(nodes, edges):
                 return Verdict("no",
                                f"ideal component at vertex {v} has a cut vertex",
                                tuple(assumptions), data)
         return Verdict("yes", "index equals 3/2 - rank and no ideal component "
                        "has a cut vertex", tuple(assumptions), data)
-
-
-def _ideal_components(wd: WhiteheadData) -> list[dict]:
-    return [{"vertex": v, "nodes": [format_direction(d) for d in nodes],
-             "edges": [format_turn(t) for t in edges]}
-            for v, nodes, edges in wd.components]
 
 
 def lone_axis_check(f: GraphMap, *, assume_ageometric: bool = False,
@@ -742,9 +758,8 @@ def traintrack_report(f: GraphMap, *, assume_ageometric: bool = False,
             "max_period": ns.max_period,
         }
         if ns.none_up_to_bounds:
-            wd = inv.whitehead
-            report["ideal_components"] = _ideal_components(wd)
-            report["rotationless_index"] = str(rotationless_index(wd))
+            report["ideal_components"] = inv.ideal_components
+            report["rotationless_index"] = str(inv.index)
     verdict = inv.lone_axis(assume_ageometric, assume_fully_irreducible)
     report["lone_axis"] = {
         "verdict": verdict.verdict,

@@ -28,6 +28,8 @@ from freebycyclic.traintrack import (EigenMetric, Turn, WhiteheadData,
                                      make_turn, taken_turns, turn_sort_key)
 from freebycyclic.words import Letter, Word, encode, inverse_letter, letters
 
+from helpers import all_directions
+
 # enumeration_search stops after the candidate cap or at the found cap
 _CANDIDATE_CAP = 200_000
 _FOUND_CAP = 500
@@ -285,7 +287,7 @@ def enumeration_search(f: GraphMap, max_len: int, max_period: int
     found: list[tuple[Word, int]] = []
     examined = 0
     stack: list[tuple[Letter, ...]] = [ (d,) for d in
-                          sorted(graph.all_directions(), key=lambda x: (x[0], -x[1])) ]
+                          sorted(all_directions(graph), key=lambda x: (x[0], -x[1])) ]
     stack.reverse()
     truncated = False
     while stack:

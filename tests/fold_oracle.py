@@ -21,6 +21,8 @@ from freebycyclic.graphs import (Graph, GraphMap, Subdivision, compose,
                                  subdivide_at_preimages)
 from freebycyclic.words import Letter, char, letter_of
 
+from helpers import all_directions
+
 
 @dataclass
 class OracleSequence:
@@ -62,7 +64,7 @@ def offset_candidates(stage: Stage) -> list[Candidate]:
     """Label-equal directions lined up head to tail (d1 ends where d2 starts)."""
     graph = stage.graph
     out: list[Candidate] = []
-    dirs = sorted(graph.all_directions(), key=_letter_key)
+    dirs = sorted(all_directions(graph), key=_letter_key)
     for d1 in dirs:
         for d2 in dirs:
             if d1[0] == d2[0]:

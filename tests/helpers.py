@@ -17,7 +17,8 @@ from freebycyclic.bns import TwoGenPresentation
 from freebycyclic.corpus import random_expanding_map
 from freebycyclic.errors import InvariantViolation
 from freebycyclic.graphs import Graph, GraphMap, MapFile
-from freebycyclic.words import FreeGroupMap, Letter, Word, encode, format_word
+from freebycyclic.words import (FreeGroupMap, Letter, Word, encode, format_word,
+                                letter_of)
 
 
 def as_dict(fmap: FreeGroupMap) -> dict[str, str]:
@@ -35,6 +36,26 @@ def identity_graph_map(graph: Graph) -> GraphMap:
     """The identity self-map of ``graph``."""
     return GraphMap(graph, graph, {v: v for v in graph.vertices},
                     {name: encode(((name, 1),)) for name in graph.edge_names})
+
+
+def all_directions(graph: Graph) -> tuple[Letter, ...]:
+    """Every direction of ``graph``, sorted by (edge name, forward first)."""
+    return tuple(sorted(((name, sign) for name, _, _ in graph.edges
+                         for sign in (1, -1)),
+                        key=lambda lt: (lt[0], -lt[1])))
+
+
+def direction_image(f: GraphMap, lt: Letter) -> Letter:
+    """First letter of the image of the direction ``lt`` (image must be
+    nonempty)."""
+    name, sign = lt
+    img = f.edge_images[name]
+    if not img:
+        raise InvariantViolation(f"edge {name!r} has empty image")
+    if sign > 0:
+        return letter_of(img[0])
+    name, sign = letter_of(img[-1])
+    return (name, -sign)
 
 
 def same_images(f: FreeGroupMap, g: FreeGroupMap) -> bool:

@@ -129,6 +129,20 @@ def test_skew_loop_class_is_r_minus_b(bundled):
     assert coords == (-1, 1)
 
 
+def test_cycle_coordinates_decide_over_q_on_a_fraction_remainder(bundled):
+    # half the skew loop leaves the remainder (loop + B - R) / 2, a rational
+    # boundary; against the basis (B, B) the remainder is half the loop,
+    # which bounds nothing
+    _, torus, b_star, r_star = bundled
+    half = co.dict_scale(Fraction(1, 2), skew_loop(torus))
+    assert co.cycle_coordinates(torus, half, [CYCLE_B, CYCLE_R],
+                                [b_star, r_star]) == (Fraction(-1, 2),
+                                                      Fraction(1, 2))
+    with pytest.raises(InvariantViolation, match="modulo boundaries"):
+        co.cycle_coordinates(torus, half, [CYCLE_B, CYCLE_B],
+                             [b_star, r_star])
+
+
 def test_line_classes_cross_the_skew_loop_once(bundled):
     _, torus, b_star, r_star = bundled
     loop = skew_loop(torus)

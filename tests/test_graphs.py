@@ -13,8 +13,8 @@ from freebycyclic.errors import (DisconnectedGraphError, InputParseError,
 from freebycyclic.words import FreeGroupMap, encode, letters
 
 from conftest import EXAMPLES
-from helpers import (format_map_file, identity_graph_map, identity_map,
-                     random_path, same_images)
+from helpers import (direction_image, format_map_file, identity_graph_map,
+                     identity_map, random_path, same_images)
 import dense_oracle
 
 ROSE2 = G.Graph.rose(("a", "b"))
@@ -54,8 +54,8 @@ def test_rank_and_disconnected():
 def test_directions(bundled):
     g = bundled.graph
     assert g.directions("blue") == (("b", -1), ("c", 1), ("c", -1), ("d", 1))
-    assert g.valence("blue") == 4
-    assert g.valence("red") == 3
+    assert len(g.directions("blue")) == 4
+    assert len(g.directions("red")) == 3
 
 
 def test_check_path(bundled):
@@ -81,9 +81,9 @@ def test_map_validation(bundled):
 
 def test_direction_image(bundled):
     f = bundled.gmap
-    assert f.direction_image(("a", 1)) == ("c", 1)
-    assert f.direction_image(("a", -1)) == ("e", -1)
-    assert f.direction_image(("e", 1)) == ("d", -1)
+    assert direction_image(f, ("a", 1)) == ("c", 1)
+    assert direction_image(f, ("a", -1)) == ("e", -1)
+    assert direction_image(f, ("e", 1)) == ("d", -1)
 
 
 # -- composition (no tightening) --------------------------------------------
@@ -147,6 +147,23 @@ def test_components_match_the_union_find_oracle(graph):
     found = G.components(graph)
     assert found == dense_oracle.components(graph)
     assert graph.is_connected() == (len(found) <= 1)
+
+
+def _reachable_components(graph):
+    """Components as the vertex sets each vertex reaches through its
+    directions."""
+    return tuple(sorted({tuple(sorted(G.reachable((v,), graph._neighbours)))
+                         for v in graph.vertices}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+@example(G.Graph(("p", "q", "r", "s"),
+                 (("l", "p", "p"), ("m1", "p", "q"), ("m2", "q", "p"),
+                  ("m3", "p", "q"), ("k", "s", "s"))))
+def test_components_match_the_reachable_oracle(graph):
+    # loops, parallel edges and isolated vertices (r above) included
+    assert G.components(graph) == _reachable_components(graph)
 
 
 # -- spanning trees ----------------------------------------------------------

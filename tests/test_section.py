@@ -801,3 +801,62 @@ def test_line_sections_match_the_fraction_oracle(torus, k):
     ls = line_section(torus, k)
     assert _record(ls.section, ls.return_map) == _route(
         oracle, torus, line_family_cocycle(torus, k), F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# integer stations and the per-level run tables of the segment flow
+
+
+@pytest.fixture(scope="module")
+def route_sections(torus, deep_section):
+    """The sections of the golden-route classes and phases that build, and
+    the B+14R section."""
+    sections = []
+    for phase in (F(1, 2), F(1, 3), F(9, 16)):
+        for cb in range(-3, 4):
+            for cr in range(1, 6):
+                try:
+                    z = integral_cocycle(torus, family_like((cb, cr)))
+                    sections.append(build_section(torus, z, phase))
+                except FreeByCyclicError:
+                    continue
+    return sections + [deep_section[1]]
+
+
+def test_stations_are_the_edge_records_on_the_lattice(route_sections):
+    assert len(route_sections) == 97
+    for sec in route_sections:
+        assert [name for name, _ in sec.stations.values()] \
+            == list(sec.edge_records)
+        for (trap, level, x_lo), (name, x_hi) in sec.stations.items():
+            rec = sec.edge_records[name]
+            assert (rec.trap, rec.level, rec.x_lo, rec.x_hi) == (
+                trap, level, F(x_lo, sec.lattice), F(x_hi, sec.lattice))
+
+
+def test_run_tables_clip_to_the_chart_runs(route_sections):
+    # every edge interval, cut where its flow target level meets the top
+    for sec in route_sections:
+        grid = sect._Level(sec.complex, sec.charts, sec.cocycle, sec.phase,
+                           sec.lattice)
+        for (trap, level, x_lo), (_, x_hi) in sec.stations.items():
+            y = grid.offset + (level + 1) * sec.lattice
+            assert grid.runs(trap, y, x_lo, x_hi) \
+                == sec.charts[trap].runs(y, x_lo, x_hi)
+
+
+def test_first_return_cuts_each_level_of_a_trapezoid_once(deep_section,
+                                                          monkeypatch):
+    _z, sec, ret = deep_section
+    cut = []
+    runs = sect.HeightChart.runs
+
+    def counting(chart, y, lo, hi):
+        cut.append((chart.trap, y))
+        return runs(chart, y, lo, hi)
+
+    monkeypatch.setattr(sect.HeightChart, "runs", counting)
+    assert first_return(sec).edge_images == ret.edge_images
+    # 1,243 edges flow through 85 (trapezoid, level) pairs
+    assert len(cut) == len(set(cut)) == 85
+    assert len(sec.stations) == 1243

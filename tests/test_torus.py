@@ -8,7 +8,7 @@ from freebycyclic.errors import (InvariantViolation, NotACycleError,
                                  NotIrreducibleError)
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap
-from freebycyclic.torus import build_torus, skew_loop, validate
+from freebycyclic.torus import Skeleton, build_torus, skew_loop, validate
 from freebycyclic.graphs import load_map_file
 
 import os
@@ -239,6 +239,21 @@ def test_validate_catches_missing_top_piece(bundled_torus):
     # only the 0-cells that did not cancel, in 0-cell order
     assert "boundary of trap3 is not a cycle: {'c@1.1': -1, 'a@3.2': 1}" \
         in str(err.value)
+
+
+def test_a_torus_builds_one_skeleton(monkeypatch):
+    # validate checks the skeleton the complex then keeps for every read
+    built = []
+    of = Skeleton.of.__func__
+
+    def counting(cls, complex_):
+        built.append(complex_)
+        return of(cls, complex_)
+
+    monkeypatch.setattr(Skeleton, "of", classmethod(counting))
+    torus = build_torus(decompose(rose_map({"a": "ab", "b": "a"})))
+    assert torus.one_cell_names == ("up:v.0", "skew1")
+    assert built == [torus]
 
 
 def test_validate_catches_dangling_vertical():

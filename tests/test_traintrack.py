@@ -35,7 +35,7 @@ from freebycyclic.words import encode, letters
 
 import dense_oracle
 from conftest import EXAMPLES
-from helpers import identity_graph_map
+from helpers import all_directions, direction_image, identity_graph_map
 
 
 def L(s):
@@ -510,6 +510,43 @@ def test_traintrack_report_computes_each_invariant_once(fmap, monkeypatch):
     metric = eigen_metric(fmap)
     assert (report["stretch"], report["lengths"]) == (metric.stretch,
                                                       metric.lengths)
+
+
+@pytest.mark.parametrize("k", [None, 0, 3, 7])
+def test_report_and_verdict_read_the_same_ideal_components(fmap, monkeypatch,
+                                                           k):
+    # the bundled map and line-family return maps: the ideal components are
+    # formatted once per report and the rotationless index is summed once
+    f = fmap if k is None else line_section(build_torus(decompose(fmap)),
+                                            k).table
+    flags = dict(assume_ageometric=True, assume_fully_irreducible=True)
+    verdict = lone_axis_check(f, **flags)
+    assert verdict.verdict == "yes"
+    calls = []
+    index = traintrack.rotationless_index
+    monkeypatch.setattr(traintrack, "rotationless_index",
+                        lambda wd: calls.append(wd) or index(wd))
+    report = traintrack_report(f, **flags)
+    assert report["ideal_components"] == verdict.data["ideal_components"]
+    assert report["rotationless_index"] == verdict.data["index"]
+    assert len(calls) == 1
+
+
+def test_direction_map_reads_each_image_end(fmap):
+    # the derivative read off the first and last letter of each image is
+    # the per-direction reading, in the sorted order of the directions
+    torus = build_torus(decompose(fmap))
+    maps = [fmap] + [line_section(torus, k).table for k in range(8)]
+    maps += corpus(200, seed=20260823)
+    for f in maps:
+        assert list(direction_map(f).items()) == [
+            (d, direction_image(f, d)) for d in all_directions(f.domain)]
+
+
+def test_direction_map_refuses_an_empty_image():
+    f = rose_map({"a": "ab", "b": ""})
+    with pytest.raises(InvariantViolation, match="edge 'b' has empty image"):
+        direction_map(f)
 
 
 @pytest.mark.parametrize("reader, unread", [
