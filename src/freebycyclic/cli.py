@@ -46,8 +46,7 @@ from typing import Optional, Sequence
 from . import bns
 from . import cohomology as co
 from . import section as sect
-from .errors import (ConeInfeasibleError, FreeByCyclicError, InputParseError,
-                     InvariantViolation)
+from .errors import FreeByCyclicError, InputParseError, InvariantViolation
 from .folding import decompose
 from .graphs import MapFile, load_map_file, map_to_automorphism
 from .torus import TrapComplex, build_torus, skew_loop
@@ -292,13 +291,8 @@ def cmd_survey(cfg: RunConfig) -> int:
             if (cb, cr) == (0, 0) or not comp.contains((cb, cr)):
                 continue
             divisor = math.gcd(abs(cb), abs(cr))
-            cls = _class_of(ws, (cb, cr))
-            z = co.integral_cocycle(ws.complex_, cls)
-            try:
-                co.cone_membership(ws.complex_, cls)
-                in_cone = True
-            except ConeInfeasibleError:
-                in_cone = False
+            z = co.integral_cocycle(ws.complex_, _class_of(ws, (cb, cr)))
+            in_cone = co.zero_cycle(ws.complex_, z) is None
             bound = co.axis_dim_lower_bound(ws.complex_, z)
             on_line = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1)
             rows.append({

@@ -19,7 +19,9 @@ value the potential moved, and in error texts.  The module provides:
   or a certifying nonnegative cycle that pairs nonpositively with it;
 * :func:`integral_cocycle` — the lexicographically least integral
   representative bounded below cellwise, found by shortest paths on the
-  1-skeleton;
+  1-skeleton contracted along the cells already fixed;
+* :func:`zero_cycle` — a directed cycle on which a nonnegative cocycle
+  vanishes, or None when its class lies in the open positive cone;
 * :func:`fiber_cocycle` / :func:`line_family_cocycle` — crossing data of
   the level circle near height zero and of its spun relatives;
 * :func:`discreteness_cone` — an integer scale certifying a neighbourhood
@@ -280,6 +282,10 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
 # witnesses and the least values stay ints too; they turn into Fractions
 # only where they leave this section: one per 0-cell for a cone potential,
 # one per 1-cell whose witness value moved, and in error texts.
+#
+# Fixing a cell's value ties φ(start) − φ(end).  Tied 0-cells share a root
+# and keep φ as an offset from it; the arcs left join distinct roots, their
+# weights shifted by offset(tail) − offset(head).
 
 Arc = tuple[int, int, int]  # (tail, head, scaled weight) on 0-cell indices
 
@@ -440,11 +446,12 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
     Cell values are minimized one at a time in the 1-cell order subject to
     every value staying at least ``minimum``, each minimum being fixed
     before the next cell is considered.  In the constraint digraph the
-    least value on ``e`` is ``z(e) − dist(end → start)``, and fixing it adds
-    the arcs ``end → start`` of weight ``dist`` and ``start → end`` of
-    weight ``−dist``.  The digraph carries the integer weights
-    ``L·(z(e) − minimum)`` for ``L`` the common denominator of ``z``, so
-    ``dist`` is read as ``d / L`` for an integer distance ``d``.
+    least value on ``e`` is ``z(e) − dist(end → start)``, and fixing it ties
+    ``end`` to ``start``: it is read off their offsets when they are tied
+    already, else solved on the digraph contracted to the roots, which
+    then merge, so at most n₀ − 1 solves run.  The digraph carries the
+    integer weights ``L·(z(e) − minimum)`` for ``L`` the common denominator
+    of ``z``, so ``dist`` is read as ``d / L`` for an integer distance ``d``.
 
     Raises :class:`ConeInfeasibleError` when no representative clears the
     bound, carrying the cycle of 1-cells, each with coefficient 1, with
@@ -462,23 +469,78 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
             certificate={skeleton.one_cell_names[j]: 1
                          for j in _least_negative_cycle(n, arcs)})
 
+    root = list(range(n))
+    offset = [0] * n  # scaled potential of each 0-cell less its root's
     values: Chain = {}
     for e, value, (end, start) in zip(skeleton.one_cell_names, scaled,
                                       skeleton.ends):
-        dist = _distances(n, arcs, (end,))
-        if dist is None or dist[start] is None:
-            raise InvariantViolation(
-                f"value on {e!r} is unbounded below despite the cellwise bound")
-        low, rest = divmod(value - dist[start], scale)
+        tail, head = root[end], root[start]
+        if tail != head:
+            dist = _distances(n, [
+                (root[t], root[h], w + offset[t] - offset[h])
+                for t, h, w in arcs if root[t] != root[h]], (tail,))
+            if dist is None or dist[head] is None:
+                raise InvariantViolation(
+                    f"value on {e!r} is unbounded below despite the "
+                    f"cellwise bound")
+            for v in range(n):
+                if root[v] == head:
+                    root[v], offset[v] = tail, offset[v] + dist[head]
+        least = value - offset[start] + offset[end]
+        low, rest = divmod(least, scale)
         if rest:
             raise NonIntegralClassError(
                 f"least value on {e!r} is the fraction "
-                f"{Fraction(value - dist[start], scale)}; "
+                f"{Fraction(least, scale)}; "
                 f"the class has no integral representative of this shape")
-        arcs += [(end, start, dist[start]), (start, end, -dist[start])]
+        if low < minimum:
+            raise InvariantViolation(
+                f"least value {low} on {e!r} is below the bound {minimum}")
         if low:
             values[e] = low
     return values
+
+
+def zero_cycle(complex_: TrapComplex, z: Mapping) -> Optional[Chain]:
+    """A directed cycle of 1-cells, each with coefficient 1, on which the
+    cocycle ``z`` ≥ 0 vanishes, found by depth-first search; None exactly
+    when the class of ``z`` pairs positively with every directed cycle,
+    that is, lies in the open positive cone."""
+    skeleton = complex_.skeleton
+    names, values = skeleton.one_cell_names, skeleton.cochain(z)
+    leaving: list[list[tuple[int, int]]] = [[] for _ in complex_.zero_cells]
+    for j, (value, (end, start)) in enumerate(zip(values, skeleton.ends)):
+        if value < 0:
+            raise InvariantViolation(
+                f"value {value} on {names[j]!r} is negative; a zero cycle "
+                f"needs a cochain at least 0 on every 1-cell")
+        if not value:
+            leaving[start].append((j, end))
+    state = [0] * len(leaving)  # unseen, on the path, done
+    for first, out in enumerate(leaving):
+        if state[first]:
+            continue
+        state[first] = 1
+        path, taken = [(first, iter(out))], []
+        while path:
+            for j, head in path[-1][1]:
+                if state[head] == 1:
+                    arcs = taken[[v for v, _out in path].index(head):] + [j]
+                    cycle = {names[i]: 1 for i in arcs}
+                    if boundary(complex_, cycle) or sum(values[i]
+                                                        for i in arcs):
+                        raise InvariantViolation(
+                            "zero cycle failed verification")
+                    return cycle
+                if not state[head]:
+                    state[head] = 1
+                    path.append((head, iter(leaving[head])))
+                    taken.append(j)
+                    break
+            else:
+                state[path.pop()[0]] = 2
+                del taken[len(path) - 1:]
+    return None
 
 
 # ---------------------------------------------------------------------------

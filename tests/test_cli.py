@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from freebycyclic import cli
-from freebycyclic.errors import ConeInfeasibleError, InvariantViolation
+from freebycyclic.errors import InvariantViolation
 
 from conftest import EXAMPLES
 MAP = os.path.join(EXAMPLES, "phi_f3.map")
@@ -182,11 +182,10 @@ def test_survey_height_flag(capsys):
 
 def test_survey_reports_only_infeasibility_as_outside_the_cone(
         capsys, monkeypatch):
-    def infeasible(complex_, z):
-        raise ConeInfeasibleError("no positive representative",
-                                  certificate={"skew1": 1})
+    def on_a_zero_cycle(complex_, z):
+        return {"skew1": 1}
 
-    monkeypatch.setattr(cli.co, "cone_membership", infeasible)
+    monkeypatch.setattr(cli.co, "zero_cycle", on_a_zero_cycle)
     code, report = run_json(capsys, "survey", "--input", PRES,
                             "--height-max", "1")
     assert code == 0
@@ -195,14 +194,14 @@ def test_survey_reports_only_infeasibility_as_outside_the_cone(
 
 def test_survey_failed_verification_exits_65(capsys, monkeypatch):
     def broken(complex_, z):
-        raise InvariantViolation("positivity witness failed verification")
+        raise InvariantViolation("zero cycle failed verification")
 
-    monkeypatch.setattr(cli.co, "cone_membership", broken)
+    monkeypatch.setattr(cli.co, "zero_cycle", broken)
     code, out, err = run(capsys, "survey", "--input", PRES,
                          "--height-max", "1")
     assert code == 65
     assert out == ""
-    assert "positivity witness failed verification" in err
+    assert "zero cycle failed verification" in err
 
 
 # ---------------------------------------------------------------------------

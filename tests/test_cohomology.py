@@ -1,6 +1,7 @@
 """Homology, duality, cone, and perturbation tests on the bundled complexes."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -499,7 +500,7 @@ def test_integer_route_matches_the_fraction_oracle(bundled, corpus_tori):
     cases = [(torus, co.dict_sum(co.dict_scale(cb, b_star),
                                  co.dict_scale(cr, r_star)), minimum)
              for cb in range(-3, 4) for cr in range(-3, 4)
-             for minimum in (0, 1)]
+             for minimum in (-1, 0, 1, 2)]
     for other in corpus_tori.values():
         fiber = co.fiber_cocycle(other)
         duals = co.h1(other).duals
@@ -566,6 +567,100 @@ def test_constraint_digraph_has_integer_weights(bundled):
                                                      Fraction(1, 6), 6)
     with pytest.raises(InvariantViolation, match="fractional"):
         cocycle_oracle.constraint_digraph(torus, z, Fraction(0), 2)
+
+
+def test_integral_cocycle_solves_at_most_once_per_zero_cell(bundled,
+                                                           monkeypatch):
+    # one feasibility solve, then one per merge of two roots; solving once
+    # per 1-cell would take 11 on the bundled torus
+    _, torus, _, _ = bundled
+    first, second = co.h1(torus).duals
+    solve = co._distances
+    calls = []
+    monkeypatch.setattr(co, "_distances",
+                        lambda *args: calls.append(1) or solve(*args))
+    counts = set()
+    for cb in range(-4, 5):
+        for cr in range(-4, 5):
+            z = co.dict_sum(co.dict_scale(cb, first), co.dict_scale(cr, second))
+            for minimum in (0, 1):
+                calls.clear()
+                try:
+                    co.integral_cocycle(torus, z, minimum)
+                except (ConeInfeasibleError, NonIntegralClassError):
+                    pass
+                counts.add(len(calls))
+    assert len(torus.zero_cells) == 6
+    assert counts == {1, 6}
+
+
+def test_integral_cocycle_refuses_a_value_below_the_bound(bundled,
+                                                          monkeypatch):
+    # a shortest-path solve that reads every distance 100 too long
+    _, torus, _, r_star = bundled
+    solve = co._distances
+    monkeypatch.setattr(co, "_distances", lambda *args: [
+        d + 100 for d in solve(*args)])
+    with pytest.raises(InvariantViolation) as err:
+        co.integral_cocycle(torus, r_star)
+    assert str(err.value) == ("least value -100 on 'up:black.0' is below "
+                              "the bound 0")
+
+
+# ---------------------------------------------------------------------------
+# cone verdicts read off the least representative
+
+
+def zero_cycle_verdict(torus, z):
+    """None when the class of ``z`` has no representative >= 0, else
+    whether it is in the cone; ``zero_cycle`` on the least representative
+    and ``cone_membership`` must agree, and a reported cycle must be a
+    cycle of 1-cells on which the representative vanishes."""
+    try:
+        least = co.integral_cocycle(torus, z)
+    except ConeInfeasibleError:
+        return None
+    cycle = co.zero_cycle(torus, least)
+    try:
+        co.cone_membership(torus, z)
+        inside = True
+    except ConeInfeasibleError:
+        inside = False
+    assert (cycle is None) is inside
+    if cycle is not None:
+        assert set(cycle.values()) == {1}
+        assert not co.boundary(torus, cycle)
+        assert co.evaluate(torus, least, cycle) == 0
+    return inside
+
+
+def test_zero_cycle_decides_the_cone_on_the_bundled_grid(bundled):
+    _, torus, b_star, r_star = bundled
+    verdicts = [zero_cycle_verdict(torus, co.dict_sum(
+        co.dict_scale(cb, b_star), co.dict_scale(cr, r_star)))
+        for cb in range(-10, 11) for cr in range(-10, 11) if cb or cr]
+    assert (verdicts.count(True), verdicts.count(False)) == (155, 20)
+
+
+def test_zero_cycle_decides_the_cone_on_the_corpus_tori(corpus_tori):
+    verdicts = []
+    for torus in corpus_tori.values():
+        basis = (co.fiber_cocycle(torus), *co.h1(torus).duals)
+        for coefs in itertools.product(range(-2, 3), repeat=len(basis)):
+            if any(coefs):
+                verdicts.append(zero_cycle_verdict(torus, co.dict_sum(
+                    *map(co.dict_scale, coefs, basis))))
+    assert len(corpus_tori) == 45
+    assert (verdicts.count(True), verdicts.count(False)) == (450, 180)
+
+
+def test_zero_cycle_refuses_a_negative_value(bundled):
+    _, torus, b_star, _ = bundled
+    with pytest.raises(InvariantViolation) as err:
+        co.zero_cycle(torus, b_star)
+    assert str(err.value) == ("value -1 on 'up:blue.0' is negative; a zero "
+                              "cycle needs a cochain at least 0 on every "
+                              "1-cell")
 
 
 # ---------------------------------------------------------------------------
