@@ -237,12 +237,17 @@ def _class_of(ws: Workspace, coords: tuple[int, int]) -> dict:
                        co.dict_scale(coords[1], r_star))
 
 
-def _require_class(cfg: RunConfig) -> tuple[int, int]:
+def _require_class(cfg: RunConfig, ws: Workspace
+                   ) -> tuple[tuple[int, int], dict]:
+    """The ``--class`` coordinates and the least integral representative
+    at least 0 of that class; refuses a class outside the open cone."""
     if cfg.class_coords is None:
         raise InputParseError(f"{cfg.command} needs --class=CB,CR")
     if cfg.class_coords == (0, 0):
         raise InvariantViolation("the zero class has no section")
-    return cfg.class_coords
+    z = co.integral_cocycle(ws.complex_, _class_of(ws, cfg.class_coords))
+    co.require_open_cone(ws.complex_, z)
+    return cfg.class_coords, z
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +332,8 @@ def _audit_dict(audit: sect.SectionAudit) -> dict:
 
 
 def _disconnection_report(cfg: RunConfig, ws: Workspace,
-                          coords: tuple[int, int]) -> int:
+                          coords: tuple[int, int], z: dict) -> int:
     """A non-primitive class disconnects; report the pieces and fail."""
-    z = co.integral_cocycle(ws.complex_, _class_of(ws, coords))
     section = sect.build_section(ws.complex_, z, cfg.phase)
     payload = {
         "class": list(coords),
@@ -342,32 +346,32 @@ def _disconnection_report(cfg: RunConfig, ws: Workspace,
     return EXIT_INVARIANT
 
 
-def _build_for_class(cfg: RunConfig, ws: Workspace, coords: tuple[int, int]):
+def _build_for_class(cfg: RunConfig, ws: Workspace, coords: tuple[int, int],
+                     z: dict):
     """Section + first return for a primitive class, canonically when possible.
 
     Returns ``(line_section_or_None, section, return_map)``; the canonical
     route applies exactly when the class sits on the pairing-one line with
-    a nonnegative chain index and the phase is the table's 1/2 convention.
+    a nonnegative chain index and the phase is the table's 1/2 convention;
+    otherwise the section is the level set of ``z``.
     """
     cb, cr = coords
-    co.cone_membership(ws.complex_, _class_of(ws, coords))
     canonical = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1
                  and cr == cb + 1 and cb >= 0
                  and cfg.phase == Fraction(1, 2))
     if canonical:
         ls = sect.line_section(ws.complex_, cb)
         return ls, ls.section, ls.return_map
-    z = co.integral_cocycle(ws.complex_, _class_of(ws, coords))
     section = sect.build_section(ws.complex_, z, cfg.phase)
     return None, section, sect.first_return(section)
 
 
 def cmd_section(cfg: RunConfig) -> int:
     ws = load_workspace(cfg.input, with_classes=True)
-    coords = _require_class(cfg)
+    coords, z = _require_class(cfg, ws)
     if math.gcd(abs(coords[0]), abs(coords[1])) != 1:
-        return _disconnection_report(cfg, ws, coords)
-    ls, section, return_map = _build_for_class(cfg, ws, coords)
+        return _disconnection_report(cfg, ws, coords, z)
+    ls, section, return_map = _build_for_class(cfg, ws, coords, z)
     if cfg.format == "dot":
         _emit(cfg, sect.section_dot(section), "section.dot")
         return EXIT_YES
@@ -425,10 +429,10 @@ def _input_class_match(ws: Workspace, data: sect.MonodromyData
 
 def cmd_monodromy(cfg: RunConfig) -> int:
     ws = load_workspace(cfg.input, with_classes=True)
-    coords = _require_class(cfg)
+    coords, z = _require_class(cfg, ws)
     if math.gcd(abs(coords[0]), abs(coords[1])) != 1:
-        return _disconnection_report(cfg, ws, coords)
-    ls, section, return_map = _build_for_class(cfg, ws, coords)
+        return _disconnection_report(cfg, ws, coords, z)
+    ls, section, return_map = _build_for_class(cfg, ws, coords, z)
     data = ls.monodromy if ls is not None \
         else sect.monodromy(section, return_map)
     payload = {

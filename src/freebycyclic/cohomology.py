@@ -6,22 +6,21 @@ exact.  Every boundary read goes through the complex's cached
 :class:`~freebycyclic.torus.Skeleton`: chains and cochains are read
 through it, which refuses a cell the complex does not have, and the dense
 matrices the Smith factorisations need are built from its rows where they
-are used.  The cocycle check and the cone and cocycle solves scale a
-cochain to ints by its common denominator; weights, distances, witness
-values and least values stay ints.  They turn into Fractions only on
-exit: one per 0-cell for a cone potential, one per 1-cell whose witness
-value the potential moved, and in error texts.  The module provides:
+are used.  The cocycle check and the cocycle solve scale a cochain to ints
+by its common denominator; weights, distances and least values stay ints
+and turn into Fractions only in error texts.  The module provides:
 
 * :func:`h1` — rank, torsion, an integral cycle basis, and a dual cocycle
   basis of the first homology;
 * :func:`dual_basis` — cocycles dual to user-supplied cycles;
-* :func:`cone_membership` — a strictly positive representative of a class,
-  or a certifying nonnegative cycle that pairs nonpositively with it;
 * :func:`integral_cocycle` — the lexicographically least integral
   representative bounded below cellwise, found by shortest paths on the
-  1-skeleton contracted along the cells already fixed;
-* :func:`zero_cycle` — a directed cycle on which a nonnegative cocycle
-  vanishes, or None when its class lies in the open positive cone;
+  1-skeleton contracted along the cells already fixed, or a certifying
+  cycle on which no representative clears the bound;
+* :func:`zero_cycle` / :func:`require_open_cone` — a directed cycle on
+  which a nonnegative cocycle vanishes, or None when its class lies in the
+  open positive cone; every cone verdict of the package is read this way
+  off the least representative at least 0;
 * :func:`fiber_cocycle` / :func:`line_family_cocycle` — crossing data of
   the level circle near height zero and of its spun relatives;
 * :func:`discreteness_cone` — an integer scale certifying a neighbourhood
@@ -86,10 +85,10 @@ def boundary(complex_: TrapComplex, chain: Mapping) -> Chain:
     return {c.name: x for c, x in zip(complex_.zero_cells, out) if x != 0}
 
 
-def _scaled(values: Sequence, factor: int = 1) -> tuple[int, list[int]]:
-    """``(L, [L·v for v in values])`` for ``L`` = ``factor`` times the
-    common denominator of the values (ints or Fractions)."""
-    scale = factor * math.lcm(*(v.denominator for v in values))
+def _scaled(values: Sequence) -> tuple[int, list[int]]:
+    """``(L, [L·v for v in values])`` for ``L`` the common denominator of
+    the values (ints or Fractions)."""
+    scale = math.lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
@@ -106,12 +105,12 @@ def is_cocycle(complex_: TrapComplex, z: Mapping) -> bool:
     return _closed(skeleton, _scaled(skeleton.cochain(z))[1])
 
 
-def _scaled_cocycle(complex_: TrapComplex, z: Mapping, factor: int = 1
+def _scaled_cocycle(complex_: TrapComplex, z: Mapping
                     ) -> tuple[Skeleton, int, list[int]]:
     """The skeleton, the scale ``L`` of :func:`_scaled` and the ints
     ``L·z(e)`` in 1-cell order; raises unless ``z`` is a cocycle."""
     skeleton = complex_.skeleton
-    scale, scaled = _scaled(skeleton.cochain(z), factor)
+    scale, scaled = _scaled(skeleton.cochain(z))
     if not _closed(skeleton, scaled):
         raise InvariantViolation("cochain is not a cocycle")
     return skeleton, scale, scaled
@@ -278,10 +277,8 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
 # denominators of z and m, so the shortest-path code adds and compares only
 # ints.  Scaling by a positive constant keeps every comparison, so the
 # shortest distances are ``scale`` times the rational ones and the negative
-# cycles and their tie-break are unchanged.  The scaled values of z, the
-# witnesses and the least values stay ints too; they turn into Fractions
-# only where they leave this section: one per 0-cell for a cone potential,
-# one per 1-cell whose witness value moved, and in error texts.
+# cycles and their tie-break are unchanged.  The scaled values of z and the
+# least values stay ints too; they turn into Fractions only in error texts.
 #
 # Fixing a cell's value ties φ(start) − φ(end).  Tied 0-cells share a root
 # and keep φ as an offset from it; the arcs left join distinct roots, their
@@ -365,66 +362,7 @@ def _least_negative_cycle(n: int, arcs: Sequence[Arc]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# positive cone
-
-
-@dataclass
-class ConeWitness:
-    """A strictly positive cocycle representative and the shift reaching it.
-
-    ``values`` equals the queried cocycle plus the coboundary of
-    ``potential`` and is positive on every 1-cell.
-    """
-
-    values: Chain
-    potential: dict
-
-
-def cone_membership(complex_: TrapComplex, z: Mapping) -> ConeWitness:
-    """Strictly positive representative of the class of ``z``.
-
-    Strict bounds are the lexicographic arc weights ``(z(e), −1)``, realised
-    exactly as ``z(e) − δ`` with ``δ = 1/(L(n + 1))``: cycle pairings lie in
-    ``(1/L)Z`` for ``L`` the common denominator of ``z``, and a simple cycle
-    has at most ``n`` 1-cells for ``n`` 0-cells.  The shortest paths run on
-    the integer weights ``L(n + 1)·z(e) − 1``; a distance ``d`` is the
-    potential ``d / (L(n + 1))``, and the witness value on ``e`` is
-    ``z(e)`` where ``d(end) = d(start)`` and else the Fraction
-    ``(L(n + 1)·z(e) + d(end) − d(start)) / (L(n + 1))``.
-
-    Raises :class:`ConeInfeasibleError` carrying a certificate when no
-    representative is positive: the cycle of 1-cells, each with coefficient
-    1, whose pairing with the class is at most zero and which has the fewest
-    1-cells; ties go to the least ascending tuple of 1-cell indices in
-    ``one_cell_names`` order.
-    """
-    n = len(complex_.zero_cells)
-    skeleton, scale, scaled = _scaled_cocycle(complex_, z, n + 1)
-    arcs = _constraint_digraph(skeleton, scaled, 1)
-    dist = _distances(n, arcs, range(n))
-    if dist is not None:
-        values: Chain = {}
-        for e, value, (end, start) in zip(skeleton.one_cell_names, scaled,
-                                          skeleton.ends):
-            moved = dist[end] - dist[start]
-            if value + moved <= 0:
-                raise InvariantViolation(
-                    "positivity witness failed verification")
-            values[e] = Fraction(value + moved, scale) if moved else z[e]
-        potential = {c.name: Fraction(d, scale)
-                     for c, d in zip(complex_.zero_cells, dist)}
-        return ConeWitness(values, potential)
-    certificate: Chain = {skeleton.one_cell_names[j]: 1
-                          for j in _least_negative_cycle(n, arcs)}
-    bad = boundary(complex_, certificate)
-    pairing = sum(Fraction(z.get(e, 0)) * lam
-                  for e, lam in certificate.items())
-    if bad or pairing > 0:
-        raise InvariantViolation("infeasibility certificate failed verification")
-    raise ConeInfeasibleError(
-        f"class has no positive representative; the nonnegative cycle "
-        f"{certificate!r} pairs to {pairing} with it",
-        certificate=certificate)
+# least representatives and the positive cone
 
 
 def dict_sum(*chains: Mapping) -> Chain:
@@ -457,17 +395,24 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
     bound, carrying the cycle of 1-cells, each with coefficient 1, with
     ``sum(z(e) − minimum) < 0`` that has the fewest 1-cells; ties go to
     the least ascending tuple of 1-cell indices in ``one_cell_names``
-    order.  Raises :class:`NonIntegralClassError` when a minimized value is
+    order; it is checked for zero boundary and a negative sum first.
+    Raises :class:`NonIntegralClassError` when a minimized value is
     fractional — the result is never rounded.
     """
     skeleton, scale, scaled = _scaled_cocycle(complex_, z)
     n = len(complex_.zero_cells)
     arcs = _constraint_digraph(skeleton, scaled, scale * minimum)
     if _distances(n, arcs, range(n)) is None:
+        certificate: Chain = {skeleton.one_cell_names[j]: 1
+                              for j in _least_negative_cycle(n, arcs)}
+        total = sum(Fraction(z.get(e, 0)) - minimum for e in certificate)
+        if boundary(complex_, certificate) or total >= 0:
+            raise InvariantViolation(
+                "infeasibility certificate failed verification")
         raise ConeInfeasibleError(
-            f"no representative is at least {minimum} on every 1-cell",
-            certificate={skeleton.one_cell_names[j]: 1
-                         for j in _least_negative_cycle(n, arcs)})
+            f"no representative is at least {minimum} on every 1-cell: "
+            f"Σ(z(e) − {minimum}) over the cycle {certificate!r} is {total}",
+            certificate=certificate)
 
     root = list(range(n))
     offset = [0] * n  # scaled potential of each 0-cell less its root's
@@ -541,6 +486,17 @@ def zero_cycle(complex_: TrapComplex, z: Mapping) -> Optional[Chain]:
                 state[path.pop()[0]] = 2
                 del taken[len(path) - 1:]
     return None
+
+
+def require_open_cone(complex_: TrapComplex, z: Mapping) -> None:
+    """Raise :class:`ConeInfeasibleError` carrying the :func:`zero_cycle`
+    of the cocycle ``z`` ≥ 0 when it has one: the class of ``z`` then lies
+    outside the open positive cone."""
+    cycle = zero_cycle(complex_, z)
+    if cycle is not None:
+        raise ConeInfeasibleError(
+            f"class is outside the open positive cone: it pairs to 0 with "
+            f"the directed cycle {cycle!r}", certificate=cycle)
 
 
 # ---------------------------------------------------------------------------

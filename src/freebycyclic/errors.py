@@ -49,7 +49,8 @@ class NonIntegralClassError(InvariantViolation):
 
 
 class ConeInfeasibleError(InvariantViolation):
-    """A class lies outside the closed positive cone; carries a certificate."""
+    """A class lies outside the open positive cone, or no representative
+    clears a cellwise bound; carries a certifying cycle of 1-cells."""
 
     def __init__(self, message: str, certificate=None):
         super().__init__(message)

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import cone_membership, is_cocycle, line_family_cocycle
+from .cohomology import is_cocycle, line_family_cocycle, require_open_cone
 from .errors import (
     ConeInfeasibleError,
     DegeneratePhaseError,
@@ -627,9 +627,9 @@ def first_return(section: SectionGraph) -> GraphMap:
                                     grid.offset + (level + 1) * lattice, 1)
             for (trap, level, x_lo), (name, x_hi, _) in starting_at.items()}
     except IterationBudgetError as exc:
-        # a class outside the open cone is the likely cause: say so
+        # a zero cycle is the likely cause: say so
         try:
-            cone_membership(section.complex, section.cocycle)
+            require_open_cone(section.complex, section.cocycle)
         except ConeInfeasibleError as outside:
             raise outside from exc
         raise IterationBudgetError(

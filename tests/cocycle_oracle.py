@@ -1,27 +1,42 @@
 """The Fraction route of the cone and cocycle solves: the reference oracle.
 
-The package runs ``cone_membership`` and ``integral_cocycle`` on integers
-over the cached skeleton of a complex and turns values into Fractions only
-on exit.  This module keeps the code that route replaced: it reads the
-boundary maps from the cells itself (``boundary_one`` and
+The package runs ``integral_cocycle`` on integers over the cached skeleton
+of a complex and reads every cone verdict off the least representative
+with ``zero_cycle``.  This module keeps the code that route replaced: it
+reads the boundary maps from the cells itself (``boundary_one`` and
 ``boundary_two``, as sparse dicts keyed by cell name) for every cocycle
 check, so it does not share the skeleton it checks; it builds its
-constraint weights and witness as Fractions and checks each least value as
-a Fraction.  Both routes share the shortest-path kernels ``_distances``
-and ``_least_negative_cycle``, so the tests compare everything around
-them.  ``coboundary`` is the witness check: a cone witness is the queried
+constraint weights as Fractions and checks each least value as a
+Fraction.  ``cone_membership`` decides the cone by a strictly positive
+witness instead, a :class:`ConeWitness` the tests check for positivity.
+Both routes share the shortest-path kernels ``_distances`` and
+``_least_negative_cycle``, so the tests compare everything around them.
+``coboundary`` is the witness check: a cone witness is the queried
 cocycle plus the coboundary of its potential.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 import freebycyclic.cohomology as co
 from freebycyclic.errors import (ConeInfeasibleError, InvariantViolation,
                                  NonIntegralClassError)
+
+
+@dataclass
+class ConeWitness:
+    """A strictly positive cocycle representative and the shift reaching it.
+
+    ``values`` equals the queried cocycle plus the coboundary of
+    ``potential`` and is positive on every 1-cell.
+    """
+
+    values: dict
+    potential: dict
 
 
 def boundary_one(complex_) -> dict[str, dict[str, int]]:
@@ -92,7 +107,7 @@ def constraint_digraph(complex_, z: Mapping, bound: Fraction,
     return arcs
 
 
-def cone_membership(complex_, z: Mapping) -> co.ConeWitness:
+def cone_membership(complex_, z: Mapping) -> ConeWitness:
     """Strictly positive representative of the class of ``z``."""
     if not is_cocycle(complex_, z):
         raise InvariantViolation("cochain is not a cocycle")
@@ -108,7 +123,7 @@ def cone_membership(complex_, z: Mapping) -> co.ConeWitness:
         if any(val <= 0 for val in witness.values()) \
                 or len(witness) != len(arcs):
             raise InvariantViolation("positivity witness failed verification")
-        return co.ConeWitness(witness, potential)
+        return ConeWitness(witness, potential)
     certificate = {complex_.one_cell_names[j]: 1
                    for j in co._least_negative_cycle(n, arcs)}
     bad = co.boundary(complex_, certificate)
@@ -130,10 +145,16 @@ def integral_cocycle(complex_, z: Mapping, minimum: int = 0) -> dict:
     scale = math.lcm(*(Fraction(v).denominator for v in z.values()))
     arcs = constraint_digraph(complex_, z, Fraction(minimum), scale)
     if co._distances(n, arcs, range(n)) is None:
+        certificate = {complex_.one_cell_names[j]: 1
+                       for j in co._least_negative_cycle(n, arcs)}
+        total = sum(Fraction(z.get(e, 0)) - minimum for e in certificate)
+        if co.boundary(complex_, certificate) or total >= 0:
+            raise InvariantViolation(
+                "infeasibility certificate failed verification")
         raise ConeInfeasibleError(
-            f"no representative is at least {minimum} on every 1-cell",
-            certificate={complex_.one_cell_names[j]: 1
-                         for j in co._least_negative_cycle(n, arcs)})
+            f"no representative is at least {minimum} on every 1-cell: "
+            f"Σ(z(e) − {minimum}) over the cycle {certificate!r} is {total}",
+            certificate=certificate)
 
     values: dict = {}
     for j, e in enumerate(complex_.one_cell_names):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import freebycyclic.cohomology as co
-from cocycle_oracle import boundary_one, coboundary
+from cocycle_oracle import ConeWitness, boundary_one, coboundary
 from freebycyclic.errors import (ConeInfeasibleError, InvariantViolation,
                                  NonIntegralClassError)
 
@@ -228,7 +228,7 @@ def _d1_columns(complex_) -> tuple[list, tuple, list]:
                                    for e in one_cells]
 
 
-def fm_cone_membership(complex_, z: Mapping) -> co.ConeWitness:
+def fm_cone_membership(complex_, z: Mapping) -> ConeWitness:
     """Strictly positive representative of the class of ``z``, by elimination.
 
     Raises :class:`ConeInfeasibleError` carrying Fourier–Motzkin's
@@ -241,8 +241,8 @@ def fm_cone_membership(complex_, z: Mapping) -> co.ConeWitness:
     status, payload = solve_inequalities(rows)
     if status == "feasible":
         potential = {v: payload[i] for i, v in enumerate(zero_cells)}
-        return co.ConeWitness(co.dict_sum(z, coboundary(complex_, potential)),
-                              potential)
+        return ConeWitness(co.dict_sum(z, coboundary(complex_, potential)),
+                           potential)
     certificate = {one_cells[idx]: lam
                    for idx, lam in payload.items() if lam != 0}
     raise ConeInfeasibleError("class has no positive representative",

@@ -2,20 +2,24 @@
 two readings of a free-group map, the identity maps of a free group and
 of a graph, the tuple-word oracles (free reduction, inversion and the
 substitution loop) that check the text kernel behind
-``FreeGroupMap.apply`` and ``GraphMap.iterate_tight``, and writers of the
-``.map`` and ``.2gen`` text formats for round-trip tests.
+``FreeGroupMap.apply`` and ``GraphMap.iterate_tight``, writers of the
+``.map`` and ``.2gen`` text formats for round-trip tests, and the
+package's cone verdict on a class with rational values.
 
 A tuple word is a tuple of ``(name, sign)`` letters, the package's word
 representation before words became text."""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+import freebycyclic.cohomology as co
 from freebycyclic.bns import TwoGenPresentation
 from freebycyclic.corpus import random_expanding_map
-from freebycyclic.errors import InvariantViolation
+from freebycyclic.errors import ConeInfeasibleError, InvariantViolation
 from freebycyclic.graphs import Graph, GraphMap, MapFile
 from freebycyclic.words import (FreeGroupMap, Letter, Word, encode, format_word,
                                 letter_of)
@@ -211,3 +215,23 @@ def format_presentation(pres: TwoGenPresentation) -> str:
                          for cell, coeff in pres.dualcycles[g].items())
         lines.append(f"dualcycle {g} {pairs}")
     return "\n".join(lines) + "\n"
+
+
+def open_cone_representative(complex_, z: Mapping) -> dict:
+    """The package's cone route on the class of ``z``: the least integral
+    representative at least 0 of that class scaled by the common
+    denominator of ``z``, refused by ``require_open_cone``.  Raises
+    :class:`ConeInfeasibleError` outside the open positive cone."""
+    scale = math.lcm(*(Fraction(v).denominator for v in z.values()))
+    least = co.integral_cocycle(complex_, co.dict_scale(scale, z))
+    co.require_open_cone(complex_, least)
+    return least
+
+
+def in_open_cone(complex_, z: Mapping) -> bool:
+    """Whether the class of ``z`` lies in the open positive cone."""
+    try:
+        open_cone_representative(complex_, z)
+    except ConeInfeasibleError:
+        return False
+    return True

@@ -31,10 +31,10 @@ from freebycyclic.words import FreeGroupMap, encode, format_word, letters, \
 
 import os
 
-from cocycle_oracle import coboundary
+from cocycle_oracle import coboundary, cone_membership
 from conftest import EXAMPLES
 from dense_oracle import matmul
-from helpers import random_path
+from helpers import in_open_cone, open_cone_representative, random_path
 MAP_PATH = os.path.join(EXAMPLES, "phi_f3.map")
 
 F = Fraction
@@ -115,12 +115,13 @@ def test_criterion_2_torus_and_cohomology():
                                 [b_star, r_star]) == (-1, 1)
     for t in (F(-1), F(-1, 2), F(0), F(1, 2), F(3, 4)):
         cls = co.dict_sum(co.dict_scale(t, b_star), r_star)
-        witness = co.cone_membership(torus, cls)
+        open_cone_representative(torus, cls)
+        witness = cone_membership(torus, cls)
         assert all(value > 0 for value in witness.values.values())
     for t in (F(1), F(2)):
         cls = co.dict_sum(co.dict_scale(t, b_star), r_star)
         with pytest.raises(ConeInfeasibleError) as caught:
-            co.cone_membership(torus, cls)
+            open_cone_representative(torus, cls)
         assert caught.value.certificate
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -143,11 +144,7 @@ def test_criterion_3_excluded_rays_and_sector(bundled):
         sector_says = comp.contains((t, 1))
         assert sector_says == (t < 1)
         cls = co.dict_sum(co.dict_scale(t, b_star), r_star)
-        try:
-            co.cone_membership(torus, cls)
-            lp_says = True
-        except ConeInfeasibleError:
-            lp_says = False
+        lp_says = in_open_cone(torus, cls)
         if lp_says != sector_says:
             disagreements.append(t)
     assert disagreements == []
@@ -219,8 +216,8 @@ def test_criterion_5_cone_inequalities_and_random_classes(bundled):
         chosen.append((cb, cr))
     for cb, cr in chosen:
         cls = combo(b_star, r_star, cb, cr)
-        co.cone_membership(torus, cls)
         z = co.integral_cocycle(torus, cls)
+        co.require_open_cone(torus, z)
         assert co.axis_dim_lower_bound(torus, z).lower_bound >= 1
         section = build_section(torus, z)
         audit = section_audit(section, first_return(section))

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, frozen reports, deterministic reruns."""
 
+import ast
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from freebycyclic import cli
+from freebycyclic import cohomology as co
 from freebycyclic.errors import InvariantViolation
 
 from conftest import EXAMPLES
@@ -396,6 +398,25 @@ def test_out_of_cone_class_exits_65(capsys):
     code, _out, err = run(capsys, "section", "--input", PRES, "--class=2,1")
     assert code == 65
     assert "invariant violated" in err
+    assert "{'up:blue.0': 1, 'skew3': 1, 'skew4': 1}" in err
+
+
+@pytest.mark.parametrize("command", ["section", "monodromy"])
+@pytest.mark.parametrize("coords,sign", [
+    ((-1, 0), 0), ((1, 1), 0), ((-2, 0), 0), ((2, 2), 0),
+    ((2, 1), -1), ((4, 2), -1)])
+def test_class_off_the_open_cone_is_refused(capsys, command, coords, sign):
+    # boundary rays and their multiples pair to 0 with a directed cycle,
+    # classes outside the cone pair negatively with one; imprimitive
+    # classes are refused before any disconnection report
+    code, out, err = run(capsys, command, "--input", PRES,
+                         f"--class={coords[0]},{coords[1]}")
+    assert (code, out) == (65, "")
+    cycle = ast.literal_eval(err[err.index("{"):err.index("}") + 1])
+    assert set(cycle.values()) == {1}
+    ws = cli.load_workspace(PRES, with_classes=True)
+    pairing = co.evaluate(ws.complex_, cli._class_of(ws, coords), cycle)
+    assert (pairing > 0) - (pairing < 0) == sign
 
 
 def test_zero_class_exits_65(capsys):

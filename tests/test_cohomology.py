@@ -28,7 +28,7 @@ import cocycle_oracle
 import fm_oracle
 from conftest import EXAMPLES
 from dense_oracle import mat_mul
-from helpers import identity_graph_map
+from helpers import identity_graph_map, open_cone_representative
 
 CYCLE_B = {"up:black.0": 1, "up:c@1.1": -1, "up:a@2.3": 1,
            "skew1": -1, "skew4": -2}
@@ -189,7 +189,7 @@ def test_pairing_ignores_boundary_shifts(bundled, two_chain):
 
 
 # ---------------------------------------------------------------------------
-# positive cone
+# positive cone: the package's verdict, the oracle's positive witness
 
 
 @pytest.mark.parametrize("t", [-1, Fraction(-1, 2), 0, Fraction(1, 2),
@@ -197,7 +197,8 @@ def test_pairing_ignores_boundary_shifts(bundled, two_chain):
 def test_cone_membership_inside(bundled, t):
     _, torus, b_star, r_star = bundled
     z = co.dict_sum(r_star, co.dict_scale(Fraction(t), b_star))
-    witness = co.cone_membership(torus, z)
+    open_cone_representative(torus, z)
+    witness = cocycle_oracle.cone_membership(torus, z)
     assert set(witness.values) == set(torus.one_cell_names)
     assert all(v > 0 for v in witness.values.values())
     rebuilt = co.dict_sum(z, cocycle_oracle.coboundary(torus,
@@ -210,7 +211,7 @@ def test_cone_membership_outside(bundled, t, pairing):
     _, torus, b_star, r_star = bundled
     z = co.dict_sum(r_star, co.dict_scale(t, b_star))
     with pytest.raises(ConeInfeasibleError) as err:
-        co.cone_membership(torus, z)
+        open_cone_representative(torus, z)
     certificate = err.value.certificate
     assert certificate == {"skew3": 1, "skew4": 1, "up:blue.0": 1}
     assert not co.boundary(torus, certificate)
@@ -221,7 +222,7 @@ def test_cone_membership_outside(bundled, t, pairing):
 def test_cone_membership_rejects_zero_class(bundled):
     _, torus, _, _ = bundled
     with pytest.raises(ConeInfeasibleError):
-        co.cone_membership(torus, {})
+        open_cone_representative(torus, {})
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +285,9 @@ def assert_unknown_cell(call, cell):
 
 def test_cone_membership_names_an_unknown_cell(bundled):
     _, torus, b_star, r_star = bundled
-    z = co.dict_sum(b_star, co.dict_scale(2, r_star))
-    assert_unknown_cell(lambda: co.cone_membership(
+    z = co.integral_cocycle(torus, co.dict_sum(b_star,
+                                               co.dict_scale(2, r_star)))
+    assert_unknown_cell(lambda: co.require_open_cone(
         torus, with_unknown_cells(z, "skew9", "nope")), "nope")
 
 
@@ -349,9 +351,14 @@ def outcome(solve, *args):
 
 
 def assert_agrees_with_oracle(torus, z, minimum=0):
-    """Compare both solves with the oracle; return their error types."""
-    cone_kind, found = outcome(co.cone_membership, torus, z)
-    assert cone_kind is outcome(fm_oracle.fm_cone_membership, torus, z)[0]
+    """Compare the cone verdict and the least representative with the
+    oracle; return their error types."""
+    cone_kind, found = outcome(open_cone_representative, torus, z)
+    fm_kind, witness = outcome(fm_oracle.fm_cone_membership, torus, z)
+    assert cone_kind is fm_kind
+    if cone_kind is None:
+        assert set(witness.values) == set(torus.one_cell_names)
+        assert all(v > 0 for v in witness.values.values())
     if cone_kind is ConeInfeasibleError:
         assert not co.boundary(torus, found)
         assert all(lam > 0 for lam in found.values())
@@ -477,20 +484,35 @@ def typed(chain):
     return {cell: (type(value), value) for cell, value in chain.items()}
 
 
-def both_solves(solver, torus, z, minimum):
-    """What ``solver.cone_membership`` and ``solver.integral_cocycle``
-    return or raise on one class: values with their types, certificates
-    and error texts."""
+def least_solve(solver, torus, z, minimum):
+    """What ``solver.integral_cocycle`` returns or raises on one class:
+    values with their types, certificates and error texts."""
     try:
-        witness = solver.cone_membership(torus, z)
-        cone = ("witness", typed(witness.values), typed(witness.potential))
-    except ConeInfeasibleError as err:
-        cone = ("outside", err.certificate, str(err))
-    try:
-        least = ("least", typed(solver.integral_cocycle(torus, z, minimum)))
+        return ("least", typed(solver.integral_cocycle(torus, z, minimum)))
     except (ConeInfeasibleError, NonIntegralClassError) as err:
-        least = (type(err), getattr(err, "certificate", None), str(err))
-    return cone, least
+        return (type(err), getattr(err, "certificate", None), str(err))
+
+
+def cone_solve(torus, z):
+    """The package's cone verdict on one class, checked against the
+    oracle's: the oracle's positive witness inside, a cycle of 1-cells
+    pairing to at most 0 with the class outside."""
+    try:
+        witness = cocycle_oracle.cone_membership(torus, z)
+    except ConeInfeasibleError:
+        witness = None
+    try:
+        open_cone_representative(torus, z)
+    except ConeInfeasibleError as err:
+        assert witness is None
+        cycle = err.certificate
+        assert set(cycle.values()) == {1}
+        assert not co.boundary(torus, cycle)
+        assert sum(Fraction(z.get(e, 0)) for e in cycle) <= 0
+        return ("outside",)
+    assert set(witness.values) == set(torus.one_cell_names)
+    assert all(v > 0 for v in witness.values.values())
+    return ("witness", {type(v) for v in witness.values.values()})
 
 
 def test_integer_route_matches_the_fraction_oracle(bundled, corpus_tori):
@@ -511,11 +533,12 @@ def test_integer_route_matches_the_fraction_oracle(bundled, corpus_tori):
     for torus, z, minimum in cases:
         for q in (1, 2, 3):
             zq = co.dict_scale(Fraction(1, q), z) if q > 1 else z
-            found = both_solves(co, torus, zq, minimum)
-            assert found == both_solves(cocycle_oracle, torus, zq, minimum)
-            kinds.add((found[0][0], found[1][0]))
-            if found[0][0] == "witness":
-                witness_types |= {t for t, _v in found[0][1].values()}
+            cone = cone_solve(torus, zq)
+            least = least_solve(co, torus, zq, minimum)
+            assert least == least_solve(cocycle_oracle, torus, zq, minimum)
+            kinds.add((cone[0], least[0]))
+            if cone[0] == "witness":
+                witness_types |= cone[1]
     assert kinds >= {("witness", "least"), ("witness", NonIntegralClassError),
                      ("outside", ConeInfeasibleError)}
     assert witness_types == {int, Fraction}
@@ -548,23 +571,23 @@ def test_least_fiber_cocycle_of_the_largest_corpus_torus(corpus_tori):
     torus = corpus_tori[74]
     assert (len(torus.zero_cells), len(torus.one_cell_names)) == (73, 145)
     z = co.fiber_cocycle(torus)
-    co.cone_membership(torus, z)
-    assert co.integral_cocycle(torus, z) == {
-        "skew72": 1, "up:a@1.70": 1, "up:a@10.71": 1}
+    least = co.integral_cocycle(torus, z)
+    co.require_open_cone(torus, least)
+    assert least == {"skew72": 1, "up:a@1.70": 1, "up:a@10.71": 1}
 
 
 def test_constraint_digraph_has_integer_weights(bundled):
     _, torus, b_star, r_star = bundled
     z = co.dict_sum(co.dict_scale(Fraction(1, 3), b_star), r_star)
-    skeleton, scale, scaled = co._scaled_cocycle(torus, z, 2)
-    assert scale == 6
-    arcs = co._constraint_digraph(skeleton, scaled, 1)
+    skeleton, scale, scaled = co._scaled_cocycle(torus, z)
+    assert scale == 3
+    arcs = co._constraint_digraph(skeleton, scaled, scale * 2)
     assert len(arcs) == len(torus.one_cell_names)
     assert all(type(w) is int for _tail, _head, w in arcs)
     assert [w for _tail, _head, w in arcs] == [
-        6 * Fraction(z.get(e, 0)) - 1 for e in torus.one_cell_names]
+        3 * Fraction(z.get(e, 0)) - 6 for e in torus.one_cell_names]
     assert arcs == cocycle_oracle.constraint_digraph(torus, z,
-                                                     Fraction(1, 6), 6)
+                                                     Fraction(2), 3)
     with pytest.raises(InvariantViolation, match="fractional"):
         cocycle_oracle.constraint_digraph(torus, z, Fraction(0), 2)
 
@@ -607,6 +630,23 @@ def test_integral_cocycle_refuses_a_value_below_the_bound(bundled,
                               "the bound 0")
 
 
+@pytest.mark.parametrize("reported", [(0,), (2, 4, 7)])
+def test_integral_cocycle_verifies_its_certificate(bundled, monkeypatch,
+                                                   reported):
+    # a negative-cycle search that reports one arc, which has a boundary,
+    # or a cycle on which b* sums to 0, which certifies nothing
+    _, torus, b_star, _ = bundled
+    names = torus.one_cell_names
+    assert {names[j] for j in (2, 4, 7)} == {"up:red.0", "skew2",
+                                              "up:a@3.2"}
+    monkeypatch.setattr(co, "_least_negative_cycle",
+                        lambda _n, _arcs: reported)
+    with pytest.raises(InvariantViolation) as err:
+        co.integral_cocycle(torus, b_star)
+    assert type(err.value) is InvariantViolation
+    assert str(err.value) == "infeasibility certificate failed verification"
+
+
 # ---------------------------------------------------------------------------
 # cone verdicts read off the least representative
 
@@ -614,15 +654,15 @@ def test_integral_cocycle_refuses_a_value_below_the_bound(bundled,
 def zero_cycle_verdict(torus, z):
     """None when the class of ``z`` has no representative >= 0, else
     whether it is in the cone; ``zero_cycle`` on the least representative
-    and ``cone_membership`` must agree, and a reported cycle must be a
-    cycle of 1-cells on which the representative vanishes."""
+    and the oracle's ``cone_membership`` must agree, and a reported cycle
+    must be a cycle of 1-cells on which the representative vanishes."""
     try:
         least = co.integral_cocycle(torus, z)
     except ConeInfeasibleError:
         return None
     cycle = co.zero_cycle(torus, least)
     try:
-        co.cone_membership(torus, z)
+        cocycle_oracle.cone_membership(torus, z)
         inside = True
     except ConeInfeasibleError:
         inside = False

@@ -28,7 +28,7 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # public names that nothing in the package or the benchmark calls yet
 UNCALLED_PUBLIC = {
-    "cohomology.h1": "ROADMAP item 10: H^1 of a torus built from a .map file",
+    "cohomology.h1": "ROADMAP item 14: H^1 of a torus built from a .map file",
     "cohomology.mapping_torus_h1_rank": "ROADMAP item 9: the rank check of "
                                         "every torus built",
     "traintrack.lone_axis_check": "ROADMAP items 10 and 11: the atlas "

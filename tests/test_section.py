@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from freebycyclic.cohomology import (axis_dim_lower_bound, cone_membership,
-                                     dict_scale, dict_sum, integral_cocycle,
+from freebycyclic.cohomology import (axis_dim_lower_bound, dict_scale,
+                                     dict_sum, integral_cocycle,
                                      line_family_cocycle,
-                                     mapping_torus_h1_rank)
+                                     mapping_torus_h1_rank, require_open_cone)
 from freebycyclic.errors import (ConeInfeasibleError,
                                  DisconnectedGraphError, FreeByCyclicError,
                                  InvariantViolation, IterationBudgetError,
@@ -32,7 +32,7 @@ from freebycyclic.words import FreeGroupMap, format_word, letters, outer_equal
 import os
 
 from conftest import EXAMPLES
-from helpers import as_dict
+from helpers import as_dict, open_cone_representative
 import section_oracle as oracle
 
 F = Fraction
@@ -561,11 +561,10 @@ def test_section_return_maps_keep_the_group_invariants(torus):
             if math.gcd(cb, cr) != 1:
                 continue
             try:
-                cone_membership(torus, family_like((cb, cr)))
+                z = open_cone_representative(torus, family_like((cb, cr)))
             except ConeInfeasibleError:
                 continue
-            sec = build_section(torus,
-                                integral_cocycle(torus, family_like((cb, cr))))
+            sec = build_section(torus, z)
             ret = first_return(sec)
             assert mapping_torus_h1_rank(ret) == 2, (cb, cr)
             assert len(monodromy(sec, ret).generators) - 1 \
@@ -654,8 +653,9 @@ def test_boundary_class_return_names_the_cone(torus):
         first_return(sec)
     assert isinstance(caught.value.__cause__, IterationBudgetError)
     with pytest.raises(ConeInfeasibleError) as direct:
-        cone_membership(torus, z)
+        require_open_cone(torus, z)
     assert str(caught.value) == str(direct.value)
+    assert caught.value.certificate == direct.value.certificate
 
 
 def test_return_budget_error_names_the_cocycle(torus, monkeypatch):
