@@ -456,20 +456,22 @@ def polygon_tikz(trace: PolygonTrace, slopes: Optional[SlopeSet] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sigma_report(pres: TwoGenPresentation, *,
-                 pairing: Optional[Vec] = None, line_bound: int = 5) -> dict:
+#: the direction whose sector component ``survey`` reports
+SIGMA_DIRECTION: Vec = (0, 1)
+
+
+def sigma_report(pres: TwoGenPresentation, trace: PolygonTrace,
+                 slopes: SlopeSet, comp: ConeComponent, *, pairing: Vec,
+                 line_bound: int) -> dict:
     """JSON-ready summary of the sector analysis of a presentation.
 
-    Traces the relator polygon, lists the excluded rays, and describes the
-    sector component containing the direction (0, 1).  When the pairing
-    vector of a distinguished chain is supplied, the classes on its
-    pairing-one line inside that component are enumerated as well.
+    Reports the traced relator polygon, its excluded rays, the sector
+    component ``comp`` containing ``SIGMA_DIRECTION``, and the classes of
+    that component on the pairing-one line of ``pairing``, the pairing
+    vector of a distinguished chain.
     """
-    trace = trace_polygon(pres)
-    slopes = excluded_directions(trace)
-    direction = (0, 1)
-    comp = component_containing(slopes, direction)
-    report: dict = {
+    line = lone_axis_line(comp, pairing, line_bound)
+    return {
         "generators": list(pres.generators),
         "relator": format_word(pres.relator),
         "cyclic_relator": format_word(pres.cyclic_relator),
@@ -488,19 +490,16 @@ def sigma_report(pres: TwoGenPresentation, *,
         "indeterminate_corners": [list(c)
                                   for c in slopes.indeterminate_corners],
         "component": {
-            "direction": list(_primitive(_direction(direction))),
+            "direction": list(SIGMA_DIRECTION),
             "start": None if comp.start is None else list(comp.start),
             "end": None if comp.end is None else list(comp.end),
         },
-    }
-    if pairing is not None:
-        line = lone_axis_line(comp, pairing, line_bound)
-        report["pairing"] = list(pairing)
-        report["axis_line"] = {
+        "pairing": list(pairing),
+        "axis_line": {
             "classes": [list(c) for c in line.classes],
             "base": None if line.base is None else list(line.base),
             "direction": None if line.direction is None
             else list(line.direction),
             "infeasible_reason": line.infeasible_reason,
-        }
-    return report
+        },
+    }

@@ -287,8 +287,9 @@ def cmd_survey(cfg: RunConfig) -> int:
     if cfg.format == "tikz":
         _emit(cfg, bns.polygon_tikz(trace, slopes), "survey.tikz")
         return EXIT_YES
-    sigma = bns.sigma_report(pres, pairing=ws.pairing, line_bound=cfg.k_max)
-    comp = bns.component_containing(slopes, (0, 1))
+    comp = bns.component_containing(slopes, bns.SIGMA_DIRECTION)
+    sigma = bns.sigma_report(pres, trace, slopes, comp, pairing=ws.pairing,
+                             line_bound=cfg.k_max)
     rows = []
     height = cfg.height_max
     for cr in range(-height, height + 1):
@@ -352,13 +353,13 @@ def _build_for_class(cfg: RunConfig, ws: Workspace, coords: tuple[int, int],
 
     Returns ``(line_section_or_None, section, return_map)``; the canonical
     route applies exactly when the class sits on the pairing-one line with
-    a nonnegative chain index and the phase is the table's 1/2 convention;
-    otherwise the section is the level set of ``z``.
+    a nonnegative chain index and the phase, read modulo 1, is the table's
+    1/2 convention; otherwise the section is the level set of ``z``.
     """
     cb, cr = coords
     canonical = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1
                  and cr == cb + 1 and cb >= 0
-                 and cfg.phase == Fraction(1, 2))
+                 and cfg.phase % 1 == Fraction(1, 2))
     if canonical:
         ls = sect.line_section(ws.complex_, cb)
         return ls, ls.section, ls.return_map

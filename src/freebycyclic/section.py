@@ -8,6 +8,10 @@ semiflow of a crossing lands in the interior of an arc, so that flowing by
 one full height unit sends vertices to vertices.  The first return of the
 semiflow then induces a graph self-map whose outer class is the monodromy
 of the complex read along the chosen class.
+
+Every position and height of a section is an integer numerator over one
+lattice denominator, fixed when the section is built; ``Fraction`` appears
+only in the phase, in error texts and in the cells of the torus.
 """
 
 from __future__ import annotations
@@ -225,26 +229,15 @@ def build_charts(complex_: TrapComplex, z: Mapping, lattice: int
 
 
 @dataclass
-class EdgeRecord:
-    """A section edge: part of one level arc inside one trapezoid."""
-
-    name: str
-    trap: str
-    level: int
-    x_lo: Fraction
-    x_hi: Fraction
-    init: str
-    term: str
-
-
-@dataclass
 class SectionGraph:
     """The level-set graph of an integral cocycle at a generic phase.
 
-    ``charts``, the flow and ``stations`` run on integer numerators over
-    ``lattice``: ``stations`` sends (trapezoid, level, x_lo) of each edge
-    to its name and x_hi, in edge record order.  The edge records and
-    interior vertex hosts carry fractions.
+    Positions are integer numerators over ``lattice``.  ``stations`` is the
+    one record of each edge's geometry: it sends (trapezoid, level, x_lo)
+    to the edge's name and x_hi, arc by arc from left to right; the edge's
+    ends are its ``graph.edges`` triple.  A vertex host is ("cell", cell,
+    index) for the index-th crossing of a 1-cell, or ("interior", trapezoid,
+    level, x) for a flow landing inside a level arc.
     """
 
     complex: TrapComplex
@@ -255,7 +248,6 @@ class SectionGraph:
     charts: dict[str, HeightChart]
     vertex_host: dict[str, tuple]
     vertex_return: dict[str, str]
-    edge_records: dict[str, EdgeRecord]
     stations: dict[tuple[str, int, int], tuple[str, int]]
     components: tuple[tuple[str, ...], ...]
     basepoint: Optional[str]
@@ -478,14 +470,8 @@ class _Level:
 
 
 def _generic_phase(phase) -> Fraction:
-    base = Fraction(phase)
-    candidate = base
-    for attempt in range(8):
-        if 0 < candidate < 1 and candidate.denominator > 1:
-            return candidate
-        candidate = base + Fraction(1, 64 * 2 ** attempt)
-        candidate -= int(candidate)
-    raise DegeneratePhaseError(f"no generic phase found near {phase}")
+    """The phase as a point of R/Z in (0, 1): 0 moves to 1/64."""
+    return Fraction(phase) % 1 or Fraction(1, 64)
 
 
 def build_section(complex_: TrapComplex, cocycle: Mapping,
@@ -562,23 +548,20 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
             queue.append(name)
         vertex_return[vertex] = interior_points[key]
 
-    # each position once: x / lattice and its token in edge names
-    at: dict[int, tuple[Fraction, str]] = {}
-    for x in {x for arc in arcs for x in arc[2:4]} | \
-            {key[2] for key in interior_points}:
+    # each edge start once: its token in edge names
+    at: dict[int, str] = {}
+    for x in {arc[2] for arc in arcs} | {key[2] for key in interior_points}:
         g = gcd(x, lattice)
-        at[x] = (Fraction(x, lattice), f"{x // g}of{lattice // g}")
+        at[x] = f"{x // g}of{lattice // g}"
 
     by_arc: dict[tuple, list[tuple[int, str]]] = {}
     for (trap, level, x), name in interior_points.items():
         by_arc.setdefault((trap, level), []).append((x, name))
-        host[name] = ("interior", trap, level, at[x][0])
     for points in by_arc.values():
         points.sort()
     first = itemgetter(0)
     placed: set[str] = set()
     stations: dict[tuple[str, int, int], tuple[str, int]] = {}
-    records: dict[str, EdgeRecord] = {}
     edges = []
     for trap, level, x_lo, x_hi, init, term in arcs:
         points = by_arc.get((trap, level), [])
@@ -587,11 +570,8 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
         placed.update(name for _, name in inner)
         stops = [(x_lo, init)] + inner + [(x_hi, term)]
         for (xa, va), (xb, vb) in zip(stops, stops[1:]):
-            fa, token = at[xa]
-            name = f"{trap}.{level}.{token}"
+            name = f"{trap}.{level}.{at[xa]}"
             stations[trap, level, xa] = (name, xb)
-            records[name] = EdgeRecord(name, trap, level, fa, at[xb][0],
-                                       va, vb)
             edges.append((name, va, vb))
     missing = set(interior_points.values()) - placed
     if missing:
@@ -603,7 +583,7 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
     basepoint = _crossing_name(min(crossed_skews), 1) if crossed_skews \
         else None
     return SectionGraph(complex_, z, phase, lattice, graph, charts, host,
-                        vertex_return, records, stations, components(graph),
+                        vertex_return, stations, components(graph),
                         basepoint)
 
 
@@ -901,8 +881,7 @@ def section_dot(section: SectionGraph) -> str:
     for v in section.graph.vertices:
         color = _HOST_COLORS[host_kind(section, v)]
         lines.append(f'  "{v}" [color={color}];')
-    for name in section.graph.edge_names:
-        rec = section.edge_records[name]
-        lines.append(f'  "{rec.init}" -> "{rec.term}" [label="{name}"];')
+    for name, init, term in section.graph.edges:
+        lines.append(f'  "{init}" -> "{term}" [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,9 +4,11 @@ The package runs a section's height charts, crossing grid and semiflow on
 integer numerators over one lattice denominator per section.  This module
 keeps the ``Fraction`` code those replaced: the height charts, the
 crossing grid with its point flow, ``build_section`` and ``first_return``,
-so the tests can check the integer route record for record.  It also
-carries the ``Fraction`` chart API (``top_height``, ``bottom_height``,
-``height_at``, ``skew_position``) that the chart tests read.
+so the tests can check the integer route record for record.  Its sections
+keep a ``Fraction`` record of every edge, where a package section keeps
+integer stations.  It also carries the ``Fraction`` chart API
+(``top_height``, ``bottom_height``, ``height_at``, ``skew_position``) that
+the chart tests read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from freebycyclic.cohomology import is_cocycle
 from freebycyclic.errors import (DegeneratePhaseError, InvariantViolation,
                                  IterationBudgetError, NonIntegralClassError)
 from freebycyclic.graphs import Graph, GraphMap, components
-from freebycyclic.section import EdgeRecord, _crossing_name, _generic_phase
+from freebycyclic.section import _crossing_name, _generic_phase
 from freebycyclic.torus import TrapComplex
 from freebycyclic.words import Letter, encode
 
@@ -276,6 +278,19 @@ class _Level:
 
 # ---------------------------------------------------------------------------
 # the route: build_section, then first_return
+
+
+@dataclass
+class EdgeRecord:
+    """A section edge: part of one level arc inside one trapezoid."""
+
+    name: str
+    trap: str
+    level: int
+    x_lo: Fraction
+    x_hi: Fraction
+    init: str
+    term: str
 
 
 @dataclass

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from freebycyclic.bns import (AxisLine, ConeComponent, SlopeSet,
-                              TwoGenPresentation, component_containing,
-                              excluded_directions, load_presentation_file,
-                              lone_axis_line, pairing_coordinates,
-                              parse_presentation_text, polygon_tikz,
-                              sigma_report, trace_polygon)
+from freebycyclic.bns import (SIGMA_DIRECTION, AxisLine, ConeComponent,
+                              SlopeSet, TwoGenPresentation,
+                              component_containing, excluded_directions,
+                              load_presentation_file, lone_axis_line,
+                              pairing_coordinates, parse_presentation_text,
+                              polygon_tikz, sigma_report, trace_polygon)
 from freebycyclic.cohomology import boundary, dict_scale, dict_sum, \
     dual_basis
 from freebycyclic.errors import (ExcludedDirectionError, InputParseError,
@@ -368,17 +368,15 @@ def test_polygon_tikz(bundled, bundled_slopes):
     assert out == polygon_tikz(trace, bundled_slopes)
 
 
-def test_sigma_report_without_a_pairing(bundled):
-    report = sigma_report(bundled)
+def test_sigma_report_with_a_pairing(bundled, bundled_slopes):
+    trace = trace_polygon(bundled)
+    comp = component_containing(bundled_slopes, SIGMA_DIRECTION)
+    report = sigma_report(bundled, trace, bundled_slopes, comp,
+                          pairing=(-1, 1), line_bound=2)
     assert report["excluded_rays"] == [[-2, -1], [-1, -1], [-1, 0],
                                        [1, 0], [1, 1], [2, 1]]
     assert report["component"] == {"direction": [0, 1],
                                    "start": [1, 1], "end": [-1, 0]}
-    assert "pairing" not in report and "axis_line" not in report
-
-
-def test_sigma_report_with_a_pairing(bundled):
-    report = sigma_report(bundled, pairing=(-1, 1), line_bound=2)
     assert report["pairing"] == [-1, 1]
     assert report["axis_line"]["classes"] == [[0, 1], [1, 2], [2, 3]]
     assert report["axis_line"]["infeasible_reason"] is None

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, frozen reports, deterministic reruns."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -260,6 +261,17 @@ def test_section_nonstandard_phase_forces_generic(capsys):
     assert report["audit"]["rank"] == 3
 
 
+@pytest.mark.parametrize("phase", ["--phase=3/2", "--phase=-1/2"])
+@pytest.mark.parametrize("coords", ["0,1", "1,6"])
+def test_section_reads_the_phase_modulo_one(capsys, coords, phase):
+    # 0,1 takes the canonical route at phase 1/2, 1,6 the generic one
+    half = run(capsys, "section", "--input", PRES, f"--class={coords}",
+               "--phase=1/2")
+    assert half[0] == 0
+    assert run(capsys, "section", "--input", PRES, f"--class={coords}",
+               phase) == half
+
+
 FIBER_DOT = """digraph section {
   "flow1" [color=gray];
   "skew1#1" [color=red];
@@ -282,6 +294,24 @@ def test_section_dot_export(capsys):
                        "--class=0,1", "--format", "dot")
     assert code == 0
     assert out == FIBER_DOT
+
+
+#: first 16 hex digits of the sha256 of ``section --format dot`` on the
+#: bundled presentation, for classes past the fiber
+SECTION_DOT_DIGESTS = {
+    "1,6": "6f08da6bb56fb03d",
+    "1,14": "7618d0297a23ae1a",
+    "1,2": "e8ccdeed3127711c",
+}
+
+
+@pytest.mark.parametrize("coords", sorted(SECTION_DOT_DIGESTS))
+def test_section_dot_export_digests(capsys, coords):
+    code, out, _ = run(capsys, "section", "--input", PRES,
+                       f"--class={coords}", "--format", "dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] \
+        == SECTION_DOT_DIGESTS[coords]
 
 
 def test_section_imprimitive_disconnection_report(capsys):

@@ -12,7 +12,8 @@ module-level function or class, and each public method of a public class,
 must be referenced by name or as an attribute somewhere in
 ``src/freebycyclic`` or ``bench``, where a mention in a docstring or other
 string does not count.  Public names that only the tests call move to the
-tests.
+tests.  Likewise each annotated field of a public dataclass must be read
+as an attribute somewhere in ``src/freebycyclic`` or ``bench``.
 """
 
 import ast
@@ -39,6 +40,46 @@ UNCALLED_PUBLIC = {
                                     "test_cohomology",
     "cohomology.delta_lengths": "the paper's discreteness statement, pinned "
                                 "in test_acceptance and test_cohomology",
+}
+
+
+# dataclass fields that nothing in the package or the benchmark reads
+UNREAD_FIELDS = {
+    "bns.TwoGenPresentation.conjugator": "the prefix conjugating the "
+                                         "relator to its cyclic core; "
+                                         "test_bns pins it",
+    "cohomology.H1Data.torsion": "the torsion divisors of H_1; "
+                                 "test_cohomology pins them",
+    "cohomology.H1Data.cycles": "the cycle basis the duals pair with; "
+                                "test_cohomology pins it",
+    "cohomology.DiscretenessCone.scale": "the paper's discreteness "
+                                         "statement, read in test_acceptance "
+                                         "and test_cohomology",
+    "cohomology.DiscretenessCone.margin": "the paper's discreteness "
+                                          "statement, read in "
+                                          "test_acceptance and "
+                                          "test_cohomology",
+    "section.MonodromyData.tree": "the spanning tree the generators are "
+                                  "read against; part of the monodromy "
+                                  "result, no reader yet",
+    "section.LineSection.names": "raw to canonical edge names of a line "
+                                 "section; part of its result, no reader "
+                                 "yet",
+    "traintrack.WhiteheadData.local": "the local Whitehead graph at each "
+                                      "vertex; part of the result, no "
+                                      "reader yet",
+    "traintrack.WhiteheadData.stable": "the stable Whitehead graph at each "
+                                       "vertex; part of the result, no "
+                                       "reader yet",
+    "traintrack.WhiteheadData.principal_vertices": "test_traintrack pins "
+                                                   "them",
+    "traintrack.NielsenReport.note": "the caveat of a bounded search; "
+                                     "test_traintrack reads it",
+    "traintrack.Verdict.data": "the invariants behind a verdict; "
+                               "test_traintrack checks them against the "
+                               "report",
+    "words.FreeGroupMap.provenance": "how a map was made; no reader yet",
+    "words.FreeGroupMap.invertibility": "test_words and test_graphs pin it",
 }
 
 
@@ -162,13 +203,19 @@ def _unreferenced_publics(modules: dict[str, ast.Module],
             if name not in referenced}
 
 
-def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+def _package_and_readers() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The package modules by name, and those modules with the benchmark's."""
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in MODULES}
     readers = list(modules.values())
     readers += [ast.parse(path.read_text(), filename=str(path))
                 for path in BENCH]
     assert BENCH, "the benchmark sources are not beside the tests"
+    return modules, readers
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    modules, readers = _package_and_readers()
     unused = _unreferenced_publics(modules, readers)
     assert sorted(unused - set(UNCALLED_PUBLIC)) == [], \
         "public names that only the tests use belong in the tests"
@@ -203,3 +250,60 @@ def test_the_check_sees_an_unused_public_name():
     assert _unreferenced_publics({"mod": module}, [module, reader]) == \
         {"mod.unused", "mod.Mentioned", "mod.Kept.uncalled",
          "mod.Kept.unmade", "mod.Kept.unread"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Attribute):
+            name = decorator.attr
+        else:
+            name = getattr(decorator, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(modules: dict[str, ast.Module],
+                   readers: list[ast.Module]) -> set[str]:
+    """``module.Class.field`` of each annotated field of a public dataclass
+    of ``modules`` that no tree in ``readers`` reads as an attribute."""
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return {f"{module}.{node.name}.{item.target.id}"
+            for module, tree in modules.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_") and _is_dataclass(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and item.target.id not in read}
+
+
+def test_every_dataclass_field_is_read_by_the_package_or_the_benchmark():
+    unread = _unread_fields(*_package_and_readers())
+    assert sorted(unread - set(UNREAD_FIELDS)) == [], \
+        "fields that nothing reads go, or go in the allowlist with a reason"
+    assert sorted(set(UNREAD_FIELDS) - unread) == [], \
+        "allowlisted fields that are now read leave the allowlist"
+
+
+def test_the_check_sees_an_unread_field():
+    module = ast.parse("from dataclasses import dataclass\n"
+                       "import dataclasses\n"
+                       "@dataclass\n"
+                       "class Point:\n    x: int\n    y: int\n"
+                       "    z: int = 0\n"
+                       "@dataclasses.dataclass(frozen=True)\n"
+                       "class Pair:\n    left: int\n    right: int\n"
+                       "@dataclass\n"
+                       "class _Hidden:\n    secret: int\n"
+                       "class Plain:\n    kept: int\n")
+    reader = ast.parse("import mod\n"
+                       "p = mod.Point(1, 2)\n"
+                       "p.y = p.x\n"
+                       "print(mod.Pair(1, 2).left, 'right')\n")
+    assert _unread_fields({"mod": module}, [module, reader]) == \
+        {"mod.Point.y", "mod.Point.z", "mod.Pair.right"}

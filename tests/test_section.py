@@ -149,9 +149,8 @@ def test_lattice_carries_every_coordinate(torus):
     # of 2, 2·z(s) and 2·N·|rise| over the top pieces of width 1/N
     assert build_section(torus, line_family_cocycle(torus, 0)).lattice == 16
     sec = build_section(torus, integral_cocycle(torus, family_like((1, 6))))
-    assert all(sec.lattice % rec.x_lo.denominator == 0
-               and sec.lattice % rec.x_hi.denominator == 0
-               for rec in sec.edge_records.values())
+    assert all(0 <= x_lo < x_hi <= sec.lattice
+               for (_, _, x_lo), (_, x_hi) in sec.stations.items())
 
 
 def test_off_lattice_level_names_the_trapezoid(torus):
@@ -176,9 +175,8 @@ def test_fiber_section_shape(fiber_section):
     assert sec.graph.vertices == ("flow1", "skew1#1", "up:black.0#1",
                                   "up:blue.0#1", "up:red.0#1")
     table = {e: (sec.graph.init_of((e, 1)), sec.graph.term_of((e, 1)),
-                 sec.edge_records[e].x_lo, sec.edge_records[e].x_hi,
-                 sec.edge_records[e].level)
-             for e in sec.graph.edge_names}
+                 F(x_lo, sec.lattice), F(x_hi, sec.lattice), level)
+             for (_, level, x_lo), (e, x_hi) in sec.stations.items()}
     assert table == {
         "trap1.0.0of1": ("up:blue.0#1", "skew1#1", F(0), F(1, 2), 0),
         "trap2.0.0of1": ("up:black.0#1", "up:red.0#1", F(0), F(1), 0),
@@ -347,12 +345,11 @@ def classify_incidences(sec):
     charts = sec.charts
     lattice = sec.lattice
     sides = {v: [] for v in sec.graph.vertices}
-    for name, rec in sec.edge_records.items():
-        for v, x in ((sec.graph.init_of((name, 1)), rec.x_lo),
-                     (sec.graph.term_of((name, 1)), rec.x_hi)):
-            chart = charts[rec.trap]
-            x = int(x * lattice)
-            y = int((sec.phase + rec.level) * lattice)
+    for (trap, level, x_lo), (name, x_hi) in sec.stations.items():
+        for v, x in ((sec.graph.init_of((name, 1)), x_lo),
+                     (sec.graph.term_of((name, 1)), x_hi)):
+            chart = charts[trap]
+            y = int((sec.phase + level) * lattice)
             if chart.bottom_rise * x == y:
                 sides[v].append("bottom")
             elif x == 0:
@@ -581,6 +578,11 @@ def test_generic_phase_normalization():
     assert _generic_phase(F(1, 2)) == F(1, 2)
     assert _generic_phase(F(1)) == F(1, 64)
     assert _generic_phase(F(0)) == F(1, 64)
+    # a phase is a point of R/Z
+    assert _generic_phase(F(3, 2)) == F(1, 2)
+    assert _generic_phase(F(-1, 2)) == F(1, 2)
+    assert _generic_phase(F(7, 3)) == F(1, 3)
+    assert _generic_phase(F(-1)) == F(1, 64)
 
 
 def test_integer_phase_still_builds(torus):
@@ -698,6 +700,29 @@ def test_crossing_rank_names_an_unknown_cell(torus):
     assert_unknown_cell_named(crossing_rank, torus)
 
 
+@pytest.mark.parametrize("phase", [F(1, 2), F(1, 3), F(9, 16)])
+def test_phases_an_integer_apart_give_one_section(torus, phase):
+    built = 0
+    for cb in range(-3, 4):
+        for cr in range(-3, 4):
+            try:
+                z = integral_cocycle(torus, family_like((cb, cr)))
+                sec = build_section(torus, z, phase)
+                ret = first_return(sec)
+            except FreeByCyclicError:
+                continue
+            for n in (-2, -1, 1, 2):
+                shifted = build_section(torus, z, phase + n)
+                shifted_ret = first_return(shifted)
+                assert (shifted.phase, shifted.graph, shifted.stations,
+                        shifted.vertex_host) \
+                    == (sec.phase, sec.graph, sec.stations, sec.vertex_host)
+                assert (shifted_ret.vertex_map, shifted_ret.edge_images) \
+                    == (ret.vertex_map, ret.edge_images), (cb, cr, n)
+            built += 1
+    assert built == 18
+
+
 def test_crossing_rank_of_a_divisible_class_counts_one_component(torus):
     z = integral_cocycle(torus, family_like((0, 3)))
     section = build_section(torus, z)
@@ -723,6 +748,27 @@ def test_host_kinds_and_dot_export(torus):
 # golden digest of the generic route
 
 
+def _fraction_rows(sec):
+    """The sorted vertex hosts and edge records of a section, positions
+    as fractions of the unit interval: (name, trapezoid, level, x_lo,
+    x_hi, init, term) per edge.  A package section's station and host
+    integers go back over its lattice; an oracle section keeps its own
+    fraction records."""
+    if isinstance(sec, oracle.OracleSection):
+        return sorted(sec.vertex_host.items()), sorted(
+            (n, r.trap, r.level, r.x_lo, r.x_hi, r.init, r.term)
+            for n, r in sec.edge_records.items())
+    lattice = sec.lattice
+    hosts = sorted(
+        (v, host[:3] + (F(host[3], lattice),) if host[0] == "interior"
+         else host) for v, host in sec.vertex_host.items())
+    ends = {name: (init, term) for name, init, term in sec.graph.edges}
+    records = sorted(
+        (name, trap, level, F(x_lo, lattice), F(x_hi, lattice)) + ends[name]
+        for (trap, level, x_lo), (name, x_hi) in sec.stations.items())
+    return hosts, records
+
+
 def _route_record(torus, coords, phase) -> str:
     try:
         z = integral_cocycle(torus, family_like(coords))
@@ -730,10 +776,9 @@ def _route_record(torus, coords, phase) -> str:
         ret = first_return(sec)
     except FreeByCyclicError as exc:
         return f"{coords} {phase}: {type(exc).__name__}\n"
-    records = sorted((n, r.trap, r.level, r.x_lo, r.x_hi, r.init, r.term)
-                     for n, r in sec.edge_records.items())
+    hosts, records = _fraction_rows(sec)
     return repr((coords, phase, sec.phase, sec.graph.vertices,
-                 sec.graph.edges, sorted(sec.vertex_host.items()),
+                 sec.graph.edges, hosts,
                  sorted(sec.vertex_return.items()), records,
                  sec.components, sec.basepoint,
                  sorted(ret.vertex_map.items()),
@@ -762,10 +807,9 @@ def test_generic_route_golden_digest(torus):
 
 def _record(sec, ret):
     """Everything the golden digest hashes of one section and return map."""
-    return (sec.phase, sec.graph.vertices, sec.graph.edges,
-            sorted(sec.vertex_host.items()), sorted(sec.vertex_return.items()),
-            sorted((n, r.trap, r.level, r.x_lo, r.x_hi, r.init, r.term)
-                   for n, r in sec.edge_records.items()),
+    hosts, records = _fraction_rows(sec)
+    return (sec.phase, sec.graph.vertices, sec.graph.edges, hosts,
+            sorted(sec.vertex_return.items()), records,
             sec.components, sec.basepoint, sorted(ret.vertex_map.items()),
             sorted(ret.edge_images.items()))
 
@@ -823,15 +867,34 @@ def route_sections(torus, deep_section):
     return sections + [deep_section[1]]
 
 
-def test_stations_are_the_edge_records_on_the_lattice(route_sections):
+def test_stations_name_every_edge_once_and_chain_along_each_arc(
+        route_sections):
     assert len(route_sections) == 97
     for sec in route_sections:
-        assert [name for name, _ in sec.stations.values()] \
-            == list(sec.edge_records)
-        for (trap, level, x_lo), (name, x_hi) in sec.stations.items():
-            rec = sec.edge_records[name]
-            assert (rec.trap, rec.level, rec.x_lo, rec.x_hi) == (
-                trap, level, F(x_lo, sec.lattice), F(x_hi, sec.lattice))
+        assert sorted(name for name, _ in sec.stations.values()) \
+            == list(sec.graph.edge_names)
+        ends = {name: (init, term) for name, init, term in sec.graph.edges}
+        by_level: dict[tuple, dict[int, tuple[str, int]]] = {}
+        for (trap, level, x_lo), station in sec.stations.items():
+            by_level.setdefault((trap, level), {})[x_lo] = station
+        for (trap, level), starting_at in by_level.items():
+            chained = 0
+            for x_lo, (name, _) in starting_at.items():
+                if sec.vertex_host[ends[name][0]][0] != "cell":
+                    continue  # not the start of an arc
+                # from the arc's start on a 1-cell crossing, each edge
+                # ends where the next starts until one ends on a crossing
+                x = x_lo
+                while True:
+                    name, x_hi = starting_at[x]
+                    chained += 1
+                    assert x < x_hi
+                    host = sec.vertex_host[ends[name][1]]
+                    if host[0] == "cell":
+                        break
+                    assert host == ("interior", trap, level, x_hi)
+                    x = x_hi
+            assert chained == len(starting_at)
 
 
 def test_run_tables_clip_to_the_chart_runs(route_sections):
