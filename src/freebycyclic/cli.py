@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -320,18 +320,6 @@ def cmd_survey(cfg: RunConfig) -> int:
 # section and monodromy
 
 
-def _audit_dict(audit: sect.SectionAudit) -> dict:
-    return {
-        "vertices": audit.vertices,
-        "edges": audit.edges,
-        "rank": audit.rank,
-        "components": audit.components,
-        "skew_crossings": audit.skew_crossings,
-        "valence_profile": [list(pair) for pair in audit.valence_profile],
-        "illegal_turns_at_trivalent": audit.illegal_turns_at_trivalent,
-    }
-
-
 def _disconnection_report(cfg: RunConfig, ws: Workspace,
                           coords: tuple[int, int], z: dict) -> int:
     """A non-primitive class disconnects; report the pieces and fail."""
@@ -347,21 +335,45 @@ def _disconnection_report(cfg: RunConfig, ws: Workspace,
     return EXIT_INVARIANT
 
 
+def _line_index(ws: Workspace, coords: tuple[int, int]) -> Optional[int]:
+    """The k ≥ 0 whose line-family cocycle has the class ``coords``, or None.
+
+    The class of ``line_family_cocycle(T, k)`` is F + k·S, with F the class
+    at k = 0 and S the spin between k = 1 and k = 0, both read against the
+    presentation's dualcycles.  Every line-family cocycle pairs to 1 with
+    the skew loop, so other classes are refused without a solve.
+    """
+    if coords[0] * ws.pairing[0] + coords[1] * ws.pairing[1] != 1:
+        return None
+    try:
+        base, spun = (co.line_family_cocycle(ws.complex_, k) for k in (0, 1))
+    except FreeByCyclicError:
+        return None
+    pres = ws.presentation
+    cycles = [pres.dualcycles[g] for g in pres.generators]
+    f = [co.evaluate(ws.complex_, base, cycle) for cycle in cycles]
+    s = [co.evaluate(ws.complex_, spun, cycle) - fi
+         for cycle, fi in zip(cycles, f)]
+    d = [c - fi for c, fi in zip(coords, f)]
+    k = next((di / si for di, si in zip(d, s) if si), Fraction(0))
+    if k.denominator == 1 and k >= 0 and \
+            all(di == k * si for di, si in zip(d, s)):
+        return int(k)
+    return None
+
+
 def _build_for_class(cfg: RunConfig, ws: Workspace, coords: tuple[int, int],
                      z: dict):
     """Section + first return for a primitive class, canonically when possible.
 
     Returns ``(line_section_or_None, section, return_map)``; the canonical
-    route applies exactly when the class sits on the pairing-one line with
-    a nonnegative chain index and the phase, read modulo 1, is the table's
-    1/2 convention; otherwise the section is the level set of ``z``.
+    route applies exactly when the class is that of a line-family cocycle
+    (:func:`_line_index`) and the phase, read modulo 1, is the table's 1/2
+    convention; otherwise the section is the level set of ``z``.
     """
-    cb, cr = coords
-    canonical = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1
-                 and cr == cb + 1 and cb >= 0
-                 and cfg.phase % 1 == Fraction(1, 2))
-    if canonical:
-        ls = sect.line_section(ws.complex_, cb)
+    k = _line_index(ws, coords) if cfg.phase % 1 == Fraction(1, 2) else None
+    if k is not None:
+        ls = sect.line_section(ws.complex_, k)
         return ls, ls.section, ls.return_map
     section = sect.build_section(ws.complex_, z, cfg.phase)
     return None, section, sect.first_return(section)
@@ -383,7 +395,7 @@ def cmd_section(cfg: RunConfig) -> int:
         "k": None if ls is None else ls.k,
         "phase": str(section.phase),
         "basepoint": section.basepoint,
-        "audit": _audit_dict(audit),
+        "audit": asdict(audit),
     }
     if ls is not None:
         payload["tree"] = list(ls.tree_edges)

@@ -58,7 +58,8 @@ class ConeInfeasibleError(InvariantViolation):
 
 
 class DegeneratePhaseError(InvariantViolation):
-    """No generic section phase was found within the perturbation budget."""
+    """A crossing height of a section falls off the crossing grid of its
+    phase."""
 
 
 class IterationBudgetError(InvariantViolation):

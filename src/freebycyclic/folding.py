@@ -4,9 +4,10 @@ Subdivide a map at image preimages so every edge carries a single-edge label,
 then repeatedly identify label-equal direction pairs (folds) until the
 remaining labelling is a graph isomorphism.  The folds run on one mutable
 :class:`WorkingStage`, and each fold is kept as a :class:`FoldRecord` and
-nothing else: the record determines the fold map, the torus construction and
-:meth:`FoldSequence.verify` read the records directly, and the intermediate
-stages are replayed from them only when :attr:`FoldSequence.stages` is read.
+nothing else: the record determines the fold map, and the torus construction
+and :meth:`FoldSequence.verify` read the records directly.  No intermediate
+stage is kept; replaying the records on
+:meth:`FoldSequence.working_stage` rebuilds any of them.
 The recorded sequence reassembles verbatim into the original map.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import FoldStuckError, InvariantViolation
 from .graphs import Graph, GraphMap, Subdivision, compose, subdivide_at_preimages
@@ -187,7 +187,7 @@ class WorkingStage:
 class FoldSequence:
     original: GraphMap
     subdivision: Subdivision
-    folds: tuple[FoldRecord, ...]    # folds[i]: stages[i] -> stages[i+1]
+    folds: tuple[FoldRecord, ...]    # folds[i]: stage i -> stage i + 1
     final_iso: GraphMap              # last stage -> codomain, bijective
 
     @property
@@ -198,17 +198,6 @@ class FoldSequence:
         """A fresh working stage at the subdivided graph, to replay the
         records on without building any stage."""
         return WorkingStage(_first_stage(self.subdivision))
-
-    @cached_property
-    def stages(self) -> tuple[Stage, ...]:
-        """Every stage, stages[0] the subdivided graph; replayed from the
-        records through a :class:`WorkingStage` on first read."""
-        stages = [_first_stage(self.subdivision)]
-        work = WorkingStage(stages[0])
-        for record in self.folds:
-            work.fold(record.kept, record.dropped)
-            stages.append(work.stage())
-        return tuple(stages)
 
     def verify(self) -> None:
         """Chase every edge and vertex of the subdivided graph forward

@@ -16,11 +16,9 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (DisconnectedGraphError, InputParseError,
                      InvariantViolation, MarkingError)
-from .words import (FreeGroupMap, Letter, Word, _CHAR, _LETTER, _Images,
-                    _cancelling_pairs,
-                    _outside_domain, _reduced_image, char, check_names,
-                    encode, greedy_nielsen_inverse, intern, inverse,
-                    letter_of, parse_word, reduce_word)
+from .words import (FreeGroupMap, ImageTable, Letter, Word, as_letter, char,
+                    check_names, encode, greedy_nielsen_inverse, intern,
+                    inverse, letter_of, parse_word, reduce_word)
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ def check_path(graph: Graph, word: Word) -> tuple[str, str]:
     except IndexError:
         raise InvariantViolation("an empty path has no endpoints") from None
     except KeyError as exc:
-        name = _LETTER.get(exc.args[0], exc.args[0])[0]
+        name = as_letter(exc.args[0])[0]
         raise InvariantViolation(f"unknown edge {name!r} in path") from None
     return start, end
 
@@ -217,67 +215,41 @@ class GraphMap:
         return self.domain == self.codomain
 
     @cached_property
-    def _image_table(self) -> "_DirectionImages":
-        """The image of each direction, computed on first lookup
-        (``edge_images`` must not change after that)."""
-        return _DirectionImages(self.edge_images)
+    def _image_table(self) -> ImageTable:
+        """The image of each direction, the inverse ones made on first
+        lookup (``edge_images`` must not change after that)."""
+        names = self.domain.edge_names
+        return ImageTable(names, map(self.edge_images.__getitem__, names))
+
+    @cached_property
+    def _edge_map(self) -> FreeGroupMap:
+        """The map of free groups on the edge names that sends each edge
+        to its tightened image: on edge paths it acts as this map does
+        followed by tightening (``edge_images`` must not change after the
+        first use)."""
+        names = self.domain.edge_names
+        return FreeGroupMap(names, self.codomain.edge_names,
+                            tuple(map(self.edge_images.__getitem__, names)))
 
     def apply_path(self, word: Word) -> Word:
         """Image of an edge path, concatenated without tightening."""
-        try:
-            return "".join(map(self._image_table.__getitem__, word))
-        except KeyError as exc:
-            raise _outside_domain(exc, self.domain.edge_names) from None
+        return "".join(map(self._image_table.__getitem__, word))
 
     def apply_tight(self, word: Word) -> Word:
         """Tightened image of an edge path; equals ``tighten(apply_path(word))``."""
-        return self.iterate_tight(word, 1)
+        return self._edge_map.apply(word)
 
     def iterate_tight(self, word: Word, n: int) -> Word:
         """The tightened image of an edge path under the n-th power of a
-        self-map.
-
-        Each round substitutes and reduces on the text.  Edge images need
-        not be tight, so each letter's image is tightened when the letter
-        first occurs.
-        """
+        self-map: n rounds of :meth:`apply_tight`."""
         if n > 1 and not self.is_self_map:
             raise InvariantViolation("only a self-map can be iterated")
         if n < 1:
             return encode(word)
-        table = _Images()
-        pairs: tuple[str, ...] = ()
-        letters = set(word)  # every letter the next round can meet
-        try:
-            for _ in range(n):
-                fresh = letters.difference(table)
-                if fresh:
-                    for ch in map(_CHAR.__getitem__, fresh):
-                        table[ch] = reduce_word(self._image_table[ch])
-                    images = "".join(table.values())
-                    pairs = _cancelling_pairs(images)
-                    letters = set(images)
-                word = _reduced_image(word, table, pairs)
-        except KeyError as exc:
-            raise _outside_domain(exc, self.domain.edge_names) from None
+        apply = self._edge_map.apply
+        for _ in range(n):
+            word = apply(word)
         return word
-
-
-class _DirectionImages(_Images):
-    """The image text of each direction of a map, computed on first lookup;
-    a letter outside the map's domain raises ``KeyError``."""
-
-    def __init__(self, edge_images: Mapping[str, Word]) -> None:
-        super().__init__()
-        self.edge_images = edge_images
-
-    def fill(self, ch: str) -> Word:
-        name, sign = _LETTER[ch]
-        img = self.edge_images.get(name)
-        if img is None:
-            raise KeyError(ch)
-        self[ch] = img = img if sign > 0 else inverse(img)
-        return img
 
 
 def compose(f: GraphMap, g: GraphMap) -> GraphMap:
@@ -374,7 +346,7 @@ class SpanningTree:
     @cached_property
     def _collapse(self) -> dict[int, None]:
         """A ``str.translate`` table deleting the tree edges."""
-        return {ord(_CHAR[(name, sign)]): None
+        return {ord(char((name, sign))): None
                 for name in self.tree_edges for sign in (1, -1)}
 
 
@@ -394,7 +366,7 @@ def spanning_tree(graph: Graph, root: Optional[str] = None) -> SpanningTree:
             for lt in graph.directions(v):
                 w = graph.term_of(lt)
                 if w not in seen:
-                    seen[w] = seen[v] + _CHAR[lt]
+                    seen[w] = seen[v] + char(lt)
                     tree.add(lt[0])
                     nxt.append(w)
         frontier = nxt

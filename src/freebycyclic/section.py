@@ -34,8 +34,8 @@ from .errors import (
     IterationBudgetError,
     NonIntegralClassError,
 )
-from .graphs import Graph, GraphMap, SpanningTree, components, \
-    fundamental_group_map, spanning_tree
+from .graphs import Graph, GraphMap, components, fundamental_group_map, \
+    spanning_tree
 from .torus import TrapComplex
 from .traintrack import illegal_turns
 from .words import FreeGroupMap, Word, encode, inverse, letters
@@ -578,6 +578,12 @@ def build_section(complex_: TrapComplex, cocycle: Mapping,
         raise InvariantViolation(
             f"flow landings {sorted(missing)!r} miss every level arc")
 
+    # each interior vertex splits one arc, so the crossing counts fix χ
+    euler, expected = len(host) - len(edges), 1 - crossing_rank(complex_, z)
+    if euler != expected:
+        raise InvariantViolation(
+            f"section has Euler characteristic {euler}, but its crossing "
+            f"counts give {expected}")
     graph = Graph(tuple(sorted(host)), tuple(sorted(edges)))
     crossed_skews = [s.name for s in complex_.skews if z.get(s.name, 0)]
     basepoint = _crossing_name(min(crossed_skews), 1) if crossed_skews \
@@ -628,7 +634,6 @@ class MonodromyData:
 
     generators: tuple[str, ...]
     automorphism: FreeGroupMap
-    tree: SpanningTree
     basepoint: str
 
 
@@ -649,7 +654,7 @@ def monodromy(section: SectionGraph, return_map: GraphMap) -> MonodromyData:
         raise InvariantViolation("section has no usable basepoint")
     tree = spanning_tree(graph, root)
     fmap = fundamental_group_map(return_map, tree)
-    return MonodromyData(fmap.domain, fmap, tree, root)
+    return MonodromyData(fmap.domain, fmap, root)
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +762,13 @@ class LineSection:
     """A line-family section with its canonical names and monodromy.
 
     ``graph`` and ``table`` carry the renamed, reoriented section and
-    first return map; ``names`` maps raw edge names to canonical ones;
-    the spanning tree for the monodromy is the union of the chain edges.
+    first return map; the spanning tree for the monodromy is the union of
+    the chain edges.
     """
 
     k: int
     section: SectionGraph
     return_map: GraphMap
-    names: dict[str, str]
     graph: Graph
     table: GraphMap
     tree_edges: tuple[str, ...]
@@ -793,8 +797,8 @@ def line_section(complex_: TrapComplex, k: int) -> LineSection:
     if tree.tree_edges != set(tree_edges):
         raise InvariantViolation("the chain edges are not a spanning tree")
     fmap = fundamental_group_map(table, tree)
-    return LineSection(k, section, return_map, names, graph, table, tree_edges,
-                       MonodromyData(fmap.domain, fmap, tree, tree.root))
+    return LineSection(k, section, return_map, graph, table, tree_edges,
+                       MonodromyData(fmap.domain, fmap, tree.root))
 
 
 # ---------------------------------------------------------------------------

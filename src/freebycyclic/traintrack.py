@@ -26,9 +26,9 @@ from operator import add, itemgetter, mul, sub, truediv
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation, NotExpandingError, NotIrreducibleError
-from .graphs import GraphMap, rank as graph_rank, reachable, tighten
+from .graphs import GraphMap, rank as graph_rank, reachable
 from .words import (Letter, Word, char, encode, format_word, inverse,
-                    inverse_letter, letter_of, letters)
+                    inverse_letter, letter_of, letters, reduce_word)
 
 #: A turn is an unordered pair of distinct directions at a common vertex.
 Turn = frozenset  # frozenset[Letter] of size 2
@@ -340,12 +340,8 @@ def taken_turns(f: GraphMap) -> tuple[Turn, ...]:
 
 @dataclass
 class WhiteheadData:
-    """Local, stable, and ideal Whitehead graphs of a train track map."""
+    """Principal vertices and ideal Whitehead graph of a train track map."""
 
-    #: vertex -> (directions at the vertex, taken turns at the vertex)
-    local: dict[str, tuple[tuple[Letter, ...], tuple[Turn, ...]]]
-    #: vertex -> (periodic directions, taken turns between periodic directions)
-    stable: dict[str, tuple[tuple[Letter, ...], tuple[Turn, ...]]]
     #: vertices with at least three periodic directions
     principal_vertices: tuple[str, ...]
     #: connected components of the ideal graph: (vertex, nodes, edges)
@@ -358,12 +354,11 @@ def whitehead_data(f: GraphMap) -> WhiteheadData:
     taken_at: dict[str, list[Turn]] = {}
     for t in taken_turns(f):  # both directions of a turn share its vertex
         taken_at.setdefault(graph.init_of(min(t)), []).append(t)
-    local = {}
+    # vertex -> (periodic directions, taken turns between them)
     stable = {}
     for v in graph.vertices:
         dirs = graph.directions(v)
         turns_v = tuple(taken_at.get(v, ()))
-        local[v] = (dirs, turns_v)
         pdirs = tuple(d for d in dirs if d in periodic)
         pturns = tuple(t for t in turns_v if all(d in periodic for d in t))
         stable[v] = (pdirs, pturns)
@@ -380,7 +375,7 @@ def whitehead_data(f: GraphMap) -> WhiteheadData:
                 seen |= comp
                 edges = tuple(t for t in pturns if t <= comp)
                 components.append((v, tuple(sorted(comp)), edges))
-    return WhiteheadData(local, stable, principal, tuple(components))
+    return WhiteheadData(principal, tuple(components))
 
 
 def _turn_adjacency(nodes: Sequence[Letter], turns: Sequence[Turn]
@@ -526,7 +521,7 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
                         graph.term_of(letter_of(s2[-1])):
                     continue  # halves must meet at a common junction vertex
                 rho = s1 + inverse(s2)
-                if len(tighten(rho)) != len(rho):
+                if len(reduce_word(rho)) != len(rho):
                     continue
                 inps.append(rho)
         # assemble concatenations of verified indivisible pieces
@@ -545,7 +540,8 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
                         graph.init_of(letter_of(piece[0])):
                     continue
                 combo = base + piece
-                if len(combo) > max_len or len(tighten(combo)) != len(combo):
+                if len(combo) > max_len or \
+                        len(reduce_word(combo)) != len(combo):
                     continue
                 if combo in closed:
                     continue

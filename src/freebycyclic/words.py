@@ -9,7 +9,7 @@ Code points follow the order in which names were first seen, so nothing
 orders words by them: orderings are keyed on the decoded letters.
 
 A :data:`Letter` stays a ``(name, sign)`` tuple: directions and turns are
-graph data.  The letter table and the image table of a map answer letters
+graph data.  The letter table and a map's :class:`ImageTable` answer letters
 and code points alike, so :func:`encode` returns text unchanged and a map
 applies to a word of letters through the same code as to text.  Text is
 parsed and formatted only at the file and command-line boundary:
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputParseError, InvariantViolation
@@ -249,34 +250,43 @@ def primitive_root(word: Word) -> tuple[Word, int]:
 
 
 # ---------------------------------------------------------------------------
-# the substitution kernel
+# image tables
 
 
-def _reduced_image(word: Iterable, image_text: Mapping[object, str],
-                   pairs: tuple[str, ...]) -> str:
-    """The reduced product of ``image_text[x]`` over the letters ``x`` of
-    ``word``; ``pairs`` must hold the cancelling pairs of the images.  The
-    passes number at most the map's bounded cancellation constant plus one
-    on a reduced word (Cooper 1987)."""
-    return _reduce("".join(map(image_text.__getitem__, word)), pairs)
+def as_letter(key):
+    """The letter of a code point; any other key comes back as it is
+    (for naming a letter in an error message)."""
+    return _LETTER.get(key, key)
 
 
-class _Images(dict):
-    """Image texts keyed by code point alone (the fast path for text keys);
-    a letter finds its code point's image, and a missing one goes to fill."""
+class ImageTable(dict):
+    """The image text of each letter of a map's domain, keyed by code point.
 
-    def __missing__(self, key) -> str:
-        ch = _CHAR[key]
-        return self[ch] if ch != key else self.fill(ch)
+    The forward letters' images are given; an inverse letter's image is
+    made from its forward one on first lookup, and a letter given as a
+    ``(name, sign)`` tuple finds the image of its code point.  A letter
+    outside the domain raises :class:`InvariantViolation` naming it.
+    """
 
-    def fill(self, ch: str) -> str:
-        raise KeyError(ch)
+    def __init__(self, domain: tuple[str, ...],
+                 images: Iterable[Word]) -> None:
+        intern(domain)
+        # keys are the letter table's own strings: iterating a text makes a
+        # new one-character string per code point past Latin-1
+        super().__init__(zip(map(_CHAR.__getitem__, zip(domain, repeat(1))),
+                             images))
+        self.domain = domain
 
-
-def _outside_domain(exc: KeyError, domain: tuple) -> InvariantViolation:
-    """The error for a word letter that a map's image table lacks."""
-    lt = _LETTER.get(exc.args[0], exc.args[0])
-    return InvariantViolation(f"letter {lt!r} is not in the domain {domain!r}")
+    def __missing__(self, key) -> Word:
+        ch = _CHAR.get(key)
+        if ch is not None:
+            if ch != key:  # a letter given as a tuple
+                return self[ch]
+            if ord(ch) & 1 and chr(ord(ch) - 1) in self:  # an inverse letter
+                self[ch] = image = inverse(self[chr(ord(ch) - 1)])
+                return image
+        raise InvariantViolation(
+            f"letter {as_letter(key)!r} is not in the domain {self.domain!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +320,9 @@ class FreeGroupMap:
             raise InvariantViolation(
                 f"image letter {_LETTER[ch][0]!r} not in codomain")
         self._index = {g: i for i, g in enumerate(self.domain)}
-        # each generator's image in both orientations, and the cancelling
-        # pairs of the letters they hold
-        self._image_text = _Images()
-        for g, img in zip(self.domain, self.images):
-            self._image_text[_CHAR[(g, 1)]] = img
-            self._image_text[_CHAR[(g, -1)]] = inverse(img)
+        # each letter's image, and the cancelling pairs of the letters the
+        # images hold
+        self._image_text = ImageTable(self.domain, self.images)
         self._pairs = _cancelling_pairs("".join(self.images))
 
     @classmethod
@@ -330,11 +337,11 @@ class FreeGroupMap:
 
     def apply(self, word: Iterable) -> Word:
         """Freely reduced product of the images of the letters of ``word``,
-        which may itself be unreduced."""
-        try:
-            return _reduced_image(word, self._image_text, self._pairs)
-        except KeyError as exc:
-            raise _outside_domain(exc, self.domain) from None
+        which may itself be unreduced.  The reduction passes number at most
+        the map's bounded cancellation constant plus one on a reduced word
+        (Cooper 1987)."""
+        return _reduce("".join(map(self._image_text.__getitem__, word)),
+                       self._pairs)
 
     def compose(self, other: "FreeGroupMap") -> "FreeGroupMap":
         """Return self ∘ other (apply ``other`` first)."""

@@ -217,13 +217,11 @@ def whitehead_data(f: GraphMap) -> WhiteheadData:
     graph = f.domain
     periodic = periodic_directions(f)
     taken = set(taken_turns(f))
-    local = {}
     stable = {}
     for v in graph.vertices:
         dirs = directions(graph, v)
         turns_v = tuple(t for t in sorted(taken, key=turn_sort_key)
                         if all(d in dirs for d in t))
-        local[v] = (dirs, turns_v)
         pdirs = tuple(d for d in dirs if d in periodic)
         pturns = tuple(t for t in turns_v if all(d in periodic for d in t))
         stable[v] = (pdirs, pturns)
@@ -253,7 +251,7 @@ def whitehead_data(f: GraphMap) -> WhiteheadData:
             nodes = tuple(sorted(comp))
             edges = tuple(t for t in pturns if all(x in comp for x in t))
             components.append((v, nodes, edges))
-    return WhiteheadData(local, stable, principal, tuple(components))
+    return WhiteheadData(principal, tuple(components))
 
 
 def matmul(left: traintrack.TransitionMatrix,

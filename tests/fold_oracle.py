@@ -7,7 +7,8 @@ replaced: it lists every candidate pair at a stage and sorts them, applies
 each fold by building the next validated stage from scratch
 (:func:`_apply_fold`, the package's fold step before the working stage),
 and verifies by building a validated ``GraphMap`` per fold from its record
-and composing them stage by stage.
+and composing them stage by stage.  :func:`stages` replays a package
+sequence's records into every stage, which the package never keeps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from freebycyclic.errors import FoldStuckError, InvariantViolation
 from freebycyclic.folding import (Candidate, FoldRecord, FoldSequence, Stage,
-                                  _letter_key)
+                                  WorkingStage, _letter_key)
 from freebycyclic.graphs import (Graph, GraphMap, Subdivision, compose,
                                  subdivide_at_preimages)
 from freebycyclic.words import Letter, char, letter_of
@@ -37,6 +38,27 @@ class OracleSequence:
     @property
     def fold_count(self) -> int:
         return len(self.folds)
+
+
+def first_stage(sub: Subdivision) -> Stage:
+    """The subdivided graph labelled by its single-letter images."""
+    labels = {name: letter_of(image)
+              for name, image in sub.relabeled.edge_images.items()}
+    return Stage(sub.graph, labels, dict(sub.relabeled.vertex_map))
+
+
+def stages(seq: FoldSequence | OracleSequence) -> tuple[Stage, ...]:
+    """Every stage of a fold sequence, the subdivided graph first: the
+    oracle's own, or a package sequence's replayed from its records
+    through one :class:`WorkingStage`."""
+    if isinstance(seq, OracleSequence):
+        return seq.stages
+    out = [first_stage(seq.subdivision)]
+    work = WorkingStage(out[0])
+    for record in seq.folds:
+        work.fold(record.kept, record.dropped)
+        out.append(work.stage())
+    return tuple(out)
 
 
 def direction_label(stage: Stage, d: Letter) -> Letter:
@@ -140,15 +162,16 @@ def fold_map(before: Stage, after: Stage, record: FoldRecord) -> GraphMap:
 def verify(seq: FoldSequence | OracleSequence) -> None:
     """Recompose the chain one stage at a time and insist it reproduces the
     original verbatim."""
-    if seq.fold_count != (len(seq.stages[0].graph.edges)
-                          - len(seq.stages[-1].graph.edges)):
+    chain = stages(seq)
+    if seq.fold_count != (len(chain[0].graph.edges)
+                          - len(chain[-1].graph.edges)):
         raise InvariantViolation("fold count does not match edge loss")
     composite = seq.final_iso
     for record in reversed(seq.folds):
         i = record.index
         composite = compose(composite,
-                            fold_map(seq.stages[i - 1], seq.stages[i], record))
-    for name in seq.stages[0].graph.edge_names:
+                            fold_map(chain[i - 1], chain[i], record))
+    for name in chain[0].graph.edge_names:
         if composite.edge_images[name] != \
                 seq.subdivision.relabeled.edge_images[name]:
             raise InvariantViolation(
@@ -162,23 +185,21 @@ def verify(seq: FoldSequence | OracleSequence) -> None:
 
 def fold_chain(sub: Subdivision) -> tuple[list[Stage], list[FoldRecord]]:
     """Fold with :func:`pick_fold` until no fold applies, stuck or not."""
-    labels = {name: letter_of(image)
-              for name, image in sub.relabeled.edge_images.items()}
-    stage = Stage(sub.graph, labels, dict(sub.relabeled.vertex_map))
-    stages = [stage]
+    stage = first_stage(sub)
+    chain = [stage]
     folds: list[FoldRecord] = []
     while (cand := pick_fold(stage)) is not None:
         stage, record = _apply_fold(stage, cand, len(folds) + 1)
-        stages.append(stage)
+        chain.append(stage)
         folds.append(record)
-    return stages, folds
+    return chain, folds
 
 
 def decompose(f: GraphMap) -> OracleSequence:
     """The fold sequence with every pick made by :func:`pick_fold`."""
     sub = subdivide_at_preimages(f)
-    stages, folds = fold_chain(sub)
-    stage = stages[-1]
+    chain, folds = fold_chain(sub)
+    stage = chain[-1]
     codomain = f.codomain
     vlabels = stage.vertex_labels
     if sorted(vlabels.values()) != sorted(codomain.vertices) or \
@@ -189,6 +210,6 @@ def decompose(f: GraphMap) -> OracleSequence:
                              "isomorphism")
     final = GraphMap(stage.graph, codomain, dict(vlabels),
                      {name: char(label) for name, label in stage.edge_labels.items()})
-    seq = OracleSequence(f, sub, tuple(stages), tuple(folds), final)
+    seq = OracleSequence(f, sub, tuple(chain), tuple(folds), final)
     verify(seq)
     return seq

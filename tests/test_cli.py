@@ -272,6 +272,27 @@ def test_section_reads_the_phase_modulo_one(capsys, coords, phase):
                phase) == half
 
 
+@pytest.mark.parametrize("command", ["section", "monodromy"])
+def test_canonical_route_reads_the_line_index_off_the_class(capsys, tmp_path,
+                                                            command):
+    # the bundled map in another dual basis, with the same pairing (-1, 1):
+    # its class 2,3 is the bundled class 1,2, the line-family member k = 1
+    alt = tmp_path / "alt.2gen"
+    alt.write_text(
+        f"use {Path(MAP).resolve()}\n"
+        "generators b r\n"
+        "relator rrrBRbRbrBRbRB\n"
+        "dualcycle b up:red.0 1 skew2 1 up:a@3.2 1\n"
+        "dualcycle r up:black.0 -1 up:c@1.1 1 up:a@2.3 -1 skew1 1 skew4 2 "
+        "up:red.0 2 skew2 2 up:a@3.2 2\n")
+    code, bundled, _ = run(capsys, command, "--input", PRES, "--class=1,2")
+    assert code == 0
+    one_two = '"class": [\n    1,\n    2\n  ]'
+    assert one_two in bundled
+    assert run(capsys, command, "--input", str(alt), "--class=2,3") == \
+        (0, bundled.replace(one_two, '"class": [\n    2,\n    3\n  ]'), "")
+
+
 FIBER_DOT = """digraph section {
   "flow1" [color=gray];
   "skew1#1" [color=red];

@@ -1,15 +1,18 @@
-"""Every name a package module imports is used in that module, every
-private helper it defines is referenced in it, and every public function
-and class it defines, and every public method, classmethod and property
-of a public class, is referenced by the package or the benchmark.
+"""Every name a package module imports is used in that module and is not
+another module's private name, every private helper it defines is
+referenced in it, and every public function and class it defines, and
+every public method, classmethod and property of a public class, is
+referenced by the package or the benchmark.
 
 No linter ships with the project, so these are small ``ast`` checks: each
 name bound by an ``import`` or ``from … import`` must be read somewhere
 in the module, as a name, as the base of an attribute, or inside a string
-annotation; each private module-level function or class, and each private
-method, must be referenced by name or as an attribute; each public
-module-level function or class, and each public method of a public class,
-must be referenced by name or as an attribute somewhere in
+annotation; no module imports an underscore name from another package
+module or reads one off a package module it imported; each private
+module-level function or class, and each private method, must be
+referenced by name or as an attribute; each public module-level function
+or class must be referenced by name or as an attribute, and each public
+method of a public class read as an attribute, somewhere in
 ``src/freebycyclic`` or ``bench``, where a mention in a docstring or other
 string does not count.  Public names that only the tests call move to the
 tests.  Likewise each annotated field of a public dataclass must be read
@@ -59,18 +62,13 @@ UNREAD_FIELDS = {
                                           "statement, read in "
                                           "test_acceptance and "
                                           "test_cohomology",
-    "section.MonodromyData.tree": "the spanning tree the generators are "
-                                  "read against; part of the monodromy "
-                                  "result, no reader yet",
-    "section.LineSection.names": "raw to canonical edge names of a line "
-                                 "section; part of its result, no reader "
-                                 "yet",
-    "traintrack.WhiteheadData.local": "the local Whitehead graph at each "
-                                      "vertex; part of the result, no "
-                                      "reader yet",
-    "traintrack.WhiteheadData.stable": "the stable Whitehead graph at each "
-                                       "vertex; part of the result, no "
-                                       "reader yet",
+    "section.SectionAudit.skew_crossings": "printed whole by cli through "
+                                           "dataclasses.asdict",
+    "section.SectionAudit.valence_profile": "printed whole by cli through "
+                                            "dataclasses.asdict",
+    "section.SectionAudit.illegal_turns_at_trivalent": "printed whole by "
+                                                       "cli through "
+                                                       "dataclasses.asdict",
     "traintrack.WhiteheadData.principal_vertices": "test_traintrack pins "
                                                    "them",
     "traintrack.NielsenReport.note": "the caveat of a bounded search; "
@@ -135,6 +133,45 @@ def test_the_check_sees_an_unused_import():
     assert unused == {"Iterable", "os"}
 
 
+def _private_imports(tree: ast.Module) -> set[str]:
+    """Underscore names the module takes from another package module:
+    imported with ``from .module import _name``, or read as
+    ``module._name`` off a package module it imported."""
+    taken = set()
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    taken.add(alias.name)
+                elif node.module is None:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            taken.add(f"{node.value.id}.{node.attr}")
+    return taken
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_names_cross_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(_private_imports(tree)) == [], \
+        f"{path.name} takes private names from another package module"
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from . import section as sect, _hidden as h\n"
+                     "from .words import Word, _CHAR as chars\n"
+                     "from .graphs import (tighten,\n    _private)\n"
+                     "print(sect._build(), sect.build(), h, chars)\n"
+                     "def f(self):\n    return self._own\n")
+    assert _private_imports(tree) == {"_hidden", "_CHAR", "_private",
+                                      "sect._build"}
+
+
 def _referenced(tree: ast.Module) -> set[str]:
     """Names the module refers to, as a name or as an attribute."""
     referenced = set()
@@ -193,14 +230,23 @@ def _public_defs(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item.name
 
 
+def _attributes_read(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def _unreferenced_publics(modules: dict[str, ast.Module],
                           readers: list[ast.Module]) -> set[str]:
     """``module.name`` of each public definition of ``modules`` (see
-    :func:`_public_defs`) that no tree in ``readers`` refers to."""
+    :func:`_public_defs`) that no tree in ``readers`` refers to; a method
+    or property counts only when it is read as an attribute, so a local
+    variable of the same name does not hide it."""
     referenced = set().union(*map(_referenced, readers))
+    attributes = set().union(*map(_attributes_read, readers))
     return {f"{module}.{qualified}" for module, tree in modules.items()
             for qualified, name in _public_defs(tree)
-            if name not in referenced}
+            if name not in (attributes if "." in qualified else referenced)}
 
 
 def _package_and_readers() -> tuple[dict[str, ast.Module], list[ast.Module]]:
@@ -241,15 +287,18 @@ def test_the_check_sees_an_unused_public_name():
                        "    @property\n"
                        "    def read(self):\n        return 1\n"
                        "    @property\n"
-                       "    def unread(self):\n        return 2\n")
+                       "    def unread(self):\n        return 2\n"
+                       "    @property\n"
+                       "    def shadowed(self):\n        return 3\n")
     reader = ast.parse('"""Mentioned only here."""\n'
                        "import mod\n"
                        "class Child(mod.Based):\n"
                        "    def method(self):\n        return used()\n"
-                       "print(mod.Kept.made().called(), mod.Kept().read)\n")
+                       "shadowed = [mod.Kept().read]\n"
+                       "print(mod.Kept.made().called(), shadowed)\n")
     assert _unreferenced_publics({"mod": module}, [module, reader]) == \
         {"mod.unused", "mod.Mentioned", "mod.Kept.uncalled",
-         "mod.Kept.unmade", "mod.Kept.unread"}
+         "mod.Kept.unmade", "mod.Kept.unread", "mod.Kept.shadowed"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -269,9 +318,7 @@ def _unread_fields(modules: dict[str, ast.Module],
                    readers: list[ast.Module]) -> set[str]:
     """``module.Class.field`` of each annotated field of a public dataclass
     of ``modules`` that no tree in ``readers`` reads as an attribute."""
-    read = {node.attr for tree in readers for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+    read = set().union(*map(_attributes_read, readers))
     return {f"{module}.{node.name}.{item.target.id}"
             for module, tree in modules.items() for node in tree.body
             if isinstance(node, ast.ClassDef)

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from freebycyclic.cohomology import (axis_dim_lower_bound, dict_scale,
-                                     dict_sum, integral_cocycle,
+                                     dict_sum, h1, integral_cocycle,
                                      line_family_cocycle,
                                      mapping_torus_h1_rank, require_open_cone)
 from freebycyclic.errors import (ConeInfeasibleError,
                                  DisconnectedGraphError, FreeByCyclicError,
                                  InvariantViolation, IterationBudgetError,
                                  NonIntegralClassError)
+from freebycyclic.corpus import corpus
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import load_map_file, map_to_automorphism
 from freebycyclic import section as sect
@@ -682,6 +683,33 @@ def test_crossing_rank_matches_the_built_section(torus, coords):
     z = integral_cocycle(torus, family_like(coords))
     section = build_section(torus, z)
     assert crossing_rank(torus, z) == section_audit(section).rank
+
+
+@pytest.fixture(scope="module")
+def corpus_tori():
+    """Three of the four rank-2 tori of ``corpus(2000, seed=1)`` that
+    build, by map index."""
+    maps = corpus(2000, seed=1)
+    return {index: build_torus(decompose(maps[index]))
+            for index in (449, 1116, 1946)}
+
+
+@pytest.mark.parametrize("index, coords, built, counted", [
+    (449, (1, 3), -8, -10), (1116, (2, 1), -2, -3), (1946, (-1, 4), -9, -10)])
+def test_a_section_smaller_than_its_crossings_is_refused(
+        corpus_tori, index, coords, built, counted):
+    # the level set's Euler characteristic is fixed by the crossing counts;
+    # on these classes (h1(T).duals coordinates) the built graph misses
+    # part of the level set
+    torus = corpus_tori[index]
+    duals = h1(torus).duals
+    z = integral_cocycle(torus, dict_sum(dict_scale(coords[0], duals[0]),
+                                         dict_scale(coords[1], duals[1])))
+    assert 1 - crossing_rank(torus, z) == counted
+    with pytest.raises(InvariantViolation) as err:
+        build_section(torus, z)
+    assert str(err.value) == (f"section has Euler characteristic {built}, "
+                              f"but its crossing counts give {counted}")
 
 
 def assert_unknown_cell_named(call, torus):

@@ -6,7 +6,7 @@ import pytest
 
 from freebycyclic.errors import (InvariantViolation, NotACycleError,
                                  NotIrreducibleError)
-from freebycyclic.folding import decompose
+from freebycyclic.folding import WorkingStage, decompose
 from freebycyclic.graphs import Graph, GraphMap
 from freebycyclic.torus import Skeleton, build_torus, skew_loop, validate
 from freebycyclic.graphs import load_map_file
@@ -196,16 +196,24 @@ def test_golden_torus_smoke():
     validate(torus)
 
 
-def test_build_torus_replays_the_folds_without_stages():
+def test_build_torus_replays_the_folds_without_stages(monkeypatch):
     # the ends of each kept direction come from one working stage, so no
     # intermediate stage is built
-    for images in ({"a": "ab", "b": "a"}, {"a": "aa"}):
-        seq = decompose(rose_map(images))
+    built = []
+    stage = WorkingStage.stage
+
+    def counting(work):
+        built.append(work)
+        return stage(work)
+
+    seqs = [decompose(rose_map(images))
+            for images in ({"a": "ab", "b": "a"}, {"a": "aa"})]
+    seqs.append(decompose(
+        load_map_file(os.path.join(EXAMPLES, "phi_f3.map")).gmap))
+    monkeypatch.setattr(WorkingStage, "stage", counting)
+    for seq in seqs:
         build_torus(seq)
-        assert "stages" not in seq.__dict__
-    seq = decompose(load_map_file(os.path.join(EXAMPLES, "phi_f3.map")).gmap)
-    build_torus(seq)
-    assert "stages" not in seq.__dict__
+    assert built == []
 
 
 def test_no_folds_rejected():
