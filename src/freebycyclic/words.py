@@ -3,8 +3,11 @@
 A word is text: one code point per oriented letter, from one process-wide
 letter table.  A name gets two adjacent code points, forward then inverse,
 when it is first seen (surrogates are skipped), so inverting a word
-reverses it and flips the low bit of each code point, concatenation is
-``+``, and free reduction deletes cancelling pairs until none is left.
+reverses it and flips the low bit of each code point, and concatenation is
+``+``.  Free reduction deletes cancelling pairs until none is left, one
+block of text at a time: each reduced block joins the reduced product so
+far at a junction that cancels the inverse prefix it meets, so a long
+unreduced text never exists whole.
 Code points follow the order in which names were first seen, so nothing
 orders words by them: orderings are keyed on the decoded letters.
 
@@ -23,9 +26,10 @@ parsed and formatted only at the file and command-line boundary:
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .errors import InputParseError, InvariantViolation
 
@@ -112,29 +116,71 @@ def _reduce(text: str, pairs: tuple[str, ...]) -> str:
     return text
 
 
-def reduce_word(word: Word) -> Word:
-    """Freely reduce: cancel adjacent inverse pairs until none remain."""
-    return _reduce(word, _cancelling_pairs(word))
+#: letters reduced per block: a long text is reduced one block at a time
+#: and each block pushed onto the reduced product so far, so the peak holds
+#: the reduced pieces, their join and one block.  On the 19-iterate growth
+#: of the bundled φ (1.28 M letters), blocks of 2048 to 16384 letters ran as
+#: fast as reducing the whole text, within noise, and 1024 a little slower;
+#: the last apply peaked at 2.0 times its result, and at 2.2 and 3.8 times
+#: with blocks of 65536 and 262144 letters.
+_BLOCK = 4096
 
 
-def multiply(*words: Word) -> Word:
-    """The reduced product of reduced words.  Each junction cancels the
-    longest suffix of the product so far that is the inverse of a prefix of
-    the next word, found by halving the candidate length, so a deep
-    cancellation costs a few string comparisons, not a pass per layer."""
-    out = ""
-    for word in words:
-        m = min(len(out), len(word))
-        tail, head = inverse(out[len(out) - m:]), word[:m]
-        lo, hi = 0, m + 1  # the common prefix has length in [lo, hi)
+def _push(pieces: list[str], piece: Word) -> None:
+    """Append the reduced ``piece`` to ``pieces``, the reduced product of
+    its reduced pieces.  The junction cancels the longest suffix of the
+    product that is the inverse of a prefix of ``piece``, popping whole
+    pieces that it runs through.  Its length is found by galloping (1, 2,
+    4, …) and then halving, so a junction that cancels k letters costs
+    string comparisons of O(k log k) letters, not a pass per layer."""
+    while pieces and piece:
+        last = pieces[-1]
+        m = min(len(last), len(piece))
+        lo, hi = 0, 1  # the cancellation has length in [lo, hi)
+        while hi <= m and inverse(last[-hi:]) == piece[:hi]:
+            lo, hi = hi, 2 * hi
+        hi = min(hi, m + 1)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if tail[:mid] == head[:mid]:
+            if inverse(last[-mid:]) == piece[:mid]:
                 lo = mid
             else:
                 hi = mid
-        out = out[:len(out) - lo] + word[lo:]
-    return out
+        piece = piece[lo:]
+        if lo < len(last):
+            if lo:
+                pieces[-1] = last[:-lo]
+            break
+        pieces.pop()
+    if piece:
+        pieces.append(piece)
+
+
+def _reduce_blocks(blocks: Iterable[str], pairs: tuple[str, ...]) -> Word:
+    """The reduced product of ``blocks``: each block reduced by the
+    cancelling ``pairs`` and pushed onto the product so far."""
+    pieces: list[str] = []
+    for block in blocks:
+        _push(pieces, _reduce(block, pairs))
+    return "".join(pieces)
+
+
+def reduce_word(word: Word) -> Word:
+    """Freely reduce: cancel adjacent inverse pairs until none remain, one
+    block of ``_BLOCK`` letters at a time, each block joining the reduced
+    product so far at a junction."""
+    return _reduce_blocks((word[i:i + _BLOCK]
+                           for i in range(0, len(word), _BLOCK)),
+                          _cancelling_pairs(word))
+
+
+def multiply(*words: Word) -> Word:
+    """The reduced product of reduced words, each pushed onto the product
+    so far through one junction and the pieces joined once."""
+    pieces: list[str] = []
+    for word in words:
+        _push(pieces, word)
+    return "".join(pieces)
 
 
 def power(word: Word, n: int) -> Word:
@@ -337,11 +383,18 @@ class FreeGroupMap:
 
     def apply(self, word: Iterable) -> Word:
         """Freely reduced product of the images of the letters of ``word``,
-        which may itself be unreduced.  The reduction passes number at most
-        the map's bounded cancellation constant plus one on a reduced word
-        (Cooper 1987)."""
-        return _reduce("".join(map(self._image_text.__getitem__, word)),
-                       self._pairs)
+        which may itself be unreduced.  The images of each block of
+        ``_BLOCK`` letters are joined and reduced, and the block pushed
+        onto the product so far, so the unreduced image never exists
+        whole.  On a reduced word the reduction passes of a block number
+        at most the map's bounded cancellation constant plus one, and so
+        does the cancellation at a junction (Cooper 1987)."""
+        if not isinstance(word, Sequence):
+            word = tuple(word)
+        image = self._image_text.__getitem__
+        return _reduce_blocks(("".join(map(image, word[i:i + _BLOCK]))
+                               for i in range(0, len(word), _BLOCK)),
+                              self._pairs)
 
     def compose(self, other: "FreeGroupMap") -> "FreeGroupMap":
         """Return self ∘ other (apply ``other`` first)."""

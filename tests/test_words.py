@@ -1,6 +1,8 @@
 """Word layer: parsing, reduction, conjugacy, inversion, outer equality."""
 
+import sys
 import timeit
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -405,6 +407,92 @@ def test_multiply_equals_the_tuple_oracle(u, v, w, more):
     factors += [tuple_reduce(word) for word in more]
     product = W.multiply(*map(W.encode, factors))
     assert W.letters(product) == tuple_reduce(sum(factors, ()))
+
+
+# -- reduction block by block -------------------------------------------------
+
+#: block lengths small enough that every junction, and cancellation through
+#: whole blocks, shows on short words
+BLOCKS = st.sampled_from((1, 2, 3, 5))
+
+
+def with_block(block, run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W, "_BLOCK", block)
+        return run()
+
+
+@settings(max_examples=200, deadline=None)
+@given(BLOCKS, maps_and_words())
+def test_apply_block_by_block_equals_the_oracle(block, case):
+    f, word = case
+    expected = oracle_apply(f, word)
+    for given_as in (word, W.encode(word), iter(word)):
+        assert W.letters(with_block(block, lambda: f.apply(given_as))) \
+            == expected
+    # w w⁻¹ cancels across every junction
+    both = word + tuple_inverse(word)
+    assert with_block(block, lambda: f.apply(both)) == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(BLOCKS, st.lists(letters_abc, max_size=24).map(tuple))
+def test_apply_through_whole_images_block_by_block(block, word):
+    # c's image cancels a's whole image, across b's empty image
+    f = FreeGroupMap.from_strings(ABC, {"a": "ab", "b": "", "c": "BA"})
+    assert W.letters(with_block(block, lambda: f.apply(word))) \
+        == oracle_apply(f, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BLOCKS, mixed_words, mixed_words)
+def test_reduce_word_block_by_block_equals_the_oracle(block, u, v):
+    word = u + v + tuple_inverse(v)   # unreduced in the middle
+    assert W.letters(with_block(block, lambda: W.reduce_word(
+        W.encode(word)))) == tuple_reduce(word)
+    both = W.encode(word + tuple_inverse(word))
+    assert with_block(block, lambda: W.reduce_word(both)) == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed_words, max_size=6))
+def test_multiply_cancels_through_whole_factors(factors):
+    # the factors, then their inverses in reverse order: w w⁻¹ cancels
+    # through every factor, and the products of each half cancel part way
+    texts = [W.encode(tuple_reduce(word)) for word in factors]
+    inverses = [W.inverse(t) for t in reversed(texts)]
+    for product in (texts, inverses):
+        assert W.letters(W.multiply(*product)) \
+            == tuple_reduce(sum(map(W.letters, product), ()))
+    assert W.multiply(*texts, *inverses) == ""
+
+
+@pytest.mark.parametrize("block", (1, 2, 3, 5))
+def test_apply_outside_the_domain_in_a_later_block(block):
+    # the first letter outside the domain is named, whichever block has it
+    word = (("a", 1),) * 7 + (("z", 1), ("a", -1), ("q", -1))
+    with pytest.raises(InvariantViolation,
+                       match=r"letter \('z', 1\) is not in the domain "
+                             r"\('a', 'b', 'c'\)"):
+        with_block(block, lambda: PHI.apply(word))
+
+
+def test_apply_holds_about_twice_its_result():
+    # φ¹⁵(a) has 30 309 letters and φ¹⁶(a) 59 586.  The images are reduced
+    # block by block, so the peak holds the reduced pieces, their join and
+    # one block; joining the whole unreduced image and rewriting it held
+    # about 5.3 times the result.
+    word = W.char(("a", 1))
+    for _ in range(15):
+        word = PHI.apply(word)
+    tracemalloc.start()
+    try:
+        result = PHI.apply(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 59586
+    assert peak < 3 * sys.getsizeof(result)
 
 
 def test_deep_cancellation_over_many_generators_is_fast():
