@@ -401,7 +401,7 @@ def cmd_section(cfg: RunConfig) -> int:
         payload["tree"] = list(ls.tree_edges)
         payload["first_return"] = {
             name: format_word(ls.table.edge_images[name])
-            for name in sorted(ls.graph.edge_names)}
+            for name in sorted(ls.table.domain.edge_names)}
     else:
         payload["first_return"] = {
             name: format_word(return_map.edge_images[name])
@@ -419,12 +419,10 @@ def _input_class_match(ws: Workspace, data: sect.MonodromyData
     deterministic.
     """
     marked = ws.mapfile.marked
-    if marked is None:
+    gens = data.generators
+    if marked is None or len(gens) != len(marked.generators):
         return None
     phi = map_to_automorphism(marked, ws.mapfile.gmap)
-    gens = data.generators
-    if len(gens) != len(phi.domain):
-        return None
     psi = data.automorphism
     for perm in itertools.permutations(phi.domain):
         relabel = FreeGroupMap.from_strings(

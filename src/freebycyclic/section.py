@@ -661,99 +661,54 @@ def monodromy(section: SectionGraph, return_map: GraphMap) -> MonodromyData:
 # the canonical line-family presentation
 
 
-def flip_rename(graph: Graph, self_map: GraphMap,
-                names: Mapping[str, str]) -> tuple[Graph, GraphMap]:
-    """Rename every edge and reverse its orientation.
-
-    Under the reversal a positive letter of the old graph becomes a
-    negative letter of the new one, so the image of a renamed edge is the
-    old image word reversed with signs kept.
-    """
-    flipped = Graph(graph.vertices,
-                    tuple(sorted((names[n], term, init)
-                                 for n, init, term in graph.edges)))
-    images = {names[n]: encode([(names[m], s) for m, s in
-                                reversed(letters(self_map.edge_images[n]))])
-              for n in graph.edge_names}
-    return flipped, GraphMap(flipped, flipped, dict(self_map.vertex_map),
-                             images)
+def _line_table(k: int) -> dict[str, Word]:
+    """First return table of the k-th line-family member, in canonical
+    names and orientation: four chains e2, e3, e4 and t of k + 1 edges,
+    each edge mapping onto the next, and the fixed edges e1, s1 and s2."""
+    n = k + 1
+    table = {"e1": "e3_1", "s1": "e2_1 t1", "s2": "t1",
+             f"e2_{n}": "e4_1'", f"e3_{n}": "t1 e3_1 e2_1",
+             f"e4_{n}": "s2 e1", f"t{n}": "s1 e1 e4_1"}
+    for i in range(1, n):
+        for chain in ("e2_", "e3_", "e4_", "t"):
+            table[f"{chain}{i}"] = f"{chain}{i + 1}"
+    return {name: encode([(x.rstrip("'"), -1 if x[-1] == "'" else 1)
+                          for x in image.split()])
+            for name, image in table.items()}
 
 
 def _line_names(return_map: GraphMap) -> tuple[dict[str, str], int]:
     """Canonical edge names of a line-family section, from its dynamics.
 
-    Works on the reversed (canonical-orientation) first return words.  The
-    unique edge with a single inverted image letter anchors four chains of
-    single-letter images; the leftover three edges are the skew crossing
-    and the two subdivision loops.  Every step is validated, so a return
-    map without the expected shape is rejected loudly.
+    The k-th member has 7 + 4k edges, and its first return words, reversed
+    into canonical orientation, are those of :func:`_line_table`.  The
+    unique edge whose image is one inverted letter is the last e2 edge;
+    from it a walk names each letter of a named edge's image by the
+    table's letter in that place.  A return map whose renamed table is not
+    the template is rejected.
     """
-    words = {n: letters(return_map.edge_images[n])[::-1]
-             for n in return_map.domain.edge_names}
-
-    def crash(reason: str):
-        raise InvariantViolation(
-            f"return map does not have the line-family shape: {reason}")
-
+    words = {n: letters(w)[::-1] for n, w in return_map.edge_images.items()}
+    k, extra = divmod(len(words) - 7, 4)
     anchors = [n for n, w in words.items() if len(w) == 1 and w[0][1] < 0]
-    if len(anchors) != 1:
-        crash(f"{len(anchors)} edges with inverted single-letter images")
-    chain2 = [anchors[0]]
-    while True:
-        prev = [n for n, w in words.items()
-                if len(w) == 1 and w[0] == (chain2[0], 1)]
-        if not prev:
-            break
-        if len(prev) > 1:
-            crash(f"single-letter predecessors of {chain2[0]} not unique")
-        chain2.insert(0, prev[0])
-
-    def follow(start: str, stop_len: int) -> list[str]:
-        chain = [start]
-        while len(words[chain[-1]]) == 1:
-            letter = words[chain[-1]][0]
-            if letter[1] < 0:
-                crash(f"chain from {start} hits an inverted letter")
-            chain.append(letter[0])
-        if len(words[chain[-1]]) != stop_len:
-            crash(f"chain from {start} ends with "
-                  f"{len(words[chain[-1]])} letters, wanted {stop_len}")
-        return chain
-
-    e4_first = words[anchors[0]][0][0]
-    chain4 = follow(e4_first, 2)
-    s2, e1 = (lt[0] for lt in words[chain4[-1]])
-    if any(s < 0 for _, s in words[chain4[-1]]):
-        crash("two-letter image of the last right chain edge has inverses")
-    if len(words[e1]) != 1 or words[e1][0][1] < 0:
-        crash("the spiral edge image is not a single positive letter")
-    chain3 = follow(words[e1][0][0], 3)
-    t1 = words[chain3[-1]][0][0]
-    if [lt for lt in words[chain3[-1]]][1:] != \
-            [(chain3[0], 1), (chain2[0], 1)]:
-        crash("three-letter image of the last left chain edge is wrong")
-    chaint = follow(t1, 3)
-    s1 = words[chaint[-1]][0][0]
-    if [lt for lt in words[chaint[-1]]][1:] != [(e1, 1), (chain4[0], 1)]:
-        crash("three-letter image of the last loop chain edge is wrong")
-    if words[s2] != ((chaint[0], 1),):
-        crash("the skew edge does not map onto the first loop edge")
-    if words[s1] != ((chain2[0], 1), (chaint[0], 1)):
-        crash("the subdivision edge image is wrong")
-    k = len(chain2) - 1
-    if not (len(chain3) == len(chain4) == len(chaint) == k + 1):
-        crash("chain lengths disagree")
-    names = {e1: "e1", s1: "s1", s2: "s2"}
-    for i, n in enumerate(chain2, start=1):
-        names[n] = f"e2_{i}"
-    for i, n in enumerate(chain3, start=1):
-        names[n] = f"e3_{i}"
-    for i, n in enumerate(chain4, start=1):
-        names[n] = f"e4_{i}"
-    for i, n in enumerate(chaint, start=1):
-        names[n] = f"t{i}"
-    if len(names) != len(words) or len(set(names.values())) != len(names):
-        crash("canonical names do not cover the edges bijectively")
+    table = _line_table(max(k, 0))
+    names: dict[str, str] = {}
+    if k >= 0 and not extra and len(anchors) == 1:
+        names[anchors[0]] = f"e2_{k + 1}"
+        walk = [anchors[0]]
+        while walk:
+            old = walk.pop()
+            image = letters(table[names[old]])
+            if len(image) != len(words[old]):
+                continue
+            for (m, _), (name, _) in zip(words[old], image):
+                if m not in names:
+                    names[m] = name
+                    walk.append(m)
+    if len(names) != len(words) or set(names.values()) != table.keys() \
+            or any(encode([(names[m], s) for m, s in w]) != table[names[n]]
+                   for n, w in words.items()):
+        raise InvariantViolation(
+            "return map does not have the line-family shape")
     return names, k
 
 
@@ -761,15 +716,14 @@ def _line_names(return_map: GraphMap) -> tuple[dict[str, str], int]:
 class LineSection:
     """A line-family section with its canonical names and monodromy.
 
-    ``graph`` and ``table`` carry the renamed, reoriented section and
-    first return map; the spanning tree for the monodromy is the union of
-    the chain edges.
+    ``table`` is the first return map of :func:`_line_table` on the
+    renamed, reoriented section; the spanning tree for the monodromy is
+    the union of the chain edges.
     """
 
     k: int
     section: SectionGraph
     return_map: GraphMap
-    graph: Graph
     table: GraphMap
     tree_edges: tuple[str, ...]
     monodromy: MonodromyData
@@ -789,7 +743,11 @@ def line_section(complex_: TrapComplex, k: int) -> LineSection:
         raise InvariantViolation(
             f"section dynamics give chain length {k_found + 1}, "
             f"expected {k + 1}")
-    graph, table = flip_rename(section.graph, return_map, names)
+    graph = Graph(section.graph.vertices,
+                  tuple(sorted((names[n], term, init)
+                               for n, init, term in section.graph.edges)))
+    table = GraphMap(graph, graph, dict(return_map.vertex_map),
+                     _line_table(k))
     chain = Graph(graph.vertices,
                   tuple(e for e in graph.edges if e[0].startswith("e")))
     tree_edges = tuple(sorted(chain.edge_names))
@@ -797,7 +755,7 @@ def line_section(complex_: TrapComplex, k: int) -> LineSection:
     if tree.tree_edges != set(tree_edges):
         raise InvariantViolation("the chain edges are not a spanning tree")
     fmap = fundamental_group_map(table, tree)
-    return LineSection(k, section, return_map, graph, table, tree_edges,
+    return LineSection(k, section, return_map, table, tree_edges,
                        MonodromyData(fmap.domain, fmap, tree.root))
 
 

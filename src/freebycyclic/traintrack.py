@@ -17,11 +17,12 @@ naming the failed hypothesis.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from typing import Optional, Sequence
 
@@ -471,7 +472,9 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
     prefixes are legal and f^k never cancels inside them: the tight
     f^period-image of a prefix has the length predicted from the crossing
     matrix, and lengths never shrink, so a half whose predicted length
-    passes the cap is skipped without being built.
+    passes the cap is skipped without being built.  The image of the
+    longest in-cap prefix of a ray starts with the image of each shorter
+    prefix, so it is the one image built per fixed direction.
     """
     dmap = direction_map(f)
     column = _columns(matrix.edges)
@@ -493,22 +496,26 @@ def _eigenray_search(f: GraphMap, matrix: TransitionMatrix, max_len: int,
         rays = {d: _ray_prefix(f, period, d, max_len) for d in fixed}
         halves: list[tuple[Letter, Word, str]] = []  # (dir, prefix, overflow)
         for d in fixed:
-            ray = rays[d]
-            for a in range(1, min(len(ray), max_len - 1) + 1):
-                sigma = ray[:a]
-                predicted = sum(image_lengths[column[ch]] for ch in sigma)
-                if predicted > _POWER_IMAGE_CAP:
-                    capped = True
-                    continue
-                image = f.iterate_tight(sigma, period)
-                if len(image) != predicted:
-                    raise InvariantViolation(
-                        f"f^{period}-image of the eigenray prefix "
-                        f"{format_word(sigma)} has {len(image)} letters, "
-                        f"not the {predicted} its crossing counts predict")
-                if image[:a] != sigma:
-                    continue
-                halves.append((d, sigma, image[a:]))
+            ray = rays[d][:max_len - 1]
+            ends = list(accumulate(image_lengths[column[ch]] for ch in ray))
+            inside = bisect_right(ends, _POWER_IMAGE_CAP)
+            capped |= inside < len(ray)
+            if not inside:
+                continue
+            image = f.iterate_tight(ray[:inside], period)
+            if len(image) != ends[inside - 1]:
+                # something cancelled: name the shortest prefix it shrank
+                for a in range(1, inside + 1):
+                    short = f.iterate_tight(ray[:a], period)
+                    if len(short) != ends[a - 1]:
+                        raise InvariantViolation(
+                            f"f^{period}-image of the eigenray prefix "
+                            f"{format_word(ray[:a])} has {len(short)} "
+                            f"letters, not the {ends[a - 1]} its crossing "
+                            f"counts predict")
+            for a in range(1, inside + 1):
+                if image[:a] == ray[:a]:
+                    halves.append((d, ray[:a], image[a:ends[a - 1]]))
         graph = f.domain
         inps: list[Word] = []
         for _d1, s1, o1 in halves:

@@ -168,10 +168,13 @@ def _reduce_blocks(blocks: Iterable[str], pairs: tuple[str, ...]) -> Word:
 def reduce_word(word: Word) -> Word:
     """Freely reduce: cancel adjacent inverse pairs until none remain, one
     block of ``_BLOCK`` letters at a time, each block joining the reduced
-    product so far at a junction."""
+    product so far at a junction.  A word in which no cancelling pair
+    occurs comes back itself, uncopied."""
+    pairs = _cancelling_pairs(word)
+    if not any(pair in word for pair in pairs):
+        return word
     return _reduce_blocks((word[i:i + _BLOCK]
-                           for i in range(0, len(word), _BLOCK)),
-                          _cancelling_pairs(word))
+                           for i in range(0, len(word), _BLOCK)), pairs)
 
 
 def multiply(*words: Word) -> Word:

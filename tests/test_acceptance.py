@@ -163,7 +163,7 @@ def test_criterion_4_line_family_sections(bundled):
             got = {e: format_word(w) for e, w in ls.table.edge_images.items()}
             assert got == canonical_return_table(k)
             assert ls.tree_edges == tuple(sorted(
-                n for n in ls.graph.edge_names if n.startswith("e")))
+                n for n in ls.table.domain.edge_names if n.startswith("e")))
         wd = whitehead_data(ls.table)
         assert len(wd.components) == 2 * k + 3
         for _v, nodes, edges in wd.components:

@@ -1,5 +1,6 @@
 """Semiflow sections, first-return maps, and monodromy, frozen by hand."""
 
+import copy
 import hashlib
 import math
 from fractions import Fraction
@@ -18,23 +19,25 @@ from freebycyclic.corpus import corpus
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import load_map_file, map_to_automorphism
 from freebycyclic import section as sect
-from freebycyclic.section import (_generic_phase, _line_names, build_charts,
-                                  build_section, crossing_rank, first_return,
-                                  host_kind, line_section, monodromy,
-                                  section_audit, section_dot)
+from freebycyclic.section import (_generic_phase, _line_names, _line_table,
+                                  build_charts, build_section, crossing_rank,
+                                  first_return, host_kind, line_section,
+                                  monodromy, section_audit, section_dot)
 from freebycyclic.torus import build_torus
 from freebycyclic.traintrack import (eigen_metric, is_expanding,
                                      is_irreducible, is_train_track,
                                      lone_axis_check, nielsen_search,
                                      rotationless_index, transition_matrix,
                                      whitehead_data)
-from freebycyclic.words import FreeGroupMap, format_word, letters, outer_equal
+from freebycyclic.words import (FreeGroupMap, encode, format_word, letters,
+                               outer_equal)
 
 import os
 
 from conftest import EXAMPLES
 from helpers import as_dict, open_cone_representative
 import section_oracle as oracle
+from test_acceptance import canonical_return_table
 
 F = Fraction
 
@@ -237,16 +240,8 @@ def test_deeper_vertex_returns(torus):
 # the one-parameter family of sections
 
 
-def expected_line_table(k):
-    table = {"e1": "e3_1", f"e2_{k+1}": "e4_1'",
-             f"e3_{k+1}": "t1 e3_1 e2_1", f"e4_{k+1}": "s2 e1",
-             "s1": "e2_1 t1", "s2": "t1", f"t{k+1}": "s1 e1 e4_1"}
-    for i in range(1, k + 1):
-        table[f"e2_{i}"] = f"e2_{i+1}"
-        table[f"e3_{i}"] = f"e3_{i+1}"
-        table[f"e4_{i}"] = f"e4_{i+1}"
-        table[f"t{i}"] = f"t{i+1}"
-    return table
+def formatted(table):
+    return {e: format_word(w) for e, w in table.items()}
 
 
 def expected_line_monodromy(k):
@@ -265,14 +260,41 @@ def test_line_family_tables(torus, k):
              + [f"e3_{i}" for i in range(1, k + 2)]
              + [f"e4_{i}" for i in range(1, k + 2)]
              + ["s1", "s2"] + [f"t{i}" for i in range(1, k + 2)])
-    assert ls.graph.edge_names == tuple(sorted(names))
-    got = {e: format_word(w) for e, w in ls.table.edge_images.items()}
-    assert got == expected_line_table(k)
+    assert ls.table.domain.edge_names == tuple(sorted(names))
+    assert formatted(ls.table.edge_images) == canonical_return_table(k)
     assert ls.tree_edges == tuple(sorted(n for n in names
                                          if n.startswith("e")))
     assert ls.monodromy.generators == ("s1", "s2") + tuple(
         f"t{i}" for i in range(1, k + 2))
     assert as_dict(ls.monodromy.automorphism) == expected_line_monodromy(k)
+
+
+def test_line_table_is_the_acceptance_oracle():
+    for k in range(33):
+        assert formatted(_line_table(k)) == canonical_return_table(k)
+
+
+def test_line_sections_follow_the_template(torus):
+    # line_section refuses a return map unless its renamed table is the
+    # template, so each k below built one of the template's shape
+    for k in range(25):
+        table = line_section(torus, k).table
+        assert formatted(table.edge_images) == canonical_return_table(k)
+
+
+def test_a_swapped_image_letter_is_refused(torus):
+    # the e3 chain's last image, t1 e3_1 e2_1, with e4_1 in place of e3_1:
+    # every edge is still named, but the renamed table is not the template
+    ret = line_section(torus, 3).return_map
+    names, k = _line_names(ret)
+    assert k == 3
+    old = {new: name for name, new in names.items()}
+    bad = copy.copy(ret)
+    bad.edge_images = dict(ret.edge_images)
+    bad.edge_images[old["e3_4"]] = encode(
+        [(old["e2_1"], 1), (old["e4_1"], 1), (old["t1"], 1)])
+    with pytest.raises(InvariantViolation, match="line-family shape"):
+        _line_names(bad)
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -6,6 +6,7 @@ directly from the image words, and the golden-ratio map's eigendata has the
 closed form ((1+sqrt(5))/2, (phi, 1)/(phi+1)).
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from freebycyclic.traintrack import (EigenMetric, NielsenReport, TransitionMatri
                                      rotationless_index, taken_turns,
                                      traintrack_report, transition_matrix,
                                      whitehead_data)
-from freebycyclic.words import encode, letters
+from freebycyclic.words import encode, format_word, letters
 
 import dense_oracle
 from conftest import EXAMPLES
@@ -352,6 +353,39 @@ def test_nielsen_image_cap_marks_the_search_incomplete():
     assert report.exhaustive is False
     assert not report.none_up_to_bounds
     assert "1,000,000 letters" in report.note
+
+
+# sha256 over the reports of the first 50 maps of corpus(200, seed=20260823)
+# at bounds (10, 6), paths written by format_word (code points depend on the
+# order in which names were interned): 3 reports find 4 paths each, 25 find
+# none and 22 hit the image cap
+NIELSEN_CORPUS_DIGEST = \
+    "702040a179b9150c7535a6191b4c3613162abeef6ef862e8adac8ca51ee7416d"
+
+
+def test_nielsen_reports_on_the_corpus_are_pinned():
+    digest = hashlib.sha256()
+    for f in corpus(200, seed=20260823)[:50]:
+        report = nielsen_search(f, 10, 6)
+        digest.update(repr(([(format_word(p), q) for p, q in report.found],
+                            report.max_len, report.max_period,
+                            report.exhaustive, report.method,
+                            report.note)).encode())
+    assert digest.hexdigest() == NIELSEN_CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("images, a, b", [
+    ({"a": "bbacbac", "b": "bbac", "c": "cacbbac"}, "bbC", "cBB"),
+    ({"a": "baabac", "b": "ba", "c": "cbaabac"}, "baC", "cAB"),
+])
+def test_nielsen_halves_overflow_only_past_their_own_image(images, a, b):
+    # maps 278 of corpus(300, seed=2) and 213 of corpus(300, seed=3): the
+    # halves of these Nielsen paths are shorter than their rays' longest
+    # in-cap prefix, so each overflow must end where its own image does
+    report = nielsen_search(rose_map(images))
+    assert report.exhaustive
+    assert [(format_word(p), q) for p, q in report.found] == [
+        (a, 1), (b, 1), (a * 2, 1), (b * 2, 1), (a * 3, 1), (b * 3, 1)]
 
 
 def test_eigenray_image_shorter_than_predicted_is_refused():

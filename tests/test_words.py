@@ -495,6 +495,22 @@ def test_apply_holds_about_twice_its_result():
     assert peak < 3 * sys.getsizeof(result)
 
 
+def test_reduce_word_returns_a_reduced_word_itself():
+    # φ¹⁶(a) (59,586 letters) is reduced: no cancelling pair occurs in it,
+    # so reduce_word hands it back uncopied
+    word = W.char(("a", 1))
+    for _ in range(16):
+        word = PHI.apply(word)
+    tracemalloc.start()
+    try:
+        result = W.reduce_word(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is word
+    assert peak < 0.5 * sys.getsizeof(word)
+
+
 def test_deep_cancellation_over_many_generators_is_fast():
     # q is 400 distinct generators, so q⁻¹q cancels through 400 layers
     q = W.intern(f"deep{i:03d}" for i in range(400))
