@@ -39,14 +39,12 @@ class TwoGenPresentation:
     complex so that characters written in the generators' dual basis can be
     paired with chains of the complex; ``use`` names the complex's map file.
     ``relator`` is the word as given (freely reduced); ``cyclic_relator`` is
-    its cyclically reduced core with ``relator = conjugator · cyclic_relator
-    · conjugator⁻¹``.
+    its cyclically reduced core.
     """
 
     generators: tuple[str, str]
     relator: Word
     cyclic_relator: Word
-    conjugator: Word
     dualcycles: dict[str, dict[str, int]]
     use: Optional[str] = None
 
@@ -122,8 +120,7 @@ def parse_presentation_text(text: str) -> TwoGenPresentation:
     if set(dualcycles) != set(generators):
         raise InputParseError("need exactly one dualcycle per generator")
     relator = reduce_word(parse_word(relator_text, generators))
-    core, conjugator = cyclic_reduce(relator)
-    return TwoGenPresentation(generators, relator, core, conjugator,
+    return TwoGenPresentation(generators, relator, cyclic_reduce(relator)[0],
                               dualcycles, use)
 
 
@@ -406,7 +403,12 @@ def lone_axis_line(comp: ConeComponent, pairing: Vec, bound: int = 5
     def at(m: int) -> Vec:
         return (base[0] + m * direction[0], base[1] + m * direction[1])
 
-    window = 8 * (bound + 2)
+    # past the crossings of the line with the bounding rays the line stays
+    # on one side of each ray, so membership is constant out there
+    window = max([8 * (bound + 2)] + [
+        abs(_cross(ray, base)) // abs(_cross(ray, direction)) + 1
+        for ray in (comp.start, comp.end)
+        if ray is not None and _cross(ray, direction)])
     members = [m for m in range(-window, window + 1) if comp.contains(at(m))]
     if not members:
         return AxisLine((), base, direction,

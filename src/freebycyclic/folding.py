@@ -6,9 +6,8 @@ remaining labelling is a graph isomorphism.  The folds run on one mutable
 :class:`WorkingStage`, and each fold is kept as a :class:`FoldRecord` and
 nothing else: the record determines the fold map, and the torus construction
 and :meth:`FoldSequence.verify` read the records directly.  No intermediate
-stage is kept; replaying the records on
-:meth:`FoldSequence.working_stage` rebuilds any of them.
-The recorded sequence reassembles verbatim into the original map.
+stage is kept.  The recorded sequence reassembles verbatim into the original
+map.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ class FoldRecord:
     kind: str                        # "strict" | "offset"
     vertex: str                      # shared vertex in the previous stage
     kept: Letter                     # surviving direction (previous stage)
+    kept_ends: tuple[str, str]       # its (initial, terminal) vertices there
     dropped: Letter                  # direction identified onto it
     label: Letter                    # common oriented codomain label
     merged_vertices: tuple[tuple[str, str], ...]  # (old name, new name)
@@ -194,11 +194,6 @@ class FoldSequence:
     def fold_count(self) -> int:
         return len(self.folds)
 
-    def working_stage(self) -> WorkingStage:
-        """A fresh working stage at the subdivided graph, to replay the
-        records on without building any stage."""
-        return WorkingStage(_first_stage(self.subdivision))
-
     def verify(self) -> None:
         """Chase every edge and vertex of the subdivided graph forward
         through the fold records and insist the chain reproduces the
@@ -298,9 +293,10 @@ def decompose(f: GraphMap) -> FoldSequence:
             break
         vertex, label, d1, d2, kind = cand
         keep, drop = (d1, d2) if d1[0] <= d2[0] else (d2, d1)
+        kept_ends = _oriented(work.ends, keep)
         merged = work.fold(keep, drop)
-        folds.append(FoldRecord(len(folds) + 1, kind, vertex, keep, drop,
-                                label, merged))
+        folds.append(FoldRecord(len(folds) + 1, kind, vertex, keep, kept_ends,
+                                drop, label, merged))
     else:
         raise InvariantViolation("fold loop exceeded the edge budget")
 

@@ -419,9 +419,6 @@ class MarkedGraph:
                 raise InvariantViolation(
                     f"marking word for {gname!r} is not a loop at the basepoint")
 
-    def marking_word(self, gname: str) -> Word:
-        return self.marking_words[gname]
-
 
 def marking_change_of_basis(marked: MarkedGraph
                             ) -> tuple[SpanningTree, tuple[str, ...], FreeGroupMap]:
@@ -432,7 +429,7 @@ def marking_change_of_basis(marked: MarkedGraph
     nontree = tuple(sorted(n for n in marked.graph.edge_names
                            if n not in tree.tree_edges))
     mu = FreeGroupMap(marked.generators, nontree,
-                      tuple(collapse_word(tree, marked.marking_word(g))
+                      tuple(collapse_word(tree, marked.marking_words[g])
                             for g in marked.generators))
     return tree, nontree, mu
 
@@ -442,8 +439,7 @@ def map_to_automorphism(marked: MarkedGraph, f: GraphMap) -> FreeGroupMap:
     graph: collapse a deterministic spanning tree, push the marking through,
     and convert back to the marking generators.
 
-    The result is well defined up to conjugacy; the provenance field records
-    the spanning tree and basepoint so reruns are reproducible.
+    The result is well defined up to conjugacy.
     """
     if not f.is_self_map or f.domain != marked.graph:
         raise InvariantViolation("expected a self-map of the marked graph")
@@ -456,19 +452,10 @@ def map_to_automorphism(marked: MarkedGraph, f: GraphMap) -> FreeGroupMap:
             "non-tree edges")
     psi = FreeGroupMap(
         marked.generators, nontree,
-        tuple(collapse_word(tree, f.apply_path(marked.marking_word(g)))
+        tuple(collapse_word(tree, f.apply_path(marked.marking_words[g]))
               for g in marked.generators))
     images = tuple(mu_inv.apply(psi.image(g)) for g in marked.generators)
-    result = FreeGroupMap(marked.generators, marked.generators, images,
-                          provenance={
-                              "spanning_tree": sorted(tree.tree_edges),
-                              "tree_root": tree.root,
-                              "basepoint": marked.basepoint,
-                              "collapse_basis": list(nontree),
-                          })
-    if greedy_nielsen_inverse(result) is not None:
-        result.invertibility = "automorphism (inverse computed)"
-    return result
+    return FreeGroupMap(marked.generators, marked.generators, images)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,6 @@ class TrapComplex:
     cells as they are.
     """
 
-    folds: FoldSequence
     zero_cells: tuple[ZeroCell, ...]
     verticals: tuple[Vertical, ...]
     skews: tuple[SkewCell, ...]
@@ -210,16 +209,11 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
     cell_set: dict[tuple[str, int], str] = {
         (v, 0): cell_name((v, 0)) for v in codomain.vertices}
     skews: list[SkewCell] = []
-    work = seq.working_stage()
     for record in seq.folds:
         i = record.index
         renames = merged[i - 1]
         keep = record.kept
-        # the ends of the kept direction in the stage the fold starts from
-        bottom_vertex, top_vertex = work.ends[keep[0]]
-        if keep[1] < 0:
-            bottom_vertex, top_vertex = top_vertex, bottom_vertex
-        work.fold(keep, record.dropped)
+        bottom_vertex, top_vertex = record.kept_ends
         top = norm(renames.get(top_vertex, top_vertex), i)
         if record.kind == "strict":
             bottom = (record.vertex, i - 1)
@@ -367,7 +361,7 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
         raise InvariantViolation(
             f"base edges never crossed at the base level: {missing}")
 
-    complex_ = TrapComplex(seq, zero_cells, tuple(verticals), tuple(skews),
+    complex_ = TrapComplex(zero_cells, tuple(verticals), tuple(skews),
                            tuple(trapezoids), base_cover)
     validate(complex_)
     return complex_

@@ -341,10 +341,9 @@ def taken_turns(f: GraphMap) -> tuple[Turn, ...]:
 
 @dataclass
 class WhiteheadData:
-    """Principal vertices and ideal Whitehead graph of a train track map."""
+    """Ideal Whitehead graph of a train track map at its principal vertices,
+    the vertices with at least three periodic directions."""
 
-    #: vertices with at least three periodic directions
-    principal_vertices: tuple[str, ...]
     #: connected components of the ideal graph: (vertex, nodes, edges)
     components: tuple[tuple[str, tuple[Letter, ...], tuple[Turn, ...]], ...]
 
@@ -363,11 +362,11 @@ def whitehead_data(f: GraphMap) -> WhiteheadData:
         pdirs = tuple(d for d in dirs if d in periodic)
         pturns = tuple(t for t in turns_v if all(d in periodic for d in t))
         stable[v] = (pdirs, pturns)
-    principal = tuple(v for v in sorted(graph.vertices)
-                      if len(stable[v][0]) >= 3)
     components = []
-    for v in principal:
+    for v in sorted(graph.vertices):
         pdirs, pturns = stable[v]
+        if len(pdirs) < 3:
+            continue
         adj = _turn_adjacency(pdirs, pturns)
         seen: set[Letter] = set()
         for d in pdirs:
@@ -376,7 +375,7 @@ def whitehead_data(f: GraphMap) -> WhiteheadData:
                 seen |= comp
                 edges = tuple(t for t in pturns if t <= comp)
                 components.append((v, tuple(sorted(comp)), edges))
-    return WhiteheadData(principal, tuple(components))
+    return WhiteheadData(tuple(components))
 
 
 def _turn_adjacency(nodes: Sequence[Letter], turns: Sequence[Turn]
@@ -588,7 +587,6 @@ class Verdict:
     verdict: str  # "yes" | "no" | "inconclusive"
     reason: str
     assumptions: tuple[str, ...]
-    data: dict
 
 
 class _Invariants:
@@ -674,13 +672,12 @@ class _Invariants:
         tt, witness = self.train_track
         if not tt:
             return Verdict("inconclusive",
-                           f"not a train track map (witness {witness})", (), {})
+                           f"not a train track map (witness {witness})", ())
         if not self.expanding:
             return Verdict("inconclusive",
-                           "crossing matrix is not expanding irreducible", (), {})
-        data: dict = {"illegal_turns": [format_turn(t) for t in self.illegal]}
+                           "crossing matrix is not expanding irreducible", ())
         if len(self.illegal) >= 2:
-            return Verdict("no", "at least 2 illegal turns", (), data)
+            return Verdict("no", "at least 2 illegal turns", ())
 
         flags = (("ageometric", assume_ageometric),
                  ("fully irreducible", assume_fully_irreducible))
@@ -689,33 +686,30 @@ class _Invariants:
         if missing:
             return Verdict("inconclusive",
                            "unverifiable hypotheses not asserted: "
-                           + ", ".join(missing), tuple(assumptions), data)
+                           + ", ".join(missing), tuple(assumptions))
 
         report = self.nielsen
         if report.found or not report.exhaustive:
             return Verdict("inconclusive",
                            "periodic Nielsen paths not excluded within bounds "
                            f"(len {report.max_len}, period {report.max_period})",
-                           tuple(assumptions), data)
+                           tuple(assumptions))
         assumptions.append(
             f"no periodic Nielsen paths up to length {report.max_len}, "
             f"period {report.max_period} (searched)")
 
         index = self.index
         n = graph_rank(self.f.domain)
-        data["index"] = str(index)
-        data["rank"] = n
-        data["ideal_components"] = self.ideal_components
         if index != Fraction(3, 2) - n:
             return Verdict("no", f"index {index} differs from 3/2 - rank = "
-                           f"{Fraction(3, 2) - n}", tuple(assumptions), data)
+                           f"{Fraction(3, 2) - n}", tuple(assumptions))
         for v, nodes, edges in self.whitehead.components:
             if _has_cut_vertex(nodes, edges):
                 return Verdict("no",
                                f"ideal component at vertex {v} has a cut vertex",
-                               tuple(assumptions), data)
+                               tuple(assumptions))
         return Verdict("yes", "index equals 3/2 - rank and no ideal component "
-                       "has a cut vertex", tuple(assumptions), data)
+                       "has a cut vertex", tuple(assumptions))
 
 
 def lone_axis_check(f: GraphMap, *, assume_ageometric: bool = False,

@@ -348,16 +348,11 @@ class FreeGroupMap:
 
     ``domain`` and ``codomain`` are generator name tuples; ``images[i]`` is
     the reduced image word of ``domain[i]``, given as text or as letters.
-    ``provenance`` optionally records how the map was produced (for instance
-    the spanning tree and basepoint used to read it off a marked graph).
     """
 
     domain: tuple[str, ...]
     codomain: tuple[str, ...]
     images: tuple[Word, ...]
-    provenance: Optional[dict] = None
-    #: "automorphism (inverse computed)" / "endomorphism, invertibility unverified"
-    invertibility: str = "endomorphism, invertibility unverified"
 
     def __post_init__(self) -> None:
         if len(self.images) != len(self.domain):
@@ -411,8 +406,7 @@ def greedy_nielsen_inverse(fmap: FreeGroupMap) -> Optional[FreeGroupMap]:
     """Invert ``fmap`` by greedy strictly-length-reducing Nielsen moves.
 
     A semidecision: None means only that no strictly reducing move sequence
-    reaches a basis greedily, and callers then report "endomorphism,
-    invertibility unverified"."""
+    reaches a basis greedily."""
     if len(fmap.domain) != len(fmap.codomain):
         return None
     system: list[Word] = list(fmap.images)
@@ -447,8 +441,7 @@ def greedy_nielsen_inverse(fmap: FreeGroupMap) -> Optional[FreeGroupMap]:
         name, sign = letter_of(w)
         images_by_name[name] = formal[i] if sign > 0 else inverse(formal[i])
     return FreeGroupMap(fmap.codomain, fmap.domain,
-                        tuple(images_by_name[g] for g in fmap.codomain),
-                        invertibility="automorphism (inverse computed)")
+                        tuple(images_by_name[g] for g in fmap.codomain))
 
 
 _ROOT_POWER_BOUND = 40  # outer_equal tries root powers m with |m| up to this

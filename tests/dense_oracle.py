@@ -251,7 +251,7 @@ def whitehead_data(f: GraphMap) -> WhiteheadData:
             nodes = tuple(sorted(comp))
             edges = tuple(t for t in pturns if all(x in comp for x in t))
             components.append((v, nodes, edges))
-    return WhiteheadData(principal, tuple(components))
+    return WhiteheadData(tuple(components))
 
 
 def matmul(left: traintrack.TransitionMatrix,

@@ -146,7 +146,9 @@ def _apply_fold(stage: Stage, cand: Candidate, index: int
     new_labels = {n: l for n, l in stage.edge_labels.items() if n != drop_edge}
     new_vlabels = {v: stage.vertex_labels[v] for v in new_vertices}
     new_stage = Stage(Graph(new_vertices, new_edges), new_labels, new_vlabels)
-    return new_stage, FoldRecord(index, kind, vertex, keep, drop, label, merged)
+    kept_ends = (graph.init_of(keep), graph.term_of(keep))
+    return new_stage, FoldRecord(index, kind, vertex, keep, kept_ends, drop,
+                                 label, merged)
 
 
 def fold_map(before: Stage, after: Stage, record: FoldRecord) -> GraphMap:

@@ -32,8 +32,7 @@ def as_dict(fmap: FreeGroupMap) -> dict[str, str]:
 
 def identity_map(gens: tuple[str, ...]) -> FreeGroupMap:
     """The identity automorphism of the free group on ``gens``."""
-    return FreeGroupMap(gens, gens, tuple(encode(((g, 1),)) for g in gens),
-                        invertibility="automorphism (inverse computed)")
+    return FreeGroupMap(gens, gens, tuple(encode(((g, 1),)) for g in gens))
 
 
 def identity_graph_map(graph: Graph) -> GraphMap:
@@ -196,7 +195,7 @@ def format_map_file(mapfile: MapFile) -> str:
     if mapfile.marked is not None:
         m = mapfile.marked
         lines.append(f"marking basepoint {m.basepoint}")
-        lines += [f"marking {gen} {format_word(m.marking_word(gen))}"
+        lines += [f"marking {gen} {format_word(m.marking_words[gen])}"
                   for gen in m.generators]
     for flag in sorted(mapfile.assumptions):
         lines.append(f"assume {flag}")

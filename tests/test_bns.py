@@ -45,8 +45,8 @@ def torus():
 def presentation(word_text, generators=("b", "r")):
     """A bare presentation for tracing tests; dual cycles unused."""
     relator = reduce_word(parse_word(word_text, generators))
-    core, conjugator = cyclic_reduce(relator)
-    return TwoGenPresentation(tuple(generators), relator, core, conjugator,
+    return TwoGenPresentation(tuple(generators), relator,
+                              cyclic_reduce(relator)[0],
                               {g: {} for g in generators})
 
 
@@ -59,7 +59,7 @@ def test_bundled_presentation(bundled):
     assert bundled.use == "phi_f3.map"
     assert format_word(bundled.relator) == "rrrBRbRbrBRbRB"
     assert bundled.cyclic_relator == bundled.relator
-    assert bundled.conjugator == ""
+    assert cyclic_reduce(bundled.relator)[1] == ""
     assert bundled.dualcycles == {
         "b": {"up:black.0": 1, "up:c@1.1": -1, "up:a@2.3": 1,
               "skew1": -1, "skew4": -2},
@@ -99,7 +99,7 @@ def test_cyclic_reduction_recorded():
     pres = presentation("BrBRbb")
     assert format_word(pres.relator) == "BrBRbb"
     assert format_word(pres.cyclic_relator) == "rBRb"
-    assert format_word(pres.conjugator) == "B"
+    assert format_word(cyclic_reduce(pres.relator)[1]) == "B"
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -305,6 +305,17 @@ def test_line_missing_a_narrow_sector(bundled_slopes):
     line = lone_axis_line(comp, (-1, 1), bound=5)
     assert line.classes == ()
     assert "misses" in line.infeasible_reason
+
+
+def test_line_meets_a_thin_sector_far_from_the_origin():
+    # the line x = 1 crosses the sector's rays at y = 60 and y = 70, past
+    # the default search window of 8 * (bound + 2) = 56
+    line = lone_axis_line(ConeComponent((1, 60), (1, 70)), (1, 0), bound=5)
+    assert line.classes == tuple((1, y) for y in range(61, 67))
+    # the reflex sector from (-1, 60) round to (1, 70) holds every (1, y)
+    # with y < 70, so the line leaves it only upward
+    line = lone_axis_line(ConeComponent((-1, 60), (1, 70)), (1, 0), bound=5)
+    assert line.classes == tuple((1, y) for y in range(69, 63, -1))
 
 
 def test_line_in_the_full_plane():

@@ -203,9 +203,9 @@ def test_bundled_transcription_gives_phi_outer_class(bundled):
                                     {"a": "ca", "b": "ab", "c": "Bab"})
     z = W.outer_equal(result, phi)
     assert z is not None
-    assert result.provenance["spanning_tree"] == ["a", "d"]
-    assert result.provenance["basepoint"] == "red"
-    assert result.invertibility == "automorphism (inverse computed)"
+    # the map is read through this tree, and the result inverts
+    assert G.spanning_tree(bundled.graph).tree_edges == {"a", "d"}
+    assert W.greedy_nielsen_inverse(result) is not None
 
 
 def test_marking_failure_raises():

@@ -42,15 +42,12 @@ UNCALLED_PUBLIC = {
                                     "pinned in test_acceptance and "
                                     "test_cohomology",
     "cohomology.delta_lengths": "the paper's discreteness statement, pinned "
-                                "in test_acceptance and test_cohomology",
+                                "in test_cohomology",
 }
 
 
 # dataclass fields that nothing in the package or the benchmark reads
 UNREAD_FIELDS = {
-    "bns.TwoGenPresentation.conjugator": "the prefix conjugating the "
-                                         "relator to its cyclic core; "
-                                         "test_bns pins it",
     "cohomology.H1Data.torsion": "the torsion divisors of H_1; "
                                  "test_cohomology pins them",
     "cohomology.H1Data.cycles": "the cycle basis the duals pair with; "
@@ -69,15 +66,8 @@ UNREAD_FIELDS = {
     "section.SectionAudit.illegal_turns_at_trivalent": "printed whole by "
                                                        "cli through "
                                                        "dataclasses.asdict",
-    "traintrack.WhiteheadData.principal_vertices": "test_traintrack pins "
-                                                   "them",
     "traintrack.NielsenReport.note": "the caveat of a bounded search; "
                                      "test_traintrack reads it",
-    "traintrack.Verdict.data": "the invariants behind a verdict; "
-                               "test_traintrack checks them against the "
-                               "report",
-    "words.FreeGroupMap.provenance": "how a map was made; no reader yet",
-    "words.FreeGroupMap.invertibility": "test_words and test_graphs pin it",
 }
 
 

@@ -10,7 +10,8 @@ import pytest
 from freebycyclic.cohomology import (axis_dim_lower_bound, dict_scale,
                                      dict_sum, h1, integral_cocycle,
                                      line_family_cocycle,
-                                     mapping_torus_h1_rank, require_open_cone)
+                                     mapping_torus_h1_rank, require_open_cone,
+                                     zero_cycle)
 from freebycyclic.errors import (ConeInfeasibleError,
                                  DisconnectedGraphError, FreeByCyclicError,
                                  InvariantViolation, IterationBudgetError,
@@ -533,6 +534,35 @@ def test_stretch_decreases_along_the_family(torus):
     assert stretches == sorted(stretches, reverse=True)
 
 
+def cycle_root(k):
+    """The root in (1, 2) of Q(λ, λ^(k+1)), by bisection in floats, where
+    Q(λ, μ) = λ²μ³ − λ²μ² − λμ² − λμ − λ − 1.  Q(1, 1) = −4 and
+    Q(2, 2^(k+1)) > 0, and Q changes sign once in between."""
+    lo, hi = 1.0, 2.0
+    for _ in range(60):
+        lam = (lo + hi) / 2
+        mu = lam ** (k + 1)
+        if lam * lam * mu ** 3 - lam * lam * mu * mu - lam * mu * mu \
+                - lam * mu - lam - 1 > 0:
+            hi = lam
+        else:
+            lo = lam
+    return lo
+
+
+def test_line_family_stretch_is_the_cycle_polynomial_root(torus):
+    # the paper's non-finiteness family through its stretch factors: the
+    # return map of class (k, k+1) stretches by the root λ_k of Q
+    roots = [cycle_root(k) for k in range(9)]
+    for k, root in enumerate(roots):
+        stretch = eigen_metric(line_section(torus, k).table).stretch
+        assert abs(stretch - root) <= 1e-9, k
+    assert abs(roots[0] - 1.9659482366) <= 1e-10
+    # the plastic number, the real root of x³ = x + 1
+    assert abs(roots[2] - 1.3247179572) <= 1e-10
+    assert abs(roots[2] ** 3 - roots[2] - 1) <= 1e-12
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_homology_radius_below_stretch(torus, k):
     # first returns expand edges faster than they grow homology classes;
@@ -708,12 +738,73 @@ def test_crossing_rank_matches_the_built_section(torus, coords):
 
 
 @pytest.fixture(scope="module")
-def corpus_tori():
-    """Three of the four rank-2 tori of ``corpus(2000, seed=1)`` that
-    build, by map index."""
-    maps = corpus(2000, seed=1)
-    return {index: build_torus(decompose(maps[index]))
-            for index in (449, 1116, 1946)}
+def rank2_corpus():
+    """The maps of ``corpus(2000, seed=1)`` whose mapping torus has first
+    Betti number 2, by map index."""
+    return {index: f for index, f in enumerate(corpus(2000, seed=1))
+            if mapping_torus_h1_rank(f) == 2}
+
+
+@pytest.fixture(scope="module")
+def corpus_tori(rank2_corpus):
+    """The tori of the rank-2 maps that build, by map index."""
+    tori = {}
+    for index, f in rank2_corpus.items():
+        try:
+            tori[index] = build_torus(decompose(f))
+        except InvariantViolation:
+            continue
+    return tori
+
+
+# crossing_rank − 1 on each rank-2 torus that builds, as a linear form in
+# the h1(T).duals coordinates (a, b)
+RANK2_FORMS = {205: lambda a, b: 2 * b, 449: lambda a, b: 4 * a + 2 * b,
+               1116: lambda a, b: 2 * a - b, 1946: lambda a, b: -2 * a + 2 * b}
+# the classes whose built section misses part of its level set (ROADMAP
+# item 16); each one fixed there leaves this list
+REFUSED_RANK2_CLASSES = {
+    449: {(1, 3), (1, 4), (1, 5), (2, 5)},
+    1116: {(2, 1), (3, 2), (4, 3), (5, 2), (5, 3), (5, 4)},
+    1946: {(-1, 4), (-1, 5)}}
+
+
+def test_rank2_corpus_sections_at_every_small_class(rank2_corpus,
+                                                    corpus_tori):
+    # every primitive class with |a|, |b| <= 5 in the open cone of each
+    # rank-2 torus: its section is connected and its return map again
+    # has a rank-2 mapping torus, or it is a known refusal
+    assert len(rank2_corpus) == 55
+    assert sorted(corpus_tori) == [205, 449, 1116, 1946]
+    counts, built, refused = {}, 0, {}
+    for index, torus in corpus_tori.items():
+        duals = h1(torus).duals
+        for a in range(-5, 6):
+            for b in range(-5, 6):
+                if math.gcd(a, b) != 1:
+                    continue
+                try:
+                    z = integral_cocycle(torus, dict_sum(
+                        dict_scale(a, duals[0]), dict_scale(b, duals[1])))
+                except ConeInfeasibleError:
+                    continue
+                if zero_cycle(torus, z) is not None:
+                    continue
+                counts[index] = counts.get(index, 0) + 1
+                assert crossing_rank(torus, z) - 1 == \
+                    RANK2_FORMS[index](a, b), (index, a, b)
+                try:
+                    section = build_section(torus, z)
+                except InvariantViolation as err:
+                    assert "Euler characteristic" in str(err)
+                    refused.setdefault(index, set()).add((a, b))
+                    continue
+                assert section_audit(section).components == 1
+                assert mapping_torus_h1_rank(first_return(section)) == 2
+                built += 1
+    assert counts == {205: 19, 449: 5, 1116: 19, 1946: 3}
+    assert built == 34
+    assert refused == REFUSED_RANK2_CLASSES
 
 
 @pytest.mark.parametrize("index, coords, built, counted", [

@@ -196,21 +196,21 @@ def test_golden_torus_smoke():
     validate(torus)
 
 
-def test_build_torus_replays_the_folds_without_stages(monkeypatch):
-    # the ends of each kept direction come from one working stage, so no
-    # intermediate stage is built
+def test_build_torus_reads_the_records_without_a_working_stage(monkeypatch):
+    # the ends of each kept direction come with its fold record, so the
+    # torus neither replays the folds nor builds any stage
     built = []
-    stage = WorkingStage.stage
+    init = WorkingStage.__init__
 
-    def counting(work):
+    def counting(work, first):
         built.append(work)
-        return stage(work)
+        init(work, first)
 
     seqs = [decompose(rose_map(images))
             for images in ({"a": "ab", "b": "a"}, {"a": "aa"})]
     seqs.append(decompose(
         load_map_file(os.path.join(EXAMPLES, "phi_f3.map")).gmap))
-    monkeypatch.setattr(WorkingStage, "stage", counting)
+    monkeypatch.setattr(WorkingStage, "__init__", counting)
     for seq in seqs:
         build_torus(seq)
     assert built == []

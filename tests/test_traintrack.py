@@ -25,7 +25,8 @@ from freebycyclic.section import build_section, first_return, line_section
 from freebycyclic.torus import build_torus
 from freebycyclic.traintrack import (EigenMetric, NielsenReport, TransitionMatrix,
                                      Verdict, direction_map, eigen_metric,
-                                     format_turn, illegal_turns, is_expanding,
+                                     format_direction, format_turn,
+                                     illegal_turns, is_expanding,
                                      is_irreducible, is_train_track,
                                      lone_axis_check, make_turn,
                                      nielsen_search, periodic_directions,
@@ -244,7 +245,7 @@ def test_taken_turns_bundled(fmap):
 
 def test_ideal_whitehead_three_triangles(fmap):
     wd = whitehead_data(fmap)
-    assert wd.principal_vertices == ("black", "blue", "red")
+    assert [v for v, _nodes, _edges in wd.components] == ["black", "blue", "red"]
     assert len(wd.components) == 3
     for _v, nodes, edges in wd.components:
         assert len(nodes) == 3 and len(edges) == 3
@@ -260,7 +261,6 @@ def test_doubling_map_empty_ideal_graph():
     f = rose_map(DOUBLING)
     wd = whitehead_data(f)
     assert periodic_directions(f) == frozenset(W("aA"))
-    assert wd.principal_vertices == ()
     assert wd.components == ()
     assert rotationless_index(wd) == 0
 
@@ -269,8 +269,8 @@ def test_golden_stable_graph_is_a_path():
     f = rose_map(GOLDEN)
     wd = whitehead_data(f)
     assert periodic_directions(f) == frozenset(W("aAB"))
-    assert wd.principal_vertices == ("v",)
-    ((_v, nodes, edges),) = wd.components
+    ((v, nodes, edges),) = wd.components
+    assert v == "v"
     assert set(nodes) == set(W("aAB"))
     assert set(edges) == {make_turn(*W("Aa")), make_turn(*W("Ba"))}
     assert rotationless_index(wd) == Fraction(-1, 2)
@@ -406,7 +406,7 @@ def test_lone_axis_bundled_yes(bundled):
                               assume_fully_irreducible=True)
     assert verdict.verdict == "yes"
     assert any("no periodic Nielsen paths" in a for a in verdict.assumptions)
-    assert verdict.data["index"] == "-3/2"
+    assert rotationless_index(whitehead_data(bundled.gmap)) == Fraction(-3, 2)
 
 
 def test_lone_axis_without_flags_inconclusive(fmap):
@@ -554,15 +554,19 @@ def test_report_and_verdict_read_the_same_ideal_components(fmap, monkeypatch,
     f = fmap if k is None else line_section(build_torus(decompose(fmap)),
                                             k).table
     flags = dict(assume_ageometric=True, assume_fully_irreducible=True)
-    verdict = lone_axis_check(f, **flags)
-    assert verdict.verdict == "yes"
+    assert lone_axis_check(f, **flags).verdict == "yes"
+    wd = whitehead_data(f)
+    components = [{"vertex": v, "nodes": [format_direction(d) for d in nodes],
+                   "edges": [format_turn(t) for t in edges]}
+                  for v, nodes, edges in wd.components]
+    expected_index = str(rotationless_index(wd))
     calls = []
     index = traintrack.rotationless_index
     monkeypatch.setattr(traintrack, "rotationless_index",
                         lambda wd: calls.append(wd) or index(wd))
     report = traintrack_report(f, **flags)
-    assert report["ideal_components"] == verdict.data["ideal_components"]
-    assert report["rotationless_index"] == verdict.data["index"]
+    assert report["ideal_components"] == components
+    assert report["rotationless_index"] == expected_index
     assert len(calls) == 1
 
 

@@ -225,8 +225,6 @@ def test_greedy_inverse_on_phi():
     for g in ABC:
         assert inv.apply(PHI.image(g)) == W.encode(((g, 1),))
         assert PHI.apply(inv.image(g)) == W.encode(((g, 1),))
-    # the default status string before any verification is the documented one:
-    assert PHI.invertibility == "endomorphism, invertibility unverified"
 
 
 def test_phi_known_inverse_checks():
