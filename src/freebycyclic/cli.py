@@ -290,27 +290,27 @@ def cmd_survey(cfg: RunConfig) -> int:
     comp = bns.component_containing(slopes, bns.SIGMA_DIRECTION)
     sigma = bns.sigma_report(pres, trace, slopes, comp, pairing=ws.pairing,
                              line_bound=cfg.k_max)
-    rows = []
     height = cfg.height_max
-    for cr in range(-height, height + 1):
-        for cb in range(-height, height + 1):
-            if (cb, cr) == (0, 0) or not comp.contains((cb, cr)):
-                continue
-            divisor = math.gcd(abs(cb), abs(cr))
-            z = co.integral_cocycle(ws.complex_, _class_of(ws, (cb, cr)))
-            in_cone = co.zero_cycle(ws.complex_, z) is None
-            bound = co.axis_dim_lower_bound(ws.complex_, z)
-            on_line = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1)
-            rows.append({
-                "class": [cb, cr],
-                "primitive": divisor == 1,
-                "in_cone": in_cone,
-                "skew_crossings": bound.crossings,
-                "dim_lower_bound": bound.lower_bound,
-                "on_axis_line": on_line,
-                "monodromy_rank": sect.crossing_rank(ws.complex_, z)
-                if divisor == 1 else None,
-            })
+    classes = [(cb, cr) for cr in range(-height, height + 1)
+               for cb in range(-height, height + 1)
+               if (cb, cr) != (0, 0) and comp.contains((cb, cr))]
+    rows = []
+    for (cb, cr), z in zip(classes, co.least_representatives(
+            ws.complex_, ws.duals, classes)):
+        divisor = math.gcd(abs(cb), abs(cr))
+        in_cone = co.zero_cycle(ws.complex_, z) is None
+        bound = co.axis_dim_lower_bound(ws.complex_, z)
+        on_line = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1)
+        rows.append({
+            "class": [cb, cr],
+            "primitive": divisor == 1,
+            "in_cone": in_cone,
+            "skew_crossings": bound.crossings,
+            "dim_lower_bound": bound.lower_bound,
+            "on_axis_line": on_line,
+            "monodromy_rank": sect.crossing_rank(ws.complex_, z)
+            if divisor == 1 else None,
+        })
     payload = {"height_max": height, "sigma": sigma, "classes": rows}
     _emit(cfg, _to_json(payload), "survey.json")
     return EXIT_YES

@@ -15,8 +15,14 @@ and turn into Fractions only in error texts.  The module provides:
 * :func:`dual_basis` — cocycles dual to user-supplied cycles;
 * :func:`integral_cocycle` — the lexicographically least integral
   representative bounded below cellwise, found by shortest paths on the
-  1-skeleton contracted along the cells already fixed, or a certifying
-  cycle on which no representative clears the bound;
+  1-skeleton contracted along the cells already fixed in the skeleton's
+  tie order, or a certifying cycle on which no representative clears the
+  bound; the negative-cycle search runs only when a solve fails;
+* :func:`least_representatives` — the same for every integer combination
+  of a basis, each formed on the basis's one common denominator;
+* :class:`LeastCocycle` — their read-only result, which carries its values
+  in 1-cell order, so :func:`zero_cycle`, :func:`axis_dim_lower_bound` and
+  ``section.crossing_rank`` read it without re-checking it;
 * :func:`zero_cycle` / :func:`require_open_cone` — a directed cycle on
   which a nonnegative cocycle vanishes, or None when its class lies in the
   open positive cone; every cone verdict of the package is read this way
@@ -282,7 +288,19 @@ def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
 #
 # Fixing a cell's value ties φ(start) − φ(end).  Tied 0-cells share a root
 # and keep φ as an offset from it; the arcs left join distinct roots, their
-# weights shifted by offset(tail) − offset(head).
+# weights shifted by offset(tail) − offset(head).  Which 1-cells tie two
+# roots, which arcs are still live at each tie and which arcs a tie shifts
+# depend on the ends alone: the skeleton's tie order (``Skeleton.ties``),
+# built once per complex and shared by every class.
+#
+# The kernel does not search the digraph for a negative cycle before it
+# solves.  A result that is integral and at least m on every 1-cell is a
+# feasible representative, so no negative cycle exists.  Only a failure —
+# a solve that reaches a negative cycle or misses its head, or a value that
+# is fractional or below m — runs the all-source search: a negative cycle
+# raises ConeInfeasibleError with its certificate, and otherwise the
+# kernel's own failure stands.  Error, message and certificate are thus
+# those of searching first.
 
 Arc = tuple[int, int, int]  # (tail, head, scaled weight) on 0-cell indices
 
@@ -377,8 +395,117 @@ def dict_scale(scalar, chain: Mapping) -> Chain:
     return {e: scalar * c for e, c in chain.items() if scalar * c != 0}
 
 
+class LeastCocycle(dict):
+    """A least integral representative, as :func:`integral_cocycle` and
+    :func:`least_representatives` return it: the nonzero values by 1-cell
+    name, read-only, with :attr:`vector`, every value in 1-cell order, and
+    the :attr:`skeleton` whose order that is.  Copies are plain dicts."""
+
+    __slots__ = ("skeleton", "vector")
+
+    def __init__(self, skeleton: Skeleton, vector: tuple[int, ...]):
+        super().__init__((e, x) for e, x in zip(skeleton.one_cell_names,
+                                                vector) if x)
+        self.skeleton, self.vector = skeleton, vector
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a least representative is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce_ex__(self, protocol):
+        return dict, (dict(self),)
+
+
+def _tied(complex_: TrapComplex, z: Mapping) -> bool:
+    """Whether ``z`` is a :class:`LeastCocycle` of the complex's skeleton
+    as it stands."""
+    return isinstance(z, LeastCocycle) and z.skeleton is complex_.skeleton
+
+
+def cochain_vector(complex_: TrapComplex, z: Mapping) -> Sequence:
+    """The values of ``z`` in 1-cell order: the vector of a
+    :class:`LeastCocycle` of the complex, any other mapping read through
+    the skeleton."""
+    return z.vector if _tied(complex_, z) else complex_.skeleton.cochain(z)
+
+
+def _least_vector(skeleton: Skeleton, n: int, scaled: Sequence[int],
+                  scale: int, minimum: int) -> tuple[int, ...]:
+    """The kernel of :func:`integral_cocycle` on the ints ``scaled`` and
+    their ``scale``, one 1-cell at a time along the skeleton's tie order;
+    raises at the first 1-cell whose solve or value fails.
+
+    ``reduced[k]`` is the weight of arc ``k`` shifted by the offsets of
+    its two ends from their roots; a tie moves the head's class by the
+    distance solved, which shifts the arcs leaving or entering it.
+    """
+    low = scale * minimum
+    reduced = [value - low for value in scaled]
+    out = []
+    for j, (e, tie) in enumerate(zip(skeleton.one_cell_names,
+                                     skeleton.ties)):
+        if tie is not None:
+            tail, head, live, raised, lowered = tie
+            dist = _distances(n, [(rt, rh, reduced[k]) for k, rt, rh in live],
+                              (tail,))
+            if dist is None or dist[head] is None:
+                raise InvariantViolation(
+                    f"value on {e!r} is unbounded below despite the "
+                    f"cellwise bound")
+            shift = dist[head]
+            for k in raised:
+                reduced[k] += shift
+            for k in lowered:
+                reduced[k] -= shift
+        least, rest = divmod(reduced[j] + low, scale)
+        if rest:
+            raise NonIntegralClassError(
+                f"least value on {e!r} is the fraction "
+                f"{Fraction(reduced[j] + low, scale)}; "
+                f"the class has no integral representative of this shape")
+        if least < minimum:
+            raise InvariantViolation(
+                f"least value {least} on {e!r} is below the bound {minimum}")
+        out.append(least)
+    return tuple(out)
+
+
+def _least(complex_: TrapComplex, scaled: Sequence[int], scale: int,
+           minimum: int) -> LeastCocycle:
+    """The least representative of the cocycle ``scaled / scale``.
+
+    A vector the kernel returns is integral and at least ``minimum`` on
+    every 1-cell, so it is a feasible representative and the constraint
+    digraph has no negative cycle.  Only when the kernel fails is that
+    digraph searched from every 0-cell: a negative cycle raises
+    :class:`ConeInfeasibleError`, else the kernel's failure stands.
+    """
+    skeleton = complex_.skeleton
+    n = len(complex_.zero_cells)
+    try:
+        return LeastCocycle(skeleton, _least_vector(skeleton, n, scaled,
+                                                    scale, minimum))
+    except InvariantViolation as exc:  # NonIntegralClassError among them
+        failure = exc
+    arcs = _constraint_digraph(skeleton, scaled, scale * minimum)
+    if _distances(n, arcs, range(n)) is None:
+        cycle = _least_negative_cycle(n, arcs)
+        certificate: Chain = {skeleton.one_cell_names[j]: 1 for j in cycle}
+        total = sum(Fraction(scaled[j], scale) - minimum for j in cycle)
+        if boundary(complex_, certificate) or total >= 0:
+            raise InvariantViolation(
+                "infeasibility certificate failed verification")
+        raise ConeInfeasibleError(
+            f"no representative is at least {minimum} on every 1-cell: "
+            f"Σ(z(e) − {minimum}) over the cycle {certificate!r} is {total}",
+            certificate=certificate)
+    raise failure
+
+
 def integral_cocycle(complex_: TrapComplex, z: Mapping,
-                     minimum: int = 0) -> Chain:
+                     minimum: int = 0) -> LeastCocycle:
     """Least integral representative of the class of ``z``, cellwise.
 
     Cell values are minimized one at a time in the 1-cell order subject to
@@ -387,9 +514,10 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
     least value on ``e`` is ``z(e) − dist(end → start)``, and fixing it ties
     ``end`` to ``start``: it is read off their offsets when they are tied
     already, else solved on the digraph contracted to the roots, which
-    then merge, so at most n₀ − 1 solves run.  The digraph carries the
-    integer weights ``L·(z(e) − minimum)`` for ``L`` the common denominator
-    of ``z``, so ``dist`` is read as ``d / L`` for an integer distance ``d``.
+    then merge, so at most n₀ − 1 solves run, in the skeleton's tie order.
+    The digraph carries the integer weights ``L·(z(e) − minimum)`` for
+    ``L`` the common denominator of ``z``, so ``dist`` is read as ``d / L``
+    for an integer distance ``d``.
 
     Raises :class:`ConeInfeasibleError` when no representative clears the
     bound, carrying the cycle of 1-cells, each with coefficient 1, with
@@ -399,51 +527,35 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
     Raises :class:`NonIntegralClassError` when a minimized value is
     fractional — the result is never rounded.
     """
-    skeleton, scale, scaled = _scaled_cocycle(complex_, z)
-    n = len(complex_.zero_cells)
-    arcs = _constraint_digraph(skeleton, scaled, scale * minimum)
-    if _distances(n, arcs, range(n)) is None:
-        certificate: Chain = {skeleton.one_cell_names[j]: 1
-                              for j in _least_negative_cycle(n, arcs)}
-        total = sum(Fraction(z.get(e, 0)) - minimum for e in certificate)
-        if boundary(complex_, certificate) or total >= 0:
-            raise InvariantViolation(
-                "infeasibility certificate failed verification")
-        raise ConeInfeasibleError(
-            f"no representative is at least {minimum} on every 1-cell: "
-            f"Σ(z(e) − {minimum}) over the cycle {certificate!r} is {total}",
-            certificate=certificate)
+    _skeleton, scale, scaled = _scaled_cocycle(complex_, z)
+    return _least(complex_, scaled, scale, minimum)
 
-    root = list(range(n))
-    offset = [0] * n  # scaled potential of each 0-cell less its root's
-    values: Chain = {}
-    for e, value, (end, start) in zip(skeleton.one_cell_names, scaled,
-                                      skeleton.ends):
-        tail, head = root[end], root[start]
-        if tail != head:
-            dist = _distances(n, [
-                (root[t], root[h], w + offset[t] - offset[h])
-                for t, h, w in arcs if root[t] != root[h]], (tail,))
-            if dist is None or dist[head] is None:
-                raise InvariantViolation(
-                    f"value on {e!r} is unbounded below despite the "
-                    f"cellwise bound")
-            for v in range(n):
-                if root[v] == head:
-                    root[v], offset[v] = tail, offset[v] + dist[head]
-        least = value - offset[start] + offset[end]
-        low, rest = divmod(least, scale)
-        if rest:
-            raise NonIntegralClassError(
-                f"least value on {e!r} is the fraction "
-                f"{Fraction(least, scale)}; "
-                f"the class has no integral representative of this shape")
-        if low < minimum:
-            raise InvariantViolation(
-                f"least value {low} on {e!r} is below the bound {minimum}")
-        if low:
-            values[e] = low
-    return values
+
+def least_representatives(complex_: TrapComplex, basis: Sequence[Mapping],
+                          coefficients: Iterable[Sequence[int]]
+                          ) -> list[LeastCocycle]:
+    """:func:`integral_cocycle` of ``Σ c[i]·basis[i]``, at least 0 on every
+    1-cell, for each tuple ``c`` of integer coefficients, in order.
+
+    The basis cochains are put on one common denominator and checked to be
+    cocycles once, so every integer combination is one, formed as ints on
+    that denominator.  The first class that fails raises exactly what
+    :func:`integral_cocycle` raises on it.
+    """
+    skeleton = complex_.skeleton
+    width = len(skeleton.one_cell_names)
+    scale, flat = _scaled([x for z in basis for x in skeleton.cochain(z)])
+    rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+    if not all(_closed(skeleton, row) for row in rows):
+        raise InvariantViolation("cochain is not a cocycle")
+    out = []
+    for coefs in coefficients:
+        scaled = [0] * width
+        for c, row in zip(coefs, rows):
+            if c:
+                scaled = [x + c * y for x, y in zip(scaled, row)]
+        out.append(_least(complex_, scaled, scale, 0))
+    return out
 
 
 def zero_cycle(complex_: TrapComplex, z: Mapping) -> Optional[Chain]:
@@ -452,7 +564,7 @@ def zero_cycle(complex_: TrapComplex, z: Mapping) -> Optional[Chain]:
     when the class of ``z`` pairs positively with every directed cycle,
     that is, lies in the open positive cone."""
     skeleton = complex_.skeleton
-    names, values = skeleton.one_cell_names, skeleton.cochain(z)
+    names, values = skeleton.one_cell_names, cochain_vector(complex_, z)
     leaving: list[list[tuple[int, int]]] = [[] for _ in complex_.zero_cells]
     for j, (value, (end, start)) in enumerate(zip(values, skeleton.ends)):
         if value < 0:
@@ -625,18 +737,28 @@ def axis_dim_lower_bound(complex_: TrapComplex, z: Mapping) -> AxisBound:
     """Dimension bound from the skew crossings of an integral witness.
 
     The witness must be an integral nonnegative cocycle; the bound is the
-    total crossing count of the skew cells less two, floored at zero.
+    total crossing count of the skew cells less two, floored at zero.  A
+    :class:`LeastCocycle` of the complex is a cocycle and integral already,
+    so only its sign is checked.
     """
-    if not is_cocycle(complex_, z):
-        raise InvariantViolation("cochain is not a cocycle")
-    for e, val in z.items():
-        if val.denominator != 1:
-            raise NonIntegralClassError(
-                f"witness value on {e!r} is the fraction {val}")
-        if val < 0:
-            raise InvariantViolation(
-                f"witness value on {e!r} is negative")
-    crossings = sum(int(z.get(s.name, 0)) for s in complex_.skews)
+    if _tied(complex_, z):
+        vector = z.vector
+        if min(vector, default=0) < 0:
+            e = next(e for e, val in z.items() if val < 0)
+            raise InvariantViolation(f"witness value on {e!r} is negative")
+    else:
+        if not is_cocycle(complex_, z):
+            raise InvariantViolation("cochain is not a cocycle")
+        for e, val in z.items():
+            if val.denominator != 1:
+                raise NonIntegralClassError(
+                    f"witness value on {e!r} is the fraction {val}")
+            if val < 0:
+                raise InvariantViolation(
+                    f"witness value on {e!r} is negative")
+        vector = complex_.skeleton.cochain(z)
+    # the skews are the last 1-cells
+    crossings = sum(int(x) for x in vector[len(complex_.verticals):])
     return AxisBound(crossings, max(0, crossings - 2))
 
 

@@ -464,9 +464,8 @@ def map_to_automorphism(marked: MarkedGraph, f: GraphMap) -> FreeGroupMap:
 
 @dataclass
 class MapFile:
-    """Parsed contents of a ``.map`` file."""
+    """Parsed contents of a ``.map`` file; the graph is ``gmap.domain``."""
 
-    graph: Graph
     gmap: GraphMap
     marked: Optional[MarkedGraph]
     assumptions: frozenset[str]
@@ -542,7 +541,7 @@ def parse_map_text(text: str) -> MapFile:
                 {g: parse_word(w, graph.edge_names) for g, w in marking_raw})
         except InvariantViolation as exc:
             raise InputParseError(f"invalid marking: {exc}") from exc
-    return MapFile(graph, gmap, marked, frozenset(assumptions))
+    return MapFile(gmap, marked, frozenset(assumptions))
 
 
 def load_map_file(path: str | Path) -> MapFile:

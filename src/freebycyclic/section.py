@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import is_cocycle, line_family_cocycle, require_open_cone
+from .cohomology import (cochain_vector, is_cocycle, line_family_cocycle,
+                         require_open_cone)
 from .errors import (
     ConeInfeasibleError,
     DegeneratePhaseError,
@@ -803,22 +804,17 @@ def crossing_rank(complex_: TrapComplex, cocycle: Mapping) -> int:
 
     Every level arc inside a trapezoid is an interval with both endpoints on
     the trapezoid boundary, so the arc count is half the total number of
-    boundary crossings.  With vertices given by the 1-cell crossings this
+    boundary crossings: the crossing counts dotted with the skeleton's
+    boundary weights.  With vertices given by the 1-cell crossings this
     yields the Euler characteristic without building the section.  The
     returned value ``edges - vertices + 1`` is the rank for a connected
     level set (a primitive class); a class divisible by ``d`` has ``d``
     components and rank ``d - 1`` higher.
     """
-    vertices = sum(complex_.skeleton.cochain(cocycle))
-    boundary_crossings = 0
-    for trap in complex_.trapezoids:
-        boundary_crossings += cocycle.get(trap.bottom, 0)
-        for name in trap.left:
-            boundary_crossings += cocycle.get(name, 0)
-        for name in trap.right:
-            boundary_crossings += cocycle.get(name, 0)
-        for piece in trap.top:
-            boundary_crossings += cocycle.get(piece.skew, 0)
+    values = cochain_vector(complex_, cocycle)
+    vertices = sum(values)
+    boundary_crossings = sum(map(mul, complex_.skeleton.boundary_weights,
+                                 values))
     if boundary_crossings % 2:
         raise InvariantViolation(
             "level arcs must pair boundary crossings, got an odd total")

@@ -74,14 +74,17 @@ class Skeleton:
     """Integer incidence data of a trapezoid complex, in fixed cell orders.
 
     1-cells are the verticals, then the skews.  ``ends[j]`` holds the
-    (end, start) 0-cell indices of 1-cell ``j``, and ``rows[t]`` the
-    (1-cell index, coefficient) pairs of the boundary of 2-cell ``t``.
+    (end, start) 0-cell indices of 1-cell ``j``, ``rows[t]`` the
+    (1-cell index, coefficient) pairs of the boundary of 2-cell ``t``, and
+    ``boundary_weights[j]`` the number of times 1-cell ``j`` lies on a
+    trapezoid boundary, counted over all trapezoids.
     """
 
     one_cell_names: tuple[str, ...]
     one_index: dict[str, int]
     ends: tuple[tuple[int, int], ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
+    boundary_weights: tuple[int, ...]
 
     @classmethod
     def of(cls, complex_: "TrapComplex") -> "Skeleton":
@@ -89,7 +92,8 @@ class Skeleton:
 
         The row of a trapezoid adds its bottom skew, its right side, minus
         its top pieces (each with its sign) and minus its left side, in
-        that order, merging repeated 1-cells and dropping zeros.
+        that order, merging repeated 1-cells and dropping zeros; each of
+        those terms adds one to its 1-cell's boundary weight.
         """
         names = tuple(v.name for v in complex_.verticals) + \
             tuple(s.name for s in complex_.skews)
@@ -100,6 +104,7 @@ class Skeleton:
             tuple((zero_index[s.top], zero_index[s.bottom])
                   for s in complex_.skews)
         rows = []
+        weights = [0] * len(names)
         for t in complex_.trapezoids:
             terms = [(t.bottom, 1)] + [(e, 1) for e in t.right] + \
                 [(p.skew, -p.sign) for p in t.top] + [(e, -1) for e in t.left]
@@ -107,8 +112,56 @@ class Skeleton:
             for e, coef in terms:
                 j = one_index[e]
                 row[j] = row.get(j, 0) + coef
+                weights[j] += 1
             rows.append(tuple((e, coef) for e, coef in row.items() if coef))
-        return cls(names, one_index, ends, tuple(rows))
+        return cls(names, one_index, ends, tuple(rows), tuple(weights))
+
+    @cached_property
+    def ties(self) -> tuple[Optional[tuple], ...]:
+        """How fixing the 1-cells one at a time, in order, ties 0-cells.
+
+        Fixing 1-cell ``j`` ties its end to its start.  Tied 0-cells form
+        classes, each named by a root.  ``ties[j]`` is None when the ends of
+        ``j`` are tied already; otherwise it is ``(tail, head, live, raised,
+        lowered)``: the roots of the end and the start; the 1-cells ``k``
+        that still join two roots, as ``(k, root of end, root of start)``
+        ordered by the breadth-first depth of their root of end from
+        ``tail``; and the 1-cells with only their end, and those with only
+        their start, in ``head``'s class, which then joins ``tail``'s.  The
+        order depends on the ends alone.
+        """
+        root: dict[int, int] = {}  # a 0-cell absent here is its own root
+        members: dict[int, list[int]] = {}
+        ties: list[Optional[tuple]] = []
+        for end, start in self.ends:
+            tail, head = root.get(end, end), root.get(start, start)
+            if tail == head:
+                ties.append(None)
+                continue
+            live = [(k, root.get(t, t), root.get(h, h))
+                    for k, (t, h) in enumerate(self.ends)
+                    if root.get(t, t) != root.get(h, h)]
+            # in this order one sweep over the arcs relaxes every fewest-arc
+            # path from tail
+            depth = {tail: 0}
+            queue = [tail]
+            for v in queue:
+                for _k, rt, rh in live:
+                    if rt == v and rh not in depth:
+                        depth[rh] = depth[v] + 1
+                        queue.append(rh)
+            live.sort(key=lambda arc: depth.get(arc[1], len(depth)))
+            moved = members.pop(head, [head])
+            inside = set(moved)
+            raised = tuple(k for k, (t, h) in enumerate(self.ends)
+                           if t in inside and h not in inside)
+            lowered = tuple(k for k, (t, h) in enumerate(self.ends)
+                            if h in inside and t not in inside)
+            for v in moved:
+                root[v] = tail
+            members.setdefault(tail, [tail]).extend(moved)
+            ties.append((tail, head, tuple(live), raised, lowered))
+        return tuple(ties)
 
     def cochain(self, z: Mapping) -> list:
         """The values of the (co)chain ``z`` on the 1-cells, in order."""

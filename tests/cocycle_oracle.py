@@ -1,18 +1,22 @@
 """The Fraction route of the cone and cocycle solves: the reference oracle.
 
-The package runs ``integral_cocycle`` on integers over the cached skeleton
-of a complex and reads every cone verdict off the least representative
-with ``zero_cycle``.  This module keeps the code that route replaced: it
-reads the boundary maps from the cells itself (``boundary_one`` and
-``boundary_two``, as sparse dicts keyed by cell name) for every cocycle
-check, so it does not share the skeleton it checks; it builds its
-constraint weights as Fractions and checks each least value as a
-Fraction.  ``cone_membership`` decides the cone by a strictly positive
-witness instead, a :class:`ConeWitness` the tests check for positivity.
-Both routes share the shortest-path kernels ``_distances`` and
-``_least_negative_cycle``, so the tests compare everything around them.
-``coboundary`` is the witness check: a cone witness is the queried
-cocycle plus the coboundary of its potential.
+The package solves on integers over the cached skeleton of a complex, one
+class at a time (``integral_cocycle``) or, on the ``survey`` route, a batch
+of integer combinations of one basis (``least_representatives``), and
+reads every cone verdict off the least representative with
+``zero_cycle``.  The tests check both routes against this module, which
+keeps the code they replaced: it reads the boundary maps from the cells
+itself (``boundary_one`` and ``boundary_two``, as sparse dicts keyed by
+cell name) for every cocycle check, so it does not share the skeleton it
+checks; it builds its constraint weights as Fractions, searches for a
+negative cycle before it solves, solves every 1-cell on the whole digraph
+instead of once per tie of the skeleton's tie order, and checks each
+least value as a Fraction.  ``cone_membership`` decides the cone by a
+strictly positive witness instead, a :class:`ConeWitness` the tests check
+for positivity.  The package and this module share the shortest-path
+kernels ``_distances`` and ``_least_negative_cycle``, so the tests compare
+everything around them.  ``coboundary`` is the witness check: a cone
+witness is the queried cocycle plus the coboundary of its potential.
 """
 
 from __future__ import annotations

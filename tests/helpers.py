@@ -186,7 +186,7 @@ def random_path(graph: Graph, length: int, seed: Optional[int] = None, *,
 
 def format_map_file(mapfile: MapFile) -> str:
     """Serialize back to the ``.map`` text format."""
-    g = mapfile.graph
+    g = mapfile.gmap.domain
     lines = ["vertices " + " ".join(g.vertices)]
     lines += [f"edge {n} {i} {t}" for n, i, t in g.edges]
     lines += [f"vmap {v} {mapfile.gmap.vertex_map[v]}" for v in g.vertices]

@@ -514,7 +514,8 @@ def test_out_naming_a_regular_file_exits_64(capsys, tmp_path):
 
 
 #: first 16 hex digits of the sha256 of each command's stdout on the
-#: bundled inputs; the first five are the benchmark's pins
+#: bundled inputs; the first five are the benchmark's pins, and the last
+#: runs the survey on a sector four times the benchmark's (392 classes)
 PINNED_DIGESTS = {
     "survey --height-max=8": "2cc3e91e6875b68a",
     "section --class=1,6": "fd4c76122d502a68",
@@ -522,6 +523,7 @@ PINNED_DIGESTS = {
     "monodromy --class=1,6": "dac2461fb7f51669",
     "monodromy --class=1,14": "911cddb0caf4c780",
     "traintrack": "aadb91ff08f79738",
+    "survey --height-max=16": "5e34579c05b8647e",
 }
 
 _INTERN_FIRST = """

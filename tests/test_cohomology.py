@@ -1,5 +1,6 @@
 """Homology, duality, cone, and perturbation tests on the bundled complexes."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ from freebycyclic.errors import (
 from freebycyclic.corpus import corpus
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import Graph, GraphMap, load_map_file
-from freebycyclic.torus import Skeleton, build_torus, skew_loop
+from freebycyclic.torus import Skeleton, build_torus, skew_loop, validate
 
 import cocycle_oracle
 import fm_oracle
@@ -544,6 +545,38 @@ def test_integer_route_matches_the_fraction_oracle(bundled, corpus_tori):
     assert witness_types == {int, Fraction}
 
 
+def test_boundary_weights_count_the_trapezoid_sides(bundled, corpus_tori):
+    # each appearance of a 1-cell as a trapezoid's bottom, side or top piece
+    for torus in (bundled[1], *corpus_tori.values()):
+        count = dict.fromkeys(torus.one_cell_names, 0)
+        for trap in torus.trapezoids:
+            for e in (trap.bottom, *trap.left, *trap.right,
+                      *(piece.skew for piece in trap.top)):
+                count[e] += 1
+        assert torus.skeleton.boundary_weights == tuple(count.values())
+
+
+def test_least_representative_is_read_only_and_tied_to_its_skeleton(
+        bundled):
+    mapfile, _, _, r_star = bundled
+    torus = build_torus(decompose(mapfile.gmap))
+    z = co.integral_cocycle(torus, r_star)
+    assert z == cocycle_oracle.integral_cocycle(torus, r_star)
+    assert z.vector == tuple(z.get(e, 0) for e in torus.one_cell_names)
+    for mutate in (lambda: z.__setitem__("skew1", 2),
+                   lambda: z.__delitem__("skew1"), lambda: z.pop("skew1"),
+                   lambda: z.update(skew1=2), lambda: z.setdefault("skew2"),
+                   z.clear, z.popitem, lambda: z.__ior__({"skew1": 2})):
+        with pytest.raises(TypeError, match="read-only"):
+            mutate()
+    for plain in (dict(z), copy.copy(z), copy.deepcopy(z)):
+        assert type(plain) is dict and plain == z
+    assert co.cochain_vector(torus, z) is z.vector
+    validate(torus)  # the torus now keeps a skeleton read afresh
+    assert co.cochain_vector(torus, z) is not z.vector
+    assert co.cochain_vector(torus, z) == list(z.vector)
+
+
 def test_cached_skeleton_matches_the_cells(bundled, corpus_tori):
     for torus in (bundled[1], *corpus_tori.values()):
         assert co.is_cocycle(torus, co.fiber_cocycle(torus))
@@ -594,8 +627,11 @@ def test_constraint_digraph_has_integer_weights(bundled):
 
 def test_integral_cocycle_solves_at_most_once_per_zero_cell(bundled,
                                                            monkeypatch):
-    # one feasibility solve, then one per merge of two roots; solving once
-    # per 1-cell would take 11 on the bundled torus
+    # one solve per merge of two roots, five on the bundled torus, and no
+    # feasibility solve first; a class with no representative at the bound
+    # stops at its first solve, which meets the negative cycle, and then
+    # runs the one all-source search.  Solving once per 1-cell would take
+    # 11
     _, torus, _, _ = bundled
     first, second = co.h1(torus).duals
     solve = co._distances
@@ -614,7 +650,7 @@ def test_integral_cocycle_solves_at_most_once_per_zero_cell(bundled,
                     pass
                 counts.add(len(calls))
     assert len(torus.zero_cells) == 6
-    assert counts == {1, 6}
+    assert counts == {2, 5}
 
 
 def test_integral_cocycle_refuses_a_value_below_the_bound(bundled,
@@ -817,7 +853,7 @@ def test_axis_bound_rejects_bad_witnesses(bundled):
 
 @pytest.fixture(scope="module")
 def five_edge_graph(bundled):
-    return bundled[0].graph
+    return bundled[0].gmap.domain
 
 
 LENGTHS = {"a": 0.3, "b": 0.2, "c": 0.2, "d": 0.2, "e": 0.1}

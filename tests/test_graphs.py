@@ -33,7 +33,7 @@ def w(text, names=("a", "b", "c", "d", "e")):
 # -- structure ---------------------------------------------------------------
 
 def test_bundled_file_shape(bundled):
-    g = bundled.graph
+    g = bundled.gmap.domain
     assert sorted(g.vertices) == ["black", "blue", "red"]
     assert sorted(g.edge_names) == ["a", "b", "c", "d", "e"]
     assert G.rank(g) == 3
@@ -52,14 +52,14 @@ def test_rank_and_disconnected():
 
 
 def test_directions(bundled):
-    g = bundled.graph
+    g = bundled.gmap.domain
     assert g.directions("blue") == (("b", -1), ("c", 1), ("c", -1), ("d", 1))
     assert len(g.directions("blue")) == 4
     assert len(g.directions("red")) == 3
 
 
 def test_check_path(bundled):
-    g = bundled.graph
+    g = bundled.gmap.domain
     assert G.check_path(g, w("ea")) == ("red", "red")
     assert G.check_path(g, w("cdae")) == ("blue", "black")
     assert G.is_path(g, w("ab"))        # black -> red -> blue
@@ -73,9 +73,9 @@ def test_map_validation(bundled):
     assert f.vertex_map == {"red": "black", "black": "blue", "blue": "red"}
     assert f.edge_images["a"] == w("cdae")
     with pytest.raises(InvariantViolation):
-        G.GraphMap.from_strings(bundled.graph, dict(f.vertex_map),
+        G.GraphMap.from_strings(bundled.gmap.domain, dict(f.vertex_map),
                                 {**{e: W.format_word(f.edge_images[e])
-                                    for e in bundled.graph.edge_names},
+                                    for e in bundled.gmap.domain.edge_names},
                                  "a": "ea"})  # ea runs red->red, not blue->black
 
 
@@ -169,7 +169,7 @@ def test_components_match_the_reachable_oracle(graph):
 # -- spanning trees ----------------------------------------------------------
 
 def test_spanning_tree_deterministic(bundled):
-    tree = G.spanning_tree(bundled.graph)
+    tree = G.spanning_tree(bundled.gmap.domain)
     assert tree.root == "black"
     assert tree.tree_edges == frozenset({"a", "d"})
     assert letters(tree.path("red", "blue")) == (("a", -1), ("d", -1))
@@ -182,7 +182,7 @@ def test_spanning_tree_disconnected():
 
 
 def test_collapse_word(bundled):
-    tree = G.spanning_tree(bundled.graph)
+    tree = G.spanning_tree(bundled.gmap.domain)
     assert G.collapse_word(tree, w("ea")) == w("e")
     assert letters(G.collapse_word(tree, w("bdE"))) == (("b", 1), ("e", -1))
 
@@ -190,7 +190,8 @@ def test_collapse_word(bundled):
 # -- map_to_automorphism -----------------------------------------------------
 
 def test_identity_gives_literal_identity(bundled):
-    result = G.map_to_automorphism(bundled.marked, identity_graph_map(bundled.graph))
+    result = G.map_to_automorphism(bundled.marked,
+                                   identity_graph_map(bundled.gmap.domain))
     ident = identity_map(bundled.marked.generators)
     assert same_images(result, ident)
 
@@ -204,7 +205,7 @@ def test_bundled_transcription_gives_phi_outer_class(bundled):
     z = W.outer_equal(result, phi)
     assert z is not None
     # the map is read through this tree, and the result inverts
-    assert G.spanning_tree(bundled.graph).tree_edges == {"a", "d"}
+    assert G.spanning_tree(bundled.gmap.domain).tree_edges == {"a", "d"}
     assert W.greedy_nielsen_inverse(result) is not None
 
 
@@ -230,7 +231,7 @@ def test_parse_errors():
 def test_format_roundtrip(bundled):
     text = format_map_file(bundled)
     again = G.parse_map_text(text)
-    assert again.graph == bundled.graph
+    assert again.gmap.domain == bundled.gmap.domain
     assert again.gmap.edge_images == bundled.gmap.edge_images
     assert again.marked.marking_words == bundled.marked.marking_words
     assert again.assumptions == bundled.assumptions
@@ -319,7 +320,7 @@ def test_tighten_laws_on_rose(word):
 
 
 def test_tighten_preserves_path_endpoints(bundled):
-    g = bundled.graph
+    g = bundled.gmap.domain
     # a wandering loop at red with backtracks, tightening to ea
     word = w("eE") + w("bB") + w("ea")
     assert G.is_path(g, word)

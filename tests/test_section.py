@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from freebycyclic.cohomology import (axis_dim_lower_bound, dict_scale,
-                                     dict_sum, h1, integral_cocycle,
+from freebycyclic.cohomology import (LeastCocycle, axis_dim_lower_bound,
+                                     dict_scale, dict_sum, h1,
+                                     integral_cocycle, least_representatives,
                                      line_family_cocycle,
                                      mapping_torus_h1_rank, require_open_cone,
                                      zero_cycle)
@@ -19,6 +20,7 @@ from freebycyclic.errors import (ConeInfeasibleError,
 from freebycyclic.corpus import corpus
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import load_map_file, map_to_automorphism
+from freebycyclic import cohomology
 from freebycyclic import section as sect
 from freebycyclic.section import (_generic_phase, _line_names, _line_table,
                                   build_charts, build_section, crossing_rank,
@@ -37,6 +39,7 @@ import os
 
 from conftest import EXAMPLES
 from helpers import as_dict, open_cone_representative
+import cocycle_oracle
 import section_oracle as oracle
 from test_acceptance import canonical_return_table
 
@@ -823,6 +826,84 @@ def test_a_section_smaller_than_its_crossings_is_refused(
         build_section(torus, z)
     assert str(err.value) == (f"section has Euler characteristic {built}, "
                               f"but its crossing counts give {counted}")
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type, message and certificate
+    of the package error it raises."""
+    try:
+        return call(*args)
+    except FreeByCyclicError as err:
+        return type(err), str(err), getattr(err, "certificate", None)
+
+
+def batch_outcomes(torus, basis, coefficients):
+    """The outcome of ``least_representatives`` on each class alone; the
+    batch of all the classes gives the same records, or raises what the
+    first failing class raises."""
+    out = [outcome(lambda c: least_representatives(torus, basis, [c])[0],
+                   coords) for coords in coefficients]
+    failed = [got for got in out if not isinstance(got, LeastCocycle)]
+    whole = outcome(least_representatives, torus, basis, coefficients)
+    assert whole == (failed[0] if failed else out)
+    if failed:
+        solved = [c for c, got in zip(coefficients, out)
+                  if isinstance(got, LeastCocycle)]
+        assert least_representatives(torus, basis, solved) \
+            == [got for got in out if isinstance(got, LeastCocycle)]
+    return out
+
+
+# every class with |a|, |b| <= 12 in each torus's dual basis
+AGREEMENT_CLASSES = [(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+
+
+@pytest.mark.parametrize("index", [None, 205, 449, 1116, 1946])
+def test_least_representative_routes_agree(torus, corpus_tori, index,
+                                           monkeypatch):
+    # the survey's batch reader, integral_cocycle on the class dict and
+    # the Fraction oracle give the same least representative, or the same
+    # error, message and certificate; the cone, rank and crossing reads
+    # give the same on the kernel's record as on a plain copy of it.  The
+    # routes share the negative-cycle search, so each digraph is searched
+    # once
+    search, searched = cohomology._least_negative_cycle, {}
+
+    def search_once(n, arcs):
+        key = (n, tuple(arcs))
+        if key not in searched:
+            searched[key] = search(n, arcs)
+        return searched[key]
+
+    monkeypatch.setattr(cohomology, "_least_negative_cycle", search_once)
+    if index is None:  # the bundled torus, with the half-integral classes
+        bases = [((B_CLASS, R_CLASS), AGREEMENT_CLASSES),
+                 ((dict_scale(F(1, 2), B_CLASS), dict_scale(F(1, 2), R_CLASS)),
+                  [(a, b) for a in range(-4, 5) for b in range(-4, 5)])]
+    else:
+        torus = corpus_tori[index]
+        bases = [(h1(torus).duals, AGREEMENT_CLASSES)]
+    kinds = set()
+    for basis, classes in bases:
+        for coords, batch in zip(classes,
+                                 batch_outcomes(torus, basis, classes)):
+            z = dict_sum(dict_scale(coords[0], basis[0]),
+                         dict_scale(coords[1], basis[1]))
+            assert outcome(integral_cocycle, torus, z) == batch, coords
+            assert outcome(cocycle_oracle.integral_cocycle, torus, z) \
+                == batch, coords
+            if not isinstance(batch, LeastCocycle):
+                kinds.add(batch[0])
+                continue
+            kinds.add(LeastCocycle)
+            assert batch.vector == tuple(batch.get(e, 0)
+                                         for e in torus.one_cell_names)
+            for read in (zero_cycle, axis_dim_lower_bound, crossing_rank):
+                assert outcome(read, torus, batch) \
+                    == outcome(read, torus, dict(batch)), (coords, read)
+    assert ConeInfeasibleError in kinds and LeastCocycle in kinds
+    if index is None:
+        assert NonIntegralClassError in kinds
 
 
 def assert_unknown_cell_named(call, torus):
