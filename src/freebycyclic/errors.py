@@ -62,6 +62,22 @@ class DegeneratePhaseError(InvariantViolation):
     phase."""
 
 
+class RiserError(InvariantViolation):
+    """Two top pieces of a trapezoid meet at corners of different heights
+    that one vertical chain joins: the top has a riser, which the torus
+    does not model.  Carries the trapezoid, the x position, the lower and
+    the upper corner as (0-cell, height) and the chain's verticals."""
+
+    def __init__(self, trapezoid: str, x, lower: tuple[str, int],
+                 upper: tuple[str, int], chain: tuple[str, ...]):
+        super().__init__(
+            f"top of {trapezoid} rises at x={x}: corner {lower} reaches "
+            f"corner {upper} up the verticals {list(chain)}, and risers "
+            "are not modelled")
+        self.trapezoid, self.x = trapezoid, x
+        self.lower, self.upper, self.chain = lower, upper, chain
+
+
 class IterationBudgetError(InvariantViolation):
     """A flow trace exceeded its iteration budget."""
 

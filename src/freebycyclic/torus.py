@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import (InvariantViolation, IterationBudgetError, NotACycleError,
-                     NotIrreducibleError)
+                     NotIrreducibleError, RiserError)
 from .folding import FoldSequence
 from .graphs import GraphMap, reachable
 from .traintrack import is_irreducible, transition_matrix
@@ -303,6 +303,18 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
                                   cell_set[end], span))
     vertical_from = {v.start: v for v in verticals}
 
+    def climb(start: tuple[str, int], target: tuple[str, int]):
+        """(the verticals walked up from ``start``, where the walk
+        stopped): it stops on reaching ``target`` or on passing its
+        height; both are (0-cell, height)."""
+        chain = []
+        cur, cur_h = start
+        while (cur, cur_h) != target and cur_h <= target[1]:
+            vert = vertical_from[cur]
+            chain.append(vert.name)
+            cur, cur_h = vert.end, cur_h + vert.span
+        return tuple(chain), (cur, cur_h)
+
     # endpoint of skew cells with their window heights, for corner matching
     def piece_endpoints(skew: SkewCell, sign: int, h_enter: int):
         if skew.rise == 1:
@@ -380,6 +392,12 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
             start, end = piece_endpoints(hit_skew, sign, h_enter)
             if prev_end is not None:
                 if prev_end != start:
+                    lower, upper = sorted((prev_end, start),
+                                          key=lambda corner: corner[1])
+                    chain, reached = climb(lower, upper)
+                    if reached == upper:
+                        raise RiserError(f"trap{i}", x_lo, lower, upper,
+                                         chain)
                     raise InvariantViolation(
                         f"top corner mismatch in trap{i} at x={x_lo}: "
                         f"{prev_end} vs {start}")
@@ -389,17 +407,12 @@ def build_torus(seq: FoldSequence) -> TrapComplex:
 
         def walk_chain(cell: str, height: int, target: tuple[str, int],
                        label: str) -> tuple[str, ...]:
-            chain = []
-            cur, cur_h = cell, height
-            while (cur, cur_h) != target:
-                if cur_h > target[1]:
-                    raise InvariantViolation(
-                        f"{label} side of trap{i} overshot its corner: "
-                        f"{(cur, cur_h)} beyond {target}")
-                vert = vertical_from[cur]
-                chain.append(vert.name)
-                cur, cur_h = vert.end, cur_h + vert.span
-            return tuple(chain)
+            chain, reached = climb((cell, height), target)
+            if reached != target:
+                raise InvariantViolation(
+                    f"{label} side of trap{i} overshot its corner: "
+                    f"{reached} beyond {target}")
+            return chain
 
         first_start, _ = piece_endpoints(*hits[0][2:])
         _, last_end = piece_endpoints(*hits[-1][2:])

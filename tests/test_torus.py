@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from freebycyclic.corpus import corpus
 from freebycyclic.errors import (InvariantViolation, NotACycleError,
-                                 NotIrreducibleError)
+                                 NotIrreducibleError, RiserError)
 from freebycyclic.folding import WorkingStage, decompose
 from freebycyclic.graphs import Graph, GraphMap
 from freebycyclic.torus import Skeleton, build_torus, skew_loop, validate
@@ -233,6 +234,34 @@ def test_reducible_map_refused_before_the_sweep():
     assert str(err.value) == (
         "the map is reducible: edges ['a'] are crossed by no image of an "
         "edge of the invariant subgraph ['b']")
+
+
+def test_a_riser_is_refused_by_name():
+    # the smallest riser torus: the top of trap2 climbs one vertical at 1/2
+    seq = decompose(rose_map({"a": "aab", "b": "ab"}))
+    assert seq.fold_count == 3
+    with pytest.raises(RiserError) as err:
+        build_torus(seq)
+    riser = err.value
+    assert (riser.trapezoid, riser.x, riser.lower, riser.upper,
+            riser.chain) == ("trap2", F(1, 2), ("a@1.1", 2), ("a@1.2", 3),
+                             ("up:a@1.1",))
+    assert str(riser) == (
+        "top of trap2 rises at x=1/2: corner ('a@1.1', 2) reaches corner "
+        "('a@1.2', 3) up the verticals ['up:a@1.1'], and risers are not "
+        "modelled")
+
+
+def test_every_corpus_map_builds_or_is_refused_for_a_riser():
+    # any other error escapes and fails the test
+    outcomes = {"built": 0, "riser": 0}
+    for f in corpus(200, seed=20260823):
+        try:
+            build_torus(decompose(f))
+            outcomes["built"] += 1
+        except RiserError:
+            outcomes["riser"] += 1
+    assert outcomes == {"built": 45, "riser": 155}
 
 
 def test_validate_catches_missing_top_piece(bundled_torus):

@@ -13,6 +13,7 @@ from freebycyclic import graphs as G
 from freebycyclic import words as W
 from freebycyclic.words import FreeGroupMap
 
+from conftest import EXAMPLES
 from helpers import (identity_map, substitute, tuple_conjugating_word,
                      tuple_cyclic_reduce, tuple_inverse, tuple_power,
                      tuple_primitive_root, tuple_reduce)
@@ -491,6 +492,130 @@ def test_apply_holds_about_twice_its_result():
         tracemalloc.stop()
     assert len(result) == 59586
     assert peak < 3 * sys.getsizeof(result)
+
+
+def test_apply_holds_under_three_times_its_result_on_a_cancelling_map():
+    # the benchmark's rose automorphism deletes about half of the letters
+    # it joins, and on φ¹⁵(a) every distinct chunk image fits in the cache:
+    # the peak holds the cache besides the pieces, their join and one block
+    mapfile = G.load_map_file(EXAMPLES / "phi_f3.map")
+    phi = G.map_to_automorphism(mapfile.marked, mapfile.gmap)
+    word = W.char(("a", 1))
+    for _ in range(15):
+        word = phi.apply(word)
+    tracemalloc.start()
+    try:
+        result = phi.apply(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 168608
+    assert peak < 3 * sys.getsizeof(result)
+
+
+# -- the chunk kernel: each distinct chunk reduced once per call --------------
+
+#: chunk lengths small enough that cache hits, seams and cancellation
+#: through whole chunks and whole blocks show on short words
+CHUNKS = st.sampled_from((1, 2, 3, 5))
+
+
+def with_chunk(chunk, block, run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W, "_CHUNK", chunk)
+        mp.setattr(W, "_BLOCK", block)
+        return run()
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHUNKS, BLOCKS, maps_and_words(), st.integers(1, 4))
+def test_apply_chunk_by_chunk_equals_the_oracle(chunk, block, case, times):
+    # images may be empty or unreduced, and codomain letters run past code
+    # point 255; a repeated word makes chunks repeat
+    f, word = case
+    word = word * times
+    expected = oracle_apply(f, word)
+    for given_as in (word, W.encode(word), iter(word)):
+        assert W.letters(with_chunk(chunk, block, lambda: f.apply(given_as))) \
+            == expected
+    # w w⁻¹ cancels through every seam and every junction
+    both = word + tuple_inverse(word)
+    assert with_chunk(chunk, block, lambda: f.apply(both)) == ""
+    assert with_chunk(chunk, block, lambda: f.apply(W.encode(both))) == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(CHUNKS, BLOCKS,
+       st.lists(st.lists(mixed_letters, max_size=5).map(tuple),
+                min_size=len(MIXED), max_size=len(MIXED)),
+       mixed_words, mixed_words)
+def test_apply_chunk_by_chunk_on_mixed_names(chunk, block, images, u, v):
+    word = u + v + tuple_inverse(v) + u   # unreduced, and u twice
+    f = FreeGroupMap(MIXED, MIXED, tuple(images))
+    expected = oracle_apply(f, word)
+    for given_as in (word, W.encode(word), iter(word)):
+        assert W.letters(with_chunk(chunk, block, lambda: f.apply(given_as))) \
+            == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(CHUNKS, BLOCKS, st.lists(letters_abc, max_size=8).map(tuple),
+       st.integers(0, 12), st.integers(0, 12))
+def test_apply_chunk_by_chunk_through_whole_images(chunk, block, u, n, m):
+    # c's image cancels a's whole image, across b's empty image, so whole
+    # chunk images cancel at seams
+    f = FreeGroupMap.from_strings(ABC, {"a": "ab", "b": "", "c": "BA"})
+    word = u * n + tuple_inverse(u) * m
+    assert W.letters(with_chunk(chunk, block, lambda: f.apply(word))) \
+        == oracle_apply(f, word)
+
+
+def counting_reduce(monkeypatch):
+    """Count the calls of ``words._reduce`` from here on."""
+    calls = []
+    reduce = W._reduce
+
+    def counted(text, pairs):
+        calls.append(text)
+        return reduce(text, pairs)
+
+    monkeypatch.setattr(W, "_reduce", counted)
+    return calls
+
+
+def test_each_distinct_chunk_is_reduced_once(monkeypatch):
+    # (abc)²⁰⁰⁰ has 6000 letters over two blocks; 64 = 1 mod 3, so its
+    # whole chunks start in three phases, and the last chunk is short
+    word = w("abc") * 2000
+    chunks = {word[i:i + W._CHUNK] for i in range(0, len(word), W._CHUNK)}
+    assert len(chunks) == 4
+    calls = counting_reduce(monkeypatch)
+    fields = set(vars(PHI))
+    first = PHI.apply(word)
+    assert len(calls) == 4
+    # nothing outlives the call: a second call does the same work
+    assert PHI.apply(word) == first
+    assert len(calls) == 8
+    assert set(vars(PHI)) == fields
+    monkeypatch.undo()
+    assert first == PHI.apply(W.letters(word))
+    assert W.letters(first) == oracle_apply(PHI, W.letters(word))
+
+
+def test_the_chunk_cache_holds_at_most_its_cap(monkeypatch):
+    # k distinct chunks twice over: the cache keeps the first
+    # len(word) // (4 · _CHUNK) = k / 2 of them, so the second copy reduces
+    # the other k / 2 again
+    k = 40
+    half = "".join(w(format(j, f"0{W._CHUNK}b").translate({48: "a", 49: "b"}))
+                   for j in range(k))
+    word = half + half
+    assert len(word) // (4 * W._CHUNK) == k // 2
+    calls = counting_reduce(monkeypatch)
+    result = PHI.apply(word)
+    assert len(calls) == k + k // 2
+    monkeypatch.undo()
+    assert W.letters(result) == oracle_apply(PHI, W.letters(word))
 
 
 def test_reduce_word_returns_a_reduced_word_itself():
