@@ -231,12 +231,6 @@ def _to_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _class_of(ws: Workspace, coords: tuple[int, int]) -> dict:
-    b_star, r_star = ws.duals
-    return co.dict_sum(co.dict_scale(coords[0], b_star),
-                       co.dict_scale(coords[1], r_star))
-
-
 def _require_class(cfg: RunConfig, ws: Workspace
                    ) -> tuple[tuple[int, int], dict]:
     """The ``--class`` coordinates and the least integral representative
@@ -245,7 +239,8 @@ def _require_class(cfg: RunConfig, ws: Workspace
         raise InputParseError(f"{cfg.command} needs --class=CB,CR")
     if cfg.class_coords == (0, 0):
         raise InvariantViolation("the zero class has no section")
-    z = co.integral_cocycle(ws.complex_, _class_of(ws, cfg.class_coords))
+    z, = co.least_representatives(ws.complex_, ws.duals,
+                                  [cfg.class_coords])
     co.require_open_cone(ws.complex_, z)
     return cfg.class_coords, z
 

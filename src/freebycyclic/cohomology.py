@@ -111,15 +111,18 @@ def is_cocycle(complex_: TrapComplex, z: Mapping) -> bool:
     return _closed(skeleton, _scaled(skeleton.cochain(z))[1])
 
 
-def _scaled_cocycle(complex_: TrapComplex, z: Mapping
-                    ) -> tuple[Skeleton, int, list[int]]:
-    """The skeleton, the scale ``L`` of :func:`_scaled` and the ints
-    ``L·z(e)`` in 1-cell order; raises unless ``z`` is a cocycle."""
+def _scaled_cocycles(complex_: TrapComplex, basis: Sequence[Mapping]
+                     ) -> tuple[int, list[list[int]]]:
+    """The scale ``L`` of :func:`_scaled` over all the cochains of
+    ``basis`` and, for each, the ints ``L·z(e)`` in 1-cell order; raises
+    unless each is a cocycle."""
     skeleton = complex_.skeleton
-    scale, scaled = _scaled(skeleton.cochain(z))
-    if not _closed(skeleton, scaled):
+    width = len(skeleton.one_cell_names)
+    scale, flat = _scaled([x for z in basis for x in skeleton.cochain(z)])
+    rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+    if not all(_closed(skeleton, row) for row in rows):
         raise InvariantViolation("cochain is not a cocycle")
-    return skeleton, scale, scaled
+    return scale, rows
 
 
 def evaluate(complex_: TrapComplex, z: Mapping, chain: Mapping) -> Fraction:
@@ -527,7 +530,7 @@ def integral_cocycle(complex_: TrapComplex, z: Mapping,
     Raises :class:`NonIntegralClassError` when a minimized value is
     fractional — the result is never rounded.
     """
-    _skeleton, scale, scaled = _scaled_cocycle(complex_, z)
+    scale, (scaled,) = _scaled_cocycles(complex_, [z])
     return _least(complex_, scaled, scale, minimum)
 
 
@@ -542,12 +545,8 @@ def least_representatives(complex_: TrapComplex, basis: Sequence[Mapping],
     that denominator.  The first class that fails raises exactly what
     :func:`integral_cocycle` raises on it.
     """
-    skeleton = complex_.skeleton
-    width = len(skeleton.one_cell_names)
-    scale, flat = _scaled([x for z in basis for x in skeleton.cochain(z)])
-    rows = [flat[i:i + width] for i in range(0, len(flat), width)]
-    if not all(_closed(skeleton, row) for row in rows):
-        raise InvariantViolation("cochain is not a cocycle")
+    scale, rows = _scaled_cocycles(complex_, basis)
+    width = len(complex_.skeleton.one_cell_names)
     out = []
     for coefs in coefficients:
         scaled = [0] * width

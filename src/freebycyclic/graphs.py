@@ -163,10 +163,6 @@ def is_path(graph: Graph, word: Word) -> bool:
         return False
 
 
-#: Tightening an edge path is free reduction.
-tighten = reduce_word
-
-
 # ---------------------------------------------------------------------------
 # graph maps
 

@@ -333,16 +333,16 @@ class _Level:
                 f"flow trace exceeded {_FLOW_BUDGET} steps")
         return steps
 
-    def climb(self, zero_cell: str, remaining: int, steps: int
-              ) -> tuple[str, int]:
-        """Flow up the vertical 1-cells from a 0-cell onto a crossing."""
+    def climb(self, zero_cell: str, remaining: int, steps: int) -> str:
+        """Flow up the vertical 1-cells from a 0-cell onto a crossing,
+        spending the flow budget from ``steps`` on."""
         cell = zero_cell
         while True:
             steps = self._spend(steps)
             vert = self.complex.vertical_from[cell]
             rise = self.z.get(vert.name, 0) * self.lattice
             if remaining < rise:
-                return self.crossing(vert.name, remaining), steps
+                return self.crossing(vert.name, remaining)
             remaining -= rise
             cell = vert.end
 
@@ -370,9 +370,8 @@ class _Level:
                     raise InvariantViolation(
                         f"no corner 0-cell at x = "
                         f"{Fraction(x, self.lattice)} on top of {trap}")
-                name, steps = self.climb(chart.corners[x], target - top,
-                                         steps)
-                return ("vertex", name)
+                return ("vertex", self.climb(chart.corners[x],
+                                             target - top, steps))
             rise = target - top
             trap, x, target = self.cross_top(piece, x, rise)
             if not rise:
@@ -395,7 +394,7 @@ class _Level:
         room = self.z[cell] * self.lattice - local
         if room > self.lattice:
             return ("vertex", _crossing_name(cell, index + 1))
-        return ("vertex", self.climb(vert.end, self.lattice - room, 0)[0])
+        return ("vertex", self.climb(vert.end, self.lattice - room, 0))
 
     def flow_segment(self, starting_at: Mapping, trap: str, x_lo: int,
                      x_hi: int, target: int, orient: int, depth: int = 0

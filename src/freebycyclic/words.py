@@ -5,11 +5,12 @@ letter table.  A name gets two adjacent code points, forward then inverse,
 when it is first seen (surrogates are skipped), so inverting a word
 reverses it and flips the low bit of each code point, and concatenation is
 ``+``.  Free reduction deletes cancelling pairs until none is left, one
-block of text at a time: each reduced block joins the reduced product so
-far at a junction that cancels the inverse prefix it meets, so a long
-unreduced text never exists whole.  A map applies to a word chunk by
-chunk: the image of each distinct chunk is reduced once per call, and
-consecutive chunk images meet at seams that trim what cancels.
+block of text at a time, so a long unreduced text never exists whole.  A
+map applies to a word chunk by chunk, and the image of each distinct
+chunk is reduced once per call.  Reduced pieces, whether blocks, chunk
+images or the factors of a product, are joined at one junction,
+:func:`_push`, which cancels letter by letter what the product's end and
+the piece's start share.
 Code points follow the order in which names were first seen, so nothing
 orders words by them: orderings are keyed on the decoded letters.
 
@@ -145,32 +146,24 @@ _CHUNK = 64
 
 def _push(pieces: list[str], piece: Word) -> None:
     """Append the reduced ``piece`` to ``pieces``, the reduced product of
-    its reduced pieces.  The junction cancels the longest suffix of the
-    product that is the inverse of a prefix of ``piece``, popping whole
-    pieces that it runs through.  Its length is found by galloping (1, 2,
-    4, …) and then halving, so a junction that cancels k letters costs
-    string comparisons of O(k log k) letters, not a pass per layer."""
-    while pieces and piece:
+    its reduced pieces, at the one junction of this module: letter by
+    letter while the product's end cancels the piece's start, popping each
+    piece the cancellation runs through and trimming the one it stops in.
+    A cancellation of k letters costs O(k) letter comparisons."""
+    k, n = 0, len(piece)
+    while k < n and pieces:
         last = pieces[-1]
-        m = min(len(last), len(piece))
-        lo, hi = 0, 1  # the cancellation has length in [lo, hi)
-        while hi <= m and inverse(last[-hi:]) == piece[:hi]:
-            lo, hi = hi, 2 * hi
-        hi = min(hi, m + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if inverse(last[-mid:]) == piece[:mid]:
-                lo = mid
-            else:
-                hi = mid
-        piece = piece[lo:]
-        if lo < len(last):
-            if lo:
-                pieces[-1] = last[:-lo]
+        j = len(last)
+        while j and k < n and ord(last[j - 1]) ^ 1 == ord(piece[k]):
+            j -= 1
+            k += 1
+        if j:
+            if j < len(last):
+                pieces[-1] = last[:j]
             break
         pieces.pop()
-    if piece:
-        pieces.append(piece)
+    if k < n:
+        pieces.append(piece[k:])
 
 
 def reduce_word(word: Word) -> Word:
@@ -394,11 +387,11 @@ class FreeGroupMap:
         which may itself be unreduced and is given as text, as letters or
         as an iterator of them.  The word is read in aligned chunks of
         ``_CHUNK`` letters inside blocks of ``_BLOCK``: the image of each
-        distinct chunk is joined and reduced once per call, consecutive
-        chunk images are joined at seams that trim what cancels, and each
-        block is pushed onto the product so far, so the unreduced image
-        never exists whole.  On a reduced word a seam or a junction cancels
-        at most the map's bounded cancellation constant (Cooper 1987)."""
+        distinct chunk is joined and reduced once per call, each chunk
+        image is pushed onto its block and each block onto the product so
+        far, both through :func:`_push`, so the unreduced image never
+        exists whole.  On a reduced word each of those seams cancels at
+        most the map's bounded cancellation constant (Cooper 1987)."""
         table = self._image_text
         if not isinstance(word, str):
             word = word if isinstance(word, Sequence) else tuple(word)
@@ -422,23 +415,7 @@ class FreeGroupMap:
                     piece = _reduce("".join(map(image, chunk)), pairs)
                     if len(seen) < room:
                         seen[chunk] = piece
-                if not (block and piece
-                        and ord(block[-1][-1]) ^ 1 == ord(piece[0])):
-                    if piece:
-                        block.append(piece)
-                    continue
-                # the seam cancels: trim both sides in place unless the
-                # cancellation runs through a whole piece
-                last = block[-1]
-                m = min(len(last), len(piece))
-                k = 1
-                while k < m and ord(last[-1 - k]) ^ 1 == ord(piece[k]):
-                    k += 1
-                if k < m:
-                    block[-1] = last[:-k]
-                    block.append(piece[k:])
-                else:
-                    _push(block, piece)
+                _push(block, piece)
             _push(pieces, "".join(block))
         return "".join(pieces)
 

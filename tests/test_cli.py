@@ -466,7 +466,10 @@ def test_class_off_the_open_cone_is_refused(capsys, command, coords, sign):
     cycle = ast.literal_eval(err[err.index("{"):err.index("}") + 1])
     assert set(cycle.values()) == {1}
     ws = cli.load_workspace(PRES, with_classes=True)
-    pairing = co.evaluate(ws.complex_, cli._class_of(ws, coords), cycle)
+    b_star, r_star = ws.duals
+    z = co.dict_sum(co.dict_scale(coords[0], b_star),
+                    co.dict_scale(coords[1], r_star))
+    pairing = co.evaluate(ws.complex_, z, cycle)
     assert (pairing > 0) - (pairing < 0) == sign
 
 

@@ -612,9 +612,9 @@ def test_least_fiber_cocycle_of_the_largest_corpus_torus(corpus_tori):
 def test_constraint_digraph_has_integer_weights(bundled):
     _, torus, b_star, r_star = bundled
     z = co.dict_sum(co.dict_scale(Fraction(1, 3), b_star), r_star)
-    skeleton, scale, scaled = co._scaled_cocycle(torus, z)
+    scale, (scaled,) = co._scaled_cocycles(torus, [z])
     assert scale == 3
-    arcs = co._constraint_digraph(skeleton, scaled, scale * 2)
+    arcs = co._constraint_digraph(torus.skeleton, scaled, scale * 2)
     assert len(arcs) == len(torus.one_cell_names)
     assert all(type(w) is int for _tail, _head, w in arcs)
     assert [w for _tail, _head, w in arcs] == [

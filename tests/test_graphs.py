@@ -94,7 +94,7 @@ def test_compose_does_not_tighten():
     hg = G.compose(h, g)
     # h(g(a)) = h(ab) = aB . b  -- left unreduced, with a cancelling pair
     assert hg.edge_images["a"] == w("aBb", ("a", "b"))
-    assert G.tighten(hg.edge_images["a"]) == w("a", ("a", "b"))
+    assert W.reduce_word(hg.edge_images["a"]) == w("a", ("a", "b"))
 
 
 def test_compose_associative_shape(bundled):
@@ -313,10 +313,10 @@ def test_iterate_tight_needs_a_self_map():
                           st.sampled_from((1, -1))), max_size=30).map(encode))
 @settings(max_examples=200)
 def test_tighten_laws_on_rose(word):
-    t = G.tighten(word)
-    assert G.tighten(t) == t
+    t = W.reduce_word(word)
+    assert W.reduce_word(t) == t
     assert len(t) <= len(word)
-    assert G.tighten(word + W.inverse(word)) == ""
+    assert W.reduce_word(word + W.inverse(word)) == ""
 
 
 def test_tighten_preserves_path_endpoints(bundled):
@@ -324,7 +324,7 @@ def test_tighten_preserves_path_endpoints(bundled):
     # a wandering loop at red with backtracks, tightening to ea
     word = w("eE") + w("bB") + w("ea")
     assert G.is_path(g, word)
-    t = G.tighten(word)
+    t = W.reduce_word(word)
     assert G.is_path(g, t)
     assert G.check_path(g, t) == G.check_path(g, word)
 

@@ -14,9 +14,10 @@ referenced by name or as an attribute; each public module-level function
 or class must be referenced by name or as an attribute, and each public
 method of a public class read as an attribute, somewhere in
 ``src/freebycyclic`` or ``bench``, where a mention in a docstring or other
-string does not count.  Public names that only the tests call move to the
-tests.  Likewise each annotated field of a public dataclass must be read
-as an attribute somewhere in ``src/freebycyclic`` or ``bench``.
+string does not count; so must each public module-level alias of a
+package function or class.  Public names that only the tests call move to
+the tests.  Likewise each annotated field of a public dataclass must be
+read as an attribute somewhere in ``src/freebycyclic`` or ``bench``.
 """
 
 import ast
@@ -163,10 +164,11 @@ def test_the_check_sees_a_private_import():
 
 
 def _referenced(tree: ast.Module) -> set[str]:
-    """Names the module refers to, as a name or as an attribute."""
+    """Names the module reads, as a name or as an attribute; a name only
+    bound, as by ``alias = function``, is not read."""
     referenced = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             referenced.add(node.id)
         elif isinstance(node, ast.Attribute):
             referenced.add(node.attr)
@@ -208,8 +210,14 @@ def test_the_check_sees_an_unreferenced_helper():
 
 def _public_defs(tree: ast.Module):
     """``(qualified name, name)`` of each public module-level function or
-    class, and of each public method, classmethod or property of a public
-    class."""
+    class, of each public method, classmethod or property of a public
+    class, and of each public module-level name bound to a function or
+    class that the module defines or imports from the package (an alias
+    such as ``tighten = reduce_word``; ``Chain = dict`` is left out)."""
+    package = {node.name for node in tree.body if isinstance(node, DEFS)}
+    package |= {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
     for node in tree.body:
         if isinstance(node, DEFS) and not node.name.startswith("_"):
             yield node.name, node.name
@@ -218,6 +226,14 @@ def _public_defs(tree: ast.Module):
                     if isinstance(item, DEFS) \
                             and not item.name.startswith("_"):
                         yield f"{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in package:
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]):
+                if isinstance(target, ast.Name) \
+                        and not target.id.startswith("_"):
+                    yield target.id, target.id
 
 
 def _attributes_read(tree: ast.Module) -> set[str]:
@@ -289,6 +305,23 @@ def test_the_check_sees_an_unused_public_name():
     assert _unreferenced_publics({"mod": module}, [module, reader]) == \
         {"mod.unused", "mod.Mentioned", "mod.Kept.uncalled",
          "mod.Kept.unmade", "mod.Kept.unread", "mod.Kept.shadowed"}
+
+
+def test_the_check_sees_an_unused_alias():
+    module = ast.parse("from .words import reduce_word, multiply\n"
+                       "from os.path import join\n"
+                       "Chain = dict\n"
+                       "def tidy(word):\n    return word\n"
+                       "tighten = reduce_word\n"
+                       "product = multiply\n"
+                       "neat = tidy\n"
+                       "kept: object = tidy\n"
+                       "joined = join\n"
+                       "_hidden = tidy\n")
+    reader = ast.parse("import mod\n"
+                       "print(mod.product, mod.kept(mod.tidy('')))\n")
+    assert _unreferenced_publics({"mod": module}, [module, reader]) == \
+        {"mod.tighten", "mod.neat"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

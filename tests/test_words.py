@@ -466,6 +466,65 @@ def test_multiply_cancels_through_whole_factors(factors):
     assert W.multiply(*texts, *inverses) == ""
 
 
+# -- the junction: _push keeps a list of reduced pieces ----------------------
+
+def test_push_appends_a_piece_that_does_not_cancel():
+    first = w("ab")
+    pieces = [first]
+    W._push(pieces, w("ca"))
+    assert pieces == [w("ab"), w("ca")] and pieces[0] is first
+    pieces = []
+    W._push(pieces, w("ab"))
+    assert pieces == [w("ab")]
+
+
+def test_push_trims_the_last_piece_in_place_and_appends_the_rest():
+    first = w("ca")
+    pieces = [first, w("abc")]
+    W._push(pieces, w("CBa"))
+    assert pieces == [w("ca"), w("a"), w("a")] and pieces[0] is first
+
+
+def test_push_pops_whole_pieces_and_goes_on_into_the_next():
+    first = w("ab")
+    pieces = [first, w("c"), w("a")]
+    W._push(pieces, w("ACBc"))
+    assert pieces == [w("a"), w("c")]
+    # through every piece of the product
+    pieces = [w("ab"), w("c"), w("a")]
+    W._push(pieces, w("ACBAb"))
+    assert pieces == [w("b")]
+
+
+def test_push_appends_nothing_when_the_piece_cancels_whole():
+    pieces = [w("b"), w("abc")]
+    W._push(pieces, w("CB"))
+    assert pieces == [w("b"), w("a")]
+    pieces = [w("b"), w("c"), w("ab")]
+    W._push(pieces, w("BA"))
+    assert pieces == [w("b"), w("c")]
+
+
+def test_push_of_an_exact_inverse_leaves_nothing():
+    pieces = [w("abc")]
+    W._push(pieces, w("CBA"))
+    assert pieces == []
+    pieces = [w("ab"), w("ca")]
+    W._push(pieces, w("AC"))
+    assert pieces == [w("ab")]
+
+
+def test_push_of_the_empty_piece_leaves_the_list_unchanged():
+    first, second = w("ab"), w("c")
+    pieces = [first, second]
+    W._push(pieces, "")
+    assert pieces == [w("ab"), w("c")]
+    assert pieces[0] is first and pieces[1] is second
+    pieces = []
+    W._push(pieces, "")
+    assert pieces == []
+
+
 @pytest.mark.parametrize("block", (1, 2, 3, 5))
 def test_apply_outside_the_domain_in_a_later_block(block):
     # the first letter outside the domain is named, whichever block has it
