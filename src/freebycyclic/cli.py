@@ -49,7 +49,7 @@ from . import section as sect
 from .errors import FreeByCyclicError, InputParseError, InvariantViolation
 from .folding import decompose
 from .graphs import MapFile, load_map_file, map_to_automorphism
-from .torus import TrapComplex, build_torus, skew_loop
+from .torus import TrapComplex, build_torus, euler_chain, skew_loop
 from .traintrack import traintrack_report
 from .words import FreeGroupMap, format_word, outer_equal
 
@@ -207,11 +207,16 @@ def load_workspace(path_text: str, *, with_classes: bool = False
                 "class coordinates are read in a presentation's dual basis; "
                 "supply a .2gen input")
         complex_ = build_torus(decompose(mapfile.gmap))
-        cycles = [presentation.dualcycles[g] for g in presentation.generators]
+        cycles = _dualcycles(presentation)
         duals = tuple(co.dual_basis(complex_, cycles))
         pairing = bns.pairing_coordinates(complex_, cycles, duals,
                                           skew_loop(complex_))
     return Workspace(mapfile, presentation, complex_, duals, pairing)
+
+
+def _dualcycles(pres: bns.TwoGenPresentation) -> list[dict]:
+    """The presentation's dualcycles, in generator order."""
+    return [pres.dualcycles[g] for g in pres.generators]
 
 
 def _emit(cfg: RunConfig, payload: str, filename: str) -> None:
@@ -274,7 +279,42 @@ def cmd_traintrack(cfg: RunConfig) -> int:
 # survey
 
 
+def _euler_coordinates(ws: Workspace) -> tuple[int, int]:
+    """The coordinates of the Euler cycle ε against the dual basis: half
+    those of :func:`~freebycyclic.torus.euler_chain`, which must be even."""
+    twice = bns.pairing_coordinates(ws.complex_, _dualcycles(ws.presentation),
+                                    ws.duals, euler_chain(ws.complex_))
+    if any(x % 2 for x in twice):
+        raise InvariantViolation(
+            f"twice the Euler cycle has odd coordinates {twice}")
+    return (twice[0] // 2, twice[1] // 2)
+
+
+def _sector_in_open_cone(ws: Workspace, comp: bns.ConeComponent) -> bool:
+    """Whether the classes strictly inside the sector ``comp`` lie in the
+    open positive cone: all of them do, or none.
+
+    The two boundary rays must have least representatives at least 0, so
+    they pair nonnegatively with every directed cycle.  A class strictly
+    inside a sector narrower than a half plane is a·start + b·end with
+    a, b > 0, so it pairs to 0 with a directed cycle exactly when both
+    rays do; the zero cycle of ``SIGMA_DIRECTION`` answers for them all.
+    """
+    start, end = comp.start, comp.end
+    if start is None or start[0] * end[1] - start[1] * end[0] <= 0:
+        raise InvariantViolation(
+            f"the sector from {start} to {end} is not narrower than a half "
+            f"plane; its classes have no one cone certificate")
+    *_rays, probe = co.least_representatives(
+        ws.complex_, ws.duals, [start, end, bns.SIGMA_DIRECTION])
+    return co.zero_cycle(ws.complex_, probe) is None
+
+
 def cmd_survey(cfg: RunConfig) -> int:
+    """Each row is read off three integers: the class's pairings with the
+    skew loop σ and the Euler cycle ε, and the sector's cone certificate.
+    A class crosses the skews ⟨u, σ⟩ times, and a primitive one has
+    monodromy rank ⟨u, ε⟩ + 1."""
     ws = load_workspace(cfg.input, with_classes=True)
     pres = ws.presentation
     trace = bns.trace_polygon(pres)
@@ -283,29 +323,28 @@ def cmd_survey(cfg: RunConfig) -> int:
         _emit(cfg, bns.polygon_tikz(trace, slopes), "survey.tikz")
         return EXIT_YES
     comp = bns.component_containing(slopes, bns.SIGMA_DIRECTION)
+    in_cone = _sector_in_open_cone(ws, comp)
     sigma = bns.sigma_report(pres, trace, slopes, comp, pairing=ws.pairing,
                              line_bound=cfg.k_max)
+    (s_b, s_r), (e_b, e_r) = ws.pairing, _euler_coordinates(ws)
     height = cfg.height_max
-    classes = [(cb, cr) for cr in range(-height, height + 1)
-               for cb in range(-height, height + 1)
-               if (cb, cr) != (0, 0) and comp.contains((cb, cr))]
     rows = []
-    for (cb, cr), z in zip(classes, co.least_representatives(
-            ws.complex_, ws.duals, classes)):
-        divisor = math.gcd(abs(cb), abs(cr))
-        in_cone = co.zero_cycle(ws.complex_, z) is None
-        bound = co.axis_dim_lower_bound(ws.complex_, z)
-        on_line = (cb * ws.pairing[0] + cr * ws.pairing[1] == 1)
-        rows.append({
-            "class": [cb, cr],
-            "primitive": divisor == 1,
-            "in_cone": in_cone,
-            "skew_crossings": bound.crossings,
-            "dim_lower_bound": bound.lower_bound,
-            "on_axis_line": on_line,
-            "monodromy_rank": sect.crossing_rank(ws.complex_, z)
-            if divisor == 1 else None,
-        })
+    for cr in range(-height, height + 1):
+        for cb in range(-height, height + 1):
+            if (cb, cr) == (0, 0) or not comp.contains((cb, cr)):
+                continue
+            crossings = cb * s_b + cr * s_r
+            primitive = math.gcd(cb, cr) == 1
+            rows.append({
+                "class": [cb, cr],
+                "primitive": primitive,
+                "in_cone": in_cone,
+                "skew_crossings": crossings,
+                "dim_lower_bound": max(0, crossings - 2),
+                "on_axis_line": crossings == 1,
+                "monodromy_rank": cb * e_b + cr * e_r + 1
+                if primitive else None,
+            })
     payload = {"height_max": height, "sigma": sigma, "classes": rows}
     _emit(cfg, _to_json(payload), "survey.json")
     return EXIT_YES
@@ -344,8 +383,7 @@ def _line_index(ws: Workspace, coords: tuple[int, int]) -> Optional[int]:
         base, spun = (co.line_family_cocycle(ws.complex_, k) for k in (0, 1))
     except FreeByCyclicError:
         return None
-    pres = ws.presentation
-    cycles = [pres.dualcycles[g] for g in pres.generators]
+    cycles = _dualcycles(ws.presentation)
     f = [co.evaluate(ws.complex_, base, cycle) for cycle in cycles]
     s = [co.evaluate(ws.complex_, spun, cycle) - fi
          for cycle, fi in zip(cycles, f)]

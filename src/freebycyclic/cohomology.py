@@ -21,18 +21,14 @@ and turn into Fractions only in error texts.  The module provides:
 * :func:`least_representatives` — the same for every integer combination
   of a basis, each formed on the basis's one common denominator;
 * :class:`LeastCocycle` — their read-only result, which carries its values
-  in 1-cell order, so :func:`zero_cycle`, :func:`axis_dim_lower_bound` and
-  ``section.crossing_rank`` read it without re-checking it;
+  in 1-cell order, so :func:`zero_cycle` and ``section.crossing_rank``
+  read it without re-checking it;
 * :func:`zero_cycle` / :func:`require_open_cone` — a directed cycle on
   which a nonnegative cocycle vanishes, or None when its class lies in the
   open positive cone; every cone verdict of the package is read this way
   off the least representative at least 0;
 * :func:`fiber_cocycle` / :func:`line_family_cocycle` — crossing data of
   the level circle near height zero and of its spun relatives;
-* :func:`discreteness_cone` — an integer scale certifying a neighbourhood
-  of classes with controlled crossing counts;
-* :func:`axis_dim_lower_bound` — skew crossing count of an integral
-  witness and the induced dimension bound;
 * :func:`delta_lengths` — exact volume-preserving length perturbation
   supported on turns at trivalent vertices.
 """
@@ -421,17 +417,13 @@ class LeastCocycle(dict):
         return dict, (dict(self),)
 
 
-def _tied(complex_: TrapComplex, z: Mapping) -> bool:
-    """Whether ``z`` is a :class:`LeastCocycle` of the complex's skeleton
-    as it stands."""
-    return isinstance(z, LeastCocycle) and z.skeleton is complex_.skeleton
-
-
 def cochain_vector(complex_: TrapComplex, z: Mapping) -> Sequence:
     """The values of ``z`` in 1-cell order: the vector of a
-    :class:`LeastCocycle` of the complex, any other mapping read through
-    the skeleton."""
-    return z.vector if _tied(complex_, z) else complex_.skeleton.cochain(z)
+    :class:`LeastCocycle` of the complex's skeleton as it stands, any other
+    mapping read through the skeleton."""
+    if isinstance(z, LeastCocycle) and z.skeleton is complex_.skeleton:
+        return z.vector
+    return complex_.skeleton.cochain(z)
 
 
 def _least_vector(skeleton: Skeleton, n: int, scaled: Sequence[int],
@@ -657,108 +649,6 @@ def line_family_cocycle(complex_: TrapComplex, k: int) -> Chain:
     if not is_cocycle(complex_, z) or any(v < 0 for v in z.values()):
         raise InvariantViolation("spun crossing data failed verification")
     return z
-
-
-# ---------------------------------------------------------------------------
-# discreteness scale
-
-
-@dataclass
-class DiscretenessCone:
-    """Integer scale and corner data for a controlled neighbourhood.
-
-    Classes ``scale * [base] + sum of signs * [others]`` keep positive
-    crossings on every 1-cell, and on the reported skew cell the crossing
-    count stays above ``margin``.
-    """
-
-    scale: int
-    skew: str
-    margin: int
-    corners: tuple[tuple[int, ...], ...]
-
-
-def discreteness_cone(complex_: TrapComplex, z_base: Mapping,
-                      others: Sequence[Mapping], k: int) -> DiscretenessCone:
-    """Smallest integer scale clearing both crossing bounds.
-
-    ``z_base`` must be strictly positive on every 1-cell.  The scale ``M``
-    is minimal with ``M * z_base(e) > sum of |z_i(e)|`` for every 1-cell
-    and ``M * z_base(d) - sum of |z_i(d)| > k + 2`` for some skew cell
-    ``d``; every skew cell is tried and the best is reported.
-    """
-    if not is_cocycle(complex_, z_base):
-        raise InvariantViolation("base cochain is not a cocycle")
-    for other in others:
-        if not is_cocycle(complex_, other):
-            raise InvariantViolation("perturbing cochain is not a cocycle")
-    one_cells = complex_.one_cell_names
-    base = {e: Fraction(z_base.get(e, 0)) for e in one_cells}
-    if any(v <= 0 for v in base.values()):
-        raise InvariantViolation(
-            "base cocycle must be strictly positive on every 1-cell")
-    spread = {e: sum(abs(Fraction(other.get(e, 0))) for other in others)
-              for e in one_cells}
-
-    def least_above(bound: Fraction, unit: Fraction) -> int:
-        return math.floor(bound / unit) + 1
-
-    cellwise = max(least_above(spread[e], base[e]) for e in one_cells)
-    margin = k + 2
-    best: Optional[tuple[int, str]] = None
-    for skew in sorted(s.name for s in complex_.skews):
-        need = max(cellwise, least_above(spread[skew] + margin, base[skew]))
-        if best is None or need < best[0]:
-            best = (need, skew)
-    if best is None:
-        raise InvariantViolation("complex has no skew cells")
-    scale, chosen = best
-    signs = [()]
-    for _ in others:
-        signs = [s + (eps,) for s in signs for eps in (1, -1)]
-    corners = tuple((scale,) + s for s in signs)
-    return DiscretenessCone(scale, chosen, margin, corners)
-
-
-# ---------------------------------------------------------------------------
-# crossing counts of integral witnesses
-
-
-@dataclass
-class AxisBound:
-    """Skew crossing count of an integral witness and the derived bound."""
-
-    crossings: int
-    lower_bound: int
-
-
-def axis_dim_lower_bound(complex_: TrapComplex, z: Mapping) -> AxisBound:
-    """Dimension bound from the skew crossings of an integral witness.
-
-    The witness must be an integral nonnegative cocycle; the bound is the
-    total crossing count of the skew cells less two, floored at zero.  A
-    :class:`LeastCocycle` of the complex is a cocycle and integral already,
-    so only its sign is checked.
-    """
-    if _tied(complex_, z):
-        vector = z.vector
-        if min(vector, default=0) < 0:
-            e = next(e for e, val in z.items() if val < 0)
-            raise InvariantViolation(f"witness value on {e!r} is negative")
-    else:
-        if not is_cocycle(complex_, z):
-            raise InvariantViolation("cochain is not a cocycle")
-        for e, val in z.items():
-            if val.denominator != 1:
-                raise NonIntegralClassError(
-                    f"witness value on {e!r} is the fraction {val}")
-            if val < 0:
-                raise InvariantViolation(
-                    f"witness value on {e!r} is negative")
-        vector = complex_.skeleton.cochain(z)
-    # the skews are the last 1-cells
-    crossings = sum(int(x) for x in vector[len(complex_.verticals):])
-    return AxisBound(crossings, max(0, crossings - 2))
 
 
 # ---------------------------------------------------------------------------

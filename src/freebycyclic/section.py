@@ -778,6 +778,15 @@ class SectionAudit:
 
 def section_audit(section: SectionGraph,
                   return_map: Optional[GraphMap] = None) -> SectionAudit:
+    """Sizes, rank, valences and skew crossings of a section and, given
+    its first return map, the illegal turns of that map at trivalent
+    vertices.
+
+    That last count is ⟨u, σ⟩ for u the section's class and σ the skew
+    loop, the same as ``skew_crossings``: each crossing of a skew by the
+    level set is a trivalent vertex of the section, and there the fold of
+    that skew makes the one illegal turn of the return map.
+    """
     graph = section.graph
     skew_crossings = sum(section.cocycle.get(s.name, 0)
                          for s in section.complex.skews)

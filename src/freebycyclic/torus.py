@@ -498,7 +498,12 @@ def validate(complex_: TrapComplex) -> None:
 
 
 def skew_loop(complex_: TrapComplex) -> dict[str, int]:
-    """The 1-cycle crossing every skew once; raises if it fails to close."""
+    """The 1-cycle σ crossing every skew once; raises if it fails to close.
+
+    Its value on a cochain is the sum over the skews, so every cocycle of
+    a class u crosses the skews ⟨u, σ⟩ times in all, whatever the
+    representative.
+    """
     chain = {s.name: 1 for s in complex_.skews}
     boundary = dict.fromkeys(complex_.cell_by_name, 0)  # in 0-cell order
     for s in complex_.skews:
@@ -507,4 +512,30 @@ def skew_loop(complex_: TrapComplex) -> dict[str, int]:
     nonzero = {cell: x for cell, x in boundary.items() if x}
     if nonzero:
         raise NotACycleError(f"the skew chain has boundary {nonzero}")
+    return chain
+
+
+def euler_chain(complex_: TrapComplex) -> dict[str, int]:
+    """Twice the Euler cycle ε: Σₑ (wₑ − 2)·e, with wₑ the boundary weight
+    of 1-cell e; raises, naming the boundary, if it fails to close.
+
+    The level set of a cocycle z ≥ 0 has a vertex at each of its Σ z(e)
+    crossings of 1-cells, and its arcs pair up the Σ wₑ·z(e) crossings of
+    trapezoid boundaries, so its Euler characteristic is −⟨z, ε⟩.  Where
+    the chain closes that is a pairing of classes: ``crossing_rank`` is
+    ⟨u, ε⟩ + 1 for every representative of a primitive class u.
+    """
+    skeleton = complex_.skeleton
+    chain = {}
+    out = [0] * len(complex_.zero_cells)
+    for e, weight, (end, start) in zip(skeleton.one_cell_names,
+                                       skeleton.boundary_weights,
+                                       skeleton.ends):
+        if weight != 2:
+            chain[e] = weight - 2
+            out[end] += weight - 2
+            out[start] -= weight - 2
+    nonzero = {c.name: x for c, x in zip(complex_.zero_cells, out) if x}
+    if nonzero:
+        raise NotACycleError(f"twice the Euler chain has boundary {nonzero}")
     return chain

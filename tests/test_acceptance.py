@@ -193,18 +193,25 @@ def test_criterion_4_line_family_sections(bundled):
 
 def test_criterion_5_cone_inequalities_and_random_classes(bundled):
     _mapfile, torus, b_star, r_star = bundled
-    # exhaustive strict inequalities for the emitted scale at k = 1
+    # classes scale·[base] ± [perturbation] stay positive on every cell and
+    # cross the skews more than k + 2 times, k = 1; the skew crossings are
+    # the pairing with σ, so the second bound is the half-plane
+    # ⟨u, σ⟩ > k + 2, and 5 is the least scale that meets both
     base = {"skew1": F(1, 4), "skew2": F(1, 4), "skew3": F(1, 4),
             "skew4": F(1, 4), "up:red.0": F(1, 4), "up:c@1.1": F(1, 2),
             "up:a@2.3": F(1, 4), "up:black.0": 1, "up:blue.0": F(1, 2),
             "up:a@3.2": F(1, 2)}
     perturbation = {"up:a@2.3": -1, "skew4": -1}
-    cone = co.discreteness_cone(torus, base, [perturbation], 1)
-    scale = cone.scale
+    loop, margin, scale = skew_loop(torus), 1 + 2, 5
     for cell in torus.one_cell_names:
         assert scale * base.get(cell, 0) - abs(perturbation.get(cell, 0)) > 0
-    assert scale * base[cone.skew] \
-        - abs(perturbation.get(cone.skew, 0)) > cone.margin
+    for sign in (1, -1):
+        corner = co.dict_sum(co.dict_scale(scale, base),
+                             co.dict_scale(sign, perturbation))
+        assert co.evaluate(torus, corner, loop) \
+            == sum(corner.get(s.name, 0) for s in torus.skews) > margin
+    assert (scale - 1) * co.evaluate(torus, base, loop) \
+        - abs(co.evaluate(torus, perturbation, loop)) <= margin
     # 20 random primitive integral classes in the cone, off the fiber ray
     rng = random.Random(20260823)
     chosen = []
@@ -218,12 +225,13 @@ def test_criterion_5_cone_inequalities_and_random_classes(bundled):
         cls = combo(b_star, r_star, cb, cr)
         z = co.integral_cocycle(torus, cls)
         co.require_open_cone(torus, z)
-        assert co.axis_dim_lower_bound(torus, z).lower_bound >= 1
+        assert max(0, co.evaluate(torus, z, loop) - 2) >= 1
         section = build_section(torus, z)
         audit = section_audit(section, first_return(section))
         assert audit.components == 1
         assert audit.illegal_turns_at_trivalent >= 3
-    print(f"criterion 5: PASS (scale {scale} strict at every cell, "
+    print(f"criterion 5: PASS (scale {scale} strict at every cell and "
+          f"in the half-plane <u, sigma> > {margin}, "
           f"20 classes with >=3 illegal turns and bound >=1)")
 
 

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from freebycyclic import cli
+from freebycyclic import bns, cli
 from freebycyclic import cohomology as co
-from freebycyclic.errors import InvariantViolation
+from freebycyclic.errors import ConeInfeasibleError, InvariantViolation
 
 from conftest import EXAMPLES
 MAP = os.path.join(EXAMPLES, "phi_f3.map")
@@ -205,6 +205,72 @@ def test_survey_failed_verification_exits_65(capsys, monkeypatch):
     assert code == 65
     assert out == ""
     assert "zero cycle failed verification" in err
+
+
+@pytest.mark.parametrize("height", ["1", "8", "16"])
+def test_survey_solves_one_batch_of_three_classes(capsys, monkeypatch,
+                                                  height):
+    # the rays and the direction of the sector, whatever the height; the
+    # rows are read off the pairings with no per-row solve or read
+    calls = {"least_representatives": [], "zero_cycle": 0,
+             "crossing_rank": 0}
+    batch, zero_cycle = co.least_representatives, co.zero_cycle
+
+    def counted_batch(complex_, basis, coefficients):
+        calls["least_representatives"].append(list(coefficients))
+        return batch(complex_, basis, coefficients)
+
+    def counted_zero_cycle(complex_, z):
+        calls["zero_cycle"] += 1
+        return zero_cycle(complex_, z)
+
+    def no_crossing_rank(complex_, z):
+        calls["crossing_rank"] += 1
+
+    monkeypatch.setattr(cli.co, "least_representatives", counted_batch)
+    monkeypatch.setattr(cli.co, "zero_cycle", counted_zero_cycle)
+    monkeypatch.setattr(cli.sect, "crossing_rank", no_crossing_rank)
+    code, _out, _err = run(capsys, "survey", "--input", PRES,
+                           "--height-max", height)
+    assert code == 0
+    assert calls == {"least_representatives": [[(1, 1), (-1, 0), (0, 1)]],
+                     "zero_cycle": 1, "crossing_rank": 0}
+
+
+@pytest.mark.parametrize("start, end", [(None, None), ((1, 1), (-1, -2)),
+                                        ((1, 0), (-1, 0))])
+def test_survey_refuses_a_sector_without_one_certificate(
+        capsys, monkeypatch, start, end):
+    # a whole plane, a sector wider than a half plane, or a half plane
+    monkeypatch.setattr(cli.bns, "component_containing",
+                        lambda slopes, direction: bns.ConeComponent(start,
+                                                                    end))
+    code, out, err = run(capsys, "survey", "--input", PRES)
+    assert (code, out) == (65, "")
+    assert f"the sector from {start} to {end}" in err
+
+
+def test_survey_refuses_a_ray_outside_the_closed_cone(capsys, monkeypatch):
+    # (2, 1) pairs negatively with a directed cycle, so it has no
+    # representative at least 0
+    monkeypatch.setattr(cli.bns, "component_containing",
+                        lambda slopes, direction: bns.ConeComponent((2, 1),
+                                                                    (-1, 0)))
+    raised = []
+    batch = co.least_representatives
+
+    def watched(complex_, basis, coefficients):
+        try:
+            return batch(complex_, basis, coefficients)
+        except InvariantViolation as err:
+            raised.append(type(err))
+            raise
+
+    monkeypatch.setattr(cli.co, "least_representatives", watched)
+    code, out, err = run(capsys, "survey", "--input", PRES)
+    assert (code, out) == (65, "")
+    assert raised == [ConeInfeasibleError]
+    assert "no representative is at least 0" in err
 
 
 # ---------------------------------------------------------------------------

@@ -325,14 +325,6 @@ def test_cycle_coordinates_names_an_unknown_cell(bundled):
         torus, chain, [CYCLE_B, CYCLE_R], [b_star, r_star]), "nope")
 
 
-def test_axis_bound_names_an_unknown_cell(bundled):
-    _, torus, b_star, r_star = bundled
-    rep = co.integral_cocycle(torus, co.dict_sum(b_star,
-                                                 co.dict_scale(2, r_star)))
-    assert_unknown_cell(lambda: co.axis_dim_lower_bound(
-        torus, with_unknown_cells(rep, "skew9")), "skew9")
-
-
 def test_fractional_class_fails_loudly(bundled):
     _, torus, _, r_star = bundled
     with pytest.raises(NonIntegralClassError):
@@ -769,82 +761,27 @@ def test_line_family_values(bundled):
 
 
 # ---------------------------------------------------------------------------
-# discreteness scale
+# skew crossings as the pairing with the skew loop
 
 
-POSITIVE_R = {"skew1": Fraction(1, 4), "skew2": Fraction(1, 4),
-              "skew3": Fraction(1, 4), "skew4": Fraction(1, 4),
-              "up:red.0": Fraction(1, 4), "up:c@1.1": Fraction(1, 2),
-              "up:a@2.3": Fraction(1, 4), "up:black.0": 1,
-              "up:blue.0": Fraction(1, 2), "up:a@3.2": Fraction(1, 2)}
-INTEGRAL_B = {"up:a@2.3": -1, "skew4": -1}
-
-
-def test_discreteness_scale(bundled):
-    _, torus, _, _ = bundled
-    assert co.is_cocycle(torus, POSITIVE_R)
-    assert co.is_cocycle(torus, INTEGRAL_B)
-    cone = co.discreteness_cone(torus, POSITIVE_R, [INTEGRAL_B], 1)
-    assert cone.scale == 13
-    assert cone.skew == "skew1"
-    assert cone.margin == 3
-    assert cone.corners == ((13, 1), (13, -1))
-
-
-def test_discreteness_inequalities_hold_exhaustively(bundled):
-    _, torus, _, _ = bundled
-    cone = co.discreteness_cone(torus, POSITIVE_R, [INTEGRAL_B], 1)
-    m = cone.scale
-    for cell in torus.one_cell_names:
-        assert m * POSITIVE_R.get(cell, 0) \
-            - abs(INTEGRAL_B.get(cell, 0)) > 0
-    assert m * POSITIVE_R[cone.skew] \
-        - abs(INTEGRAL_B.get(cone.skew, 0)) > cone.margin
-    # minimality: the next smaller scale violates the margin on every skew
-    for skew in ("skew1", "skew2", "skew3", "skew4"):
-        assert (m - 1) * POSITIVE_R[skew] \
-            - abs(INTEGRAL_B.get(skew, 0)) <= cone.margin
-
-
-def test_discreteness_monotonic_in_k(bundled):
-    _, torus, _, _ = bundled
-    scales = [co.discreteness_cone(torus, POSITIVE_R, [INTEGRAL_B], k).scale
-              for k in (0, 1, 2, 5)]
-    assert scales == [9, 13, 17, 29]
-    assert scales == sorted(scales)
-
-
-def test_discreteness_rejects_non_positive_base(bundled):
-    _, torus, _, r_star = bundled
-    with pytest.raises(InvariantViolation):
-        co.discreteness_cone(torus, r_star, [INTEGRAL_B], 1)
-
-
-# ---------------------------------------------------------------------------
-# crossing-count dimension bound
+def skew_sum(torus, z):
+    return sum(z.get(s.name, 0) for s in torus.skews)
 
 
 def test_axis_bound_on_line_class(bundled):
     _, torus, _, _ = bundled
-    bound = co.axis_dim_lower_bound(torus, co.line_family_cocycle(torus, 1))
-    assert bound.crossings == 1
-    assert bound.lower_bound == 0
+    z = co.line_family_cocycle(torus, 1)
+    crossings = co.evaluate(torus, z, skew_loop(torus))
+    assert skew_sum(torus, z) == crossings == 1
+    assert max(0, crossings - 2) == 0
 
 
 def test_axis_bound_grows_with_multiples(bundled):
     _, torus, _, r_star = bundled
     rep = co.integral_cocycle(torus, co.dict_scale(15, r_star))
-    bound = co.axis_dim_lower_bound(torus, rep)
-    assert bound.crossings == 15
-    assert bound.lower_bound == 13
-
-
-def test_axis_bound_rejects_bad_witnesses(bundled):
-    _, torus, _, r_star = bundled
-    with pytest.raises(NonIntegralClassError):
-        co.axis_dim_lower_bound(torus, co.dict_scale(Fraction(1, 2), r_star))
-    with pytest.raises(InvariantViolation):
-        co.axis_dim_lower_bound(torus, INTEGRAL_B)
+    crossings = co.evaluate(torus, rep, skew_loop(torus))
+    assert skew_sum(torus, rep) == crossings == 15
+    assert max(0, crossings - 2) == 13
 
 
 # ---------------------------------------------------------------------------

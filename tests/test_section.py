@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from freebycyclic.cohomology import (LeastCocycle, axis_dim_lower_bound,
-                                     dict_scale, dict_sum, h1,
-                                     integral_cocycle, least_representatives,
+from freebycyclic.cohomology import (LeastCocycle, dict_scale, dict_sum,
+                                     evaluate, h1, integral_cocycle,
+                                     least_representatives,
                                      line_family_cocycle,
                                      mapping_torus_h1_rank, require_open_cone,
                                      zero_cycle)
@@ -20,13 +20,13 @@ from freebycyclic.errors import (ConeInfeasibleError,
 from freebycyclic.corpus import corpus
 from freebycyclic.folding import decompose
 from freebycyclic.graphs import load_map_file, map_to_automorphism
-from freebycyclic import cohomology
+from freebycyclic import cli, cohomology
 from freebycyclic import section as sect
 from freebycyclic.section import (_generic_phase, _line_names, _line_table,
                                   build_charts, build_section, crossing_rank,
                                   first_return, host_kind, line_section,
                                   monodromy, section_audit, section_dot)
-from freebycyclic.torus import build_torus
+from freebycyclic.torus import build_torus, euler_chain, skew_loop
 from freebycyclic.traintrack import (eigen_metric, is_expanding,
                                      is_irreducible, is_train_track,
                                      lone_axis_check, nielsen_search,
@@ -464,9 +464,9 @@ def test_deep_class_cocycle_and_audit(deep_section):
 
 def test_deep_class_axis_bound(torus, deep_section):
     z, _sec, _ret = deep_section
-    bound = axis_dim_lower_bound(torus, z)
-    assert bound.crossings == 13
-    assert bound.lower_bound == 11
+    crossings = evaluate(torus, z, skew_loop(torus))
+    assert sum(z.get(s.name, 0) for s in torus.skews) == crossings == 13
+    assert max(0, crossings - 2) == 11
 
 
 def test_deep_class_return_is_an_irreducible_train_track(deep_section):
@@ -828,6 +828,113 @@ def test_a_section_smaller_than_its_crossings_is_refused(
                               f"but its crossing counts give {counted}")
 
 
+# ---------------------------------------------------------------------------
+# survey columns as linear forms, and the paper's discreteness claim as one:
+# a lone axis needs ⟨u, σ⟩ = 1
+
+
+def pairing_forms(torus, duals):
+    """The pairings of each cocycle of a basis with the skew loop σ and
+    with the Euler cycle ε: the coordinates of both linear forms."""
+    sigma = tuple(evaluate(torus, d, skew_loop(torus)) for d in duals)
+    twice = tuple(evaluate(torus, d, euler_chain(torus)) for d in duals)
+    assert all(x.denominator == 1 and x % 2 == 0 for x in twice)
+    return sigma, tuple(x / 2 for x in twice)
+
+
+def open_cone_classes(torus, duals, height):
+    """``(coords, least representative)`` of each primitive class with
+    coordinates in −height…height that lies in the open cone."""
+    out = []
+    for a in range(-height, height + 1):
+        for b in range(-height, height + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            try:
+                z, = least_representatives(torus, duals, [(a, b)])
+            except ConeInfeasibleError:
+                continue
+            if zero_cycle(torus, z) is None:
+                out.append(((a, b), z))
+    return out
+
+
+@pytest.mark.parametrize("index, height, solved", [
+    (None, 16, 425), (205, 12, 169), (449, 12, 57), (1116, 12, 169),
+    (1946, 12, 46)])
+def test_survey_columns_are_pairings_with_sigma_and_euler(
+        torus, corpus_tori, index, height, solved):
+    # the per-class route the survey no longer takes is the oracle: on
+    # every class with a least representative, its skew sum is ⟨u, σ⟩ and
+    # its crossing_rank is ⟨u, ε⟩ + 1; the bundled torus in the
+    # presentation's dual basis, the rank-2 corpus tori in h1(T).duals
+    if index is None:
+        ws = cli.load_workspace(os.path.join(EXAMPLES, "g_phi.2gen"),
+                                with_classes=True)
+        torus, duals = ws.complex_, ws.duals
+        assert pairing_forms(torus, duals) == \
+            (ws.pairing, cli._euler_coordinates(ws)) == ((-1, 1), (-1, 2))
+    else:
+        torus = corpus_tori[index]
+        duals = h1(torus).duals
+    (s_a, s_b), (e_a, e_b) = pairing_forms(torus, duals)
+    count = 0
+    for a in range(-height, height + 1):
+        for b in range(-height, height + 1):
+            try:
+                z, = least_representatives(torus, duals, [(a, b)])
+            except ConeInfeasibleError:
+                continue
+            count += 1
+            assert sum(z.get(s.name, 0) for s in torus.skews) \
+                == a * s_a + b * s_b, (a, b)
+            assert crossing_rank(torus, z) == a * e_a + b * e_b + 1, (a, b)
+    assert count == solved
+
+
+def test_illegal_turns_at_trivalent_vertices_pair_with_sigma(torus,
+                                                            corpus_tori):
+    # the return map's illegal turns at trivalent vertices
+    # number ⟨u, σ⟩, on every primitive class of the open cone with
+    # |a|, |b| <= 10 on the bundled torus and on the rank-2 corpus
+    # classes with |a|, |b| <= 5 whose sections build
+    beds = [(torus, (B_CLASS, R_CLASS), 10, set())]
+    beds += [(corpus_tori[index], h1(corpus_tori[index]).duals, 5,
+              REFUSED_RANK2_CLASSES.get(index, set()))
+             for index in sorted(corpus_tori)]
+    counts = []
+    for bed, duals, height, refused in beds:
+        (s_a, s_b), _euler = pairing_forms(bed, duals)
+        count = 0
+        for (a, b), z in open_cone_classes(bed, duals, height):
+            if (a, b) in refused:
+                continue
+            section = build_section(bed, z)
+            audit = section_audit(section, first_return(section))
+            assert audit.illegal_turns_at_trivalent == a * s_a + b * s_b
+            count += 1
+        counts.append(count)
+    assert counts[0] == 95 and sum(counts[1:]) == 34
+
+
+def test_lone_axis_only_on_the_sigma_one_line(torus):
+    # every class with two or more illegal turns is "no", so a "yes" needs
+    # ⟨u, σ⟩ = 1; at height <= 6 the "yes" classes are exactly the line
+    # family (k, k+1), k = 0…5, which are the classes with ⟨u, σ⟩ = 1
+    classes = open_cone_classes(torus, (B_CLASS, R_CLASS), 6)
+    assert len(classes) == 35
+    yes = []
+    for coords, z in classes:
+        verdict = lone_axis_check(first_return(build_section(torus, z)),
+                                  assume_ageometric=True,
+                                  assume_fully_irreducible=True)
+        if verdict.verdict == "yes":
+            yes.append(coords)
+    (s_a, s_b), _euler = pairing_forms(torus, (B_CLASS, R_CLASS))
+    assert yes == [(k, k + 1) for k in range(6)]
+    assert yes == [(a, b) for (a, b), _z in classes if a * s_a + b * s_b == 1]
+
+
 def outcome(call, *args):
     """What ``call(*args)`` returns, or the type, message and certificate
     of the package error it raises."""
@@ -898,7 +1005,7 @@ def test_least_representative_routes_agree(torus, corpus_tori, index,
             kinds.add(LeastCocycle)
             assert batch.vector == tuple(batch.get(e, 0)
                                          for e in torus.one_cell_names)
-            for read in (zero_cycle, axis_dim_lower_bound, crossing_rank):
+            for read in (zero_cycle, crossing_rank):
                 assert outcome(read, torus, batch) \
                     == outcome(read, torus, dict(batch)), (coords, read)
     assert ConeInfeasibleError in kinds and LeastCocycle in kinds

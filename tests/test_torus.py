@@ -1,5 +1,7 @@
 """Mapping torus construction, frozen against hand-computed complexes."""
 
+import copy
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from freebycyclic.errors import (InvariantViolation, NotACycleError,
                                  NotIrreducibleError, RiserError)
 from freebycyclic.folding import WorkingStage, decompose
 from freebycyclic.graphs import Graph, GraphMap
-from freebycyclic.torus import Skeleton, build_torus, skew_loop, validate
+from freebycyclic.torus import (Skeleton, build_torus, euler_chain, skew_loop,
+                               validate)
 from freebycyclic.graphs import load_map_file
 
 import os
@@ -166,6 +169,35 @@ def test_boundary_of_boundary_vanishes(bundled_torus):
 def test_skew_loop(bundled_torus):
     assert skew_loop(bundled_torus) == {
         "skew1": 1, "skew2": 1, "skew3": 1, "skew4": 1}
+
+
+def test_euler_chain_closes_on_every_corpus_torus(bundled_torus):
+    # 2ε = Σ (wₑ − 2)·e; every 1-cell of the bundled torus borders three
+    # trapezoid sides
+    assert euler_chain(bundled_torus) == \
+        dict.fromkeys(bundled_torus.one_cell_names, 1)
+    built = 0
+    for f in corpus(200, seed=20260823):
+        try:
+            torus = build_torus(decompose(f))
+        except RiserError:
+            continue
+        weights = zip(torus.one_cell_names, torus.skeleton.boundary_weights)
+        assert euler_chain(torus) == {e: w - 2 for e, w in weights if w != 2}
+        built += 1
+    assert built == 45
+
+
+def test_a_tampered_euler_chain_is_not_a_cycle(bundled_torus):
+    skeleton = bundled_torus.skeleton
+    tampered = copy.copy(bundled_torus)
+    vars(tampered)["skeleton"] = dataclasses.replace(
+        skeleton, boundary_weights=(skeleton.boundary_weights[0] + 1,)
+        + skeleton.boundary_weights[1:])
+    with pytest.raises(NotACycleError) as err:
+        euler_chain(tampered)
+    assert str(err.value) == \
+        "twice the Euler chain has boundary {'black.0': -1, 'blue.0': 1}"
 
 
 def test_doubling_torus():
