@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .cohomology import cycle_coordinates
+from .cohomology import evaluate
 from .errors import (ExcludedDirectionError, InputParseError,
                      InvariantViolation, OpenTraceError)
 from .torus import TrapComplex
@@ -333,23 +333,24 @@ def component_containing(slopes: SlopeSet, direction) -> ConeComponent:
 
 
 def pairing_coordinates(complex_: TrapComplex,
-                        cycles: Sequence[Mapping[str, int]],
                         duals: Sequence[Mapping[str, int]],
-                        chain: Mapping[str, int]) -> Vec:
-    """Coordinates of a 1-cycle's pairing against the generators' dual basis.
+                        chain: Mapping[str, int]) -> tuple[int, ...]:
+    """The pairing of a 1-cycle with each cocycle of the generators' dual
+    basis, in generator order.
 
-    ``cycles`` are the generators' dualcycles in generator order and
-    ``duals`` their dual cocycles (``dual_basis``).  A character written as
-    ``c1·g1* + c2·g2*`` evaluates on ``chain`` to ``c1·p1 + c2·p2`` where
-    ``(p1, p2)`` is the returned pair; ``chain`` is verified to be homologous
-    to ``p1·cycle1 + p2·cycle2``.
+    ``duals`` come from ``dual_basis``, which checks that their cycles are
+    a basis of H1 over Q; the pairings are then the coordinates of
+    ``chain`` in that basis modulo boundaries, and a character written as
+    ``c1·g1* + c2·g2*`` evaluates on ``chain`` to ``c1·p1 + c2·p2``.
+    Each pairing checks its dual is a cocycle and ``chain`` a cycle; a
+    fractional one is refused.
     """
-    coords = cycle_coordinates(complex_, chain, cycles, duals)
+    coords = tuple(evaluate(complex_, z, chain) for z in duals)
     for value in coords:
-        if value != int(value):
+        if value.denominator != 1:
             raise InvariantViolation(
                 f"chain pairs fractionally ({value}) with the dual basis")
-    return (int(coords[0]), int(coords[1]))
+    return tuple(int(value) for value in coords)
 
 
 @dataclass

@@ -207,10 +207,8 @@ def load_workspace(path_text: str, *, with_classes: bool = False
                 "class coordinates are read in a presentation's dual basis; "
                 "supply a .2gen input")
         complex_ = build_torus(decompose(mapfile.gmap))
-        cycles = _dualcycles(presentation)
-        duals = tuple(co.dual_basis(complex_, cycles))
-        pairing = bns.pairing_coordinates(complex_, cycles, duals,
-                                          skew_loop(complex_))
+        duals = tuple(co.dual_basis(complex_, _dualcycles(presentation)))
+        pairing = bns.pairing_coordinates(complex_, duals, skew_loop(complex_))
     return Workspace(mapfile, presentation, complex_, duals, pairing)
 
 
@@ -282,8 +280,8 @@ def cmd_traintrack(cfg: RunConfig) -> int:
 def _euler_coordinates(ws: Workspace) -> tuple[int, int]:
     """The coordinates of the Euler cycle ε against the dual basis: half
     those of :func:`~freebycyclic.torus.euler_chain`, which must be even."""
-    twice = bns.pairing_coordinates(ws.complex_, _dualcycles(ws.presentation),
-                                    ws.duals, euler_chain(ws.complex_))
+    twice = bns.pairing_coordinates(ws.complex_, ws.duals,
+                                    euler_chain(ws.complex_))
     if any(x % 2 for x in twice):
         raise InvariantViolation(
             f"twice the Euler cycle has odd coordinates {twice}")

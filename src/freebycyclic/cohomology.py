@@ -12,7 +12,9 @@ and turn into Fractions only in error texts.  The module provides:
 
 * :func:`h1` — rank, torsion, an integral cycle basis, and a dual cocycle
   basis of the first homology;
-* :func:`dual_basis` — cocycles dual to user-supplied cycles;
+* :func:`dual_basis` — cocycles dual to user-supplied cycles, which are
+  checked once to be a basis of H1 over Q, so that a cycle's coordinates
+  in them are its pairings with the duals (:func:`evaluate`);
 * :func:`integral_cocycle` — the lexicographically least integral
   representative bounded below cellwise, found by shortest paths on the
   1-skeleton contracted along the cells already fixed in the skeleton's
@@ -28,9 +30,7 @@ and turn into Fractions only in error texts.  The module provides:
   open positive cone; every cone verdict of the package is read this way
   off the least representative at least 0;
 * :func:`fiber_cocycle` / :func:`line_family_cocycle` — crossing data of
-  the level circle near height zero and of its spun relatives;
-* :func:`delta_lengths` — exact volume-preserving length perturbation
-  supported on turns at trivalent vertices.
+  the level circle near height zero and of its spun relatives.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from .errors import (
     InvariantViolation,
     NonIntegralClassError,
     NotACycleError,
-    TurnDataError,
 )
-from .graphs import Graph, GraphMap, fundamental_group_map, spanning_tree
+from .graphs import GraphMap, fundamental_group_map, spanning_tree
 from .linalg import smith_normal_form
 from .torus import Skeleton, TrapComplex, skew_loop
 from .words import letters
@@ -70,11 +69,6 @@ def _dense(sparse: Iterable[Iterable[tuple[int, int]]], width: int
             row[i] += coef
         out.append(row)
     return out
-
-
-def _d2_transposed(skeleton: Skeleton) -> list[list[int]]:
-    """The boundary of each 2-cell as one dense row over the 1-cells."""
-    return _dense(skeleton.rows, len(skeleton.one_cell_names))
 
 
 def boundary(complex_: TrapComplex, chain: Mapping) -> Chain:
@@ -158,13 +152,17 @@ class H1Data:
 
 def _dual_cocycles(skeleton: Skeleton, cycles: Sequence[Mapping]
                    ) -> tuple[Chain, ...]:
-    """Cocycles pairing as the identity matrix with ``cycles``.
+    """Cocycles pairing as the identity matrix with ``cycles``, which must
+    span H1 over Q.
 
     One factorisation of the system "is a cocycle" (one row per 2-cell)
     plus one pairing row per cycle answers every right-hand side; the
-    solution is integral whenever an integral one exists.
+    solution is integral whenever an integral one exists.  The cycles span
+    exactly when the kernel of that system is no more than the
+    coboundaries, whose dimension is rank d1: the number of 1-cells that
+    tie two 0-cells in the skeleton's tie order, a spanning forest.
     """
-    rows = _d2_transposed(skeleton)
+    rows = _dense(skeleton.rows, len(skeleton.one_cell_names))
     n2 = len(rows)
     rows += [skeleton.cochain(cyc) for cyc in cycles]
     snf = smith_normal_form(rows)
@@ -176,6 +174,14 @@ def _dual_cocycles(skeleton: Skeleton, cycles: Sequence[Mapping]
             raise InvariantViolation("cycles do not admit a dual cocycle basis")
         duals.append({e: x for e, x in zip(skeleton.one_cell_names, sol)
                       if x != 0})
+    # independent, as the solves show: the kernel beyond the coboundaries
+    # is the part of H1 the cycles miss
+    missed = len(skeleton.one_cell_names) - snf.rank - sum(
+        tie is not None for tie in skeleton.ties)
+    if missed:
+        raise InvariantViolation(
+            f"cycles span rank {len(cycles)} of H1(T; Q), which has rank "
+            f"{len(cycles) + missed}")
     return tuple(duals)
 
 
@@ -217,10 +223,8 @@ def h1(complex_: TrapComplex) -> H1Data:
     except NotACycleError:
         loop = None
     if loop is not None:
-        for i in range(len(duals)):
-            pairing = sum(Fraction(duals[i].get(e, 0)) * c
-                          for e, c in loop.items())
-            if pairing == 1 and i != len(duals) - 1:
+        for i in range(len(duals) - 1):
+            if evaluate(complex_, duals[i], loop) == 1:
                 cycles.append(cycles.pop(i))
                 duals.append(duals.pop(i))
                 break
@@ -232,39 +236,15 @@ def dual_basis(complex_: TrapComplex, cycles: Sequence[Mapping]
                ) -> tuple[Chain, ...]:
     """Cocycles pairing as the identity matrix with the given cycles.
 
-    Each input must be a cycle and the family must be independent in
-    rational homology and of full rank there.
+    Each input must be a cycle and the family a basis of H1 over Q, both
+    checked here once, so a cycle's pairings with the duals are its
+    coordinates in the family.
     """
     for cyc in cycles:
         bad = boundary(complex_, cyc)
         if bad:
             raise NotACycleError(f"chain has nonzero boundary {bad!r}")
     return _dual_cocycles(complex_.skeleton, cycles)
-
-
-def cycle_coordinates(complex_: TrapComplex, chain: Mapping,
-                      cycles: Sequence[Mapping], duals: Sequence[Mapping]
-                      ) -> tuple[Fraction, ...]:
-    """Coordinates of a cycle in a homology basis, verified exactly.
-
-    The coordinates are read off with the dual cocycles; the difference
-    between the chain and the coordinate combination of basis cycles is
-    then checked to bound a rational 2-chain.
-    """
-    coords = tuple(evaluate(complex_, z, chain) for z in duals)
-    skeleton = complex_.skeleton
-    diff = dict(chain)
-    for coef, cyc in zip(coords, cycles):
-        for e, c in cyc.items():
-            diff[e] = diff.get(e, 0) - coef * c
-    # scaled to ints by their common denominator: solvable over Q alike
-    rhs = _scaled(skeleton.cochain(diff))[1]
-    if any(rhs) and smith_normal_form(
-            list(zip(*_d2_transposed(skeleton)))).solve(rhs) is None:
-        raise InvariantViolation(
-            "cycle is not the coordinate combination of the basis "
-            "modulo boundaries")
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -649,63 +629,6 @@ def line_family_cocycle(complex_: TrapComplex, k: int) -> Chain:
     if not is_cocycle(complex_, z) or any(v < 0 for v in z.values()):
         raise InvariantViolation("spun crossing data failed verification")
     return z
-
-
-# ---------------------------------------------------------------------------
-# length perturbation along turns
-
-
-def delta_lengths(graph: Graph, lengths: Mapping[str, float],
-                  turns: Sequence[frozenset], weights: Sequence[Fraction]
-                  ) -> dict[str, float]:
-    """Volume-preserving length change supported near chosen turns.
-
-    Each turn must sit at its own trivalent vertex and must not consist of
-    the two ends of a single loop.  Per turn the two turn edges lose and
-    the remaining edge gains, loops are left untouched, and the result is
-    rescaled to total length one; the total weight must stay below one.
-    """
-    if len(turns) != len(weights):
-        raise TurnDataError("one weight is needed per turn")
-    total = sum(Fraction(w) for w in weights)
-    if total >= 1:
-        raise TurnDataError("total perturbation weight must be below one")
-    is_loop = {name: init == term for name, init, term in graph.edges}
-    seen_vertices = set()
-    deltas: list[dict[str, int]] = []
-    for turn in turns:
-        if len(turn) != 2:
-            raise TurnDataError("a turn is a pair of distinct directions")
-        d1, d2 = sorted(turn)
-        if d1[0] == d2[0]:
-            raise TurnDataError(
-                f"turn at edge {d1[0]!r} uses both ends of one loop")
-        v = graph.init_of(d1)
-        if graph.init_of(d2) != v:
-            raise TurnDataError("turn directions are based at different vertices")
-        if v in seen_vertices:
-            raise TurnDataError(f"vertex {v!r} carries more than one turn")
-        seen_vertices.add(v)
-        dirs = graph.directions(v)
-        if len(dirs) != 3:
-            raise TurnDataError(f"vertex {v!r} is not trivalent")
-        if d1 not in dirs or d2 not in dirs:
-            raise TurnDataError(f"turn directions are not based at {v!r}")
-        (third,) = [d for d in dirs if d not in (d1, d2)]
-        delta: dict[str, int] = {}
-        for direction, change in ((d1, -1), (d2, -1), (third, 1)):
-            name = direction[0]
-            delta[name] = 0 if is_loop[name] else change
-        if sum(delta.values()) != -1:
-            raise InvariantViolation("length change does not sum to minus one")
-        deltas.append(delta)
-    shrink = 1 - total
-    out = {}
-    for name in graph.edge_names:
-        moved = Fraction(lengths[name]) + sum(
-            w * delta.get(name, 0) for w, delta in zip(weights, deltas))
-        out[name] = float(moved / shrink)
-    return out
 
 
 # ---------------------------------------------------------------------------

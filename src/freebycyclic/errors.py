@@ -82,10 +82,6 @@ class IterationBudgetError(InvariantViolation):
     """A flow trace exceeded its iteration budget."""
 
 
-class TurnDataError(InvariantViolation):
-    """A turn list violates the preconditions of the length perturbation."""
-
-
 class OpenTraceError(InvariantViolation):
     """A word expected to abelianize to zero traced an open lattice path."""
 

@@ -3,8 +3,9 @@ two readings of a free-group map, the identity maps of a free group and
 of a graph, the tuple-word oracles (free reduction, inversion and the
 substitution loop) that check the text kernel behind
 ``FreeGroupMap.apply`` and ``GraphMap.iterate_tight``, writers of the
-``.map`` and ``.2gen`` text formats for round-trip tests, and the
-package's cone verdict on a class with rational values.
+``.map`` and ``.2gen`` text formats for round-trip tests, the
+package's cone verdict on a class with rational values, and an exact
+length perturbation at turns of trivalent vertices.
 
 A tuple word is a tuple of ``(name, sign)`` letters, the package's word
 representation before words became text."""
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import freebycyclic.cohomology as co
 from freebycyclic.bns import TwoGenPresentation
@@ -234,3 +235,60 @@ def in_open_cone(complex_, z: Mapping) -> bool:
     except ConeInfeasibleError:
         return False
     return True
+
+
+class TurnDataError(InvariantViolation):
+    """A turn list violates the preconditions of the length perturbation."""
+
+
+def delta_lengths(graph: Graph, lengths: Mapping[str, float],
+                  turns: Sequence[frozenset], weights: Sequence[Fraction]
+                  ) -> dict[str, float]:
+    """Volume-preserving length change supported near chosen turns.
+
+    Each turn must sit at its own trivalent vertex and must not consist of
+    the two ends of a single loop.  Per turn the two turn edges lose and
+    the remaining edge gains, loops are left untouched, and the result is
+    rescaled to total length one; the total weight must stay below one.
+    """
+    if len(turns) != len(weights):
+        raise TurnDataError("one weight is needed per turn")
+    total = sum(Fraction(w) for w in weights)
+    if total >= 1:
+        raise TurnDataError("total perturbation weight must be below one")
+    is_loop = {name: init == term for name, init, term in graph.edges}
+    seen_vertices = set()
+    deltas: list[dict[str, int]] = []
+    for turn in turns:
+        if len(turn) != 2:
+            raise TurnDataError("a turn is a pair of distinct directions")
+        d1, d2 = sorted(turn)
+        if d1[0] == d2[0]:
+            raise TurnDataError(
+                f"turn at edge {d1[0]!r} uses both ends of one loop")
+        v = graph.init_of(d1)
+        if graph.init_of(d2) != v:
+            raise TurnDataError("turn directions are based at different vertices")
+        if v in seen_vertices:
+            raise TurnDataError(f"vertex {v!r} carries more than one turn")
+        seen_vertices.add(v)
+        dirs = graph.directions(v)
+        if len(dirs) != 3:
+            raise TurnDataError(f"vertex {v!r} is not trivalent")
+        if d1 not in dirs or d2 not in dirs:
+            raise TurnDataError(f"turn directions are not based at {v!r}")
+        (third,) = [d for d in dirs if d not in (d1, d2)]
+        delta: dict[str, int] = {}
+        for direction, change in ((d1, -1), (d2, -1), (third, 1)):
+            name = direction[0]
+            delta[name] = 0 if is_loop[name] else change
+        if sum(delta.values()) != -1:
+            raise InvariantViolation("length change does not sum to minus one")
+        deltas.append(delta)
+    shrink = 1 - total
+    out = {}
+    for name in graph.edge_names:
+        moved = Fraction(lengths[name]) + sum(
+            w * delta.get(name, 0) for w, delta in zip(weights, deltas))
+        out[name] = float(moved / shrink)
+    return out

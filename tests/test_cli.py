@@ -237,6 +237,23 @@ def test_survey_solves_one_batch_of_three_classes(capsys, monkeypatch,
                      "zero_cycle": 1, "crossing_rank": 0}
 
 
+@pytest.mark.parametrize("argv", [
+    ["survey", "--height-max", "1"], ["survey", "--height-max", "8"],
+    ["survey", "--height-max", "16"], ["section", "--class=1,6"],
+    ["monodromy", "--class=1,6"]],
+    ids=["survey-1", "survey-8", "survey-16", "section", "monodromy"])
+def test_each_command_factors_one_linear_system(capsys, monkeypatch, argv):
+    # the dual basis of the presentation's dualcycles; the coordinates of
+    # σ and ε are pairings with its duals, with no factorisation of their
+    # own
+    calls = []
+    factor = co.smith_normal_form
+    monkeypatch.setattr(co, "smith_normal_form",
+                        lambda matrix: calls.append(1) or factor(matrix))
+    code, _out, _err = run(capsys, *argv, "--input", PRES)
+    assert (code, len(calls)) == (0, 1)
+
+
 @pytest.mark.parametrize("start, end", [(None, None), ((1, 1), (-1, -2)),
                                         ((1, 0), (-1, 0))])
 def test_survey_refuses_a_sector_without_one_certificate(

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freebycyclic.cohomology as co
+from freebycyclic.bns import pairing_coordinates
 from freebycyclic.errors import (
     ConeInfeasibleError,
     InvariantViolation,
     NonIntegralClassError,
     NotACycleError,
-    TurnDataError,
 )
 from freebycyclic.corpus import corpus
 from freebycyclic.folding import decompose
@@ -29,7 +29,8 @@ import cocycle_oracle
 import fm_oracle
 from conftest import EXAMPLES
 from dense_oracle import mat_mul
-from helpers import identity_graph_map, open_cone_representative
+from helpers import (TurnDataError, delta_lengths, identity_graph_map,
+                     open_cone_representative)
 
 CYCLE_B = {"up:black.0": 1, "up:c@1.1": -1, "up:a@2.3": 1,
            "skew1": -1, "skew4": -2}
@@ -126,23 +127,30 @@ def test_dual_basis_rejects_non_cycle(bundled):
 def test_skew_loop_class_is_r_minus_b(bundled):
     _, torus, b_star, r_star = bundled
     loop = skew_loop(torus)
-    coords = co.cycle_coordinates(torus, loop, [CYCLE_B, CYCLE_R],
-                                  [b_star, r_star])
-    assert coords == (-1, 1)
+    assert pairing_coordinates(torus, [b_star, r_star], loop) == (-1, 1)
 
 
-def test_cycle_coordinates_decide_over_q_on_a_fraction_remainder(bundled):
-    # half the skew loop leaves the remainder (loop + B - R) / 2, a rational
-    # boundary; against the basis (B, B) the remainder is half the loop,
-    # which bounds nothing
+def test_half_the_skew_loop_pairs_fractionally(bundled):
+    # the pairings of half the skew loop are its coordinates over Q, and
+    # the integral reader refuses them; (B, B) does not span, so it has
+    # no dual basis to read coordinates against
     _, torus, b_star, r_star = bundled
     half = co.dict_scale(Fraction(1, 2), skew_loop(torus))
-    assert co.cycle_coordinates(torus, half, [CYCLE_B, CYCLE_R],
-                                [b_star, r_star]) == (Fraction(-1, 2),
-                                                      Fraction(1, 2))
-    with pytest.raises(InvariantViolation, match="modulo boundaries"):
-        co.cycle_coordinates(torus, half, [CYCLE_B, CYCLE_B],
-                             [b_star, r_star])
+    assert tuple(co.evaluate(torus, z, half) for z in (b_star, r_star)) \
+        == (Fraction(-1, 2), Fraction(1, 2))
+    with pytest.raises(InvariantViolation, match="pairs fractionally"):
+        pairing_coordinates(torus, [b_star, r_star], half)
+    with pytest.raises(InvariantViolation, match="dual cocycle basis"):
+        co.dual_basis(torus, [CYCLE_B, CYCLE_B])
+
+
+@pytest.mark.parametrize("cycles", [[CYCLE_B], [CYCLE_R], []])
+def test_dual_basis_refuses_cycles_that_do_not_span(bundled, cycles):
+    _, torus, _, _ = bundled
+    with pytest.raises(InvariantViolation) as err:
+        co.dual_basis(torus, cycles)
+    assert str(err.value) == (f"cycles span rank {len(cycles)} of "
+                              f"H1(T; Q), which has rank 2")
 
 
 def test_line_classes_cross_the_skew_loop_once(bundled):
@@ -318,11 +326,11 @@ def test_dual_basis_names_an_unknown_cell(bundled):
         "nope")
 
 
-def test_cycle_coordinates_names_an_unknown_cell(bundled):
+def test_pairing_coordinates_names_an_unknown_cell(bundled):
     _, torus, b_star, r_star = bundled
     chain = with_unknown_cells(skew_loop(torus), "skew9", "nope")
-    assert_unknown_cell(lambda: co.cycle_coordinates(
-        torus, chain, [CYCLE_B, CYCLE_R], [b_star, r_star]), "nope")
+    assert_unknown_cell(lambda: pairing_coordinates(
+        torus, [b_star, r_star], chain), "nope")
 
 
 def test_fractional_class_fails_loudly(bundled):
@@ -799,8 +807,8 @@ TURN_BLACK = frozenset({("d", -1), ("e", -1)})
 
 
 def test_delta_lengths_values(five_edge_graph):
-    out = co.delta_lengths(five_edge_graph, LENGTHS, [TURN_RED, TURN_BLACK],
-                           [Fraction(1, 8), Fraction(1, 16)])
+    out = delta_lengths(five_edge_graph, LENGTHS, [TURN_RED, TURN_BLACK],
+                        [Fraction(1, 8), Fraction(1, 16)])
     scale = 1 - Fraction(3, 16)
     expected = {
         "a": (Fraction(3, 10) - Fraction(1, 8) + Fraction(1, 16)) / scale,
@@ -817,9 +825,9 @@ def test_delta_lengths_keeps_loops_fixed():
     graph = Graph(("u", "w"),
                   (("l", "u", "u"), ("m", "u", "w"), ("n", "w", "w")))
     lengths = {"l": 0.5, "m": 0.3, "n": 0.2}
-    out = co.delta_lengths(graph, lengths,
-                           [frozenset({("l", 1), ("m", 1)})],
-                           [Fraction(1, 4)])
+    out = delta_lengths(graph, lengths,
+                        [frozenset({("l", 1), ("m", 1)})],
+                        [Fraction(1, 4)])
     assert out["l"] == pytest.approx(0.5 / 0.75)
     assert out["m"] == pytest.approx((0.3 - 0.25) / 0.75)
     assert out["n"] == pytest.approx(0.2 / 0.75)
@@ -828,20 +836,20 @@ def test_delta_lengths_keeps_loops_fixed():
 
 def test_delta_lengths_validation(five_edge_graph):
     with pytest.raises(TurnDataError):
-        co.delta_lengths(five_edge_graph, LENGTHS,
-                         [frozenset({("c", 1), ("c", -1)})], [Fraction(1, 4)])
+        delta_lengths(five_edge_graph, LENGTHS,
+                      [frozenset({("c", 1), ("c", -1)})], [Fraction(1, 4)])
     with pytest.raises(TurnDataError):  # valence four at the loop vertex
-        co.delta_lengths(five_edge_graph, LENGTHS,
-                         [frozenset({("b", -1), ("c", 1)})], [Fraction(1, 4)])
+        delta_lengths(five_edge_graph, LENGTHS,
+                      [frozenset({("b", -1), ("c", 1)})], [Fraction(1, 4)])
     with pytest.raises(TurnDataError):  # repeated vertex
-        co.delta_lengths(five_edge_graph, LENGTHS,
-                         [TURN_RED, frozenset({("a", -1), ("e", 1)})],
-                         [Fraction(1, 8), Fraction(1, 8)])
+        delta_lengths(five_edge_graph, LENGTHS,
+                      [TURN_RED, frozenset({("a", -1), ("e", 1)})],
+                      [Fraction(1, 8), Fraction(1, 8)])
     with pytest.raises(TurnDataError):  # total weight too large
-        co.delta_lengths(five_edge_graph, LENGTHS, [TURN_RED, TURN_BLACK],
-                         [Fraction(1, 2), Fraction(1, 2)])
+        delta_lengths(five_edge_graph, LENGTHS, [TURN_RED, TURN_BLACK],
+                      [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(TurnDataError):  # weight count mismatch
-        co.delta_lengths(five_edge_graph, LENGTHS, [TURN_RED], [])
+        delta_lengths(five_edge_graph, LENGTHS, [TURN_RED], [])
 
 
 def test_delta_lengths_injective_on_samples(five_edge_graph):
@@ -853,7 +861,7 @@ def test_delta_lengths_injective_on_samples(five_edge_graph):
                    Fraction(rng.randrange(0, 8), 32))
         if weights in seen:
             continue
-        out = co.delta_lengths(five_edge_graph, LENGTHS, turns, list(weights))
+        out = delta_lengths(five_edge_graph, LENGTHS, turns, list(weights))
         key = tuple(round(out[e], 12) for e in sorted(out))
         assert key not in seen.values(), \
             f"distinct weights {weights} collided with an earlier sample"

@@ -41,9 +41,6 @@ UNCALLED_PUBLIC = {
     "traintrack.lone_axis_check": "ROADMAP items 10 and 11: the atlas "
                                   "verdict of one class",
     "traintrack.nielsen_search": "ROADMAP item 11; bench/spans.py traces it",
-    "cohomology.delta_lengths": "a length perturbation at turns of "
-                                "trivalent vertices, pinned in "
-                                "test_cohomology",
 }
 
 

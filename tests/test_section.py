@@ -7,8 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from freebycyclic.bns import (SIGMA_DIRECTION, component_containing,
+                              excluded_directions, lone_axis_line,
+                              pairing_coordinates, trace_polygon)
 from freebycyclic.cohomology import (LeastCocycle, dict_scale, dict_sum,
-                                     evaluate, h1, integral_cocycle,
+                                     dual_basis, evaluate, h1,
+                                     integral_cocycle,
                                      least_representatives,
                                      line_family_cocycle,
                                      mapping_torus_h1_rank, require_open_cone,
@@ -828,6 +832,21 @@ def test_a_section_smaller_than_its_crossings_is_refused(
                               f"but its crossing counts give {counted}")
 
 
+def test_rank2_corpus_cycles_span_and_one_fewer_does_not(corpus_tori):
+    # h1's cycles are a basis of H1(T; Q), so dual_basis accepts them and
+    # its duals read them as the identity; without the last one they span
+    # rank 1 and are refused
+    for torus in corpus_tori.values():
+        cycles = h1(torus).cycles
+        duals = dual_basis(torus, cycles)
+        assert [pairing_coordinates(torus, duals, c) for c in cycles] \
+            == [(1, 0), (0, 1)]
+        with pytest.raises(InvariantViolation) as err:
+            dual_basis(torus, cycles[:1])
+        assert str(err.value) == \
+            "cycles span rank 1 of H1(T; Q), which has rank 2"
+
+
 # ---------------------------------------------------------------------------
 # survey columns as linear forms, and the paper's discreteness claim as one:
 # a lone axis needs ⟨u, σ⟩ = 1
@@ -897,24 +916,32 @@ def test_illegal_turns_at_trivalent_vertices_pair_with_sigma(torus,
     # the return map's illegal turns at trivalent vertices
     # number ⟨u, σ⟩, on every primitive class of the open cone with
     # |a|, |b| <= 10 on the bundled torus and on the rank-2 corpus
-    # classes with |a|, |b| <= 5 whose sections build
+    # classes with |a|, |b| <= 5 whose sections build; no rank-2 class is
+    # a lone axis, not even the 8 on the line ⟨u, σ⟩ = 1
     beds = [(torus, (B_CLASS, R_CLASS), 10, set())]
     beds += [(corpus_tori[index], h1(corpus_tori[index]).duals, 5,
               REFUSED_RANK2_CLASSES.get(index, set()))
              for index in sorted(corpus_tori)]
-    counts = []
+    counts, verdicts = [], {}
     for bed, duals, height, refused in beds:
-        (s_a, s_b), _euler = pairing_forms(bed, duals)
+        s_a, s_b = pairing_coordinates(bed, duals, skew_loop(bed))
         count = 0
         for (a, b), z in open_cone_classes(bed, duals, height):
             if (a, b) in refused:
                 continue
             section = build_section(bed, z)
-            audit = section_audit(section, first_return(section))
+            returned = first_return(section)
+            audit = section_audit(section, returned)
             assert audit.illegal_turns_at_trivalent == a * s_a + b * s_b
             count += 1
+            if bed is not torus:
+                verdict = lone_axis_check(returned, assume_ageometric=True,
+                                          assume_fully_irreducible=True)
+                key = (a * s_a + b * s_b == 1, verdict.verdict)
+                verdicts[key] = verdicts.get(key, 0) + 1
         counts.append(count)
     assert counts[0] == 95 and sum(counts[1:]) == 34
+    assert verdicts == {(True, "no"): 8, (False, "no"): 26}
 
 
 def test_lone_axis_only_on_the_sigma_one_line(torus):
@@ -933,6 +960,23 @@ def test_lone_axis_only_on_the_sigma_one_line(torus):
     (s_a, s_b), _euler = pairing_forms(torus, (B_CLASS, R_CLASS))
     assert yes == [(k, k + 1) for k in range(6)]
     assert yes == [(a, b) for (a, b), _z in classes if a * s_a + b * s_b == 1]
+
+
+def test_lone_axis_on_the_bundled_line_up_to_height_12():
+    # the sector's pairing-one line, read off the survey's σ coordinates,
+    # is the family (k, k+1), and each of its classes is a lone axis
+    ws = cli.load_workspace(os.path.join(EXAMPLES, "g_phi.2gen"),
+                            with_classes=True)
+    comp = component_containing(
+        excluded_directions(trace_polygon(ws.presentation)), SIGMA_DIRECTION)
+    line = lone_axis_line(comp, ws.pairing, 11)
+    assert line.classes == tuple((k, k + 1) for k in range(12))
+    for z in least_representatives(ws.complex_, ws.duals, line.classes):
+        require_open_cone(ws.complex_, z)
+        verdict = lone_axis_check(first_return(build_section(ws.complex_, z)),
+                                  assume_ageometric=True,
+                                  assume_fully_irreducible=True)
+        assert verdict.verdict == "yes"
 
 
 def outcome(call, *args):
